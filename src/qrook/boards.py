@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -233,13 +233,8 @@ def sections(board: FerrersBoard) -> list[tuple[int, int]]:
     1-based inclusive (first, last) pairs.  These generate all sections:
     a placement canonical on each maximal run is canonical on every
     sub-window of it."""
-    out: list[tuple[int, int]] = []
-    start = 1
-    for _, run in itertools.groupby(board.heights):
-        width = len(list(run))
-        out.append((start, start + width - 1))
-        start += width
-    return out
+    ends = step_decomposition(board).col_offsets
+    return [(start + 1, end) for start, end in zip((0,) + ends, ends)]
 
 
 # ---------------------------------------------------------------------------
@@ -253,16 +248,23 @@ def all_ferrers_boards(n: int) -> Iterator[FerrersBoard]:
         yield FerrersBoard(heights)
 
 
+def compositions(totals: Iterable[int]) -> Iterator[tuple[int, ...]]:
+    """All compositions of each total in turn: by number of parts, then
+    by cut positions in lexicographic order."""
+    for n in totals:
+        for t in range(1, n + 1):
+            for cuts in itertools.combinations(range(1, n), t - 1):
+                bounds = (0,) + cuts + (n,)
+                yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
 def all_step_specs(n: int, max_rise: int = 3, admissible_only: bool = False) -> Iterator[StepSpec]:
     """All step specs with total width n and every rise h_i <= max_rise."""
-    for t in range(1, n + 1):
-        for cuts in itertools.combinations(range(1, n), t - 1):
-            bounds = (0,) + cuts + (n,)
-            widths = tuple(b - a for a, b in zip(bounds, bounds[1:]))
-            for rises in itertools.product(range(max_rise + 1), repeat=t):
-                if admissible_only and sum(rises) > n:
-                    continue
-                yield StepSpec(tuple(zip(rises, widths)))
+    for widths in compositions([n]):
+        for rises in itertools.product(range(max_rise + 1), repeat=len(widths)):
+            if admissible_only and sum(rises) > n:
+                continue
+            yield StepSpec(tuple(zip(rises, widths)))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from typing import Iterator
 
 from .boards import FerrersBoard, staircase_board
 from .placements import Placement, rook_poly
-from .qpoly import LaurentPoly, q_stirling
+from .qpoly import IdentityViolation, LaurentPoly, q_stirling
 
 DEFAULT_BUDGET = 10**7
 
@@ -72,21 +72,11 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def _support_cells(board: FerrersBoard) -> list[tuple[int, int]]:
-    # Row-major order over the board cells; the odometer below runs over
-    # these positions, so enumeration is deterministic and restartable.
-    return [
-        (i, j)
-        for i in range(1, board.n + 1)
-        for j in range(1, board.n + 1)
-        if i <= board.heights[j - 1]
-    ]
-
-
 def enumerate_support_matrices(
     board: FerrersBoard, p: int, budget: int = DEFAULT_BUDGET
 ) -> Iterator[FfMatrix]:
-    """All p^Area(B) matrices supported on the board, each exactly once."""
+    """All p^Area(B) matrices supported on the board, each exactly once.
+    An enumeration oracle for the rank counts."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if not board.admissible:
@@ -98,7 +88,9 @@ def enumerate_support_matrices(
             f"p^Area = {p}^{area} = {total} exceeds the enumeration budget {budget}"
         )
     n = board.n
-    cells = _support_cells(board)
+    # an odometer over the board cells in row-major order, so enumeration
+    # is deterministic and restartable
+    cells = list(board.cells())
     for values in itertools.product(range(p), repeat=area):
         rows = [[0] * n for _ in range(n)]
         for (i, j), v in zip(cells, values):
@@ -140,11 +132,11 @@ def rank_distribution(
     return tuple(counts)
 
 
-def count_rank(board: FerrersBoard, p: int, k: int, budget: int = DEFAULT_BUDGET) -> int:
+def count_rank(board: FerrersBoard, p: int, k: int) -> int:
     """Number of rank-k matrices supported on the board."""
     if not 0 <= k <= board.n:
         return 0
-    return rank_distribution(board, p, budget)[k]
+    return rank_distribution(board, p, DEFAULT_BUDGET)[k]
 
 
 def p_k_formula(board: FerrersBoard, k: int) -> LaurentPoly:
@@ -154,7 +146,7 @@ def p_k_formula(board: FerrersBoard, k: int) -> LaurentPoly:
     q_minus_one = LaurentPoly({1: 1, 0: -1})
     poly = (q_minus_one**k) * rook_poly(board, k).subs_q_inverse().shifted(board.area - k)
     if not poly.is_zero and poly.min_exp < 0:
-        raise AssertionError("rank-count polynomial should have no negative powers")
+        raise IdentityViolation(f"rank-count polynomial {poly} of {board} at k={k} has negative powers")
     return poly
 
 
@@ -189,15 +181,14 @@ def elimination_placement(matrix: FfMatrix, board: FerrersBoard) -> Placement:
             if f:
                 rows[row2] = [(x - f * y) % p for x, y in zip(rows[row2], rows[row])]
         # column/row operations must never disturb the support pattern
-        assert all(
-            rows[i][j] == 0
-            for i in range(n)
-            for j in range(n)
-            if i + 1 > board.heights[j]
-        ), "elimination left the board support"
+        if any(rows[i][j] for i in range(n) for j in range(n) if i + 1 > board.heights[j]):
+            raise IdentityViolation(f"elimination left the support of {board}")
     placement = Placement.from_cells(pivots)
-    assert placement.k == rank_ff(matrix), "pivot count must equal the rank"
-    assert all(board.contains(r, c) for r, c in pivots), "pivots must sit on the board"
+    rank = rank_ff(matrix)
+    if placement.k != rank:
+        raise IdentityViolation(f"{placement.k} pivots but rank {rank} on {board} p={p}")
+    if not all(board.contains(r, c) for r, c in pivots):
+        raise IdentityViolation(f"pivots {sorted(pivots)} leave {board}")
     return placement
 
 
@@ -206,20 +197,20 @@ def elimination_placement(matrix: FfMatrix, board: FerrersBoard) -> Placement:
 # ---------------------------------------------------------------------------
 
 
-def theorem1_check(board: FerrersBoard, p: int, budget: int = DEFAULT_BUDGET) -> bool:
+def theorem1_check(board: FerrersBoard, p: int) -> bool:
     """Brute-force rank counts match the closed formula at q = p, all ranks."""
-    counts = rank_distribution(board, p, budget)
+    counts = rank_distribution(board, p, DEFAULT_BUDGET)
     return all(
         counts[k] == p_k_formula(board, k).evaluate(p) for k in range(board.n + 1)
     )
 
 
-def fiber_check(board: FerrersBoard, p: int, budget: int = DEFAULT_BUDGET) -> bool:
+def fiber_check(board: FerrersBoard, p: int) -> bool:
     """Every elimination fiber has size (p-1)^k p^(Area-k-inv(C,B))."""
     from .placements import enumerate_placements, inv_stat
 
     fibers: dict[frozenset, int] = {}
-    for m in enumerate_support_matrices(board, p, budget):
+    for m in enumerate_support_matrices(board, p):
         c = elimination_placement(m, board)
         fibers[c.cells] = fibers.get(c.cells, 0) + 1
     area = board.area
@@ -231,14 +222,14 @@ def fiber_check(board: FerrersBoard, p: int, budget: int = DEFAULT_BUDGET) -> bo
     return sum(fibers.values()) == p**area
 
 
-def corollary1_check(n: int, p: int, budget: int = DEFAULT_BUDGET) -> bool:
+def corollary1_check(n: int, p: int) -> bool:
     """Upper-triangular rank counts against the q-Stirling formula.
 
     Rank-k upper-triangular n x n matrices over F_p (board with heights
     1..n) are counted by (p-1)^k p^(C(n+1,2)-k) S_{n+1,n+1-k}(1/p).
     """
     board = staircase_board(n)
-    counts = rank_distribution(board, p, budget)
+    counts = rank_distribution(board, p, DEFAULT_BUDGET)
     binom = n * (n + 1) // 2
     for k in range(n + 1):
         expected = (
@@ -269,6 +260,6 @@ def corollary2_check(board: FerrersBoard) -> bool:
     return lhs == rhs
 
 
-def rank_sum_check(board: FerrersBoard, p: int, budget: int = DEFAULT_BUDGET) -> bool:
+def rank_sum_check(board: FerrersBoard, p: int) -> bool:
     """Total count over all ranks is p^Area."""
-    return sum(rank_distribution(board, p, budget)) == p**board.area
+    return sum(rank_distribution(board, p, DEFAULT_BUDGET)) == p**board.area

@@ -33,7 +33,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .boards import StepSpec, g_spec, triangular_board
-from .placements import Placement, _mat_raw, _xi_raw
+from .placements import _STAT_KERNELS, Placement, _mat_raw
 
 
 @dataclass(frozen=True)
@@ -70,9 +70,6 @@ class Word:
     def sorted_word(self) -> tuple[int, ...]:
         """The nondecreasing rearrangement (the unique descent-free word)."""
         return tuple(sorted(self.letters))
-
-    def is_permutation(self) -> bool:
-        return all(m == 1 for m in self.v)
 
 
 def _letters(w) -> tuple[int, ...]:
@@ -187,92 +184,77 @@ def _block_rows(letters: tuple[int, ...], t: int) -> list[list[int]]:
 @lru_cache(maxsize=None)
 def _spec_context(spec: StepSpec) -> tuple:
     """(widths, block heights, column heights, area, t) — hoisted out of the
-    per-word statistic loops."""
-    heights: list[int] = []
-    for H, d in zip(spec.block_heights, spec.widths):
-        heights.extend([H] * d)
-    return spec.widths, spec.block_heights, tuple(heights), spec.area, spec.t
+    per-word statistic loops.  Lifts need the board inside the grid."""
+    board = spec.expand()
+    if not board.admissible:
+        raise ValueError(f"word lifts need an admissible step spec, not {spec}")
+    return spec.widths, spec.block_heights, board.heights, board.area, spec.t
 
 
-def _standard_sigma(letters: tuple[int, ...], spec: StepSpec) -> tuple[int, ...]:
-    # Per block: off-board rows (below the block height) take the leftmost
-    # columns, ascending; on-board rows take the rightmost, descending.
+def _lift_sigma(letters: tuple[int, ...], spec: StepSpec, family: str) -> tuple[int, ...]:
+    # Per block, the rows up to the block height are on the board.  The
+    # standard lift ("mat") gives them the rightmost columns, descending,
+    # and the off-board rows the leftmost, ascending; the regular lift
+    # ("xi") gives them the leftmost columns and the off-board rows the
+    # rest, both descending.
     widths, block_heights, _, _, t = _spec_context(spec)
+    regular = family == "xi"
     sigma = [0] * len(letters)
     lo = 1
-    for (rows, H, d) in zip(_block_rows(letters, t), block_heights, widths):
+    for rows, H, d in zip(_block_rows(letters, t), block_heights, widths):
         if len(rows) != d:
             raise ValueError("word multiset does not match the block widths")
-        hi = lo + d - 1
         split = bisect_right(rows, H)
-        for idx, row in enumerate(rows[:split]):
-            sigma[row - 1] = hi - idx
-        for idx, row in enumerate(rows[split:]):
-            sigma[row - 1] = lo + idx
-        lo = hi + 1
+        # on-board rows descend from `top`; off-board rows walk from `start`
+        top, start, step = (lo + split - 1, lo + d - 1, -1) if regular else (lo + d - 1, lo, 1)
+        for idx in range(split):
+            sigma[rows[idx] - 1] = top - idx
+        for idx in range(d - split):
+            sigma[rows[split + idx] - 1] = start + step * idx
+        lo += d
     return tuple(sigma)
 
 
-def _regular_sigma(letters: tuple[int, ...], spec: StepSpec) -> tuple[int, ...]:
-    # Per block: on-board rows take the leftmost columns, off-board rows the
-    # remaining ones; in both groups columns decrease as rows increase.
-    widths, block_heights, _, _, t = _spec_context(spec)
-    sigma = [0] * len(letters)
-    lo = 1
-    for (rows, H, d) in zip(_block_rows(letters, t), block_heights, widths):
-        if len(rows) != d:
-            raise ValueError("word multiset does not match the block widths")
-        hi = lo + d - 1
-        split = bisect_right(rows, H)
-        for idx, row in enumerate(rows[:split]):
-            sigma[row - 1] = lo + split - 1 - idx
-        for idx, row in enumerate(rows[split:]):
-            sigma[row - 1] = hi - idx
-        lo = hi + 1
-    return tuple(sigma)
+def _lift_stat(letters: tuple[int, ...], spec: StepSpec, family: str) -> int:
+    """The family's statistic of the family's canonical lift."""
+    _, _, heights, area, _ = _spec_context(spec)
+    return _STAT_KERNELS[family](_lift_sigma(letters, spec, family), heights, area)
 
 
 def b_standard_graph(w, spec: StepSpec) -> Placement:
     """The unique lift of the word whose crossing statistic is minimal on
     every block."""
-    return Placement.from_permutation(_standard_sigma(_letters(w), spec))
+    return Placement.from_permutation(_lift_sigma(_letters(w), spec, "mat"))
 
 
 def b_regular_graph(w, spec: StepSpec) -> Placement:
     """The unique lift of the word whose circle statistic is minimal on
     every block."""
-    return Placement.from_permutation(_regular_sigma(_letters(w), spec))
+    return Placement.from_permutation(_lift_sigma(_letters(w), spec, "xi"))
 
 
 def is_block_standard(placement: Placement, spec: StepSpec) -> bool:
-    sigma = placement.sigma(spec.n)
-    letters = word_of_placement(placement, spec.widths)
-    return _standard_sigma(letters, spec) == sigma
+    return b_standard_graph(word_of_placement(placement, spec.widths), spec) == placement
 
 
 def is_block_regular(placement: Placement, spec: StepSpec) -> bool:
-    sigma = placement.sigma(spec.n)
-    letters = word_of_placement(placement, spec.widths)
-    return _regular_sigma(letters, spec) == sigma
+    return b_regular_graph(word_of_placement(placement, spec.widths), spec) == placement
 
 
 def mat_word(w, spec: StepSpec) -> int:
     """Crossing statistic of the standard lift of the word."""
-    letters = _letters(w)
-    _, _, heights, area, _ = _spec_context(spec)
-    return _mat_raw(_standard_sigma(letters, spec), heights, area)
+    return _lift_stat(_letters(w), spec, "mat")
 
 
 def xi_word(w, spec: StepSpec) -> int:
     """Circle statistic of the regular lift of the word."""
-    letters = _letters(w)
-    _, _, heights, _, _ = _spec_context(spec)
-    return _xi_raw(_regular_sigma(letters, spec), heights)
+    return _lift_stat(_letters(w), spec, "xi")
 
 
 def lifts(w, widths: Sequence[int]) -> Iterator[Placement]:
     """All full placements that collapse to the word (block-wise column
-    assignments in every order)."""
+    assignments in every order).  An enumeration oracle: it yields
+    prod d_i! placements."""
     import itertools
 
     letters = _letters(w)
@@ -329,18 +311,11 @@ def reverse_perm(perm) -> tuple[int, ...]:
     return tuple(reversed(_letters(perm)))
 
 
-FAMILIES = ("mat", "xi")
+# variant -> (reverse the permutation?, reflect the descent graph?, add the shift?)
+_VARIANTS = {1: (False, False, True), 2: (False, True, True), 3: (True, False, False), 4: (True, True, False)}
 
 
-def _family_kernel(family: str) -> Callable[[tuple[int, ...], tuple[int, ...], int], int]:
-    if family == "mat":
-        return _mat_raw
-    if family == "xi":
-        return lambda sigma, heights, area: _xi_raw(sigma, heights)
-    raise ValueError(f"unknown statistic family {family!r}")
-
-
-def stat_family(perm, family: str = "mat", variant: int = 1, *, reflected_shift: bool = True) -> int:
+def stat_family(perm, family: str = "mat", variant: int = 1) -> int:
     """The eight descent-paired statistics induced by a placement statistic
     on the triangular board.
 
@@ -349,43 +324,27 @@ def stat_family(perm, family: str = "mat", variant: int = 1, *, reflected_shift:
     the descent graph; 3 = statistic of the descent graph of the
     reversed permutation, no shift; 4 = its reflection; 5..8 = the
     complements n*des - (variants 1..4).
-
-    ``reflected_shift`` selects whether the reflected variants mirror
-    the shift convention of their unreflected siblings (default) or
-    swap it.
     """
     s = _letters(perm)
     n = len(s)
+    if family not in _STAT_KERNELS:
+        raise ValueError(f"unknown statistic family {family!r}")
+    complemented = variant > 4
+    try:
+        reverse, reflect, shifted = _VARIANTS[variant - 4 if complemented else variant]
+    except KeyError:
+        raise ValueError("variant must lie in 1..8") from None
     board = triangular_board(n)
-    heights, area = board.heights, board.area
-    kernel = _family_kernel(family)
     k = des(s)
-    shift = n * k - n * (n - 1) // 2
-
-    def value(v: int) -> int:
-        if v == 1:
-            sigma = descent_graph(s).sigma(n)
-            return shift + kernel(sigma, heights, area)
-        if v == 2:
-            sigma = descent_graph(s).reflect(n).sigma(n)
-            base = kernel(sigma, heights, area)
-            return shift + base if reflected_shift else base
-        if v == 3:
-            sigma = descent_graph(reverse_perm(s)).sigma(n)
-            return kernel(sigma, heights, area)
-        if v == 4:
-            sigma = descent_graph(reverse_perm(s)).reflect(n).sigma(n)
-            base = kernel(sigma, heights, area)
-            return base if reflected_shift else shift + base
-        raise ValueError("variant must lie in 1..8")
-
-    if 1 <= variant <= 4:
-        return value(variant)
-    if 5 <= variant <= 8:
-        # the fiber of des = k is symmetric about n*k/2, so complementing
-        # against n*des keeps the joint distribution
-        return n * k - value(variant - 4)
-    raise ValueError("variant must lie in 1..8")
+    placement = descent_graph(reverse_perm(s) if reverse else s)
+    if reflect:
+        placement = placement.reflect(n)
+    value = _STAT_KERNELS[family](placement.sigma(n), board.heights, board.area)
+    if shifted:
+        value += n * k - n * (n - 1) // 2
+    # the fiber of des = k is symmetric about n*k/2, so complementing
+    # against n*des keeps the joint distribution
+    return n * k - value if complemented else value
 
 
 # ---------------------------------------------------------------------------
@@ -393,44 +352,39 @@ def stat_family(perm, family: str = "mat", variant: int = 1, *, reflected_shift:
 # ---------------------------------------------------------------------------
 
 
-def _g_context(v: tuple[int, ...]) -> tuple[StepSpec, tuple[int, ...], int, int]:
+def _block_context(w, v: Sequence[int]) -> tuple[tuple[int, ...], StepSpec, int]:
+    """The word's letters, the step spec of the block board of v, and the
+    shift n*exc - Area that every block statistic adds."""
+    letters = _letters(w)
     spec = g_spec(v)
-    _, _, heights, area, _ = _spec_context(spec)
-    return spec, heights, area, sum(v)
+    _, _, _, area, _ = _spec_context(spec)
+    return letters, spec, len(letters) * exc(letters) - area
 
 
 def stat5(w, v: Sequence[int]) -> int:
     """n*exc - Area + crossing statistic of the standard lift on the block board."""
-    letters = _letters(w)
-    v = tuple(int(x) for x in v)
-    spec, heights, area, n = _g_context(v)
-    k = exc(letters)
-    return n * k - area + _mat_raw(_standard_sigma(letters, spec), heights, area)
+    letters, spec, shift = _block_context(w, v)
+    return shift + _lift_stat(letters, spec, "mat")
 
 
 def stat6(w, v: Sequence[int]) -> int:
     """n*exc - Area + circle statistic of the regular lift on the block board."""
-    letters = _letters(w)
-    v = tuple(int(x) for x in v)
-    spec, heights, area, n = _g_context(v)
-    k = exc(letters)
-    return n * k - area + _xi_raw(_regular_sigma(letters, spec), heights)
+    letters, spec, shift = _block_context(w, v)
+    return shift + _lift_stat(letters, spec, "xi")
 
 
 def stat7(w, v: Sequence[int]) -> int:
     """Like stat5, but routed through the cross-diagonal reflection: the
     standard lift of the word is reflected, and the crossing statistic
     is evaluated against the reflected board (the block board of
-    reversed(v)).  Reflection preserves the excedence count, so pairing
-    with exc keeps the joint distribution."""
-    letters = _letters(w)
-    v = tuple(int(x) for x in v)
-    rev = tuple(reversed(v))
-    spec, _, area, n = _g_context(v)
-    _, _, rev_heights, rev_area, _ = _spec_context(g_spec(rev))
-    sigma = _standard_sigma(letters, spec)
-    reflected = Placement.from_permutation(sigma).reflect(n).sigma(n)
-    return n * exc(letters) - rev_area + _mat_raw(reflected, rev_heights, rev_area)
+    reversed(v), whose area sum_{i<j} v_i v_j is the same).  Reflection
+    preserves the excedence count, so pairing with exc keeps the joint
+    distribution."""
+    letters, spec, shift = _block_context(w, v)
+    n = len(letters)
+    _, _, rev_heights, rev_area, _ = _spec_context(g_spec(reversed(spec.widths)))
+    reflected = Placement.from_permutation(_lift_sigma(letters, spec, "mat")).reflect(n).sigma(n)
+    return shift + _mat_raw(reflected, rev_heights, rev_area)
 
 
 # ---------------------------------------------------------------------------
@@ -493,14 +447,6 @@ def theorem5_statx(w, v: Sequence[int]) -> int:
 def joint_distribution(words: Iterable, stat_a: Callable, stat_b: Callable) -> Counter:
     """Multiset of (stat_a(w), stat_b(w)) pairs."""
     return Counter((stat_a(w), stat_b(w)) for w in words)
-
-
-def generating_poly(words: Iterable, stat: Callable):
-    """Sum of q^stat(w) as a LaurentPoly."""
-    from .qpoly import LaurentPoly
-
-    counts: Counter = Counter(stat(w) for w in words)
-    return LaurentPoly(dict(counts))
 
 
 def parse_word(text: str) -> tuple[int, ...]:

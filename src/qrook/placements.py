@@ -125,15 +125,15 @@ def enumerate_placements(board: FerrersBoard, k: int) -> Iterator[Placement]:
 
 
 def enumerate_full(n: int, board: FerrersBoard, k: int) -> Iterator[Placement]:
-    """Full n-rook placements on the n x n grid with exactly k rooks on the board."""
+    """Full n-rook placements on the n x n grid with exactly k rooks on the
+    board.  An enumeration oracle: it walks all n! permutations."""
     if board.n != n:
         raise ValueError("grid side must match the board")
     if not board.admissible:
         raise ValueError("full-placement enumeration needs an admissible board")
     heights = board.heights
     for sigma in itertools.permutations(range(1, n + 1)):
-        hits = sum(1 for i, c in enumerate(sigma, start=1) if i <= heights[c - 1])
-        if hits == k:
+        if _hits(sigma, heights) == k:
             yield Placement.from_permutation(sigma)
 
 
@@ -187,8 +187,9 @@ def _cross_raw(sigma: tuple[int, ...], heights: tuple[int, ...]) -> int:
     return n * (n + 1) // 2 + extra
 
 
-def _xi_raw(sigma: tuple[int, ...], heights: tuple[int, ...]) -> int:
+def _xi_raw(sigma: tuple[int, ...], heights: tuple[int, ...], area: int) -> int:
     # Circle count minus the circles cancelled by sitting right of a rook.
+    # The area is unused; it keeps the signature of _mat_raw.
     n = len(sigma)
     total = 0
     for b in range(1, n + 1):
@@ -217,6 +218,10 @@ def _mat_raw(sigma: tuple[int, ...], heights: tuple[int, ...], area: int) -> int
     return n * (n - k) + area - _cross_raw(sigma, heights)
 
 
+# statistic family -> kernel (sigma, heights, area) -> value
+_STAT_KERNELS = {"mat": _mat_raw, "xi": _xi_raw}
+
+
 # ---------------------------------------------------------------------------
 # Public statistics
 # ---------------------------------------------------------------------------
@@ -230,20 +235,16 @@ def inv_stat(placement: Placement, board: FerrersBoard) -> int:
     return _inv_raw(placement.cells, board.heights)
 
 
-def _full_sigma(placement: Placement, board: FerrersBoard) -> tuple[int, ...]:
-    return placement.sigma(board.n)
-
-
 def cross_stat(placement: Placement, board: FerrersBoard) -> int:
     """Number of grid squares that hold a rook, lie right of a rook, lie
     above a rook while on the board, or lie below an off-board rook.
     Each square counts once however many conditions it satisfies."""
-    return _cross_raw(_full_sigma(placement, board), board.heights)
+    return _cross_raw(placement.sigma(board.n), board.heights)
 
 
 def mat_stat(placement: Placement, board: FerrersBoard) -> int:
     """n(n-k) + Area - cross for a full placement with k rooks on the board."""
-    return _mat_raw(_full_sigma(placement, board), board.heights, board.area)
+    return _mat_raw(placement.sigma(board.n), board.heights, board.area)
 
 
 def xi_stat(placement: Placement, board: FerrersBoard) -> int:
@@ -254,7 +255,7 @@ def xi_stat(placement: Placement, board: FerrersBoard) -> int:
     above it.  Circles landing right of a rook in their row are
     cancelled; the statistic is circles minus cancellations.
     """
-    return _xi_raw(_full_sigma(placement, board), board.heights)
+    return _xi_raw(placement.sigma(board.n), board.heights, board.area)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +281,10 @@ HIT_METHODS = ("mat", "xi", "defining")
 
 @lru_cache(maxsize=None)
 def hit_polys(board: FerrersBoard, method: str = "mat") -> tuple[LaurentPoly, ...]:
-    """All hit polynomials T_0..T_n of an admissible board at once."""
+    """All hit polynomials T_0..T_n of an admissible board at once.
+
+    ``mat`` and ``xi`` are enumeration oracles: they walk all n!
+    permutations.  ``defining`` expands the rook polynomials."""
     if not board.admissible:
         raise ValueError("hit polynomials need an admissible board")
     if method not in HIT_METHODS:
@@ -288,12 +292,12 @@ def hit_polys(board: FerrersBoard, method: str = "mat") -> tuple[LaurentPoly, ..
     n = board.n
     heights = board.heights
     if method in ("mat", "xi"):
-        kernel = _mat_raw if method == "mat" else _xi_raw
+        kernel = _STAT_KERNELS[method]
         area = board.area
         counts: list[dict[int, int]] = [dict() for _ in range(n + 1)]
         for sigma in itertools.permutations(range(1, n + 1)):
             k = _hits(sigma, heights)
-            e = kernel(sigma, heights, area) if method == "mat" else kernel(sigma, heights)
+            e = kernel(sigma, heights, area)
             bucket = counts[k]
             bucket[e] = bucket.get(e, 0) + 1
         return tuple(LaurentPoly(c) for c in counts)
@@ -324,14 +328,10 @@ def hit_poly(board: FerrersBoard, k: int, method: str = "mat") -> LaurentPoly:
     return hit_polys(board, method)[k]
 
 
-def classical_hit_number(board: FerrersBoard, k: int) -> int:
-    """Count of permutations hitting exactly k board squares (q = 1 value)."""
-    return classical_hit_distribution(board)[k]
-
-
 @lru_cache(maxsize=None)
 def classical_hit_distribution(board: FerrersBoard) -> tuple[int, ...]:
-    """Counts of permutations by the number of board squares hit."""
+    """Counts of permutations by the number of board squares hit.  An
+    enumeration oracle: it walks all n! permutations."""
     heights = board.heights
     n = board.n
     counts = [0] * (n + 1)

@@ -25,6 +25,12 @@ from functools import lru_cache
 from typing import Iterable, Mapping
 
 
+class IdentityViolation(Exception):
+    """A computed identity or invariant does not hold.  Checks raise it
+    explicitly, so ``python -O`` cannot strip them, and the suites turn
+    it into a FAIL line carrying its message."""
+
+
 class LaurentPoly:
     """A Laurent polynomial in q with integer coefficients.
 
@@ -313,10 +319,6 @@ class BivariatePoly:
     @staticmethod
     def one() -> "BivariatePoly":
         return BivariatePoly({(0, 0): 1})
-
-    @staticmethod
-    def term(coeff: int, q_exp: int = 0, z_exp: int = 0) -> "BivariatePoly":
-        return BivariatePoly({(q_exp, z_exp): coeff})
 
     @staticmethod
     def from_laurent(p: LaurentPoly, z_exp: int = 0) -> "BivariatePoly":

@@ -37,12 +37,14 @@ from .boards import (
     all_step_specs,
     board_from_heights,
     complement,
+    compositions,
     flip,
     g_board,
     staircase_board,
     triangular_board,
 )
 from .placements import (
+    HIT_METHODS,
     classical_hit_distribution,
     factorization_check,
     hit_polys,
@@ -50,6 +52,7 @@ from .placements import (
     rook_sum_identity,
 )
 from .qpoly import (
+    IdentityViolation,
     LaurentPoly,
     darga,
     is_symmetric,
@@ -150,7 +153,7 @@ def inverse_product_series(m: int, order: int) -> TruncatedSeries:
     return series
 
 
-class PhiSeriesMismatch(ValueError):
+class PhiSeriesMismatch(IdentityViolation):
     """The two expansions of the bracket-product series disagree."""
 
     def __init__(self, board, k, direct, via_hits):
@@ -229,13 +232,13 @@ def lemma3_delta_check(n: int, order: int | None = None) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def add_recurrence_check(board: FerrersBoard, method: str = "mat") -> bool:
+def add_recurrence_check(board: FerrersBoard) -> bool:
     """Adding an empty column: T_k(B with a new empty column) equals
     [n+1-k] T_k(B) + [k+1] q^(n-k) T_{k+1}(B), and the top index vanishes."""
     n = board.n
     grown = board_from_heights((0,) + board.heights)
-    t_old = hit_polys(board, method)
-    t_new = hit_polys(grown, method)
+    t_old = hit_polys(board, "mat")
+    t_new = hit_polys(grown, "mat")
     if not t_new[n + 1].is_zero:
         return False
     for k in range(n + 1):
@@ -247,12 +250,12 @@ def add_recurrence_check(board: FerrersBoard, method: str = "mat") -> bool:
     return True
 
 
-def reciprocity_check(board: FerrersBoard, method: str = "mat") -> bool:
+def reciprocity_check(board: FerrersBoard) -> bool:
     """T_k(B; 1/q) = q^(-C(n,2)) T_{n-k}(B complement; q) for all k."""
     n = board.n
     comp = complement(board)
-    t_b = hit_polys(board, method)
-    t_c = hit_polys(comp, method)
+    t_b = hit_polys(board, "mat")
+    t_c = hit_polys(comp, "mat")
     shift = n * (n - 1) // 2
     return all(
         t_b[k].subs_q_inverse().shifted(shift) == t_c[n - k] for k in range(n + 1)
@@ -349,9 +352,10 @@ def darga_target(spec: StepSpec, k: int) -> int:
 def eq24_divided(spec: StepSpec, k: int) -> LaurentPoly:
     """T_{n-k}(B) / prod [d_i]! by the alternating q-binomial expansion.
 
-    Every surviving term is asserted to be symmetric with the expected
-    darga, and a term with any negative bracket numerator is asserted to
-    vanish (the cancellation the closed form relies on).
+    Every surviving term must be symmetric with the expected darga, and a
+    term with any negative bracket numerator must vanish (the cancellation
+    the closed form relies on); IdentityViolation reports a term that is
+    not.
     """
     n = spec.n
     H = spec.block_heights
@@ -368,15 +372,14 @@ def eq24_divided(spec: StepSpec, k: int) -> LaurentPoly:
             prod = prod * q_binomial(m, spec.widths[i])
             if prod.is_zero:
                 break
-        if negative_numerator:
-            assert prod.is_zero, "negative bracket numerator must kill the term"
         if prod.is_zero:
             continue
+        if negative_numerator:
+            raise IdentityViolation(f"{spec} k={k} s={s}: a negative bracket numerator left {prod}")
         j = k - s
         term = (q_binomial(n + 1, j) * prod).shifted(j * (j - 1) // 2)
-        assert is_symmetric(term) and darga(term) == target, (
-            "step-formula term must be symmetric with the expected darga"
-        )
+        if not (is_symmetric(term) and darga(term) == target):
+            raise IdentityViolation(f"{spec} k={k} s={s}: term {term} is not symmetric with darga {target}")
         total = total + (term if j % 2 == 0 else -term)
     return total
 
@@ -404,16 +407,17 @@ def _eq26_divided(spec: StepSpec, k: int) -> LaurentPoly:
     conditions = spec.condition_overlap() or spec.condition_dominance()
     total = LaurentPoly.zero()
 
-    def compositions(remaining: int, i: int, prefix: tuple[int, ...]):
+    def bounded(remaining: int, i: int, prefix: tuple[int, ...]):
+        # compositions e of the remainder with 0 <= e_j <= d_j for j >= i
         if i == t:
             if remaining == 0:
                 yield prefix
             return
         lo = max(0, remaining - sum(widths[i + 1 :]))
         for e in range(lo, min(widths[i], remaining) + 1):
-            yield from compositions(remaining - e, i + 1, prefix + (e,))
+            yield from bounded(remaining - e, i + 1, prefix + (e,))
 
-    for e in compositions(k, 0, ()):
+    for e in bounded(k, 0, ()):
         prod = LaurentPoly.one()
         exponent = 0
         E = 0
@@ -429,15 +433,14 @@ def _eq26_divided(spec: StepSpec, k: int) -> LaurentPoly:
             if prod.is_zero:
                 break
             exponent += e[i] * (H[i] - D[i + 1] + E)
-        if conditions and negative_numerator:
-            assert prod.is_zero, "negative numerator must kill the composition term"
         if prod.is_zero:
             continue
+        if conditions and negative_numerator:
+            raise IdentityViolation(f"{spec} e={e}: a negative numerator left {prod}")
         term = prod.shifted(exponent)
-        if conditions:
-            assert all(c > 0 for _, c in term.items()), (
-                "composition terms must be nonnegative under the overlap or "
-                "dominance condition"
+        if conditions and any(c < 0 for _, c in term.items()):
+            raise IdentityViolation(
+                f"{spec} e={e}: term {term} is negative under the overlap or dominance condition"
             )
         total = total + term
     return total
@@ -552,6 +555,19 @@ def _poly_diff_detail(a: LaurentPoly, b: LaurentPoly) -> str:
     return f"first differing exponent {first}: {a} vs {b}"
 
 
+def _guarded(check: str, instance: str, fn: Callable[..., bool], *args) -> CheckResult:
+    """Run one check; an IdentityViolation raised inside it becomes a FAIL
+    line carrying its message, and the suite goes on."""
+    try:
+        return CheckResult(check, instance, fn(*args))
+    except IdentityViolation as exc:
+        return CheckResult(check, instance, False, str(exc))
+
+
+# every rise h_i of the step specs the suites sweep lies in 0..MAX_RISE
+MAX_RISE = 3
+
+
 def suite_rook(max_n: int) -> Iterator[CheckResult]:
     for n in range(1, max_n + 1):
         for board in all_ferrers_boards(n):
@@ -574,42 +590,26 @@ def suite_hit(max_n: int) -> Iterator[CheckResult]:
     for n in range(1, max_n + 1):
         for board in all_ferrers_boards(n):
             name = board.spec_string()
-            by_method = {m: hit_polys(board, m) for m in ("mat", "xi", "defining")}
-            agree = all(
-                by_method["mat"][k] == by_method["xi"][k] == by_method["defining"][k]
-                for k in range(n + 1)
-            )
-            detail = ""
-            if not agree:
-                k = next(
-                    k
-                    for k in range(n + 1)
-                    if not (
-                        by_method["mat"][k]
-                        == by_method["xi"][k]
-                        == by_method["defining"][k]
-                    )
-                )
-                detail = f"k={k} mat={by_method['mat'][k]} xi={by_method['xi'][k]} defining={by_method['defining'][k]}"
-            yield CheckResult("hit-methods-agree", name, agree, detail)
+            mat, xi, defining = (hit_polys(board, m) for m in HIT_METHODS)
+            k = next((k for k in range(n + 1) if not mat[k] == xi[k] == defining[k]), None)
+            detail = "" if k is None else f"k={k} mat={mat[k]} xi={xi[k]} defining={defining[k]}"
+            yield CheckResult("hit-methods-agree", name, k is None, detail)
             total = LaurentPoly.zero()
             for k in range(n + 1):
-                total = total + by_method["mat"][k]
+                total = total + mat[k]
             yield CheckResult("hit-sum-factorial", name, total == q_factorial(n))
             classical = classical_hit_distribution(board)
-            at_one = all(
-                by_method["mat"][k].evaluate(1) == classical[k] for k in range(n + 1)
-            )
+            at_one = all(mat[k].evaluate(1) == classical[k] for k in range(n + 1))
             yield CheckResult("hit-classical-at-1", name, at_one)
 
 
-def suite_mahonian(max_n: int, max_rise: int = 3) -> Iterator[CheckResult]:
+def suite_mahonian(max_n: int) -> Iterator[CheckResult]:
     for n in range(1, max_n + 1):
-        for widths in _compositions_of(n):
+        for widths in compositions([n]):
             target = q_multinomial(widths)
             words = list(permstat.words_over(widths))
             t = len(widths)
-            for rises in itertools.product(range(max_rise + 1), repeat=t):
+            for rises in itertools.product(range(MAX_RISE + 1), repeat=t):
                 if sum(rises) > n:
                     continue  # the board would not fit inside the grid
                 spec = StepSpec(tuple(zip(rises, widths)))
@@ -631,32 +631,19 @@ def suite_mahonian(max_n: int, max_rise: int = 3) -> Iterator[CheckResult]:
                 )
 
 
-def _compositions_of(n: int) -> Iterator[tuple[int, ...]]:
-    for t in range(1, n + 1):
-        for cuts in itertools.combinations(range(1, n), t - 1):
-            bounds = (0,) + cuts + (n,)
-            yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
-
-
-def _compositions_upto(total_max: int) -> Iterator[tuple[int, ...]]:
-    for n in range(1, total_max + 1):
-        yield from _compositions_of(n)
-
-
 def suite_euler(max_n: int) -> Iterator[CheckResult]:
     for n in range(1, max_n + 1):
         yield CheckResult("euler-ladder", f"n={n}", euler_ladder_check(n))
         perms = list(permstat.permutations_of(n))
         ref = permstat.joint_distribution(perms, permstat.des, permstat.maj)
-        got = permstat.joint_distribution(perms, permstat.exc, permstat.den)
-        yield CheckResult("exc-den-euler-mahonian", f"n={n}", got == ref)
-        got = permstat.joint_distribution(perms, permstat.exc, permstat.theorem5_stat)
-        yield CheckResult("closed-form-exc-stat", f"n={n}", got == ref)
         ones = (1,) * n
-        got = permstat.joint_distribution(
-            perms, permstat.exc, lambda p: permstat.stat7(p, ones)
-        )
-        yield CheckResult("stat7-permutations", f"n={n}", got == ref)
+        for check, stat in (
+            ("exc-den-euler-mahonian", permstat.den),
+            ("closed-form-exc-stat", permstat.theorem5_stat),
+            ("stat7-permutations", lambda p: permstat.stat7(p, ones)),
+        ):
+            got = permstat.joint_distribution(perms, permstat.exc, stat)
+            yield CheckResult(check, f"n={n}", got == ref)
         for family in ("mat", "xi"):
             for variant in range(1, 9):
                 got = permstat.joint_distribution(
@@ -669,33 +656,23 @@ def suite_euler(max_n: int) -> Iterator[CheckResult]:
                     f"n={n} family={family} variant={variant}",
                     got == ref,
                 )
-    for v in _compositions_upto(max_n):
+    for v in compositions(range(1, max_n + 1)):
         name = "v=" + ",".join(map(str, v))
         yield CheckResult("block-board-maj", name, g_identity_check(v))
         words = list(permstat.words_over(v))
         ref = permstat.joint_distribution(words, permstat.des, permstat.maj)
-        got = permstat.joint_distribution(
-            words, permstat.exc, lambda w: permstat.stat5(w, v)
-        )
-        yield CheckResult("stat5-euler-mahonian", name, got == ref)
-        got = permstat.joint_distribution(
-            words, permstat.exc, lambda w: permstat.stat6(w, v)
-        )
-        yield CheckResult("stat6-euler-mahonian", name, got == ref)
         # the reflected identity: reflection re-indexes the standard lifts,
         # so the excedence-paired distribution over the reversed vector must
         # reproduce the maj distribution over the original one
         rev = tuple(reversed(v))
-        got = permstat.joint_distribution(
-            list(permstat.words_over(rev)),
-            permstat.exc,
-            lambda w: permstat.stat5(w, rev),
-        )
-        yield CheckResult("reflected-block-euler-mahonian", name, got == ref)
-        got = permstat.joint_distribution(
-            words, permstat.exc, lambda w: permstat.theorem5_statx(w, v)
-        )
-        yield CheckResult("closed-form-exc-statx", name, got == ref)
+        for check, domain, stat in (
+            ("stat5-euler-mahonian", words, lambda w: permstat.stat5(w, v)),
+            ("stat6-euler-mahonian", words, lambda w: permstat.stat6(w, v)),
+            ("reflected-block-euler-mahonian", permstat.words_over(rev), lambda w: permstat.stat5(w, rev)),
+            ("closed-form-exc-statx", words, lambda w: permstat.theorem5_statx(w, v)),
+        ):
+            got = permstat.joint_distribution(domain, permstat.exc, stat)
+            yield CheckResult(check, name, got == ref)
 
 
 def suite_reciprocity(max_n: int) -> Iterator[CheckResult]:
@@ -704,12 +681,8 @@ def suite_reciprocity(max_n: int) -> Iterator[CheckResult]:
             name = board.spec_string()
             yield CheckResult("reciprocity", name, reciprocity_check(board))
             yield CheckResult("add-empty-column", name, add_recurrence_check(board))
-            try:
-                phi_series(board)
-                ok, detail = True, ""
-            except PhiSeriesMismatch as exc:
-                ok, detail = False, str(exc)
-            yield CheckResult("series-two-ways", name, ok, detail)
+            # phi_series raises PhiSeriesMismatch on any disagreement
+            yield _guarded("series-two-ways", name, lambda: phi_series(board) is not None)
         yield CheckResult("delta-identity", f"n={n}", lemma3_delta_check(n))
 
 
@@ -721,24 +694,22 @@ def suite_ffmat(max_n: int) -> Iterator[CheckResult]:
         2: LaurentPoly({3: 1, 2: -2, 1: 1}),
         3: LaurentPoly.zero(),
     }
-    ok = all(
-        ffmat.p_k_formula(definition_board, k) == expected[k] for k in range(4)
+    yield _guarded(
+        "rank-formula-values",
+        definition_board.spec_string(),
+        lambda: all(ffmat.p_k_formula(definition_board, k) == expected[k] for k in range(4)),
     )
-    yield CheckResult("rank-formula-values", definition_board.spec_string(), ok)
     for p in (2, 3):
-        yield CheckResult(
-            "elimination-fibers",
-            f"{definition_board.spec_string()} p={p}",
-            ffmat.fiber_check(definition_board, p),
-        )
+        name = f"{definition_board.spec_string()} p={p}"
+        yield _guarded("elimination-fibers", name, ffmat.fiber_check, definition_board, p)
     for n in range(1, min(max_n, 3) + 1):
         for board in all_ferrers_boards(n):
             for p in (2, 3):
                 name = f"{board.spec_string()} p={p}"
-                yield CheckResult("rank-bridge", name, ffmat.theorem1_check(board, p))
+                yield _guarded("rank-bridge", name, ffmat.theorem1_check, board, p)
                 yield CheckResult("rank-sum", name, ffmat.rank_sum_check(board, p))
-            yield CheckResult(
-                "rank-product-identity", board.spec_string(), ffmat.corollary2_check(board)
+            yield _guarded(
+                "rank-product-identity", board.spec_string(), ffmat.corollary2_check, board
             )
     for n in range(1, min(max_n, 3) + 1):
         for p in (2, 3):
@@ -751,40 +722,41 @@ def suite_ffmat(max_n: int) -> Iterator[CheckResult]:
         )
 
 
-def suite_unimodal(max_n: int, max_rise: int = 3) -> Iterator[CheckResult]:
+def suite_unimodal(max_n: int) -> Iterator[CheckResult]:
     for n in range(1, max_n + 1):
         for board in all_ferrers_boards(n):
             yield CheckResult(
                 "hit-zsu", board.spec_string(), unimodality_check(board, "thm6")
             )
-        for spec in all_step_specs(n, max_rise=max_rise):
-            yield CheckResult(
-                "step-symmetry-zsu", spec.spec_string(), unimodality_check(spec, "thm7")
+        for spec in all_step_specs(n, max_rise=MAX_RISE):
+            yield _guarded(
+                "step-symmetry-zsu", spec.spec_string(), unimodality_check, spec, "thm7"
             )
-    for v in _compositions_upto(max_n):
+    for v in compositions(range(1, max_n + 1)):
         yield CheckResult(
             "word-maj-zsu", "v=" + ",".join(map(str, v)), corollary3_check(v)
         )
 
 
-def suite_steps(max_n: int, max_rise: int = 3) -> Iterator[CheckResult]:
+def suite_steps(max_n: int) -> Iterator[CheckResult]:
     for n in range(1, max_n + 1):
-        for spec in all_step_specs(n, max_rise=max_rise, admissible_only=True):
+        for spec in all_step_specs(n, max_rise=MAX_RISE, admissible_only=True):
             board = spec.expand()
             t = hit_polys(board, "mat")
             name = spec.spec_string()
-            ok = True
             detail = ""
-            for k in range(n + 1):
-                a = step_formula(spec, k, "eq24")
-                b = step_formula(spec, k, "eq26")
-                c = t[n - k]
-                if not (a == b == c):
-                    ok = False
-                    detail = f"k={k} eq24={a} eq26={b} enumerated={c}"
-                    break
-            yield CheckResult("step-formulas-agree", name, ok, detail)
-            yield CheckResult("step-truncation-recurrence", name, recurrence25_check(spec))
+            try:
+                for k in range(n + 1):
+                    a = step_formula(spec, k, "eq24")
+                    b = step_formula(spec, k, "eq26")
+                    c = t[n - k]
+                    if not (a == b == c):
+                        detail = f"k={k} eq24={a} eq26={b} enumerated={c}"
+                        break
+            except IdentityViolation as exc:
+                detail = str(exc)
+            yield CheckResult("step-formulas-agree", name, not detail, detail)
+            yield _guarded("step-truncation-recurrence", name, recurrence25_check, spec)
 
 
 SUITES: dict[str, Callable[[int], Iterator[CheckResult]]] = {

@@ -1,6 +1,8 @@
 import pytest
+from click.testing import CliRunner
 
 from qrook.boards import all_ferrers_boards, board_from_heights, staircase_board
+from qrook.cli import main
 from qrook.ffmat import (
     BudgetExceededError,
     FfMatrix,
@@ -142,3 +144,16 @@ class TestCorollaries:
 
     def test_rank_distribution_total(self):
         assert sum(rank_distribution(DEF1, 3)) == 3**3
+
+
+def test_checks_share_one_rank_distribution_entry():
+    rank_distribution.cache_clear()
+    try:
+        assert theorem1_check(DEF1, 2)
+        assert rank_sum_check(DEF1, 2)
+        assert count_rank(DEF1, 2, 1) == 5
+        # the CLI passes its default budget positionally, the same key
+        assert CliRunner().invoke(main, ["matrices", "--board", "heights:0,1,2", "--prime", "2"]).exit_code == 0
+        assert rank_distribution.cache_info().currsize == 1
+    finally:
+        rank_distribution.cache_clear()

@@ -134,6 +134,17 @@ class TestGraphs:
         with pytest.raises(ValueError):
             b_standard_graph((1, 1, 1), StepSpec(((0, 2), (1, 1))))
 
+    @pytest.mark.parametrize("entry", [b_standard_graph, b_regular_graph, mat_word, xi_word])
+    def test_inadmissible_spec_rejected(self, entry):
+        # block heights 3, 4 do not fit in the 2 x 2 grid
+        with pytest.raises(ValueError, match="admissible"):
+            entry((1, 2), StepSpec(((3, 1), (1, 1))))
+
+    @pytest.mark.parametrize("check", [is_block_standard, is_block_regular])
+    def test_inadmissible_spec_rejected_by_canonicity_checks(self, check):
+        with pytest.raises(ValueError, match="admissible"):
+            check(Placement.from_permutation((1, 2)), StepSpec(((3, 1), (1, 1))))
+
     @pytest.mark.parametrize("n", range(1, 5))
     def test_bijections_round_trip(self, n):
         for spec in all_step_specs(n, max_rise=2, admissible_only=True):
@@ -227,11 +238,13 @@ class TestStatFamilies:
             assert stat_family(p, "mat", 1) == n * n - cross_stat(f, tri)
 
     def test_alternate_shift_convention_fails(self):
+        # variant 2 without the shift n*des - C(n,2) of its unreflected
+        # sibling is not Euler-Mahonian
         n = 4
         perms = list(permutations_of(n))
         ref = joint_distribution(perms, des, maj)
         got = joint_distribution(
-            perms, des, lambda p: stat_family(p, "mat", 2, reflected_shift=False)
+            perms, des, lambda p: stat_family(p, "mat", 2) - (n * des(p) - n * (n - 1) // 2)
         )
         assert got != ref
 

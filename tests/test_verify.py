@@ -1,5 +1,10 @@
-import pytest
+import ast
+from pathlib import Path
 
+import pytest
+from click.testing import CliRunner
+
+from qrook import ffmat, verify
 from qrook.boards import (
     StepSpec,
     all_ferrers_boards,
@@ -10,8 +15,9 @@ from qrook.boards import (
     step_decomposition,
     triangular_board,
 )
+from qrook.cli import main
 from qrook.placements import hit_polys
-from qrook.qpoly import LaurentPoly, q_bracket, q_factorial
+from qrook.qpoly import LaurentPoly, q_binomial, q_bracket
 from qrook.verify import (
     CheckResult,
     PhiSeriesMismatch,
@@ -243,3 +249,51 @@ class TestSuites:
         t = hit_polys(board, "mat")
         for k in range(4):
             assert step_formula(spec, k, "eq26") == t[3 - k]
+
+
+class TestFailuresStayInTheSuite:
+    """A violated identity inside a check is a FAIL line with detail, and
+    the suite goes on to its remaining checks."""
+
+    def verify_lines(self, suite, max_n):
+        result = CliRunner().invoke(main, ["verify", "--suite", suite, "--max-n", str(max_n)])
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        return result.exit_code, result.output.splitlines()
+
+    @pytest.mark.parametrize(
+        "suite,check", [("steps", "step-formulas-agree"), ("unimodal", "step-symmetry-zsu")]
+    )
+    def test_wrong_q_binomial(self, monkeypatch, suite, check):
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "q_binomial", lambda m, k: q_binomial(m, k).shifted(1))
+            code, lines = self.verify_lines(suite, 2)
+        assert code == 1
+        fails = [line for line in lines if line.startswith(f"FAIL {check} ")]
+        assert fails and all("is not symmetric with darga" in line for line in fails)
+        # every check still ran
+        assert len(lines) == len(self.verify_lines(suite, 2)[1])
+
+    def test_wrong_rank(self, monkeypatch):
+        ffmat.rank_distribution.cache_clear()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(ffmat, "rank_ff", lambda matrix: 0)
+                code, lines = self.verify_lines("ffmat", 1)
+        finally:
+            ffmat.rank_distribution.cache_clear()
+        assert code == 1
+        fails = [line for line in lines if line.startswith("FAIL elimination-fibers ")]
+        assert len(fails) == 2 and all("pivots but rank 0" in line for line in fails)
+        assert len(lines) == len(self.verify_lines("ffmat", 1)[1])
+
+
+def test_no_assert_statements_in_library():
+    # python -O strips assert statements, so a check must never be one
+    src = Path(verify.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
