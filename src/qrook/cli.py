@@ -20,8 +20,8 @@ import sys
 import click
 
 from . import ffmat, permstat, verify
-from .boards import StepSpec, parse_board_spec, step_decomposition
-from .placements import HIT_METHODS, hit_poly, hit_polys
+from .boards import parse_board_spec, step_decomposition
+from .placements import HIT_METHODS, hit_poly
 from .placements import rook_poly as rook_poly_fn
 from .qpoly import LaurentPoly
 
@@ -38,20 +38,20 @@ def _board_and_spec(spec_text: str):
         _fail_usage(str(exc))
 
 
-def _emit_poly(poly: LaurentPoly, fmt: str, label: str | None = None):
+def _emit_poly(poly: LaurentPoly, fmt: str, labels: dict | None = None):
+    """One polynomial; each label is a JSON key, a leading CSV column and a
+    key=value text prefix, in the order given."""
+    labels = labels or {}
     if fmt == "json":
-        payload = poly.to_dense_dict()
-        if label is not None:
-            payload = {"k": label, **payload}
-        click.echo(json.dumps(payload, sort_keys=True))
+        click.echo(json.dumps({**labels, **poly.to_dense_dict()}, sort_keys=True))
     elif fmt == "csv":
         lo, dense = poly.dense_coeffs()
+        prefix = "".join(f"{value}," for value in labels.values())
         for i, c in enumerate(dense):
-            prefix = f"{label}," if label is not None else ""
             click.echo(f"{prefix}{lo + i},{c}")
     else:
-        prefix = f"k={label}: " if label is not None else ""
-        click.echo(prefix + str(poly))
+        prefix = " ".join(f"{key}={value}" for key, value in labels.items())
+        click.echo(f"{prefix}: {poly}" if labels else str(poly))
 
 
 @click.group()
@@ -73,7 +73,7 @@ def rook_cmd(board_spec: str, k: int | None, fmt: str):
     for kk in ks:
         if not 0 <= kk <= board.n:
             _fail_usage(f"k must lie in 0..{board.n}")
-        _emit_poly(rook_poly_fn(board, kk), fmt, None if k is not None else str(kk))
+        _emit_poly(rook_poly_fn(board, kk), fmt, None if k is not None else {"k": str(kk)})
 
 
 @main.command("hit")
@@ -114,11 +114,7 @@ def hit_cmd(board_spec: str, k: int | None, method: str, fmt: str):
         if any(v != first for v in values.values()):
             consistent = False
         for m, poly in values.items():
-            if fmt == "json":
-                payload = {"k": kk, "method": m, **poly.to_dense_dict()}
-                click.echo(json.dumps(payload, sort_keys=True))
-            else:
-                click.echo(f"k={kk} method={m}: {poly}")
+            _emit_poly(poly, fmt, {"k": kk, "method": m})
     if len(methods) > 1:
         click.echo("CONSISTENT" if consistent else "INCONSISTENT")
     if not consistent:

@@ -28,8 +28,8 @@ from functools import lru_cache
 from typing import Iterator
 
 from .boards import FerrersBoard, staircase_board
-from .placements import Placement, rook_poly
-from .qpoly import IdentityViolation, LaurentPoly, q_stirling
+from .placements import Placement, enumerate_placements, inv_stat, rook_poly
+from .qpoly import BivariatePoly, IdentityViolation, LaurentPoly, q_stirling
 
 DEFAULT_BUDGET = 10**7
 
@@ -207,8 +207,6 @@ def theorem1_check(board: FerrersBoard, p: int) -> bool:
 
 def fiber_check(board: FerrersBoard, p: int) -> bool:
     """Every elimination fiber has size (p-1)^k p^(Area-k-inv(C,B))."""
-    from .placements import enumerate_placements, inv_stat
-
     fibers: dict[frozenset, int] = {}
     for m in enumerate_support_matrices(board, p):
         c = elimination_placement(m, board)
@@ -245,8 +243,6 @@ def corollary1_check(n: int, p: int) -> bool:
 def corollary2_check(board: FerrersBoard) -> bool:
     """Check sum_k (1-x)(1-xq)...(1-xq^(k-1)) P_{n-k} = prod_i (q^(c_i) - x q^(i-1)),
     an identity of polynomials in x over the Laurent ring (z plays x)."""
-    from .qpoly import BivariatePoly
-
     n = board.n
     lhs = BivariatePoly.zero()
     for k in range(n + 1):

@@ -26,6 +26,7 @@ from block boards.
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -102,8 +103,6 @@ def words_over(v: Sequence[int]) -> Iterator[tuple[int, ...]]:
 
 
 def permutations_of(n: int) -> Iterator[tuple[int, ...]]:
-    import itertools
-
     return itertools.permutations(range(1, n + 1))
 
 
@@ -255,8 +254,6 @@ def lifts(w, widths: Sequence[int]) -> Iterator[Placement]:
     """All full placements that collapse to the word (block-wise column
     assignments in every order).  An enumeration oracle: it yields
     prod d_i! placements."""
-    import itertools
-
     letters = _letters(w)
     widths = tuple(int(d) for d in widths)
     rows_by_block = _block_rows(letters, len(widths))

@@ -24,6 +24,7 @@ partitioned across workers freely.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -301,24 +302,14 @@ def hit_polys(board: FerrersBoard, method: str = "mat") -> tuple[LaurentPoly, ..
             bucket = counts[k]
             bucket[e] = bucket.get(e, 0) + 1
         return tuple(LaurentPoly(c) for c in counts)
-    # defining identity: sum_j [j]! R_{n-j} prod_{i=j+1}^{n} (x - q^i),
-    # expanded as a polynomial in x whose x^k coefficient is T_k
-    coeffs = [LaurentPoly.zero() for _ in range(n + 1)]
+    # defining identity: sum_j [j]! R_{n-j} prod_{i=j+1}^{n} (x - q^i), a
+    # polynomial in x (z here) whose x^k coefficient is T_k, in Horner form
+    acc = BivariatePoly.zero()
     for j in range(n + 1):
-        factor = q_factorial(j) * rook_poly(board, n - j)
-        if factor.is_zero:
-            continue
-        # prod_{i=j+1}^{n} (x - q^i) as a list of x-power coefficients
-        prod = [LaurentPoly.one()]
-        for i in range(j + 1, n + 1):
-            nxt = [LaurentPoly.zero() for _ in range(len(prod) + 1)]
-            for d, c in enumerate(prod):
-                nxt[d + 1] = nxt[d + 1] + c
-                nxt[d] = nxt[d] - c.shifted(i)
-            prod = nxt
-        for d, c in enumerate(prod):
-            coeffs[d] = coeffs[d] + factor * c
-    return tuple(coeffs)
+        acc = acc * BivariatePoly({(0, 1): 1, (j, 0): -1}) + BivariatePoly.from_laurent(
+            q_factorial(j) * rook_poly(board, n - j)
+        )
+    return tuple(acc.coefficient(k) for k in range(n + 1))
 
 
 def hit_poly(board: FerrersBoard, k: int, method: str = "mat") -> LaurentPoly:
@@ -330,14 +321,20 @@ def hit_poly(board: FerrersBoard, k: int, method: str = "mat") -> LaurentPoly:
 
 @lru_cache(maxsize=None)
 def classical_hit_distribution(board: FerrersBoard) -> tuple[int, ...]:
-    """Counts of permutations by the number of board squares hit.  An
-    enumeration oracle: it walks all n! permutations."""
-    heights = board.heights
+    """Counts of permutations by the number of board squares hit, from the
+    rook numbers r_j = R_j(B; 1):
+    h_k = sum_{j>=k} (-1)^(j-k) C(j,k) (n-j)! r_j."""
+    if not board.admissible:
+        raise ValueError("hit numbers need an admissible board")
     n = board.n
-    counts = [0] * (n + 1)
-    for sigma in itertools.permutations(range(1, n + 1)):
-        counts[_hits(sigma, heights)] += 1
-    return tuple(counts)
+    rooks = [rook_poly(board, j).evaluate(1) for j in range(n + 1)]
+    return tuple(
+        sum(
+            (-1) ** (j - k) * math.comb(j, k) * math.factorial(n - j) * rooks[j]
+            for j in range(k, n + 1)
+        )
+        for k in range(n + 1)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ z stands for q^x or for a series variable.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
@@ -298,8 +297,8 @@ class BivariatePoly:
 
     The second symbol has no fixed meaning: identities use it for the
     formal power q^x (so [x+m] appears as (1 - z*q^m)/(1-q)) or as a
-    plain series variable.  Substituting z -> q^m collapses to a
-    LaurentPoly and commutes with the ring operations.
+    plain series variable.  A power series in z is held truncated: after
+    :meth:`truncated` it is exact up to and including z^order.
     """
 
     __slots__ = ("_coeffs",)
@@ -330,6 +329,28 @@ class BivariatePoly:
 
     def items(self):
         return self._coeffs.items()
+
+    def coefficient(self, k: int) -> LaurentPoly:
+        """The z^k coefficient; zero past the degree."""
+        return LaurentPoly({qe: c for (qe, ze), c in self._coeffs.items() if ze == k})
+
+    def truncated(self, order: int) -> "BivariatePoly":
+        """Drop every term above z^order."""
+        out = BivariatePoly.__new__(BivariatePoly)
+        out._coeffs = {key: c for key, c in self._coeffs.items() if key[1] <= order}
+        return out
+
+    def delta(self) -> "BivariatePoly":
+        """The q-difference operator (F(zq) - F(z)) / (zq - z): it maps
+        a_k z^k to [k] a_k z^(k-1), so a series exact up to z^order
+        comes out exact up to z^(order-1)."""
+        data: dict[tuple[int, int], int] = {}
+        for (qe, ze), c in self._coeffs.items():
+            # [ze] = 1 + q + ... + q^(ze-1)
+            for i in range(ze):
+                key = (qe + i, ze - 1)
+                data[key] = data.get(key, 0) + c
+        return BivariatePoly(data)
 
     def __add__(self, other):
         if not isinstance(other, BivariatePoly):
@@ -376,18 +397,6 @@ class BivariatePoly:
         return out
 
     __rmul__ = __mul__
-
-    def substitute_z(self, m: int) -> LaurentPoly:
-        """Replace z by q^m."""
-        data: dict[int, int] = {}
-        for (qe, ze), c in self._coeffs.items():
-            e = qe + m * ze
-            s = data.get(e, 0) + c
-            if s:
-                data[e] = s
-            else:
-                del data[e]
-        return LaurentPoly(data)
 
     def __eq__(self, other):
         if not isinstance(other, BivariatePoly):

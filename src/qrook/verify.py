@@ -12,7 +12,8 @@ The checks fall into four groups:
   prod_i [k + c_i - i + 1] both by direct bracket products and by
   dividing the hit-polynomial numerator by (1-x)(1-xq)...(1-xq^n),
   together with the finite-difference operator identity used to add an
-  empty column;
+  empty column; the series are :class:`~qrook.qpoly.BivariatePoly`
+  values truncated at their order, with z standing for x;
 * structural recurrences: the empty-column recurrence for hit
   polynomials, and complement reciprocity;
 * the descent/major-index ladder on triangular boards and its multiset
@@ -52,6 +53,7 @@ from .placements import (
     rook_sum_identity,
 )
 from .qpoly import (
+    BivariatePoly,
     IdentityViolation,
     LaurentPoly,
     darga,
@@ -68,89 +70,18 @@ from . import ffmat
 
 
 # ---------------------------------------------------------------------------
-# Truncated power series in x over the Laurent ring
+# Series in x over the Laurent ring, held as BivariatePoly with z for x
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Formal power series in x with LaurentPoly coefficients, exact up to
-    and including x^order."""
-
-    coeffs: tuple[LaurentPoly, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    @staticmethod
-    def from_coeffs(coeffs: Sequence[LaurentPoly], order: int) -> "TruncatedSeries":
-        padded = list(coeffs[: order + 1])
-        padded += [LaurentPoly.zero()] * (order + 1 - len(padded))
-        return TruncatedSeries(tuple(padded))
-
-    @staticmethod
-    def one(order: int) -> "TruncatedSeries":
-        return TruncatedSeries.from_coeffs([LaurentPoly.one()], order)
-
-    def coefficient(self, k: int) -> LaurentPoly:
-        if not 0 <= k <= self.order:
-            raise ValueError("coefficient index beyond the truncation order")
-        return self.coeffs[k]
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(a + b for a, b in zip(self.coeffs[: order + 1], other.coeffs[: order + 1]))
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, LaurentPoly):
-            return TruncatedSeries(tuple(c * other for c in self.coeffs))
-        order = min(self.order, other.order)
-        out = [LaurentPoly.zero() for _ in range(order + 1)]
-        for i, a in enumerate(self.coeffs[: order + 1]):
-            if a.is_zero:
-                continue
-            for j in range(order + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero:
-                    out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(tuple(out))
-
-    __rmul__ = __mul__
-
-    def shift_x(self, s: int) -> "TruncatedSeries":
-        """Multiply by x^s (s >= 0); the truncation order is unchanged."""
-        out = [LaurentPoly.zero()] * (self.order + 1)
-        for i, c in enumerate(self.coeffs):
-            if i + s <= self.order:
-                out[i + s] = c
-        return TruncatedSeries(tuple(out))
-
-    def delta(self) -> "TruncatedSeries":
-        """The q-difference operator (F(xq) - F(x)) / (xq - x): it maps the
-        x^k coefficient a_k to [k] a_k at x^(k-1), and loses one order."""
-        if self.order < 0:
-            raise ValueError("empty series")
-        out = [
-            q_bracket(k) * self.coeffs[k] for k in range(1, self.order + 1)
-        ]
-        return TruncatedSeries(tuple(out))
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-
-def inverse_product_series(m: int, order: int) -> TruncatedSeries:
+def inverse_product_series(m: int, order: int) -> BivariatePoly:
     """1 / ((1-x)(1-xq)...(1-xq^m)) truncated at the given order."""
-    series = TruncatedSeries.one(order)
+    coeffs = [LaurentPoly.one()] + [LaurentPoly.zero()] * order
     for i in range(m + 1):
-        geo = TruncatedSeries(tuple(LaurentPoly.q_power(i * j) for j in range(order + 1)))
-        series = series * geo
-    return series
+        # dividing by (1 - x q^i): b_j = a_j + q^i b_(j-1)
+        for j in range(1, order + 1):
+            coeffs[j] = coeffs[j] + coeffs[j - 1].shifted(i)
+    return BivariatePoly({(e, j): c for j, a in enumerate(coeffs) for e, c in a.items()})
 
 
 class PhiSeriesMismatch(IdentityViolation):
@@ -167,7 +98,7 @@ class PhiSeriesMismatch(IdentityViolation):
         )
 
 
-def phi_series(board: FerrersBoard, order: int | None = None) -> TruncatedSeries:
+def phi_series(board: FerrersBoard, order: int | None = None) -> BivariatePoly:
     """The series with x^k coefficient prod_i [k + c_i - i + 1], computed two
     independent ways, asserted equal.
 
@@ -179,16 +110,14 @@ def phi_series(board: FerrersBoard, order: int | None = None) -> TruncatedSeries
     if order is None:
         order = n + 3
     hits = hit_polys(board, "defining")
-    numerator = TruncatedSeries.from_coeffs(
-        [hits[n - k] if k <= n else LaurentPoly.zero() for k in range(order + 1)], order
+    numerator = BivariatePoly(
+        {(e, k): c for k in range(min(n, order) + 1) for e, c in hits[n - k].items()}
     )
-    route_a = numerator * inverse_product_series(n, order)
-    direct = [
-        _bracket_product(board.heights, k) for k in range(order + 1)
-    ]
+    route_a = (numerator * inverse_product_series(n, order)).truncated(order)
     for k in range(order + 1):
-        if route_a.coeffs[k] != direct[k]:
-            raise PhiSeriesMismatch(board, k, direct[k], route_a.coeffs[k])
+        direct, via_hits = _bracket_product(board.heights, k), route_a.coefficient(k)
+        if via_hits != direct:
+            raise PhiSeriesMismatch(board, k, direct, via_hits)
     return route_a
 
 
@@ -213,16 +142,12 @@ def lemma3_delta_check(n: int, order: int | None = None) -> bool:
     base = inverse_product_series(n, order + 1)
     extended = inverse_product_series(n + 1, order)
     for k in range(n + 1):
-        lhs = base.shift_x(k).delta()
-        rhs_num = TruncatedSeries.from_coeffs(
-            [LaurentPoly.zero()] * max(k - 1, 0)
-            + ([q_bracket(k)] if k >= 1 else [])
-            + [q_bracket(n - k + 1).shifted(k)],
-            order,
+        lhs = (BivariatePoly({(0, k): 1}) * base).truncated(order + 1).delta()
+        # for k = 0 the first numerator term is [0] = 0
+        rhs_num = BivariatePoly.from_laurent(q_bracket(k), k - 1) + BivariatePoly.from_laurent(
+            q_bracket(n - k + 1).shifted(k), k
         )
-        # for k = 0 only the second numerator term survives
-        rhs = rhs_num * extended
-        if lhs != rhs:
+        if lhs != (rhs_num * extended).truncated(order):
             return False
     return True
 

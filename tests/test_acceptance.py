@@ -8,7 +8,6 @@ from qrook.boards import (
     all_ferrers_boards,
     all_step_specs,
     board_from_heights,
-    staircase_board,
 )
 from qrook.ffmat import (
     corollary1_check,

@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrook.boards import (
-    FerrersBoard,
     StepSpec,
     all_ferrers_boards,
     all_step_specs,

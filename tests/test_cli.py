@@ -52,6 +52,11 @@ class TestHit:
         payload = json.loads(result.output)
         assert payload == {"k": 0, "method": "mat", "min_exp": 1, "coeffs": [1]}
 
+    def test_csv_rows(self):
+        result = run("hit", "--board", "stair:2", "--k", "1", "--method", "mat", "--format", "csv")
+        assert result.exit_code == 0
+        assert result.output == "1,mat,1,1\n"
+
     def test_step_formula_on_explicit_spec(self):
         result = run(
             "hit", "--board", "steps:1x1,1x1", "--k", "1", "--method", "eq24",

@@ -229,8 +229,13 @@ def test_zsu_closures(fd, ge):
     assert zsu_check(f * g, d + e)
 
 
-def test_bivariate_substitution_commutes_with_product():
+def test_bivariate_coefficient_past_degree_is_zero():
     a = BivariatePoly({(0, 0): 1, (-1, 1): -2, (2, 2): 3})
-    b = BivariatePoly({(1, 0): 1, (0, 1): 1})
-    for m in (-2, 0, 3):
-        assert (a * b).substitute_z(m) == a.substitute_z(m) * b.substitute_z(m)
+    assert a.coefficient(1) == LaurentPoly({-1: -2})
+    assert a.coefficient(3).is_zero and a.coefficient(10).is_zero
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_bivariate_delta_of_monomial(k):
+    # delta(z^k) = [k] z^(k-1), and delta(1) = 0
+    assert BivariatePoly({(0, k): 1}).delta() == BivariatePoly.from_laurent(q_bracket(k), k - 1)

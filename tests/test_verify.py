@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from qrook import ffmat, verify
+from qrook import ffmat, placements, verify
 from qrook.boards import (
     StepSpec,
     all_ferrers_boards,
@@ -17,11 +17,10 @@ from qrook.boards import (
 )
 from qrook.cli import main
 from qrook.placements import hit_polys
-from qrook.qpoly import LaurentPoly, q_binomial, q_bracket
+from qrook.qpoly import BivariatePoly, LaurentPoly, q_binomial, q_bracket
 from qrook.verify import (
     CheckResult,
     PhiSeriesMismatch,
-    TruncatedSeries,
     add_recurrence_check,
     corollary3_check,
     darga_target,
@@ -39,13 +38,20 @@ from qrook.verify import (
 )
 
 
+def x_power(k):
+    return BivariatePoly({(0, k): 1})
+
+
 class TestTruncatedSeries:
+    """Series in x held as BivariatePoly, with z for x."""
+
     def test_product_truncates(self):
-        a = TruncatedSeries.from_coeffs([LaurentPoly.one()] * 4, 3)
-        b = TruncatedSeries.from_coeffs([LaurentPoly.one(), LaurentPoly.one()], 3)
-        prod = a * b
-        assert prod.order == 3
+        # (1 + x + x^2 + x^3)(1 + x) up to x^3
+        a = BivariatePoly({(0, k): 1 for k in range(4)})
+        b = BivariatePoly({(0, 0): 1, (0, 1): 1})
+        prod = (a * b).truncated(3)
         assert prod.coefficient(3) == LaurentPoly.monomial(2)
+        assert prod.coefficient(4).is_zero
 
     def test_geometric_inverse(self):
         # 1/(1-x) has all-ones coefficients
@@ -58,12 +64,13 @@ class TestTruncatedSeries:
     def test_delta_drops_one_order(self):
         s = inverse_product_series(0, 4)
         d = s.delta()
-        assert d.order == 3
         assert all(d.coefficient(k) == q_bracket(k + 1) for k in range(4))
+        assert d.coefficient(4).is_zero
 
     def test_shift(self):
-        s = TruncatedSeries.from_coeffs([LaurentPoly.one()], 2).shift_x(1)
+        s = (x_power(1) * BivariatePoly.one()).truncated(2)
         assert s.coefficient(0).is_zero and s.coefficient(1) == LaurentPoly.one()
+        assert (x_power(2) * inverse_product_series(0, 2)).truncated(2) == x_power(2)
 
 
 class TestPhiSeries:
@@ -286,6 +293,23 @@ class TestFailuresStayInTheSuite:
         assert len(fails) == 2 and all("pivots but rank 0" in line for line in fails)
         assert len(lines) == len(self.verify_lines("ffmat", 1)[1])
 
+    def test_wrong_hit_count(self, monkeypatch):
+        # the q=1 hit numbers come from the rook numbers, not from _hits,
+        # so a wrong hit count in the permutation walk cannot hide there
+        caches = (placements.hit_polys, placements.classical_hit_distribution)
+        for cached in caches:
+            cached.cache_clear()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(placements, "_hits", lambda sigma, heights: 0)
+                code, lines = self.verify_lines("hit", 2)
+        finally:
+            for cached in caches:
+                cached.cache_clear()
+        assert code == 1
+        assert any(line.startswith("FAIL hit-classical-at-1 ") for line in lines)
+        assert len(lines) == len(self.verify_lines("hit", 2)[1])
+
 
 def test_no_assert_statements_in_library():
     # python -O strips assert statements, so a check must never be one
@@ -297,3 +321,22 @@ def test_no_assert_statements_in_library():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_every_library_import_is_used():
+    src = Path(verify.__file__).parent
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue  # it imports to re-export
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno} {name}" for name in names if name not in used]
+    assert unused == []
