@@ -258,8 +258,13 @@ def compositions(totals: Iterable[int]) -> Iterator[tuple[int, ...]]:
                 yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
 
-def all_step_specs(n: int, max_rise: int = 3, admissible_only: bool = False) -> Iterator[StepSpec]:
-    """All step specs with total width n and every rise h_i <= max_rise."""
+# every rise h_i of the step specs the suites sweep lies in 0..MAX_RISE
+MAX_RISE = 3
+
+
+def all_step_specs(n: int, max_rise: int = MAX_RISE, admissible_only: bool = False) -> Iterator[StepSpec]:
+    """All step specs with total width n and every rise h_i <= max_rise,
+    grouped by width vector in the order of :func:`compositions`."""
     for widths in compositions([n]):
         for rises in itertools.product(range(max_rise + 1), repeat=len(widths)):
             if admissible_only and sum(rises) > n:

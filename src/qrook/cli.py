@@ -40,14 +40,15 @@ def _board_and_spec(spec_text: str):
 
 def _emit_poly(poly: LaurentPoly, fmt: str, labels: dict | None = None):
     """One polynomial; each label is a JSON key, a leading CSV column and a
-    key=value text prefix, in the order given."""
+    key=value text prefix, in the order given.  In CSV the zero polynomial
+    is one row with exponent 0 and coefficient 0."""
     labels = labels or {}
     if fmt == "json":
         click.echo(json.dumps({**labels, **poly.to_dense_dict()}, sort_keys=True))
     elif fmt == "csv":
         lo, dense = poly.dense_coeffs()
         prefix = "".join(f"{value}," for value in labels.values())
-        for i, c in enumerate(dense):
+        for i, c in enumerate(dense or [0]):
             click.echo(f"{prefix}{lo + i},{c}")
     else:
         prefix = " ".join(f"{key}={value}" for key, value in labels.items())
@@ -176,7 +177,7 @@ def matrices_cmd(board_spec: str, prime: int, budget: int):
     board, _ = _board_and_spec(board_spec)
     try:
         counts = ffmat.rank_distribution(board, prime, budget)
-    except (ffmat.BudgetExceededError, ValueError) as exc:
+    except ValueError as exc:  # BudgetExceededError is a ValueError
         _fail_usage(str(exc))
     click.echo("ranks: " + ",".join(str(c) for c in counts))
     agrees = all(

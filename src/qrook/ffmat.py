@@ -132,13 +132,6 @@ def rank_distribution(
     return tuple(counts)
 
 
-def count_rank(board: FerrersBoard, p: int, k: int) -> int:
-    """Number of rank-k matrices supported on the board."""
-    if not 0 <= k <= board.n:
-        return 0
-    return rank_distribution(board, p, DEFAULT_BUDGET)[k]
-
-
 def p_k_formula(board: FerrersBoard, k: int) -> LaurentPoly:
     """Closed form for the rank-k count: (q-1)^k q^(Area-k) R_k(B; 1/q)."""
     if not board.admissible:

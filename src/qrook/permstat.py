@@ -289,14 +289,10 @@ def descent_graph(perm) -> Placement:
         raise ValueError("descent graph needs a permutation")
     cells: list[tuple[int, int]] = []
     pos = 0
-    used: set[int] = set()
     while pos < n:
-        target = min(set(range(1, n + 1)) - used)
-        end = pos
-        while s[end] != target:
-            end += 1
+        # the values not yet used are exactly s[pos:]
+        end = s.index(min(s[pos:]), pos)
         cycle = s[pos : end + 1]
-        used.update(cycle)
         for j, i in zip(cycle, cycle[1:]):
             cells.append((i, j))
         cells.append((cycle[0], cycle[-1]))

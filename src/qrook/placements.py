@@ -60,12 +60,9 @@ class Placement:
     def k(self) -> int:
         return len(self.cells)
 
-    def is_full(self, n: int) -> bool:
-        return len(self.cells) == n
-
     def sigma(self, n: int) -> tuple[int, ...]:
         """Row -> column map of a full placement, as a permutation tuple."""
-        if not self.is_full(n):
+        if len(self.cells) != n:
             raise ValueError("not a full placement")
         by_row = dict(self.cells)
         if set(by_row) != set(range(1, n + 1)):
@@ -123,19 +120,6 @@ def enumerate_placements(board: FerrersBoard, k: int) -> Iterator[Placement]:
         raise ValueError("k must be nonnegative")
     for cells in _iter_placements_raw(board.heights, k):
         yield Placement(frozenset(cells))
-
-
-def enumerate_full(n: int, board: FerrersBoard, k: int) -> Iterator[Placement]:
-    """Full n-rook placements on the n x n grid with exactly k rooks on the
-    board.  An enumeration oracle: it walks all n! permutations."""
-    if board.n != n:
-        raise ValueError("grid side must match the board")
-    if not board.admissible:
-        raise ValueError("full-placement enumeration needs an admissible board")
-    heights = board.heights
-    for sigma in itertools.permutations(range(1, n + 1)):
-        if _hits(sigma, heights) == k:
-            yield Placement.from_permutation(sigma)
 
 
 # ---------------------------------------------------------------------------

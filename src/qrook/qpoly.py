@@ -38,7 +38,7 @@ class LaurentPoly:
     empty coefficient map.
     """
 
-    __slots__ = ("_coeffs", "_hash")
+    __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
         data = {}
@@ -47,7 +47,6 @@ class LaurentPoly:
                 if c:
                     data[int(e)] = int(c)
         self._coeffs = data
-        self._hash: int | None = None
 
     # -- constructors -----------------------------------------------------
 
@@ -63,10 +62,6 @@ class LaurentPoly:
     def monomial(coeff: int, exp: int = 0) -> "LaurentPoly":
         """coeff * q^exp."""
         return LaurentPoly({exp: coeff})
-
-    @staticmethod
-    def q_power(exp: int) -> "LaurentPoly":
-        return LaurentPoly({exp: 1})
 
     @staticmethod
     def from_dense_dict(obj: Mapping) -> "LaurentPoly":
@@ -126,7 +121,6 @@ class LaurentPoly:
                 data.pop(e, None)
         out = LaurentPoly.__new__(LaurentPoly)
         out._coeffs = data
-        out._hash = None
         return out
 
     __radd__ = __add__
@@ -134,7 +128,6 @@ class LaurentPoly:
     def __neg__(self):
         out = LaurentPoly.__new__(LaurentPoly)
         out._coeffs = {e: -c for e, c in self._coeffs.items()}
-        out._hash = None
         return out
 
     def __sub__(self, other):
@@ -153,7 +146,6 @@ class LaurentPoly:
                 return _ZERO
             out = LaurentPoly.__new__(LaurentPoly)
             out._coeffs = {e: c * other for e, c in self._coeffs.items()}
-            out._hash = None
             return out
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -171,7 +163,6 @@ class LaurentPoly:
                     del data[e]
         out = LaurentPoly.__new__(LaurentPoly)
         out._coeffs = data
-        out._hash = None
         return out
 
     __rmul__ = __mul__
@@ -192,14 +183,12 @@ class LaurentPoly:
         """Multiply by q^s."""
         out = LaurentPoly.__new__(LaurentPoly)
         out._coeffs = {e + s: c for e, c in self._coeffs.items()}
-        out._hash = None
         return out
 
     def subs_q_inverse(self) -> "LaurentPoly":
         """Substitute q -> 1/q (negate every exponent)."""
         out = LaurentPoly.__new__(LaurentPoly)
         out._coeffs = {-e: c for e, c in self._coeffs.items()}
-        out._hash = None
         return out
 
     def divide_exact(self, divisor: "LaurentPoly") -> "LaurentPoly":
@@ -237,7 +226,6 @@ class LaurentPoly:
                     rem.pop(e, None)
         out = LaurentPoly.__new__(LaurentPoly)
         out._coeffs = quot
-        out._hash = None
         return out
 
     def evaluate(self, value):
@@ -258,9 +246,7 @@ class LaurentPoly:
         return self._coeffs == other._coeffs
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self._coeffs.items()))
-        return self._hash
+        return hash(frozenset(self._coeffs.items()))
 
     def __bool__(self):
         return bool(self._coeffs)
@@ -323,13 +309,6 @@ class BivariatePoly:
     def from_laurent(p: LaurentPoly, z_exp: int = 0) -> "BivariatePoly":
         return BivariatePoly({(e, z_exp): c for e, c in p.items()})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def items(self):
-        return self._coeffs.items()
-
     def coefficient(self, k: int) -> LaurentPoly:
         """The z^k coefficient; zero past the degree."""
         return LaurentPoly({qe: c for (qe, ze), c in self._coeffs.items() if ze == k})
@@ -366,21 +345,7 @@ class BivariatePoly:
         out._coeffs = data
         return out
 
-    def __neg__(self):
-        out = BivariatePoly.__new__(BivariatePoly)
-        out._coeffs = {k: -c for k, c in self._coeffs.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            out = BivariatePoly.__new__(BivariatePoly)
-            out._coeffs = {k: c * other for k, c in self._coeffs.items()} if other else {}
-            return out
-        if isinstance(other, LaurentPoly):
-            other = BivariatePoly.from_laurent(other)
         if not isinstance(other, BivariatePoly):
             return NotImplemented
         data: dict[tuple[int, int], int] = {}
@@ -396,15 +361,10 @@ class BivariatePoly:
         out._coeffs = data
         return out
 
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         if not isinstance(other, BivariatePoly):
             return NotImplemented
         return self._coeffs == other._coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self._coeffs.items()))
 
     def __repr__(self):
         if not self._coeffs:

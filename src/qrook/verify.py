@@ -84,23 +84,10 @@ def inverse_product_series(m: int, order: int) -> BivariatePoly:
     return BivariatePoly({(e, j): c for j, a in enumerate(coeffs) for e, c in a.items()})
 
 
-class PhiSeriesMismatch(IdentityViolation):
-    """The two expansions of the bracket-product series disagree."""
-
-    def __init__(self, board, k, direct, via_hits):
-        self.board = board
-        self.k = k
-        self.direct = direct
-        self.via_hits = via_hits
-        super().__init__(
-            f"series mismatch for {board} at x^{k}: "
-            f"bracket product gives {direct}, hit-polynomial route gives {via_hits}"
-        )
-
-
 def phi_series(board: FerrersBoard, order: int | None = None) -> BivariatePoly:
     """The series with x^k coefficient prod_i [k + c_i - i + 1], computed two
-    independent ways, asserted equal.
+    independent ways; IdentityViolation reports the first coefficient where
+    they differ.
 
     Route A divides sum_k x^k T_{n-k}(B) by (1-x)(1-xq)...(1-xq^n) via
     geometric expansions; route B multiplies the brackets directly.  The
@@ -117,7 +104,10 @@ def phi_series(board: FerrersBoard, order: int | None = None) -> BivariatePoly:
     for k in range(order + 1):
         direct, via_hits = _bracket_product(board.heights, k), route_a.coefficient(k)
         if via_hits != direct:
-            raise PhiSeriesMismatch(board, k, direct, via_hits)
+            raise IdentityViolation(
+                f"series mismatch for {board} at x^{k}: "
+                f"bracket product gives {direct}, hit-polynomial route gives {via_hits}"
+            )
     return route_a
 
 
@@ -420,38 +410,32 @@ def n_k_target(board: FerrersBoard, k: int) -> int:
     return board.area + n * (n - k) - n * (n + 1) // 2
 
 
-def unimodality_check(board_or_spec, mode: str = "thm6") -> bool:
-    """Symmetry and unimodality of hit polynomials.
+def hit_zsu_check(board: FerrersBoard) -> bool:
+    """Theorem 6: every hit polynomial of an admissible board is zero or
+    nonnegative symmetric unimodal with darga Area + n(n-k) - C(n+1,2)."""
+    t = hit_polys(board, "mat")
+    return all(zsu_check(t[k], n_k_target(board, k)) for k in range(board.n + 1))
 
-    ``thm6``: every hit polynomial of an admissible board is zero or
-    nonnegative symmetric unimodal with darga Area + n(n-k) - C(n+1,2).
 
-    ``thm7``: for a step board (inadmissible allowed), the hit
+def step_zsu_check(spec: StepSpec) -> bool:
+    """Theorem 7: for a step board (inadmissible allowed), the hit
     polynomial divided by the block factorials is zero or symmetric
     with darga Area + n(n-k) - sum D_i d_i, and when consecutive widths
     dominate the rises (d_{i-1} + d_i >= h_i) or the column counts
     dominate the heights (D_i >= H_i), it is additionally nonnegative
-    and unimodal.
-    """
-    if mode == "thm6":
-        board: FerrersBoard = board_or_spec
-        t = hit_polys(board, "mat")
-        return all(zsu_check(t[k], n_k_target(board, k)) for k in range(board.n + 1))
-    if mode == "thm7":
-        spec: StepSpec = board_or_spec
-        n = spec.n
-        refined = spec.condition_overlap() or spec.condition_dominance()
-        for k in range(n + 1):
-            divided = eq24_divided(spec, n - k)
-            target = darga_target(spec, k)
-            if divided.is_zero:
-                continue
-            if not (is_symmetric(divided) and darga(divided) == target):
-                return False
-            if refined and not zsu_check(divided, target):
-                return False
-        return True
-    raise ValueError(f"unknown unimodality mode {mode!r}")
+    and unimodal."""
+    n = spec.n
+    refined = spec.condition_overlap() or spec.condition_dominance()
+    for k in range(n + 1):
+        divided = eq24_divided(spec, n - k)
+        target = darga_target(spec, k)
+        if divided.is_zero:
+            continue
+        if not (is_symmetric(divided) and darga(divided) == target):
+            return False
+        if refined and not zsu_check(divided, target):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -487,10 +471,6 @@ def _guarded(check: str, instance: str, fn: Callable[..., bool], *args) -> Check
         return CheckResult(check, instance, fn(*args))
     except IdentityViolation as exc:
         return CheckResult(check, instance, False, str(exc))
-
-
-# every rise h_i of the step specs the suites sweep lies in 0..MAX_RISE
-MAX_RISE = 3
 
 
 def suite_rook(max_n: int) -> Iterator[CheckResult]:
@@ -530,14 +510,12 @@ def suite_hit(max_n: int) -> Iterator[CheckResult]:
 
 def suite_mahonian(max_n: int) -> Iterator[CheckResult]:
     for n in range(1, max_n + 1):
-        for widths in compositions([n]):
+        # all_step_specs yields each width vector's specs in one run
+        specs = all_step_specs(n, admissible_only=True)
+        for widths, run in itertools.groupby(specs, key=lambda spec: spec.widths):
             target = q_multinomial(widths)
             words = list(permstat.words_over(widths))
-            t = len(widths)
-            for rises in itertools.product(range(MAX_RISE + 1), repeat=t):
-                if sum(rises) > n:
-                    continue  # the board would not fit inside the grid
-                spec = StepSpec(tuple(zip(rises, widths)))
+            for spec in run:
                 mat_counts: dict[int, int] = {}
                 xi_counts: dict[int, int] = {}
                 for w in words:
@@ -606,7 +584,7 @@ def suite_reciprocity(max_n: int) -> Iterator[CheckResult]:
             name = board.spec_string()
             yield CheckResult("reciprocity", name, reciprocity_check(board))
             yield CheckResult("add-empty-column", name, add_recurrence_check(board))
-            # phi_series raises PhiSeriesMismatch on any disagreement
+            # phi_series raises IdentityViolation on any disagreement
             yield _guarded("series-two-ways", name, lambda: phi_series(board) is not None)
         yield CheckResult("delta-identity", f"n={n}", lemma3_delta_check(n))
 
@@ -650,13 +628,9 @@ def suite_ffmat(max_n: int) -> Iterator[CheckResult]:
 def suite_unimodal(max_n: int) -> Iterator[CheckResult]:
     for n in range(1, max_n + 1):
         for board in all_ferrers_boards(n):
-            yield CheckResult(
-                "hit-zsu", board.spec_string(), unimodality_check(board, "thm6")
-            )
-        for spec in all_step_specs(n, max_rise=MAX_RISE):
-            yield _guarded(
-                "step-symmetry-zsu", spec.spec_string(), unimodality_check, spec, "thm7"
-            )
+            yield CheckResult("hit-zsu", board.spec_string(), hit_zsu_check(board))
+        for spec in all_step_specs(n):
+            yield _guarded("step-symmetry-zsu", spec.spec_string(), step_zsu_check, spec)
     for v in compositions(range(1, max_n + 1)):
         yield CheckResult(
             "word-maj-zsu", "v=" + ",".join(map(str, v)), corollary3_check(v)
@@ -665,7 +639,7 @@ def suite_unimodal(max_n: int) -> Iterator[CheckResult]:
 
 def suite_steps(max_n: int) -> Iterator[CheckResult]:
     for n in range(1, max_n + 1):
-        for spec in all_step_specs(n, max_rise=MAX_RISE, admissible_only=True):
+        for spec in all_step_specs(n, admissible_only=True):
             board = spec.expand()
             t = hit_polys(board, "mat")
             name = spec.spec_string()

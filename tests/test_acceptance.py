@@ -31,17 +31,18 @@ from qrook.permstat import (
     words_over,
 )
 from qrook.placements import hit_polys
-from qrook.qpoly import LaurentPoly, q_factorial
+from qrook.qpoly import IdentityViolation, LaurentPoly, q_factorial
 from qrook.verify import (
     SUITES,
     add_recurrence_check,
     corollary3_check,
     euler_ladder_check,
     g_identity_check,
+    hit_zsu_check,
     lemma3_delta_check,
     phi_series,
     reciprocity_check,
-    unimodality_check,
+    step_zsu_check,
 )
 
 DEF1 = board_from_heights((0, 1, 2))
@@ -174,9 +175,9 @@ def test_criterion_9_unimodality():
     ok = True
     for n in range(1, 6):
         for board in all_ferrers_boards(n):
-            ok = ok and unimodality_check(board, "thm6")
+            ok = ok and hit_zsu_check(board)
         for spec in all_step_specs(n, max_rise=3):
-            ok = ok and unimodality_check(spec, "thm7")
+            ok = ok and step_zsu_check(spec)
     for v in compositions_upto(6):
         ok = ok and corollary3_check(v)
     report(9, "hit-polynomials-symmetric-unimodal", ok)
@@ -190,7 +191,7 @@ def test_criterion_10_reciprocity_add_series():
             ok = ok and add_recurrence_check(board)
             try:
                 phi_series(board, order=n + 3)
-            except ValueError:
+            except IdentityViolation:
                 ok = False
         ok = ok and lemma3_delta_check(n, order=n + 3)
     report(10, "reciprocity-add-recurrence-series-identities", ok)

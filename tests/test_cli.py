@@ -1,13 +1,28 @@
+import contextlib
 import json
 
 from click.testing import CliRunner
 
+from qrook import ffmat, placements, verify
 from qrook.cli import main
+from qrook.permstat import des, exc, joint_distribution, maj, stat7, words_over
 from qrook.qpoly import LaurentPoly
 
 
 def run(*args):
     return CliRunner().invoke(main, list(args))
+
+
+@contextlib.contextmanager
+def cleared(*caches):
+    """Empty the given lru_caches before and after a patched run."""
+    for cached in caches:
+        cached.cache_clear()
+    try:
+        yield
+    finally:
+        for cached in caches:
+            cached.cache_clear()
 
 
 class TestRook:
@@ -29,6 +44,12 @@ class TestRook:
     def test_csv(self):
         result = run("rook", "--board", "stair:2", "--k", "1", "--format", "csv")
         assert result.output.splitlines() == ["1,2", "2,1"]
+
+    def test_csv_zero_polynomial_is_one_row(self):
+        # no cells: R_0 = 1 and R_1 = R_2 = 0
+        result = run("rook", "--board", "heights:0,0", "--format", "csv")
+        assert result.exit_code == 0
+        assert result.output.splitlines() == ["0,0,1", "1,0,0", "2,0,0"]
 
     def test_bad_board_is_usage_error(self):
         result = run("rook", "--board", "bogus:1")
@@ -56,6 +77,22 @@ class TestHit:
         result = run("hit", "--board", "stair:2", "--k", "1", "--method", "mat", "--format", "csv")
         assert result.exit_code == 0
         assert result.output == "1,mat,1,1\n"
+
+    def test_csv_zero_polynomial_is_one_row(self):
+        # T_0 = 0 on the staircase: the identity hits every diagonal cell
+        result = run("hit", "--board", "stair:2", "--format", "csv")
+        assert result.exit_code == 0
+        assert result.output.splitlines() == ["0,mat,0,0", "1,mat,1,1", "2,mat,0,1"]
+
+    def test_wrong_step_formula_is_inconsistent(self, monkeypatch):
+        real = verify.step_formula
+        with cleared(placements.hit_polys):
+            monkeypatch.setattr(
+                verify, "step_formula", lambda spec, k, which: real(spec, k, which).shifted(1)
+            )
+            result = run("hit", "--board", "tri:3", "--method", "all", "--format", "text")
+        assert result.exit_code == 1
+        assert result.output.splitlines()[-1] == "INCONSISTENT"
 
     def test_step_formula_on_explicit_spec(self):
         result = run(
@@ -100,6 +137,19 @@ class TestStats:
         assert run("stats", "--word", "21", "--stat", "t5a").output.strip() == "1"
         assert run("stats", "--word", "211", "--stat", "t5b").output.strip() == "2"
 
+    def test_stat7_pairs_with_exc(self):
+        v = (2, 1, 1)
+        words = list(words_over(v))
+        values = {}
+        for w in words:
+            result = run("stats", "--word", "".join(map(str, w)), "--v", "2,1,1", "--stat", "stat7")
+            assert result.exit_code == 0
+            values[w] = int(result.output)
+            assert values[w] == stat7(w, v)
+        assert joint_distribution(words, exc, values.__getitem__) == joint_distribution(
+            words, des, maj
+        )
+
     def test_malformed_word(self):
         assert run("stats", "--word", "2x1", "--stat", "des").exit_code == 2
 
@@ -114,6 +164,14 @@ class TestMatrices:
         lines = result.output.splitlines()
         assert lines[0] == "ranks: 1,5,2,0"
         assert lines[1] == "THEOREM1 PASS"
+
+    def test_wrong_formula_fails_theorem1(self, monkeypatch):
+        real = ffmat.p_k_formula
+        with cleared(ffmat.rank_distribution):
+            monkeypatch.setattr(ffmat, "p_k_formula", lambda board, k: real(board, k).shifted(1))
+            result = run("matrices", "--board", "heights:0,1,2", "--prime", "2")
+        assert result.exit_code == 1
+        assert result.output.splitlines() == ["ranks: 1,5,2,0", "THEOREM1 FAIL"]
 
     def test_budget_exceeded_is_usage_error(self):
         result = run(

@@ -8,7 +8,6 @@ from qrook.ffmat import (
     FfMatrix,
     corollary1_check,
     corollary2_check,
-    count_rank,
     elimination_placement,
     enumerate_support_matrices,
     fiber_check,
@@ -67,12 +66,13 @@ class TestRank:
 class TestRankCounts:
     def test_definition_board_values(self):
         # rank counts of the three-square board: 1, 2q^2-q-1, q(q-1)^2, 0
-        assert count_rank(DEF1, 2, 1) == 5
+        assert rank_distribution(DEF1, 2)[1] == 5
         for p in (2, 3, 5):
-            assert count_rank(DEF1, p, 0) == 1
-            assert count_rank(DEF1, p, 3) == 0
-            assert count_rank(DEF1, p, 1) == 2 * p * p - p - 1
-            assert count_rank(DEF1, p, 2) == p * (p - 1) ** 2
+            counts = rank_distribution(DEF1, p)
+            assert counts[0] == 1
+            assert counts[3] == 0
+            assert counts[1] == 2 * p * p - p - 1
+            assert counts[2] == p * (p - 1) ** 2
 
     def test_formula_values(self):
         assert p_k_formula(DEF1, 0) == LaurentPoly.one()
@@ -151,7 +151,6 @@ def test_checks_share_one_rank_distribution_entry():
     try:
         assert theorem1_check(DEF1, 2)
         assert rank_sum_check(DEF1, 2)
-        assert count_rank(DEF1, 2, 1) == 5
         # the CLI passes its default budget positionally, the same key
         assert CliRunner().invoke(main, ["matrices", "--board", "heights:0,1,2", "--prime", "2"]).exit_code == 0
         assert rank_distribution.cache_info().currsize == 1

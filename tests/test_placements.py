@@ -11,7 +11,6 @@ from qrook.placements import (
     Placement,
     classical_hit_distribution,
     cross_stat,
-    enumerate_full,
     enumerate_placements,
     factorization_check,
     hit_poly,
@@ -66,12 +65,6 @@ class TestEnumeration:
     def test_each_exactly_once(self):
         seen = list(enumerate_placements(staircase_board(3), 2))
         assert len(seen) == len(set(seen))
-
-    def test_full_enumeration(self):
-        tri = triangular_board(2)
-        assert [p.sigma(2) for p in enumerate_full(2, tri, 1)] == [(2, 1)]
-        assert [p.sigma(2) for p in enumerate_full(2, tri, 0)] == [(1, 2)]
-        assert list(enumerate_full(3, board_from_heights((0, 0, 0)), 1)) == []
 
     def test_inadmissible_rejected(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,13 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from qrook import ffmat, placements, verify
+from qrook import ffmat, permstat, placements, verify
 from qrook.boards import (
     StepSpec,
     all_ferrers_boards,
@@ -17,15 +20,15 @@ from qrook.boards import (
 )
 from qrook.cli import main
 from qrook.placements import hit_polys
-from qrook.qpoly import BivariatePoly, LaurentPoly, q_binomial, q_bracket
+from qrook.qpoly import BivariatePoly, IdentityViolation, LaurentPoly, q_binomial, q_bracket
 from qrook.verify import (
     CheckResult,
-    PhiSeriesMismatch,
     add_recurrence_check,
     corollary3_check,
     darga_target,
     euler_ladder_check,
     g_identity_check,
+    hit_zsu_check,
     inverse_product_series,
     lemma3_delta_check,
     n_k_target,
@@ -34,7 +37,7 @@ from qrook.verify import (
     recurrence25_check,
     run_suites,
     step_formula,
-    unimodality_check,
+    step_zsu_check,
 )
 
 
@@ -87,11 +90,15 @@ class TestPhiSeries:
                 expected = expected * q_bracket(k - i + 1)
             assert series.coefficient(k) == expected
 
-    def test_mismatch_reports_first_coefficient(self):
+    def test_mismatch_reports_first_coefficient(self, monkeypatch):
         board = staircase_board(2)
-        good = phi_series(board, order=4)
-        exc = PhiSeriesMismatch(board, 2, good.coefficient(2), LaurentPoly.zero())
-        assert "x^2" in str(exc)
+        real = verify._bracket_product
+        # a wrong bracket product from x^2 on
+        monkeypatch.setattr(
+            verify, "_bracket_product", lambda heights, k: real(heights, k).shifted(int(k >= 2))
+        )
+        with pytest.raises(IdentityViolation, match=r"series mismatch for heights:1,2 at x\^2: "):
+            phi_series(board, order=4)
 
     @pytest.mark.parametrize("n", range(0, 5))
     def test_delta_identity(self, n):
@@ -199,12 +206,12 @@ class TestUnimodality:
     @pytest.mark.parametrize("n", range(1, 5))
     def test_admissible_boards(self, n):
         for b in all_ferrers_boards(n):
-            assert unimodality_check(b, "thm6")
+            assert hit_zsu_check(b)
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_step_boards_incl_inadmissible(self, n):
         for spec in all_step_specs(n, max_rise=3):
-            assert unimodality_check(spec, "thm7")
+            assert step_zsu_check(spec)
 
     def test_divided_darga_uses_block_structure(self):
         # the trivial board as one block: divided hit polynomial is 1 with
@@ -213,17 +220,13 @@ class TestUnimodality:
         assert darga_target(whole, 0) == 0
         singles = StepSpec(((0, 1), (0, 1), (0, 1)))
         assert darga_target(singles, 0) == 3
-        assert unimodality_check(whole, "thm7")
-        assert unimodality_check(singles, "thm7")
+        assert step_zsu_check(whole)
+        assert step_zsu_check(singles)
 
     def test_block_spec_of_g_board_meets_refinement(self):
         spec = g_spec((2, 1, 2))
         assert spec.condition_dominance()
-        assert unimodality_check(spec, "thm7")
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            unimodality_check(staircase_board(2), "thm8")
+        assert step_zsu_check(spec)
 
 
 class TestSuites:
@@ -309,6 +312,52 @@ class TestFailuresStayInTheSuite:
         assert code == 1
         assert any(line.startswith("FAIL hit-classical-at-1 ") for line in lines)
         assert len(lines) == len(self.verify_lines("hit", 2)[1])
+
+    def test_wrong_word_statistic(self, monkeypatch):
+        real = permstat.mat_word
+        permstat._spec_context.cache_clear()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(permstat, "mat_word", lambda w, spec: real(w, spec) + 1)
+                code, lines = self.verify_lines("mahonian", 2)
+        finally:
+            permstat._spec_context.cache_clear()
+        assert code == 1
+        assert "FAIL mat-multiset-mahonian steps:0x1 first differing exponent 0: q vs 1" in lines
+        fails = [line for line in lines if line.startswith("FAIL ")]
+        assert fails and all(line.startswith("FAIL mat-multiset-mahonian ") for line in fails)
+        assert len(lines) == len(self.verify_lines("mahonian", 2)[1])
+
+
+def run_optimized(*args):
+    """Run python -O with the library on the path; return (exit code, stdout lines)."""
+    src = str(Path(verify.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-O", *args], env=env, capture_output=True, text=True, timeout=300
+    )
+    return proc.returncode, proc.stdout.splitlines()
+
+
+def test_suites_pass_under_python_O():
+    code, lines = run_optimized("-m", "qrook.cli", "verify", "--suite", "all", "--max-n", "3")
+    assert code == 0
+    assert lines[-1].startswith("TOTAL pass=") and lines[-1].endswith(" fail=0")
+
+
+def test_checks_survive_python_O():
+    # python -O strips assert statements; IdentityViolation still fires
+    code, lines = run_optimized(
+        "-c",
+        "import sys; from qrook import ffmat; from qrook.cli import main\n"
+        "if __debug__: sys.exit('not running under -O')\n"
+        "ffmat.rank_ff = lambda m: 0\n"
+        "main(['verify', '--suite', 'ffmat', '--max-n', '1'])",
+    )
+    assert code == 1
+    fails = [line for line in lines if line.startswith("FAIL elimination-fibers ")]
+    assert len(fails) == 2 and all("pivots but rank 0" in line for line in fails)
 
 
 def test_no_assert_statements_in_library():
