@@ -26,8 +26,15 @@ from .placements import rook_poly as rook_poly_fn
 from .qpoly import LaurentPoly
 
 
+def _echo(line: str):
+    # An explicit file: without one, click.echo caches a text wrapper per
+    # stdout object in a WeakKeyDictionary whose value, for a StringIO, is
+    # the stream itself, so every captured in-process run would stay alive.
+    click.echo(line, file=sys.stdout)
+
+
 def _fail_usage(message: str):
-    click.echo(f"error: {message}", err=True)
+    click.echo(f"error: {message}", file=sys.stderr)
     sys.exit(2)
 
 
@@ -44,15 +51,15 @@ def _emit_poly(poly: LaurentPoly, fmt: str, labels: dict | None = None):
     is one row with exponent 0 and coefficient 0."""
     labels = labels or {}
     if fmt == "json":
-        click.echo(json.dumps({**labels, **poly.to_dense_dict()}, sort_keys=True))
+        _echo(json.dumps({**labels, **poly.to_dense_dict()}, sort_keys=True))
     elif fmt == "csv":
         lo, dense = poly.dense_coeffs()
         prefix = "".join(f"{value}," for value in labels.values())
         for i, c in enumerate(dense or [0]):
-            click.echo(f"{prefix}{lo + i},{c}")
+            _echo(f"{prefix}{lo + i},{c}")
     else:
         prefix = " ".join(f"{key}={value}" for key, value in labels.items())
-        click.echo(f"{prefix}: {poly}" if labels else str(poly))
+        _echo(f"{prefix}: {poly}" if labels else str(poly))
 
 
 @click.group()
@@ -117,7 +124,7 @@ def hit_cmd(board_spec: str, k: int | None, method: str, fmt: str):
         for m, poly in values.items():
             _emit_poly(poly, fmt, {"k": kk, "method": m})
     if len(methods) > 1:
-        click.echo("CONSISTENT" if consistent else "INCONSISTENT")
+        _echo("CONSISTENT" if consistent else "INCONSISTENT")
     if not consistent:
         sys.exit(1)
 
@@ -165,7 +172,7 @@ def stats_cmd(word_text: str, v_text: str | None, stat_name: str, family: str, v
             value = permstat.theorem5_statx(word, v)
     except ValueError as exc:
         _fail_usage(str(exc))
-    click.echo(str(value))
+    _echo(str(value))
 
 
 @main.command("matrices")
@@ -179,12 +186,12 @@ def matrices_cmd(board_spec: str, prime: int, budget: int):
         counts = ffmat.rank_distribution(board, prime, budget)
     except ValueError as exc:  # BudgetExceededError is a ValueError
         _fail_usage(str(exc))
-    click.echo("ranks: " + ",".join(str(c) for c in counts))
+    _echo("ranks: " + ",".join(str(c) for c in counts))
     agrees = all(
         counts[k] == ffmat.p_k_formula(board, k).evaluate(prime)
         for k in range(board.n + 1)
     )
-    click.echo("THEOREM1 PASS" if agrees else "THEOREM1 FAIL")
+    _echo("THEOREM1 PASS" if agrees else "THEOREM1 FAIL")
     if not agrees:
         sys.exit(1)
 
@@ -201,12 +208,12 @@ def verify_cmd(suite: str, max_n: int):
     names = sorted(verify.SUITES) if suite == "all" else [suite]
     passed = failed = 0
     for result in verify.run_suites(names, max_n):
-        click.echo(result.line())
+        _echo(result.line())
         if result.ok:
             passed += 1
         else:
             failed += 1
-    click.echo(f"TOTAL pass={passed} fail={failed}")
+    _echo(f"TOTAL pass={passed} fail={failed}")
     if failed:
         sys.exit(1)
 
@@ -219,13 +226,13 @@ def table_cmd(family: str, n: int):
     if n < 1 or n > 8:
         _fail_usage("table needs 1 <= n <= 8")
     header = ["perm", "des", "maj"] + [f"stat{i}" for i in range(1, 9)]
-    click.echo(",".join(header))
+    _echo(",".join(header))
     for perm in permstat.permutations_of(n):
         row = ["".join(map(str, perm)), str(permstat.des(perm)), str(permstat.maj(perm))]
         row += [
             str(permstat.stat_family(perm, family, variant)) for variant in range(1, 9)
         ]
-        click.echo(",".join(row))
+        _echo(",".join(row))
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .boards import StepSpec, g_spec, triangular_board
-from .placements import _STAT_KERNELS, Placement, _mat_raw
+from .placements import _STAT_KERNELS, Placement, _hits, _mat_raw
 
 
 @dataclass(frozen=True)
@@ -190,20 +190,23 @@ def _spec_context(spec: StepSpec) -> tuple:
     return spec.widths, spec.block_heights, board.heights, board.area, spec.t
 
 
-def _lift_sigma(letters: tuple[int, ...], spec: StepSpec, family: str) -> tuple[int, ...]:
+def _lift_sigma(letters: tuple[int, ...], spec: StepSpec, family: str) -> tuple[tuple[int, ...], int]:
     # Per block, the rows up to the block height are on the board.  The
     # standard lift ("mat") gives them the rightmost columns, descending,
     # and the off-board rows the leftmost, ascending; the regular lift
     # ("xi") gives them the leftmost columns and the off-board rows the
-    # rest, both descending.
+    # rest, both descending.  Returns the lift and its hit count: every
+    # column of a block has the block height, so the on-board rows are
+    # exactly the hits.
     widths, block_heights, _, _, t = _spec_context(spec)
     regular = family == "xi"
     sigma = [0] * len(letters)
-    lo = 1
+    lo, hits = 1, 0
     for rows, H, d in zip(_block_rows(letters, t), block_heights, widths):
         if len(rows) != d:
             raise ValueError("word multiset does not match the block widths")
         split = bisect_right(rows, H)
+        hits += split
         # on-board rows descend from `top`; off-board rows walk from `start`
         top, start, step = (lo + split - 1, lo + d - 1, -1) if regular else (lo + d - 1, lo, 1)
         for idx in range(split):
@@ -211,25 +214,26 @@ def _lift_sigma(letters: tuple[int, ...], spec: StepSpec, family: str) -> tuple[
         for idx in range(d - split):
             sigma[rows[split + idx] - 1] = start + step * idx
         lo += d
-    return tuple(sigma)
+    return tuple(sigma), hits
 
 
 def _lift_stat(letters: tuple[int, ...], spec: StepSpec, family: str) -> int:
     """The family's statistic of the family's canonical lift."""
     _, _, heights, area, _ = _spec_context(spec)
-    return _STAT_KERNELS[family](_lift_sigma(letters, spec, family), heights, area)
+    sigma, hits = _lift_sigma(letters, spec, family)
+    return _STAT_KERNELS[family](sigma, heights, area, hits)
 
 
 def b_standard_graph(w, spec: StepSpec) -> Placement:
     """The unique lift of the word whose crossing statistic is minimal on
     every block."""
-    return Placement.from_permutation(_lift_sigma(_letters(w), spec, "mat"))
+    return Placement.from_permutation(_lift_sigma(_letters(w), spec, "mat")[0])
 
 
 def b_regular_graph(w, spec: StepSpec) -> Placement:
     """The unique lift of the word whose circle statistic is minimal on
     every block."""
-    return Placement.from_permutation(_lift_sigma(_letters(w), spec, "xi"))
+    return Placement.from_permutation(_lift_sigma(_letters(w), spec, "xi")[0])
 
 
 def is_block_standard(placement: Placement, spec: StepSpec) -> bool:
@@ -332,7 +336,8 @@ def stat_family(perm, family: str = "mat", variant: int = 1) -> int:
     placement = descent_graph(reverse_perm(s) if reverse else s)
     if reflect:
         placement = placement.reflect(n)
-    value = _STAT_KERNELS[family](placement.sigma(n), board.heights, board.area)
+    sigma = placement.sigma(n)
+    value = _STAT_KERNELS[family](sigma, board.heights, board.area, _hits(sigma, board.heights))
     if shifted:
         value += n * k - n * (n - 1) // 2
     # the fiber of des = k is symmetric about n*k/2, so complementing
@@ -376,8 +381,8 @@ def stat7(w, v: Sequence[int]) -> int:
     letters, spec, shift = _block_context(w, v)
     n = len(letters)
     _, _, rev_heights, rev_area, _ = _spec_context(g_spec(reversed(spec.widths)))
-    reflected = Placement.from_permutation(_lift_sigma(letters, spec, "mat")).reflect(n).sigma(n)
-    return shift + _mat_raw(reflected, rev_heights, rev_area)
+    reflected = Placement.from_permutation(_lift_sigma(letters, spec, "mat")[0]).reflect(n).sigma(n)
+    return shift + _mat_raw(reflected, rev_heights, rev_area, _hits(reflected, rev_heights))
 
 
 # ---------------------------------------------------------------------------

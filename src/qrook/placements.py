@@ -9,7 +9,10 @@ Conventions (matrix coordinates, row 1 on top):
   the board squares that remain after crossing out every square that
   holds a rook, lies above a rook in its column, or lies right of a
   rook in its row -- its generating function over all k-rook placements
-  is the q-rook polynomial;
+  is the q-rook polynomial.  ``rook_poly`` computes it by the
+  Garsia-Remmel column recurrence, in polynomial time; the placement
+  walk (``enumerate_placements`` with ``inv_stat``) is kept as its
+  oracle and for the elimination fibers;
 * the hit polynomial with k hits is generated over full placements with
   exactly k rooks on the board, either by the crossing statistic
   (``mat``), by the circle statistic (``xi``), or extracted from the
@@ -30,7 +33,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .boards import FerrersBoard
-from .qpoly import BivariatePoly, LaurentPoly, q_factorial
+from .qpoly import BivariatePoly, LaurentPoly, q_bracket, q_factorial
 
 
 @dataclass(frozen=True)
@@ -113,7 +116,9 @@ def _iter_placements_raw(heights: tuple[int, ...], k: int) -> Iterator[tuple[tup
 
 
 def enumerate_placements(board: FerrersBoard, k: int) -> Iterator[Placement]:
-    """Every placement of k non-attacking rooks on the board, exactly once."""
+    """Every placement of k non-attacking rooks on the board, exactly once.
+    An enumeration oracle: with ``inv_stat`` it gives the q-rook
+    polynomial the slow way, and the elimination fibers use it."""
     if not board.admissible:
         raise ValueError("placement enumeration needs an admissible board")
     if k < 0:
@@ -149,7 +154,12 @@ def _inv_raw(cells: Iterable[tuple[int, int]], heights: tuple[int, ...]) -> int:
 
 
 def _hits(sigma: tuple[int, ...], heights: tuple[int, ...]) -> int:
-    return sum(1 for i, c in enumerate(sigma, start=1) if i <= heights[c - 1])
+    # a plain loop: this runs once per permutation in the n! walks
+    hits = 0
+    for i, c in enumerate(sigma, start=1):
+        if i <= heights[c - 1]:
+            hits += 1
+    return hits
 
 
 def _cross_raw(sigma: tuple[int, ...], heights: tuple[int, ...]) -> int:
@@ -172,9 +182,10 @@ def _cross_raw(sigma: tuple[int, ...], heights: tuple[int, ...]) -> int:
     return n * (n + 1) // 2 + extra
 
 
-def _xi_raw(sigma: tuple[int, ...], heights: tuple[int, ...], area: int) -> int:
+def _xi_raw(sigma: tuple[int, ...], heights: tuple[int, ...], area: int, hits: int) -> int:
     # Circle count minus the circles cancelled by sitting right of a rook.
-    # The area is unused; it keeps the signature of _mat_raw.
+    # The area and the hit count are unused; they keep the signature of
+    # _mat_raw.
     n = len(sigma)
     total = 0
     for b in range(1, n + 1):
@@ -197,13 +208,13 @@ def _xi_raw(sigma: tuple[int, ...], heights: tuple[int, ...], area: int) -> int:
     return total
 
 
-def _mat_raw(sigma: tuple[int, ...], heights: tuple[int, ...], area: int) -> int:
+def _mat_raw(sigma: tuple[int, ...], heights: tuple[int, ...], area: int, hits: int) -> int:
     n = len(sigma)
-    k = _hits(sigma, heights)
-    return n * (n - k) + area - _cross_raw(sigma, heights)
+    return n * (n - hits) + area - _cross_raw(sigma, heights)
 
 
-# statistic family -> kernel (sigma, heights, area) -> value
+# statistic family -> kernel (sigma, heights, area, hits) -> value, where
+# hits = _hits(sigma, heights), which the caller has counted already
 _STAT_KERNELS = {"mat": _mat_raw, "xi": _xi_raw}
 
 
@@ -213,7 +224,8 @@ _STAT_KERNELS = {"mat": _mat_raw, "xi": _xi_raw}
 
 
 def inv_stat(placement: Placement, board: FerrersBoard) -> int:
-    """Board squares left uncovered by the crossing-out rule."""
+    """Board squares left uncovered by the crossing-out rule; the
+    statistic of the placement-walk oracle for ``rook_poly``."""
     for r, c in placement.cells:
         if not board.contains(r, c):
             raise ValueError(f"cell {(r, c)} is off the board")
@@ -229,7 +241,8 @@ def cross_stat(placement: Placement, board: FerrersBoard) -> int:
 
 def mat_stat(placement: Placement, board: FerrersBoard) -> int:
     """n(n-k) + Area - cross for a full placement with k rooks on the board."""
-    return _mat_raw(placement.sigma(board.n), board.heights, board.area)
+    sigma = placement.sigma(board.n)
+    return _mat_raw(sigma, board.heights, board.area, _hits(sigma, board.heights))
 
 
 def xi_stat(placement: Placement, board: FerrersBoard) -> int:
@@ -240,7 +253,8 @@ def xi_stat(placement: Placement, board: FerrersBoard) -> int:
     above it.  Circles landing right of a rook in their row are
     cancelled; the statistic is circles minus cancellations.
     """
-    return _xi_raw(placement.sigma(board.n), board.heights, board.area)
+    sigma = placement.sigma(board.n)
+    return _xi_raw(sigma, board.heights, board.area, _hits(sigma, board.heights))
 
 
 # ---------------------------------------------------------------------------
@@ -250,15 +264,33 @@ def xi_stat(placement: Placement, board: FerrersBoard) -> int:
 
 @lru_cache(maxsize=None)
 def rook_poly(board: FerrersBoard, k: int) -> LaurentPoly:
-    """q-rook polynomial: sum of q^uncovered over k-rook placements."""
-    if not board.admissible:
-        raise ValueError("rook polynomial needs an admissible board")
-    heights = board.heights
-    counts: dict[int, int] = {}
-    for cells in _iter_placements_raw(heights, k):
-        e = _inv_raw(cells, heights)
-        counts[e] = counts.get(e, 0) + 1
-    return LaurentPoly(counts)
+    """q-rook polynomial R_k(B): sum of q^uncovered over k-rook placements.
+
+    Computed by the Garsia-Remmel column recurrence: a column of height c
+    added on the right of B gives
+
+        R_k(B + c) = q^(c-k) R_k(B) + [c-k+1] R_(k-1)(B),
+
+    since every earlier column is at most c tall: the k rooks of B cross
+    out the squares right of them, k of the new column's c, and a rook
+    in one of its c - k + 1 free rows keeps the free rows below it.
+    Each value recurses through this cache on the board minus its last
+    column, so boards sharing a column prefix share the work.  Defined for
+    every Ferrers board, admissible or not, and zero for k outside 0..n.
+    The oracle is the placement walk: the sum of q^inv_stat over
+    ``enumerate_placements``."""
+    n = board.n
+    if not 0 <= k <= n:
+        return LaurentPoly.zero()
+    if n == 0:
+        return LaurentPoly.one()
+    c = board.heights[-1]
+    prefix = FerrersBoard(board.heights[:-1])
+    # the prefix has n - 1 columns, so it has no k-rook placement at k = n
+    poly = rook_poly(prefix, k).shifted(c - k) if k < n else LaurentPoly.zero()
+    if k:
+        poly = poly + q_bracket(c - k + 1) * rook_poly(prefix, k - 1)
+    return poly
 
 
 HIT_METHODS = ("mat", "xi", "defining")
@@ -282,7 +314,7 @@ def hit_polys(board: FerrersBoard, method: str = "mat") -> tuple[LaurentPoly, ..
         counts: list[dict[int, int]] = [dict() for _ in range(n + 1)]
         for sigma in itertools.permutations(range(1, n + 1)):
             k = _hits(sigma, heights)
-            e = kernel(sigma, heights, area)
+            e = kernel(sigma, heights, area, k)
             bucket = counts[k]
             bucket[e] = bucket.get(e, 0) + 1
         return tuple(LaurentPoly(c) for c in counts)

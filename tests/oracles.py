@@ -5,6 +5,7 @@ library paths it checks.
 """
 
 import itertools
+import math
 
 from qrook.qpoly import LaurentPoly
 
@@ -52,3 +53,37 @@ def hit_counts_by_enumeration(heights: tuple[int, ...]) -> list[int]:
         hits = sum(1 for i, c in enumerate(sigma, start=1) if i <= heights[c - 1])
         counts[hits] += 1
     return counts
+
+
+def rook_poly_by_cells(heights: tuple[int, ...], k: int) -> LaurentPoly:
+    """q-rook polynomial of any Ferrers board by trying every k-set of
+    cells: a non-attacking set counts q^(uncovered squares), where a
+    square is covered when it holds a rook, lies above a rook in its
+    column or lies right of a rook in its row."""
+    cells = [(r, c) for c, h in enumerate(heights, start=1) for r in range(1, h + 1)]
+    counts: dict[int, int] = {}
+    for rooks in itertools.combinations(cells, k):
+        if len({r for r, _ in rooks}) < k or len({c for _, c in rooks}) < k:
+            continue
+        uncovered = sum(
+            1
+            for r, c in cells
+            if not any((c == rc and r <= rr) or (r == rr and c >= rc) for rr, rc in rooks)
+        )
+        counts[uncovered] = counts.get(uncovered, 0) + 1
+    return LaurentPoly(counts)
+
+
+def rook_numbers(heights: tuple[int, ...]) -> list[int]:
+    """r_0..r_n at q = 1, adding columns left to right: a new column of
+    height c has c - (k-1) rows free of the k-1 earlier rooks."""
+    r = [1] + [0] * len(heights)
+    for c in heights:
+        for k in range(len(heights), 0, -1):
+            r[k] += max(c - k + 1, 0) * r[k - 1]
+    return r
+
+
+def stirling2_closed(n: int, k: int) -> int:
+    """S(n, k) by inclusion-exclusion over surjections onto k blocks."""
+    return sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1)) // math.factorial(k)

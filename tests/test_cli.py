@@ -1,5 +1,9 @@
 import contextlib
+import gc
+import io
 import json
+import math
+import weakref
 
 from click.testing import CliRunner
 
@@ -7,6 +11,8 @@ from qrook import ffmat, placements, verify
 from qrook.cli import main
 from qrook.permstat import des, exc, joint_distribution, maj, stat7, words_over
 from qrook.qpoly import LaurentPoly
+
+from oracles import stirling2_closed
 
 
 def run(*args):
@@ -60,8 +66,30 @@ class TestRook:
     def test_bad_k(self):
         assert run("rook", "--board", "tri:2", "--k", "9").exit_code == 2
 
+    def test_large_staircase(self):
+        # rook numbers of the staircase of side n are S(n+1, n+1-k)
+        result = run("rook", "--board", "stair:40")
+        assert result.exit_code == 0
+        rows = [json.loads(line) for line in result.output.splitlines()]
+        assert [row["k"] for row in rows] == [str(k) for k in range(41)]
+        for k, row in enumerate(rows):
+            assert sum(row["coeffs"]) == stirling2_closed(41, 41 - k)
+
 
 class TestHit:
+    def test_defining_agrees_with_eq24_beyond_enumeration(self):
+        polys = {}
+        for method in ("defining", "eq24"):
+            result = run("hit", "--board", "stair:12", "--method", method)
+            assert result.exit_code == 0
+            polys[method] = [
+                LaurentPoly.from_dense_dict(json.loads(line)) for line in result.output.splitlines()
+            ]
+        at_one = [poly.evaluate(1) for poly in polys["defining"]]
+        assert at_one == [poly.evaluate(1) for poly in polys["eq24"]]
+        assert sum(at_one) == math.factorial(12)
+        assert polys["defining"] == polys["eq24"]
+
     def test_all_methods_consistent(self):
         result = run("hit", "--board", "tri:3", "--method", "all", "--format", "text")
         assert result.exit_code == 0
@@ -212,3 +240,27 @@ class TestTable:
         a = run("table", "--family", "xi", "--n", "4").output
         b = run("table", "--family", "xi", "--n", "4").output
         assert a == b
+
+
+class TestCapturedStreams:
+    """An in-process run must not keep its captured output alive."""
+
+    @staticmethod
+    def released(args) -> tuple[bool, bool]:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                main(list(args), standalone_mode=False)
+            except SystemExit:
+                pass
+        refs = weakref.ref(out), weakref.ref(err)
+        del out, err
+        gc.collect()
+        return tuple(ref() is None for ref in refs)
+
+    def test_stdout_is_released(self):
+        assert self.released(["rook", "--board", "stair:2"]) == (True, True)
+        assert self.released(["hit", "--board", "stair:2", "--method", "all"]) == (True, True)
+
+    def test_stderr_is_released(self):
+        assert self.released(["rook", "--board", "bogus:1"]) == (True, True)

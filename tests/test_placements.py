@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from qrook.boards import (
@@ -23,7 +25,7 @@ from qrook.placements import (
 )
 from qrook.qpoly import LaurentPoly, q_factorial, q_stirling
 
-from oracles import hit_counts_by_enumeration
+from oracles import hit_counts_by_enumeration, rook_numbers, rook_poly_by_cells
 
 DEF1 = board_from_heights((0, 1, 2))  # squares (1,2), (1,3), (2,3)
 
@@ -92,7 +94,7 @@ class TestRookPoly:
         assert rook_poly(DEF1, 1) == LaurentPoly({1: 2, 2: 1})
         assert rook_poly(DEF1, 2) == LaurentPoly.one()
 
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 31))
     def test_staircase_gives_stirling(self, n):
         b = staircase_board(n)
         for k in range(n + 1):
@@ -102,6 +104,52 @@ class TestRookPoly:
         for n in range(1, 5):
             for b in all_ferrers_boards(n):
                 assert rook_sum_identity(b)
+
+
+def placement_walk(board, k):
+    """The enumeration oracle: sum of q^inv over all k-rook placements."""
+    counts = {}
+    for placement in enumerate_placements(board, k):
+        e = inv_stat(placement, board)
+        counts[e] = counts.get(e, 0) + 1
+    return LaurentPoly(counts)
+
+
+class TestRookPolyOracles:
+    @pytest.mark.parametrize("n", range(0, 6))
+    def test_recurrence_matches_placement_walk(self, n):
+        for b in all_ferrers_boards(n):
+            for k in range(n + 1):
+                assert rook_poly(b, k) == placement_walk(b, k)
+
+    @pytest.mark.parametrize(
+        "board",
+        [board_from_heights((6,) * 6), staircase_board(6), triangular_board(6)],
+        ids=str,
+    )
+    def test_recurrence_matches_placement_walk_at_six(self, board):
+        for k in range(7):
+            assert rook_poly(board, k) == placement_walk(board, k)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_identities_on_larger_boards(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(10, 15)
+        b = board_from_heights(sorted(rng.randint(0, n) for _ in range(n)))
+        assert factorization_check(b)
+        assert rook_sum_identity(b)
+
+    @pytest.mark.parametrize("heights", [(3,), (2, 3), (0, 4, 4), (1, 1, 5), (4, 4, 4), (2, 5, 6, 6)])
+    def test_inadmissible_boards(self, heights):
+        b = board_from_heights(heights)
+        assert not b.admissible
+        numbers = rook_numbers(heights)
+        for k in range(b.n + 1):
+            assert rook_poly(b, k).evaluate(1) == numbers[k]
+            assert rook_poly(b, k) == rook_poly_by_cells(heights, k)
+
+    def test_outside_zero_to_n_is_zero(self):
+        assert rook_poly(DEF1, 4) == rook_poly(DEF1, -1) == LaurentPoly.zero()
 
 
 class TestFullStatistics:
