@@ -35,7 +35,7 @@ DEFAULT_BUDGET = 10**7
 
 
 class BudgetExceededError(ValueError):
-    """Raised when an enumeration would exceed the configured budget."""
+    """Raised when an enumeration would exceed ``DEFAULT_BUDGET``."""
 
 
 @dataclass(frozen=True)
@@ -72,9 +72,7 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def enumerate_support_matrices(
-    board: FerrersBoard, p: int, budget: int = DEFAULT_BUDGET
-) -> Iterator[FfMatrix]:
+def enumerate_support_matrices(board: FerrersBoard, p: int) -> Iterator[FfMatrix]:
     """All p^Area(B) matrices supported on the board, each exactly once.
     An enumeration oracle for the rank counts."""
     if not is_prime(p):
@@ -83,9 +81,9 @@ def enumerate_support_matrices(
         raise ValueError("matrix enumeration needs an admissible board")
     area = board.area
     total = p**area
-    if total > budget:
+    if total > DEFAULT_BUDGET:
         raise BudgetExceededError(
-            f"p^Area = {p}^{area} = {total} exceeds the enumeration budget {budget}"
+            f"p^Area = {p}^{area} = {total} exceeds the enumeration budget {DEFAULT_BUDGET}"
         )
     n = board.n
     # an odometer over the board cells in row-major order, so enumeration
@@ -122,12 +120,10 @@ def rank_ff(matrix: FfMatrix) -> int:
 
 
 @lru_cache(maxsize=None)
-def rank_distribution(
-    board: FerrersBoard, p: int, budget: int = DEFAULT_BUDGET
-) -> tuple[int, ...]:
+def rank_distribution(board: FerrersBoard, p: int) -> tuple[int, ...]:
     """Counts of supported matrices by rank, indexed 0..n."""
     counts = [0] * (board.n + 1)
-    for m in enumerate_support_matrices(board, p, budget):
+    for m in enumerate_support_matrices(board, p):
         counts[rank_ff(m)] += 1
     return tuple(counts)
 
@@ -192,7 +188,7 @@ def elimination_placement(matrix: FfMatrix, board: FerrersBoard) -> Placement:
 
 def theorem1_check(board: FerrersBoard, p: int) -> bool:
     """Brute-force rank counts match the closed formula at q = p, all ranks."""
-    counts = rank_distribution(board, p, DEFAULT_BUDGET)
+    counts = rank_distribution(board, p)
     return all(
         counts[k] == p_k_formula(board, k).evaluate(p) for k in range(board.n + 1)
     )
@@ -220,7 +216,7 @@ def corollary1_check(n: int, p: int) -> bool:
     1..n) are counted by (p-1)^k p^(C(n+1,2)-k) S_{n+1,n+1-k}(1/p).
     """
     board = staircase_board(n)
-    counts = rank_distribution(board, p, DEFAULT_BUDGET)
+    counts = rank_distribution(board, p)
     binom = n * (n + 1) // 2
     for k in range(n + 1):
         expected = (
@@ -237,12 +233,12 @@ def corollary2_check(board: FerrersBoard) -> bool:
     """Check sum_k (1-x)(1-xq)...(1-xq^(k-1)) P_{n-k} = prod_i (q^(c_i) - x q^(i-1)),
     an identity of polynomials in x over the Laurent ring (z plays x)."""
     n = board.n
+    # nested: P_n + (1 - x)(P_(n-1) + (1 - xq)(P_(n-2) + ...))
     lhs = BivariatePoly.zero()
-    for k in range(n + 1):
-        term = BivariatePoly.from_laurent(p_k_formula(board, n - k))
-        for j in range(k):
-            term = term * BivariatePoly({(0, 0): 1, (j, 1): -1})
-        lhs = lhs + term
+    for k in range(n, -1, -1):
+        lhs = lhs * BivariatePoly({(0, 0): 1, (k, 1): -1}) + BivariatePoly.from_laurent(
+            p_k_formula(board, n - k)
+        )
     rhs = BivariatePoly.one()
     for i, c in enumerate(board.heights, start=1):
         rhs = rhs * BivariatePoly({(c, 0): 1, (i - 1, 1): -1})
@@ -251,4 +247,4 @@ def corollary2_check(board: FerrersBoard) -> bool:
 
 def rank_sum_check(board: FerrersBoard, p: int) -> bool:
     """Total count over all ranks is p^Area."""
-    return sum(rank_distribution(board, p, DEFAULT_BUDGET)) == p**board.area
+    return sum(rank_distribution(board, p)) == p**board.area

@@ -262,6 +262,10 @@ def xi_stat(placement: Placement, board: FerrersBoard) -> int:
 # ---------------------------------------------------------------------------
 
 
+# rook_poly fills every 64th prefix first: it recurses under 128 + n/64 calls deep
+_STRIDE = 64
+
+
 @lru_cache(maxsize=None)
 def rook_poly(board: FerrersBoard, k: int) -> LaurentPoly:
     """q-rook polynomial R_k(B): sum of q^uncovered over k-rook placements.
@@ -284,6 +288,10 @@ def rook_poly(board: FerrersBoard, k: int) -> LaurentPoly:
         return LaurentPoly.zero()
     if n == 0:
         return LaurentPoly.one()
+    if n % _STRIDE == 0:
+        base = FerrersBoard(board.heights[:-_STRIDE])
+        for kk in range(max(0, k - _STRIDE), min(k, base.n) + 1):
+            rook_poly(base, kk)
     c = board.heights[-1]
     prefix = FerrersBoard(board.heights[:-1])
     # the prefix has n - 1 columns, so it has no k-rook placement at k = n
@@ -369,13 +377,12 @@ def factorization_check(board: FerrersBoard) -> bool:
         raise ValueError("factorization check needs an admissible board")
     n = board.n
     one_minus_q = LaurentPoly({0: 1, 1: -1})
+    # nested: A_0 + (1 - z)(A_1 + (1 - z/q)(A_2 + ...)), A_k = R_(n-k) (1-q)^(n-k)
     lhs = BivariatePoly.zero()
-    for k in range(n + 1):
-        term = BivariatePoly.from_laurent(rook_poly(board, n - k) * one_minus_q ** (n - k))
-        for j in range(k):
-            # (1 - z q^{-j})
-            term = term * BivariatePoly({(0, 0): 1, (-j, 1): -1})
-        lhs = lhs + term
+    for k in range(n, -1, -1):
+        lhs = lhs * BivariatePoly({(0, 0): 1, (-k, 1): -1}) + BivariatePoly.from_laurent(
+            rook_poly(board, n - k) * one_minus_q ** (n - k)
+        )
     rhs = BivariatePoly.one()
     for i, c in enumerate(board.heights, start=1):
         rhs = rhs * BivariatePoly({(0, 0): 1, (c - i + 1, 1): -1})

@@ -1,10 +1,10 @@
 """Exact Laurent-polynomial arithmetic in q and q-combinatorial primitives.
 
 Everything here is integer-exact: coefficients are arbitrary-precision
-Python ints and the only divisions performed are exact divisions in the
-Laurent ring (guarded by a remainder check).  All values are immutable
-after construction and every function is pure, so the whole module is
-safe for concurrent use.
+Python ints, and the one division performed (a q-binomial's numerator by
+the factors 1 - q^i, as running sums) checks that it leaves no
+remainder.  All values are immutable after construction and every
+function is pure, so the whole module is safe for concurrent use.
 
 The main value type is :class:`LaurentPoly`, a sparse polynomial in q
 allowing negative exponents.  On top of it live the q-bracket
@@ -191,43 +191,6 @@ class LaurentPoly:
         out._coeffs = {-e: c for e, c in self._coeffs.items()}
         return out
 
-    def divide_exact(self, divisor: "LaurentPoly") -> "LaurentPoly":
-        """Exact division in the Laurent ring.
-
-        Raises ValueError when the division leaves a remainder; the
-        guard protects against silently wrong q-binomial/multinomial
-        evaluations.
-        """
-        if divisor.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero:
-            return _ZERO
-        # Exact quotients satisfy quot.min_exp == self.min_exp - divisor.min_exp,
-        # which bounds how far the long division may descend.
-        min_q_exp = self.min_exp - divisor.min_exp
-        d_hi = divisor.max_exp
-        d_lead = divisor.coefficient(d_hi)
-        rem = dict(self._coeffs)
-        quot: dict[int, int] = {}
-        while rem:
-            e_r = max(rem)
-            e_q = e_r - d_hi
-            c_r = rem[e_r]
-            if e_q < min_q_exp or c_r % d_lead:
-                raise ValueError("inexact Laurent division")
-            c_q = c_r // d_lead
-            quot[e_q] = c_q
-            for e_d, c_d in divisor._coeffs.items():
-                e = e_d + e_q
-                s = rem.get(e, 0) - c_q * c_d
-                if s:
-                    rem[e] = s
-                else:
-                    rem.pop(e, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._coeffs = quot
-        return out
-
     def evaluate(self, value):
         """Evaluate at q = value exactly (int or Fraction); ints stay ints."""
         acc = Fraction(0)
@@ -404,34 +367,43 @@ def q_factorial(k: int) -> LaurentPoly:
 def q_binomial(m: int, k: int) -> LaurentPoly:
     """Gaussian binomial coefficient, extended to negative numerators m.
 
-    Computed as prod_{i=0}^{k-1} (1 - q^(m-i)) divided exactly by
-    prod_{i=1}^{k} (1 - q^i).  For 0 <= m < k a numerator factor
-    vanishes and the result is 0; for m < 0 the result is a genuine
-    Laurent polynomial with signs.
+    For m >= k it is prod_{i<k} (1 - q^(m-i)) / prod_{i=1}^{k} (1 - q^i): the
+    dense numerator is divided by each 1 - q^i as a power series, by the
+    running sum c_j += c_(j-i), and a nonzero coefficient above the
+    quotient's degree k(m-k) raises IdentityViolation.  For 0 <= m < k it
+    is 0; for m < 0 it is (-1)^k q^(km - C(k,2)) [k-m-1, k].
     """
     if k < 0:
         raise ValueError("lower index of a q-binomial must be nonnegative")
     if k == 0:
         return LaurentPoly.one()
-    if 0 <= m < k:
+    if m < 0:
+        return (q_binomial(k - m - 1, k) * (-1) ** k).shifted(k * m - k * (k - 1) // 2)
+    if m < k:
         return LaurentPoly.zero()
-    num = LaurentPoly.one()
-    for i in range(k):
-        num = num * LaurentPoly({0: 1, m - i: -1})
-    den = LaurentPoly.one()
+    coeffs = [1] + [0] * (k * m - k * (k - 1) // 2)
+    for a in range(m - k + 1, m + 1):
+        for j in range(len(coeffs) - 1, a - 1, -1):
+            coeffs[j] -= coeffs[j - a]
     for i in range(1, k + 1):
-        den = den * LaurentPoly({0: 1, i: -1})
-    return num.divide_exact(den)
+        for j in range(i, len(coeffs)):
+            coeffs[j] += coeffs[j - i]
+    top = k * (m - k)
+    if any(coeffs[top + 1 :]):
+        raise IdentityViolation(f"[{m}, {k}] left a remainder above degree {top}")
+    return LaurentPoly(dict(enumerate(coeffs[: top + 1])))
 
 
 def q_multinomial(v: Iterable[int]) -> LaurentPoly:
-    """[sum(v)]! / prod [v_i]!, an exact division."""
+    """[sum(v)]! / prod [v_i]!, as the product of the q-binomials
+    [v_1 + ... + v_i, v_i]."""
     parts = [int(x) for x in v]
     if any(x < 0 for x in parts):
         raise ValueError("multinomial parts must be nonnegative")
-    result = q_factorial(sum(parts))
+    result, total = LaurentPoly.one(), 0
     for x in parts:
-        result = result.divide_exact(q_factorial(x))
+        total += x
+        result = result * q_binomial(total, x)
     return result
 
 

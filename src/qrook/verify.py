@@ -75,13 +75,11 @@ from . import ffmat
 
 
 def inverse_product_series(m: int, order: int) -> BivariatePoly:
-    """1 / ((1-x)(1-xq)...(1-xq^m)) truncated at the given order."""
-    coeffs = [LaurentPoly.one()] + [LaurentPoly.zero()] * order
-    for i in range(m + 1):
-        # dividing by (1 - x q^i): b_j = a_j + q^i b_(j-1)
-        for j in range(1, order + 1):
-            coeffs[j] = coeffs[j] + coeffs[j - 1].shifted(i)
-    return BivariatePoly({(e, j): c for j, a in enumerate(coeffs) for e, c in a.items()})
+    """1 / ((1-x)(1-xq)...(1-xq^m)) truncated at the given order: by the
+    q-binomial theorem its x^j coefficient is [m+j, j]."""
+    return BivariatePoly(
+        {(e, j): c for j in range(order + 1) for e, c in q_binomial(m + j, j).items()}
+    )
 
 
 def phi_series(board: FerrersBoard, order: int | None = None) -> BivariatePoly:
@@ -89,9 +87,10 @@ def phi_series(board: FerrersBoard, order: int | None = None) -> BivariatePoly:
     independent ways; IdentityViolation reports the first coefficient where
     they differ.
 
-    Route A divides sum_k x^k T_{n-k}(B) by (1-x)(1-xq)...(1-xq^n) via
-    geometric expansions; route B multiplies the brackets directly.  The
-    default order n+3 pushes the brackets past their degenerate values.
+    Route A divides sum_k x^k T_{n-k}(B) by (1-x)(1-xq)...(1-xq^n), that
+    is, multiplies it by the series sum_j [n+j, j] x^j; route B multiplies
+    the brackets directly.  The default order n+3 pushes the brackets past
+    their degenerate values.
     """
     n = board.n
     if order is None:

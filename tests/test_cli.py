@@ -75,6 +75,13 @@ class TestRook:
         for k, row in enumerate(rows):
             assert sum(row["coeffs"]) == stirling2_closed(41, 41 - k)
 
+    def test_thousand_columns_stay_within_the_recursion_limit(self):
+        # one rook on a single row of 1,000 cells: R_1 = 1 + q + ... + q^999
+        with cleared(placements.rook_poly):
+            result = run("rook", "--board", "heights:" + ",".join(["1"] * 1000), "--k", "1")
+        assert result.exit_code == 0
+        assert json.loads(result.output) == {"min_exp": 0, "coeffs": [1] * 1000}
+
 
 class TestHit:
     def test_defining_agrees_with_eq24_beyond_enumeration(self):
@@ -202,9 +209,8 @@ class TestMatrices:
         assert result.output.splitlines() == ["ranks: 1,5,2,0", "THEOREM1 FAIL"]
 
     def test_budget_exceeded_is_usage_error(self):
-        result = run(
-            "matrices", "--board", "stair:3", "--prime", "5", "--budget", "100"
-        )
+        # p^Area = 7^15 is over the enumeration budget of 10^7
+        result = run("matrices", "--board", "stair:5", "--prime", "7")
         assert result.exit_code == 2
         assert "budget" in result.output
 

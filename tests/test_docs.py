@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -42,3 +43,27 @@ def test_ci_workflow_runs_a_traced_pass_of_every_workload():
     assert "--trace 1" in script
     for workload in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]:
         assert workload["name"] in script
+
+
+def _decorator_name(node: ast.expr) -> str:
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def test_benchmark_clears_every_library_cache():
+    # the benchmark clears the caches named in perfbench/spans.py CACHES
+    # before each pass; a cache missing there would carry values across passes
+    cached = set()
+    for path in sorted((ROOT / "src" / "qrook").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                _decorator_name(d) in ("lru_cache", "cache") for d in node.decorator_list
+            ):
+                cached.add((path.stem, node.name))
+    (caches,) = [
+        node.value
+        for node in ast.parse((ROOT / "perfbench" / "spans.py").read_text()).body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["CACHES"]
+    ]
+    assert cached == set(ast.literal_eval(caches))

@@ -38,8 +38,9 @@ class TestEnumeration:
             assert m.supported_on(DEF1)
 
     def test_budget_error_names_bound(self):
-        with pytest.raises(BudgetExceededError, match="exceeds the enumeration budget 10"):
-            list(enumerate_support_matrices(DEF1, 5, budget=10))
+        message = r"7\^15 = 4747561509943 exceeds the enumeration budget 10000000$"
+        with pytest.raises(BudgetExceededError, match=message):
+            list(enumerate_support_matrices(staircase_board(5), 7))
 
     def test_non_prime_rejected(self):
         with pytest.raises(ValueError, match="not prime"):
@@ -151,7 +152,7 @@ def test_checks_share_one_rank_distribution_entry():
     try:
         assert theorem1_check(DEF1, 2)
         assert rank_sum_check(DEF1, 2)
-        # the CLI passes its default budget positionally, the same key
+        # the CLI asks for the same (board, p) key as the checks
         assert CliRunner().invoke(main, ["matrices", "--board", "heights:0,1,2", "--prime", "2"]).exit_code == 0
         assert rank_distribution.cache_info().currsize == 1
     finally:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qrook.boards import compositions
 from qrook.qpoly import (
     BivariatePoly,
     LaurentPoly,
@@ -53,15 +54,6 @@ class TestLaurentRing:
 
         assert poly({-1: 1}).evaluate(2) == Fraction(1, 2)
 
-    def test_exact_division_and_guard(self):
-        f = poly({0: 1, 1: 2, 2: 1})
-        g = poly({0: 1, 1: 1})
-        assert f.divide_exact(g) == g
-        with pytest.raises(ValueError):
-            poly({0: 1, 1: 1, 2: 1}).divide_exact(poly({0: 1, 1: 1}))
-        with pytest.raises(ZeroDivisionError):
-            f.divide_exact(LaurentPoly.zero())
-
     def test_dense_serialization_round_trip(self):
         f = poly({-2: 3, 0: -1, 1: 4})
         obj = f.to_dense_dict()
@@ -89,14 +81,6 @@ def test_ring_axioms(f, g, h):
     assert f + g == g + f
     assert f * g == g * f
     assert f * (g + h) == f * g + f * h
-
-
-@given(laurent_polys(), laurent_polys())
-@settings(max_examples=60)
-def test_division_round_trip(f, g):
-    if g.is_zero:
-        return
-    assert (f * g).divide_exact(g) == f
 
 
 class TestBrackets:
@@ -160,6 +144,31 @@ class TestBrackets:
                     q_binomial(m, k).shifted(k * (k - 1) // 2), z_exp=k
                 )
             assert lhs == rhs
+
+    @staticmethod
+    def times_denominator_is_numerator(m, k):
+        # [m, k] prod_{i=1}^{k} (1 - q^i) = prod_{i<k} (1 - q^(m-i)), by
+        # multiplication only
+        lhs, rhs = q_binomial(m, k), LaurentPoly.one()
+        for i in range(k):
+            lhs = lhs * poly({0: 1, i + 1: -1})
+            rhs = rhs * (LaurentPoly.one() - poly({m - i: 1}))
+        return lhs == rhs
+
+    @pytest.mark.parametrize("m", range(-10, 31))
+    def test_binomial_times_denominator_is_numerator(self, m):
+        assert all(self.times_denominator_is_numerator(m, k) for k in range(13))
+
+    def test_large_binomial_times_denominator_is_numerator(self):
+        assert self.times_denominator_is_numerator(1000, 2)
+        assert self.times_denominator_is_numerator(400, 3)
+
+    def test_multinomial_times_factorials_is_factorial(self):
+        for v in [()] + list(compositions(range(1, 9))):
+            lhs = q_multinomial(v)
+            for part in v:
+                lhs = lhs * q_factorial(part)
+            assert lhs == q_factorial(sum(v))
 
     def test_multinomial_examples(self):
         assert q_multinomial((1, 1)) == poly({0: 1, 1: 1})
