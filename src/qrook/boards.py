@@ -286,12 +286,14 @@ def parse_board_spec(text: str) -> tuple[FerrersBoard, StepSpec | None]:
     kind, sep, rest = text.partition(":")
     if not sep:
         raise ValueError(f"unknown board spec {text!r}")
+    # an empty list ("heights:", "steps:") is the board with no columns
+    items = rest.split(",") if rest else []
     try:
         if kind == "heights":
-            return board_from_heights([int(x) for x in rest.split(",")]), None
+            return board_from_heights([int(x) for x in items]), None
         if kind == "steps":
             pairs = []
-            for item in rest.split(","):
+            for item in items:
                 h, _, d = item.partition("x")
                 pairs.append((int(h), int(d)))
             spec = StepSpec(tuple(pairs))
@@ -301,7 +303,7 @@ def parse_board_spec(text: str) -> tuple[FerrersBoard, StepSpec | None]:
         if kind == "stair":
             return staircase_board(int(rest)), None
         if kind == "gv":
-            v = [int(x) for x in rest.split(",")]
+            v = [int(x) for x in items]
             return g_board(v), g_spec(v) if all(x >= 1 for x in v) else None
     except ValueError as exc:
         raise ValueError(f"bad board spec {text!r}: {exc}") from exc

@@ -21,7 +21,7 @@ import click
 
 from . import ffmat, permstat, verify
 from .boards import parse_board_spec, step_decomposition
-from .placements import HIT_METHODS, hit_poly
+from .placements import HIT_METHODS, hit_polys
 from .placements import rook_poly as rook_poly_fn
 from .qpoly import LaurentPoly
 
@@ -107,17 +107,15 @@ def hit_cmd(board_spec: str, k: int | None, method: str, fmt: str):
             _fail_usage(
                 "inadmissible board: only the step formulas eq24/eq26 apply"
             )
-    ks = range(n + 1) if k is None else [k]
+    if k is not None and not 0 <= k <= n:
+        _fail_usage(f"k must lie in 0..{n}")
+    tables = {
+        m: hit_polys(board, m) if m in HIT_METHODS else verify.step_formula(spec, m)
+        for m in methods
+    }
     consistent = True
-    for kk in ks:
-        if not 0 <= kk <= n:
-            _fail_usage(f"k must lie in 0..{n}")
-        values: dict[str, LaurentPoly] = {}
-        for m in methods:
-            if m in HIT_METHODS:
-                values[m] = hit_poly(board, kk, m)
-            else:
-                values[m] = verify.step_formula(spec, n - kk, m)
+    for kk in range(n + 1) if k is None else [k]:
+        values = {m: table[kk] for m, table in tables.items()}
         first = next(iter(values.values()))
         if any(v != first for v in values.values()):
             consistent = False
@@ -198,7 +196,7 @@ def matrices_cmd(board_spec: str, prime: int):
     type=click.Choice(["all"] + sorted(verify.SUITES)),
     default="all",
 )
-@click.option("--max-n", type=int, default=4)
+@click.option("--max-n", type=click.IntRange(min=1), default=4)
 def verify_cmd(suite: str, max_n: int):
     """Run the named check suites; one PASS/FAIL line per check."""
     names = sorted(verify.SUITES) if suite == "all" else [suite]

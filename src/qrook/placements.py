@@ -336,13 +336,6 @@ def hit_polys(board: FerrersBoard, method: str = "mat") -> tuple[LaurentPoly, ..
     return tuple(acc.coefficient(k) for k in range(n + 1))
 
 
-def hit_poly(board: FerrersBoard, k: int, method: str = "mat") -> LaurentPoly:
-    """Hit polynomial with exactly k rooks on the board."""
-    if not 0 <= k <= board.n:
-        raise ValueError("k must lie in 0..n")
-    return hit_polys(board, method)[k]
-
-
 @lru_cache(maxsize=None)
 def classical_hit_distribution(board: FerrersBoard) -> tuple[int, ...]:
     """Counts of permutations by the number of board squares hit, from the

@@ -1,10 +1,12 @@
 """Identity, recurrence, and unimodality checks, plus the named suites.
 
 Each check returns True on its whole desk-scale domain; a False from a
-suite is a build-breaking failure and carries enough detail (board, hit
-index, both polynomials, first differing exponent) to debug without
-rerunning.  Suites are pure and embarrassingly parallel across their
-instances.
+suite is a build-breaking failure.  Every FAIL line names its check and
+instance; the hit-method and step-formula comparisons add the first
+disagreeing hit index with each route's polynomial, the multiset-Mahonian
+checks the first differing exponent, and a check that raises
+IdentityViolation carries its message.  Suites are pure and
+embarrassingly parallel across their instances.
 
 The checks fall into four groups:
 
@@ -22,7 +24,9 @@ The checks fall into four groups:
   composition expansion (equal to each other and to the enumerated hit
   polynomials on admissible boards), the truncation recurrence that
   peels off the last block, and the symmetry/unimodality statements
-  with their darga bookkeeping.
+  with their darga bookkeeping.  Each formula yields the whole table
+  (T_0, ..., T_n) of a step board, indexed by hits like
+  :func:`~qrook.placements.hit_polys`.
 """
 
 from __future__ import annotations
@@ -263,80 +267,77 @@ def darga_target(spec: StepSpec, k: int) -> int:
     )
 
 
-def eq24_divided(spec: StepSpec, k: int) -> LaurentPoly:
-    """T_{n-k}(B) / prod [d_i]! by the alternating q-binomial expansion.
+def eq24_divided(spec: StepSpec) -> tuple[LaurentPoly, ...]:
+    """(T_0, ..., T_n)(B) / prod [d_i]! by the alternating q-binomial
+    expansion: with P_s = prod_i [s + H_i - D_(i-1), d_i], the k-hit entry
+    is sum_s (-1)^j q^C(j,2) [n+1, j] P_s over s + j = n - k.
 
-    Every surviving term must be symmetric with the expected darga, and a
-    term with any negative bracket numerator must vanish (the cancellation
-    the closed form relies on); IdentityViolation reports a term that is
-    not.
+    Every surviving term must be symmetric with darga
+    ``darga_target(spec, k)``, and a P_s with any negative bracket
+    numerator must vanish (the cancellation the closed form relies on);
+    IdentityViolation reports a term or product that is not.
     """
     n = spec.n
     H = spec.block_heights
     D = (0,) + spec.col_offsets
-    target = darga_target(spec, n - k)
-    total = LaurentPoly.zero()
-    for s in range(k + 1):
+    products = []
+    for s in range(n + 1):
         prod = LaurentPoly.one()
-        negative_numerator = False
         for i in range(spec.t):
-            m = s + H[i] - D[i]
-            if m < 0:
-                negative_numerator = True
-            prod = prod * q_binomial(m, spec.widths[i])
+            prod = prod * q_binomial(s + H[i] - D[i], spec.widths[i])
             if prod.is_zero:
                 break
-        if prod.is_zero:
-            continue
-        if negative_numerator:
-            raise IdentityViolation(f"{spec} k={k} s={s}: a negative bracket numerator left {prod}")
-        j = k - s
-        term = (q_binomial(n + 1, j) * prod).shifted(j * (j - 1) // 2)
-        if not (is_symmetric(term) and darga(term) == target):
-            raise IdentityViolation(f"{spec} k={k} s={s}: term {term} is not symmetric with darga {target}")
-        total = total + (term if j % 2 == 0 else -term)
-    return total
+        if not prod.is_zero and any(s + H[i] < D[i] for i in range(spec.t)):
+            raise IdentityViolation(f"{spec} s={s}: a negative bracket numerator left {prod}")
+        products.append(prod)
+    table = []
+    for k in range(n + 1):
+        target = darga_target(spec, k)
+        total = LaurentPoly.zero()
+        for s, prod in enumerate(products[: n - k + 1]):
+            if prod.is_zero:
+                continue
+            j = n - k - s
+            term = (q_binomial(n + 1, j) * prod).shifted(j * (j - 1) // 2)
+            if not (is_symmetric(term) and darga(term) == target):
+                raise IdentityViolation(f"{spec} k={k} s={s}: term {term} is not symmetric with darga {target}")
+            total = total + (term if j % 2 == 0 else -term)
+        table.append(total)
+    return tuple(table)
 
 
-def step_formula(spec: StepSpec, k: int, which: str = "eq24") -> LaurentPoly:
-    """The hit polynomial T_{n-k}(B) of a step board, by closed formula.
+def step_formula(spec: StepSpec, which: str = "eq24") -> tuple[LaurentPoly, ...]:
+    """The hit polynomials (T_0, ..., T_n)(B) of a step board, indexed by
+    hits as in :func:`~qrook.placements.hit_polys`, by closed formula.
 
     ``eq24`` multiplies the alternating q-binomial expansion by the
-    block factorials; ``eq26`` sums over compositions e of k with
-    0 <= e_i <= d_i.  Both apply to inadmissible boards as well.
+    block factorials; ``eq26`` sums over vectors e with 0 <= e_i <= d_i,
+    each adding to the entry with n - sum(e) hits.  Both apply to
+    inadmissible boards as well.
     """
     if which == "eq24":
-        return _widths_factorial(spec) * eq24_divided(spec, k)
-    if which == "eq26":
-        return _widths_factorial(spec) * _eq26_divided(spec, k)
-    raise ValueError(f"unknown step formula {which!r}")
+        divided = eq24_divided(spec)
+    elif which == "eq26":
+        divided = _eq26_divided(spec)
+    else:
+        raise ValueError(f"unknown step formula {which!r}")
+    factorials = _widths_factorial(spec)
+    return tuple(factorials * t for t in divided)
 
 
-def _eq26_divided(spec: StepSpec, k: int) -> LaurentPoly:
+def _eq26_divided(spec: StepSpec) -> tuple[LaurentPoly, ...]:
     n = spec.n
-    t = spec.t
     H = spec.block_heights
     D = (0,) + spec.col_offsets
     widths = spec.widths
     conditions = spec.condition_overlap() or spec.condition_dominance()
-    total = LaurentPoly.zero()
-
-    def bounded(remaining: int, i: int, prefix: tuple[int, ...]):
-        # compositions e of the remainder with 0 <= e_j <= d_j for j >= i
-        if i == t:
-            if remaining == 0:
-                yield prefix
-            return
-        lo = max(0, remaining - sum(widths[i + 1 :]))
-        for e in range(lo, min(widths[i], remaining) + 1):
-            yield from bounded(remaining - e, i + 1, prefix + (e,))
-
-    for e in bounded(k, 0, ()):
+    table = [LaurentPoly.zero()] * (n + 1)
+    for e in itertools.product(*(range(d + 1) for d in widths)):
         prod = LaurentPoly.one()
         exponent = 0
         E = 0
         negative_numerator = False
-        for i in range(t):
+        for i in range(spec.t):
             prev_E = E
             E += e[i]
             m1 = H[i] - D[i] + prev_E
@@ -356,43 +357,35 @@ def _eq26_divided(spec: StepSpec, k: int) -> LaurentPoly:
             raise IdentityViolation(
                 f"{spec} e={e}: term {term} is negative under the overlap or dominance condition"
             )
-        total = total + term
-    return total
+        table[n - E] = table[n - E] + term
+    return tuple(table)
 
 
 def recurrence25_check(spec: StepSpec) -> bool:
-    """Peeling off the last block: the hit polynomials of the full board,
-    rebuilt from those of the truncated board (taken from the composition
-    formula), match the composition formula for the full board.  The empty
-    board has a single hit polynomial, 1 at its only index."""
+    """Peeling off the last block (H_t, d_t): the hit polynomials of the
+    full board, rebuilt from the table of the truncated board B' by
+
+        T_k(B) = [d_t]! sum_r T_r(B') [H_t - r, k - r] [n - H_t + r, d_t + r - k]
+                 q^((d_t + r - k)(H_t - k)),
+
+    match the table of the full board; both tables come from the
+    composition formula."""
     n = spec.n
     d_t = spec.widths[-1]
     H_t = spec.block_heights[-1]
-    inner = spec.truncated()
-    n_inner = inner.n
-
-    def t_inner(s: int) -> LaurentPoly:
-        # hit polynomial T_{n_inner - s} of the truncated board
-        if inner.t == 0:
-            return LaurentPoly.one() if s == 0 else LaurentPoly.zero()
-        if not 0 <= s <= n_inner:
-            return LaurentPoly.zero()
-        return step_formula(inner, s, "eq26")
-
+    inner = step_formula(spec.truncated(), "eq26")
+    full = step_formula(spec, "eq26")
     dt_fact = q_factorial(d_t)
     for k in range(n + 1):
         total = LaurentPoly.zero()
-        for s in range(max(0, k - d_t), k + 1):
-            part = t_inner(s)
-            if part.is_zero:
+        for r in range(max(0, k - d_t), min(k, n - d_t) + 1):
+            if inner[r].is_zero:
                 continue
-            coeff = q_binomial(H_t - n + d_t + s, d_t - k + s) * q_binomial(
-                2 * n - d_t - H_t - s, k - s
-            )
+            coeff = q_binomial(H_t - r, k - r) * q_binomial(n - H_t + r, d_t + r - k)
             if coeff.is_zero:
                 continue
-            total = total + (part * coeff).shifted((k - s) * (H_t + k - n))
-        if dt_fact * total != step_formula(spec, k, "eq26"):
+            total = total + (inner[r] * coeff).shifted((d_t + r - k) * (H_t - k))
+        if dt_fact * total != full[k]:
             return False
     return True
 
@@ -423,10 +416,8 @@ def step_zsu_check(spec: StepSpec) -> bool:
     dominate the rises (d_{i-1} + d_i >= h_i) or the column counts
     dominate the heights (D_i >= H_i), it is additionally nonnegative
     and unimodal."""
-    n = spec.n
     refined = spec.condition_overlap() or spec.condition_dominance()
-    for k in range(n + 1):
-        divided = eq24_divided(spec, n - k)
+    for k, divided in enumerate(eq24_divided(spec)):
         target = darga_target(spec, k)
         if divided.is_zero:
             continue
@@ -644,13 +635,10 @@ def suite_steps(max_n: int) -> Iterator[CheckResult]:
             name = spec.spec_string()
             detail = ""
             try:
-                for k in range(n + 1):
-                    a = step_formula(spec, k, "eq24")
-                    b = step_formula(spec, k, "eq26")
-                    c = t[n - k]
-                    if not (a == b == c):
-                        detail = f"k={k} eq24={a} eq26={b} enumerated={c}"
-                        break
+                a, b = step_formula(spec, "eq24"), step_formula(spec, "eq26")
+                k = next((k for k in range(n + 1) if not a[k] == b[k] == t[k]), None)
+                if k is not None:
+                    detail = f"k={k} eq24={a[k]} eq26={b[k]} enumerated={t[k]}"
             except IdentityViolation as exc:
                 detail = str(exc)
             yield CheckResult("step-formulas-agree", name, not detail, detail)

@@ -170,6 +170,15 @@ class TestParse:
         b, spec = parse_board_spec("gv:2,3,2")
         assert b == g_board((2, 3, 2)) and spec == g_spec((2, 3, 2))
 
+    def test_spec_strings_round_trip(self):
+        # the empty board and empty spec are spelled "heights:" and "steps:"
+        for n in range(5):
+            for board in all_ferrers_boards(n):
+                assert parse_board_spec(board.spec_string()) == (board, None)
+        specs = [StepSpec(())] + [s for n in range(1, 4) for s in all_step_specs(n)]
+        for spec in specs:
+            assert parse_board_spec(spec.spec_string()) == (spec.expand(), spec)
+
     @pytest.mark.parametrize(
         "bad", ["nope:3", "heights:2,1", "steps:1", "tri:x", "plain"]
     )

@@ -123,7 +123,7 @@ class TestHit:
         real = verify.step_formula
         with cleared(placements.hit_polys):
             monkeypatch.setattr(
-                verify, "step_formula", lambda spec, k, which: real(spec, k, which).shifted(1)
+                verify, "step_formula", lambda spec, which: tuple(t.shifted(1) for t in real(spec, which))
             )
             result = run("hit", "--board", "tri:3", "--method", "all", "--format", "text")
         assert result.exit_code == 1
@@ -233,6 +233,33 @@ class TestVerify:
 
     def test_unknown_suite(self):
         assert run("verify", "--suite", "nope").exit_code == 2
+
+    def test_max_n_below_one_is_usage_error(self):
+        for suite in ("all", "rook"):
+            result = run("verify", "--suite", suite, "--max-n", "0")
+            assert result.exit_code == 2
+            assert "TOTAL" not in result.output
+
+
+class TestEmptyBoard:
+    """The board with no columns, spelled heights: as its spec_string."""
+
+    def test_rook(self):
+        result = run("rook", "--board", "heights:", "--format", "text")
+        assert result.exit_code == 0
+        assert result.output == "k=0: 1\n"
+
+    def test_hit_all_methods(self):
+        result = run("hit", "--board", "heights:", "--method", "all", "--format", "text")
+        assert result.exit_code == 0
+        assert result.output.splitlines() == [
+            f"k=0 method={m}: 1" for m in ("mat", "xi", "defining", "eq24", "eq26")
+        ] + ["CONSISTENT"]
+
+    def test_matrices(self):
+        result = run("matrices", "--board", "heights:", "--prime", "2")
+        assert result.exit_code == 0
+        assert result.output.splitlines() == ["ranks: 1", "THEOREM1 PASS"]
 
 
 class TestTable:

@@ -3,9 +3,13 @@ import contextlib
 import io
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
+
+from qrook.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -20,6 +24,43 @@ def test_readme_library_example_prints_what_it_states():
     with contextlib.redirect_stdout(out):
         exec(compile(block, "README.md", "exec"), {})
     assert stated and out.getvalue().splitlines() == stated
+
+
+# shell examples whose comment describes the output instead of quoting it,
+# with the last line each must print (None: exit 0 suffices); every other
+# example must print exactly its comment, less a trailing "(= ...)" gloss
+PROSE_EXAMPLES = {
+    "qrook hit --board tri:3 --method all --format text": "CONSISTENT",
+    "qrook verify --suite all --max-n 4": None,
+    "qrook table --family mat --n 4": None,
+}
+
+
+def readme_shell_examples() -> list[tuple[str, list[str]]]:
+    """(command, comment lines) for each qrook line of the README's CLI block."""
+    readme = (ROOT / "README.md").read_text()
+    (block,) = [b for b in re.findall(r"```sh\n(.*?)```", readme, re.S) if "qrook " in b]
+    examples: list[tuple[str, list[str]]] = []
+    for line in block.splitlines():
+        command, _, comment = (part.strip() for part in line.partition("#"))
+        if command.startswith("qrook "):
+            examples.append((command, [comment] if comment else []))
+        elif comment:
+            examples[-1][1].append(comment)
+    return examples
+
+
+def test_readme_shell_examples_run():
+    examples = readme_shell_examples()
+    assert set(PROSE_EXAMPLES) <= {command for command, _ in examples}
+    for command, comments in examples:
+        result = CliRunner().invoke(main, shlex.split(command)[1:])
+        assert result.exit_code == 0, command
+        lines = result.output.splitlines()
+        if command in PROSE_EXAMPLES:
+            assert PROSE_EXAMPLES[command] in (None, lines[-1]), command
+        else:
+            assert lines == [re.sub(r"\s+\(=.*\)$", "", c) for c in comments], command
 
 
 def ci_job() -> dict:

@@ -15,7 +15,6 @@ from qrook.placements import (
     cross_stat,
     enumerate_placements,
     factorization_check,
-    hit_poly,
     hit_polys,
     inv_stat,
     mat_stat,
@@ -195,12 +194,12 @@ class TestHitPolys:
     def test_triangular2(self):
         tri = triangular_board(2)
         for method in ("mat", "xi", "defining"):
-            assert hit_poly(tri, 0, method) == LaurentPoly({1: 1})
-            assert hit_poly(tri, 1, method) == LaurentPoly.one()
+            assert hit_polys(tri, method)[0] == LaurentPoly({1: 1})
+            assert hit_polys(tri, method)[1] == LaurentPoly.one()
 
     def test_staircase2(self):
         b = staircase_board(2)
-        assert [hit_poly(b, k, "defining") for k in range(3)] == [
+        assert [hit_polys(b, "defining")[k] for k in range(3)] == [
             LaurentPoly.zero(),
             LaurentPoly({1: 1}),
             LaurentPoly.one(),
@@ -222,7 +221,7 @@ class TestHitPolys:
             counts = hit_counts_by_enumeration(b.heights)
             assert list(classical_hit_distribution(b)) == counts
             for k in range(n + 1):
-                assert hit_poly(b, k, "mat").evaluate(1) == counts[k]
+                assert hit_polys(b, "mat")[k].evaluate(1) == counts[k]
 
     def test_flip_preserves_rook_polys(self):
         for n in range(1, 5):
@@ -233,7 +232,7 @@ class TestHitPolys:
 
     def test_bad_method(self):
         with pytest.raises(ValueError):
-            hit_poly(triangular_board(2), 0, "nope")
+            hit_polys(triangular_board(2), "nope")
 
 
 class TestFactorization:

@@ -1,5 +1,6 @@
 import ast
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -156,10 +157,10 @@ class TestStepFormulas:
     def test_staircase2(self):
         spec = StepSpec(((1, 1), (1, 1)))
         for which in ("eq24", "eq26"):
-            # value at index k is the hit polynomial with n-k hits
-            assert step_formula(spec, 0, which) == LaurentPoly.one()
-            assert step_formula(spec, 1, which) == LaurentPoly({1: 1})
-            assert step_formula(spec, 2, which).is_zero
+            # value at index k is the hit polynomial with k hits
+            assert step_formula(spec, which)[2] == LaurentPoly.one()
+            assert step_formula(spec, which)[1] == LaurentPoly({1: 1})
+            assert step_formula(spec, which)[0].is_zero
 
     def test_single_block(self):
         # one block of width n: the composition sum has a single term per k
@@ -167,16 +168,16 @@ class TestStepFormulas:
         board = spec.expand()
         t = hit_polys(board, "mat")
         for k in range(4):
-            assert step_formula(spec, k, "eq24") == t[3 - k]
-            assert step_formula(spec, k, "eq26") == t[3 - k]
+            assert step_formula(spec, "eq24")[k] == t[k]
+            assert step_formula(spec, "eq26")[k] == t[k]
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_agreement_with_enumeration(self, n):
         for spec in all_step_specs(n, max_rise=3, admissible_only=True):
             t = hit_polys(spec.expand(), "mat")
             for k in range(n + 1):
-                assert step_formula(spec, k, "eq24") == t[n - k]
-                assert step_formula(spec, k, "eq26") == t[n - k]
+                assert step_formula(spec, "eq24")[k] == t[k]
+                assert step_formula(spec, "eq26")[k] == t[k]
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_truncation_recurrence(self, n):
@@ -186,14 +187,40 @@ class TestStepFormulas:
     def test_inadmissible_board_values(self):
         # single column of height 3 in a 1x1 grid: hit values have signs
         spec = StepSpec(((3, 1),))
-        assert step_formula(spec, 0, "eq24") == LaurentPoly({0: 1, 1: 1, 2: 1})
-        assert step_formula(spec, 1, "eq24") == LaurentPoly({1: -1, 2: -1})
-        assert step_formula(spec, 1, "eq26") == step_formula(spec, 1, "eq24")
+        assert step_formula(spec, "eq24")[1] == LaurentPoly({0: 1, 1: 1, 2: 1})
+        assert step_formula(spec, "eq24")[0] == LaurentPoly({1: -1, 2: -1})
+        assert step_formula(spec, "eq26")[0] == step_formula(spec, "eq24")[0]
         assert recurrence25_check(spec)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_formulas_agree_on_inadmissible_boards(self, n):
+        inadmissible = [s for s in all_step_specs(n, max_rise=3) if not s.admissible]
+        assert inadmissible
+        for spec in inadmissible:
+            assert step_formula(spec, "eq24") == step_formula(spec, "eq26")
+
+    @pytest.mark.parametrize("n", range(7, 10))
+    def test_formulas_match_defining_beyond_enumeration(self, n):
+        # a seeded sample of admissible specs with rises <= 3
+        rng = random.Random(n)
+        for _ in range(10):
+            while True:
+                cuts = sorted(rng.sample(range(1, n), rng.randrange(n)))
+                widths = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+                rises = [rng.randrange(4) for _ in widths]
+                if sum(rises) <= n:
+                    break
+            spec = StepSpec(tuple(zip(rises, widths)))
+            t = hit_polys(spec.expand(), "defining")
+            assert step_formula(spec, "eq24") == step_formula(spec, "eq26") == t
+
+    def test_empty_spec(self):
+        for which in ("eq24", "eq26"):
+            assert step_formula(StepSpec(()), which) == (LaurentPoly.one(),)
 
     def test_unknown_formula(self):
         with pytest.raises(ValueError):
-            step_formula(StepSpec(((0, 1),)), 0, "eq99")
+            step_formula(StepSpec(((0, 1),)), "eq99")
 
 
 class TestUnimodality:
@@ -258,7 +285,7 @@ class TestSuites:
         spec = step_decomposition(board)
         t = hit_polys(board, "mat")
         for k in range(4):
-            assert step_formula(spec, k, "eq26") == t[3 - k]
+            assert step_formula(spec, "eq26")[k] == t[k]
 
 
 class TestFailuresStayInTheSuite:
