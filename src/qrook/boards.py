@@ -29,6 +29,13 @@ class FerrersBoard:
         if any(a > b for a, b in zip(hs, hs[1:])):
             raise ValueError("not a Ferrers board: heights must weakly increase")
 
+    def _prefix(self, n: int) -> "FerrersBoard":
+        """The board of the first n columns, built without revalidating:
+        every prefix of a Ferrers board is one."""
+        board = object.__new__(FerrersBoard)
+        object.__setattr__(board, "heights", self.heights[:n])
+        return board
+
     @property
     def n(self) -> int:
         """Grid side = number of columns."""

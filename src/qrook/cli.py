@@ -8,8 +8,8 @@ eight-variant statistic table over a symmetric group).
 
 Exit codes: 0 on success and all-pass verification, 1 when any suite
 check fails, 2 on usage errors (bad board spec, malformed word,
-enumeration budget exceeded).  Output is deterministic: identical
-invocations produce byte-identical output.
+enumeration or dynamic-program budget exceeded).  Output is
+deterministic: identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import click
 
 from . import ffmat, permstat, verify
 from .boards import parse_board_spec, step_decomposition
-from .placements import HIT_METHODS, hit_polys
+from .placements import HIT_METHODS, BudgetExceededError, hit_polys
 from .placements import rook_poly as rook_poly_fn
 from .qpoly import LaurentPoly
 
@@ -109,10 +109,13 @@ def hit_cmd(board_spec: str, k: int | None, method: str, fmt: str):
             )
     if k is not None and not 0 <= k <= n:
         _fail_usage(f"k must lie in 0..{n}")
-    tables = {
-        m: hit_polys(board, m) if m in HIT_METHODS else verify.step_formula(spec, m)
-        for m in methods
-    }
+    try:
+        tables = {
+            m: hit_polys(board, m) if m in HIT_METHODS else verify.step_formula(spec, m)
+            for m in methods
+        }
+    except BudgetExceededError as exc:
+        _fail_usage(str(exc))
     consistent = True
     for kk in range(n + 1) if k is None else [k]:
         values = {m: table[kk] for m, table in tables.items()}

@@ -28,14 +28,10 @@ from functools import lru_cache
 from typing import Iterator
 
 from .boards import FerrersBoard, staircase_board
-from .placements import Placement, enumerate_placements, inv_stat, rook_poly
+from .placements import BudgetExceededError, Placement, enumerate_placements, inv_stat, rook_poly
 from .qpoly import BivariatePoly, IdentityViolation, LaurentPoly, q_stirling
 
 DEFAULT_BUDGET = 10**7
-
-
-class BudgetExceededError(ValueError):
-    """Raised when an enumeration would exceed ``DEFAULT_BUDGET``."""
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,11 @@ Conventions (matrix coordinates, row 1 on top):
 * the hit polynomial with k hits is generated over full placements with
   exactly k rooks on the board, either by the crossing statistic
   (``mat``), by the circle statistic (``xi``), or extracted from the
-  rook polynomials through the defining product identity.
+  rook polynomials through the defining product identity.  ``hit_polys``
+  sums ``mat`` and ``xi`` over the n! permutations by a dynamic program
+  over rows whose state is the set of used columns, 2^n states in all;
+  the tests keep the permutation walk over ``mat_stat``/``xi_stat`` as
+  its oracle.
 
 The statistic kernels work on plain tuples for speed; the public
 functions accept :class:`Placement` values and validate their inputs.
@@ -26,7 +30,6 @@ partitioned across workers freely.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -154,7 +157,7 @@ def _inv_raw(cells: Iterable[tuple[int, int]], heights: tuple[int, ...]) -> int:
 
 
 def _hits(sigma: tuple[int, ...], heights: tuple[int, ...]) -> int:
-    # a plain loop: this runs once per permutation in the n! walks
+    # a plain loop: this runs once per lifted placement in permstat
     hits = 0
     for i, c in enumerate(sigma, start=1):
         if i <= heights[c - 1]:
@@ -289,11 +292,11 @@ def rook_poly(board: FerrersBoard, k: int) -> LaurentPoly:
     if n == 0:
         return LaurentPoly.one()
     if n % _STRIDE == 0:
-        base = FerrersBoard(board.heights[:-_STRIDE])
+        base = board._prefix(n - _STRIDE)
         for kk in range(max(0, k - _STRIDE), min(k, base.n) + 1):
             rook_poly(base, kk)
     c = board.heights[-1]
-    prefix = FerrersBoard(board.heights[:-1])
+    prefix = board._prefix(n - 1)
     # the prefix has n - 1 columns, so it has no k-rook placement at k = n
     poly = rook_poly(prefix, k).shifted(c - k) if k < n else LaurentPoly.zero()
     if k:
@@ -303,29 +306,36 @@ def rook_poly(board: FerrersBoard, k: int) -> LaurentPoly:
 
 HIT_METHODS = ("mat", "xi", "defining")
 
+# the mat/xi row scan keeps one table per set of used columns, 2^n in all
+HIT_DP_MAX_STATES = 2**14
+
+
+class BudgetExceededError(ValueError):
+    """Raised when an enumeration or a dynamic program would exceed its
+    fixed budget."""
+
 
 @lru_cache(maxsize=None)
 def hit_polys(board: FerrersBoard, method: str = "mat") -> tuple[LaurentPoly, ...]:
     """All hit polynomials T_0..T_n of an admissible board at once.
 
-    ``mat`` and ``xi`` are enumeration oracles: they walk all n!
-    permutations.  ``defining`` expands the rook polynomials."""
+    ``mat`` and ``xi`` sum their statistic over all n! permutations by a
+    dynamic program over rows with 2^n states, and raise
+    ``BudgetExceededError`` past ``HIT_DP_MAX_STATES`` of them.
+    ``defining`` expands the rook polynomials, in polynomial time."""
     if not board.admissible:
         raise ValueError("hit polynomials need an admissible board")
     if method not in HIT_METHODS:
         raise ValueError(f"unknown hit method {method!r}")
     n = board.n
-    heights = board.heights
     if method in ("mat", "xi"):
-        kernel = _STAT_KERNELS[method]
-        area = board.area
-        counts: list[dict[int, int]] = [dict() for _ in range(n + 1)]
-        for sigma in itertools.permutations(range(1, n + 1)):
-            k = _hits(sigma, heights)
-            e = kernel(sigma, heights, area, k)
-            bucket = counts[k]
-            bucket[e] = bucket.get(e, 0) + 1
-        return tuple(LaurentPoly(c) for c in counts)
+        if 2**n > HIT_DP_MAX_STATES:
+            raise BudgetExceededError(
+                f"{method} hit polynomials of a board with {n} columns need 2^{n} = {2**n}"
+                f" row-scan states, past the budget of {HIT_DP_MAX_STATES};"
+                " the defining method has no such limit"
+            )
+        return _hit_polys_by_rows(board.heights, method)
     # defining identity: sum_j [j]! R_{n-j} prod_{i=j+1}^{n} (x - q^i), a
     # polynomial in x (z here) whose x^k coefficient is T_k, in Horner form
     acc = BivariatePoly.zero()
@@ -334,6 +344,80 @@ def hit_polys(board: FerrersBoard, method: str = "mat") -> tuple[LaurentPoly, ..
             q_factorial(j) * rook_poly(board, n - j)
         )
     return tuple(acc.coefficient(k) for k in range(n + 1))
+
+
+def _on_board_columns(heights: tuple[int, ...], row: int) -> int:
+    """Bitmask of the columns where a rook in this row is a hit: bit c - 1
+    is set when row <= h(c)."""
+    return sum(1 << i for i, h in enumerate(heights) if row <= h)
+
+
+def _hit_polys_by_rows(heights: tuple[int, ...], family: str) -> tuple[LaurentPoly, ...]:
+    """T_0..T_n by the mat or xi statistic, placing the rooks of rows 1..n
+    in turn.
+
+    The state after row a is the set of used columns, and every row-pair
+    term of ``_cross_raw`` and ``_xi_raw`` is settled by the state alone.
+    Call a column tall at row a when its height is at least a, so that a
+    rook of row a in a tall column is a hit.  With "unused" meaning left
+    for the later rows, a rook placed in column c of row a adds to e:
+
+    * mat: the unused tall columns left of c, and, when the rook is off
+      the board, every unused column right of c;
+    * xi: the used tall columns left of c, and, when the rook is off the
+      board, every unused column right of c; besides, after row a, each
+      unused column c3 with h(c3) = a adds the used columns right of c3.
+
+    The table of a state, {(hits, e): count}, is packed into one integer,
+    a count per ``width`` bits at slot hits * stride + e, so a transition
+    is one shift and one addition.  At the end mat is
+    n(n - hits) + Area - C(n+1, 2) - e and xi is e."""
+    n = len(heights)
+    full = (1 << n) - 1
+    stride = n * (n - 1) // 2 + 1  # e counts row pairs, each at most once
+    width = math.factorial(n).bit_length()  # no count exceeds n!
+    below = [(1 << i) - 1 for i in range(n)]
+    above = [full ^ ((2 << i) - 1) for i in range(n)]
+    xi = family == "xi"
+    layer = {0: 1}
+    for a in range(1, n + 1):
+        tall = _on_board_columns(heights, a)
+        nxt: dict[int, int] = {}
+        for used, table in layer.items():
+            free = full ^ used
+            rest = free
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                i = bit.bit_length() - 1
+                unused = free ^ bit
+                slot = ((used if xi else unused) & tall & below[i]).bit_count()
+                if tall & bit:
+                    slot += stride
+                else:
+                    slot += (unused & above[i]).bit_count()
+                state = used | bit
+                nxt[state] = nxt.get(state, 0) + (table << slot * width)
+        if xi:
+            for i, h in enumerate(heights):
+                if h == a:
+                    for state in nxt:
+                        if not state >> i & 1:
+                            nxt[state] <<= (state & above[i]).bit_count() * width
+        layer = nxt
+    packed = layer[full]
+    mat_base = n * n + sum(heights) - n * (n + 1) // 2
+    counts: list[dict[int, int]] = [dict() for _ in range(n + 1)]
+    mask = (1 << width) - 1
+    slot = 0
+    while packed:
+        count = packed & mask
+        if count:
+            hits, e = divmod(slot, stride)
+            counts[hits][e if xi else mat_base - n * hits - e] = count
+        packed >>= width
+        slot += 1
+    return tuple(LaurentPoly(c) for c in counts)
 
 
 @lru_cache(maxsize=None)

@@ -369,7 +369,10 @@ def recurrence25_check(spec: StepSpec) -> bool:
                  q^((d_t + r - k)(H_t - k)),
 
     match the table of the full board; both tables come from the
-    composition formula."""
+    composition formula.  The empty board has nothing to peel off; its
+    table must be (1,)."""
+    if not spec.t:
+        return step_formula(spec, "eq26") == (LaurentPoly.one(),)
     n = spec.n
     d_t = spec.widths[-1]
     H_t = spec.block_heights[-1]

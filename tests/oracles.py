@@ -7,6 +7,8 @@ library paths it checks.
 import itertools
 import math
 
+from qrook.boards import FerrersBoard
+from qrook.placements import Placement, mat_stat, xi_stat
 from qrook.qpoly import LaurentPoly
 
 
@@ -53,6 +55,22 @@ def hit_counts_by_enumeration(heights: tuple[int, ...]) -> list[int]:
         hits = sum(1 for i, c in enumerate(sigma, start=1) if i <= heights[c - 1])
         counts[hits] += 1
     return counts
+
+
+def hit_polys_by_permutations(heights: tuple[int, ...], family: str) -> tuple[LaurentPoly, ...]:
+    """T_0..T_n of an admissible board by walking all n! permutations:
+    each adds q^stat to the entry of its number of on-board rooks, where
+    stat is the public ``mat_stat`` or ``xi_stat``."""
+    board = FerrersBoard(heights)
+    stat = {"mat": mat_stat, "xi": xi_stat}[family]
+    n = len(heights)
+    counts: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    for sigma in itertools.permutations(range(1, n + 1)):
+        placement = Placement.from_permutation(sigma)
+        bucket = counts[placement.on_board_count(board)]
+        e = stat(placement, board)
+        bucket[e] = bucket.get(e, 0) + 1
+    return tuple(LaurentPoly(c) for c in counts)
 
 
 def rook_poly_by_cells(heights: tuple[int, ...], k: int) -> LaurentPoly:

@@ -25,6 +25,13 @@ class TestConstruction:
         assert b.n == 3 and b.area == 3 and b.admissible
         assert sorted(b.cells()) == [(1, 2), (1, 3), (2, 3)]
 
+    def test_prefix_equals_the_validated_board(self):
+        b = board_from_heights((0, 1, 1, 3))
+        for n in range(5):
+            prefix = b._prefix(n)
+            assert prefix == board_from_heights(b.heights[:n])
+            assert hash(prefix) == hash(board_from_heights(b.heights[:n]))
+
     def test_trivial_board(self):
         b = board_from_heights((0, 0, 0))
         assert b.area == 0 and list(b.cells()) == []

@@ -97,6 +97,30 @@ class TestHit:
         assert sum(at_one) == math.factorial(12)
         assert polys["defining"] == polys["eq24"]
 
+    def test_all_methods_consistent_beyond_enumeration(self):
+        # 12! permutations; the mat/xi row scan has 2^12 states
+        result = run("hit", "--board", "stair:12", "--method", "all", "--format", "text")
+        assert result.exit_code == 0
+        assert result.output.splitlines()[-1] == "CONSISTENT"
+
+    def test_row_scan_at_its_state_budget(self):
+        # stair:14 needs 2^14 states, exactly the budget
+        n = placements.HIT_DP_MAX_STATES.bit_length() - 1
+        result = run("hit", "--board", f"stair:{n}", "--k", str(n), "--method", "xi")
+        assert result.exit_code == 0
+        assert json.loads(result.output) == {"k": n, "method": "xi", "min_exp": 0, "coeffs": [1]}
+
+    def test_row_scan_past_its_state_budget_is_usage_error(self):
+        n = placements.HIT_DP_MAX_STATES.bit_length()
+        for method in ("mat", "all"):
+            result = run("hit", "--board", f"stair:{n}", "--method", method)
+            assert result.exit_code == 2
+            assert result.output == (
+                f"error: mat hit polynomials of a board with {n} columns need 2^{n} = {2**n}"
+                f" row-scan states, past the budget of {placements.HIT_DP_MAX_STATES}; the defining method has"
+                " no such limit\n"
+            )
+
     def test_all_methods_consistent(self):
         result = run("hit", "--board", "tri:3", "--method", "all", "--format", "text")
         assert result.exit_code == 0

@@ -42,6 +42,13 @@ class TestEnumeration:
         with pytest.raises(BudgetExceededError, match=message):
             list(enumerate_support_matrices(staircase_board(5), 7))
 
+    def test_budget_error_is_one_class(self):
+        import qrook
+        from qrook import placements
+
+        assert qrook.BudgetExceededError is BudgetExceededError is placements.BudgetExceededError
+        assert issubclass(BudgetExceededError, ValueError)
+
     def test_non_prime_rejected(self):
         with pytest.raises(ValueError, match="not prime"):
             list(enumerate_support_matrices(DEF1, 4))

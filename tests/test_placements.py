@@ -1,15 +1,21 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrook.boards import (
     all_ferrers_boards,
     board_from_heights,
     flip,
     staircase_board,
+    step_decomposition,
     triangular_board,
 )
 from qrook.placements import (
+    HIT_DP_MAX_STATES,
+    BudgetExceededError,
     Placement,
     classical_hit_distribution,
     cross_stat,
@@ -23,8 +29,9 @@ from qrook.placements import (
     xi_stat,
 )
 from qrook.qpoly import LaurentPoly, q_factorial, q_stirling
+from qrook.verify import step_formula
 
-from oracles import hit_counts_by_enumeration, rook_numbers, rook_poly_by_cells
+from oracles import hit_counts_by_enumeration, hit_polys_by_permutations, rook_numbers, rook_poly_by_cells
 
 DEF1 = board_from_heights((0, 1, 2))  # squares (1,2), (1,3), (2,3)
 
@@ -233,6 +240,56 @@ class TestHitPolys:
     def test_bad_method(self):
         with pytest.raises(ValueError):
             hit_polys(triangular_board(2), "nope")
+
+
+def seeded_boards(n: int, count: int) -> list:
+    """count admissible boards with n columns, drawn with seed n."""
+    rng = random.Random(n)
+    return [board_from_heights(sorted(rng.randint(0, n) for _ in range(n))) for _ in range(count)]
+
+
+def assert_four_hit_routes_agree(board):
+    mat = hit_polys(board, "mat")
+    assert mat == hit_polys(board, "xi")
+    assert mat == hit_polys(board, "defining")
+    assert mat == step_formula(step_decomposition(board), "eq24")
+
+
+class TestHitRowScan:
+    """The mat/xi row scan against the permutation walk, and the four hit
+    routes against each other past the walk's reach."""
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_matches_the_permutation_walk(self, n):
+        for b in all_ferrers_boards(n):
+            for family in ("mat", "xi"):
+                assert hit_polys(b, family) == hit_polys_by_permutations(b.heights, family)
+
+    @pytest.mark.parametrize("n,count", [(6, 6), (7, 3)])
+    def test_matches_the_permutation_walk_on_seeded_boards(self, n, count):
+        for b in seeded_boards(n, count):
+            for family in ("mat", "xi"):
+                assert hit_polys(b, family) == hit_polys_by_permutations(b.heights, family)
+
+    @pytest.mark.parametrize("n", [10, 11, 12])
+    def test_four_routes_agree_on_seeded_boards(self, n):
+        for b in seeded_boards(n, 2):
+            assert_four_hit_routes_agree(b)
+
+    @given(st.lists(st.integers(0, 9), max_size=9))
+    @settings(max_examples=40, deadline=None)
+    def test_four_routes_agree(self, raw):
+        n = len(raw)
+        assert_four_hit_routes_agree(board_from_heights(sorted(min(h, n) for h in raw)))
+
+    def test_state_budget(self):
+        # the first board past the budget; the defining route has no such limit
+        n = HIT_DP_MAX_STATES.bit_length()
+        big = staircase_board(n)
+        for family in ("mat", "xi"):
+            with pytest.raises(BudgetExceededError, match=rf"2\^{n} = {2**n} row-scan states"):
+                hit_polys(big, family)
+        assert sum(t.evaluate(1) for t in hit_polys(big, "defining")) == math.factorial(n)
 
 
 class TestFactorization:

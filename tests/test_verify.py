@@ -15,6 +15,7 @@ from qrook.boards import (
     all_step_specs,
     board_from_heights,
     g_spec,
+    parse_board_spec,
     staircase_board,
     step_decomposition,
     triangular_board,
@@ -218,6 +219,11 @@ class TestStepFormulas:
         for which in ("eq24", "eq26"):
             assert step_formula(StepSpec(()), which) == (LaurentPoly.one(),)
 
+    def test_truncation_recurrence_on_the_empty_board(self):
+        board, spec = parse_board_spec("steps:")
+        assert board.n == 0 and spec == StepSpec(())
+        assert recurrence25_check(spec)
+
     def test_unknown_formula(self):
         with pytest.raises(ValueError):
             step_formula(StepSpec(((0, 1),)), "eq99")
@@ -324,14 +330,14 @@ class TestFailuresStayInTheSuite:
         assert len(lines) == len(self.verify_lines("ffmat", 1)[1])
 
     def test_wrong_hit_count(self, monkeypatch):
-        # the q=1 hit numbers come from the rook numbers, not from _hits,
-        # so a wrong hit count in the permutation walk cannot hide there
+        # the q=1 hit numbers come from the rook numbers, not from the
+        # mat/xi row scan, so a wrong hit count in the scan cannot hide there
         caches = (placements.hit_polys, placements.classical_hit_distribution)
         for cached in caches:
             cached.cache_clear()
         try:
             with monkeypatch.context() as patch:
-                patch.setattr(placements, "_hits", lambda sigma, heights: 0)
+                patch.setattr(placements, "_on_board_columns", lambda heights, row: 0)
                 code, lines = self.verify_lines("hit", 2)
         finally:
             for cached in caches:
