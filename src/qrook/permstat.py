@@ -17,6 +17,12 @@ letters within their column block); two canonical lifts matter here:
   rows take the leftmost columns and off-board rows the remaining ones,
   in both cases with columns decreasing as rows increase.
 
+``word_stat_polys`` sums ``mat_word`` or ``xi_word`` over all the words
+of a step spec's widths without lifting any: a dynamic program over
+positions whose state is the vector of letters used, prod (d_i + 1)
+states, returns the generating polynomials indexed by hits.  The word
+walk over the lifts is kept in the tests as its oracle.
+
 On triangular boards the descent graph of a permutation (rooks read off
 the cycle factorization cut at successive minima) turns descent counts
 into hit counts, which induces the two eight-member families of
@@ -27,14 +33,24 @@ from block boards.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .boards import StepSpec, g_spec, triangular_board
-from .placements import _STAT_KERNELS, Placement, _hits, _mat_raw
+from .boards import StepSpec, g_spec
+from .placements import (
+    _STAT_KERNELS,
+    HIT_DP_MAX_STATES,
+    BudgetExceededError,
+    Placement,
+    _hits,
+    _mat_raw,
+    _unpack_hit_table,
+)
+from .qpoly import LaurentPoly
 
 
 @dataclass(frozen=True)
@@ -254,6 +270,83 @@ def xi_word(w, spec: StepSpec) -> int:
     return _lift_stat(_letters(w), spec, "xi")
 
 
+def word_stat_polys(spec: StepSpec, family: str = "mat") -> tuple[LaurentPoly, ...]:
+    """W_0..W_n: the generating polynomials of ``mat_word`` or ``xi_word``
+    over all words with the spec's widths, indexed by hits like
+    :func:`~qrook.placements.hit_polys`, where the hits of a word are the
+    positions j <= H_(w_j).
+
+    A dynamic program over positions 1..n, placing one letter per step,
+    whose state is the vector of letters used so far: prod (d_i + 1)
+    states, and ``BudgetExceededError`` past ``HIT_DP_MAX_STATES`` of
+    them.  Within a block the standard lift's crossings add exactly
+    C(d_i, 2) and the regular lift's circles nothing, so both statistics
+    reduce to sums over position pairs j < i of the word, each settled by
+    the state when the earlier or the later letter is placed.  With
+    "left" meaning the letters not yet placed, letter y at position j
+    adds to e:
+
+    * mat: the letters z < y left with H_z >= j, and, when j > H_y, every
+      letter z > y left;
+    * xi: the letters z < y used with H_z >= j, and, when j > H_y, every
+      letter z > y left; besides, once position H_y is filled, each y
+      still left adds the letters > y used so far.
+
+    A state's table {(hits, e): count} is packed into one integer as in
+    the row scan of :func:`~qrook.placements.hit_polys`.  At the end mat
+    is n(n - hits) + Area - C(n+1, 2) - sum_i C(d_i, 2) - e and xi is e.
+    This is MacMahon's inversion count for the q-multinomial with height
+    thresholds added."""
+    widths, block_heights, _, area, t = _spec_context(spec)
+    if family not in _STAT_KERNELS:
+        raise ValueError(f"unknown statistic family {family!r}")
+    radix = [1]
+    for d in widths:
+        radix.append(radix[-1] * (d + 1))
+    if radix[-1] > HIT_DP_MAX_STATES:
+        raise BudgetExceededError(
+            f"{family} word statistics over widths {widths} need {radix[-1]} position-scan"
+            f" states, past the budget of {HIT_DP_MAX_STATES}"
+        )
+    n = sum(widths)
+    xi = family == "xi"
+    stride = n * (n - 1) // 2 + 1  # e counts position pairs, each at most once
+    # no count exceeds the number of words, n! / prod d_i!
+    width = (math.factorial(n) // math.prod(math.factorial(d) for d in widths)).bit_length()
+    letters = range(t)
+    tables = [0] * radix[-1]
+    tables[0] = 1
+    # the state's index is sum_i used_i * radix_i, so placing letter y adds
+    # radix[y] and every state comes after the states it is reached from;
+    # product() varies its last factor fastest, hence the reversals
+    for index, rev_used in enumerate(itertools.product(*(range(d + 1) for d in reversed(widths)))):
+        used = rev_used[::-1]
+        table = tables[index]
+        j = sum(used)
+        if xi:
+            below = 0  # letters <= y used
+            for y in letters:
+                below += used[y]
+                if block_heights[y] == j:
+                    table <<= (j - below) * (widths[y] - used[y]) * width
+        if j == n:
+            break  # the last state: every letter used
+        j += 1
+        left = [d - u for d, u in zip(widths, used)]
+        counted = used if xi else left
+        later = n - j + 1  # all letters left; the letters z > y left once y is taken off
+        lower_tall = 0  # the counted letters z < y with H_z >= j
+        for y in letters:
+            later -= left[y]
+            if left[y]:
+                slot = lower_tall + (stride if j <= block_heights[y] else later)
+                tables[index + radix[y]] += table << slot * width
+            if block_heights[y] >= j:
+                lower_tall += counted[y]
+    mat_base = None if xi else n * n + area - n * (n + 1) // 2 - sum(d * (d - 1) // 2 for d in widths)
+    return _unpack_hit_table(tables[-1], n, stride, width, mat_base)
+
+
 def lifts(w, widths: Sequence[int]) -> Iterator[Placement]:
     """All full placements that collapse to the word (block-wise column
     assignments in every order).  An enumeration oracle: it yields
@@ -281,27 +374,40 @@ def lifts(w, widths: Sequence[int]) -> Iterator[Placement]:
 # ---------------------------------------------------------------------------
 
 
-def descent_graph(perm) -> Placement:
-    """Rook placement read off the cycle factorization cut at successive
-    minima: each cycle is a maximal prefix segment ending at the smallest
-    value not yet used, and a rook sits at (i, j) whenever i immediately
-    follows j cyclically inside its cycle.  The number of rooks strictly
-    above the diagonal equals the number of descents."""
-    s = _letters(perm)
+def _descent_sigma(s: tuple[int, ...]) -> tuple[int, ...]:
+    # the row -> column map of the descent graph; see descent_graph
     n = len(s)
     if sorted(s) != list(range(1, n + 1)):
         raise ValueError("descent graph needs a permutation")
-    cells: list[tuple[int, int]] = []
+    sigma = [0] * n
     pos = 0
     while pos < n:
         # the values not yet used are exactly s[pos:]
         end = s.index(min(s[pos:]), pos)
         cycle = s[pos : end + 1]
         for j, i in zip(cycle, cycle[1:]):
-            cells.append((i, j))
-        cells.append((cycle[0], cycle[-1]))
+            sigma[i - 1] = j
+        sigma[cycle[0] - 1] = cycle[-1]
         pos = end + 1
-    return Placement.from_cells(cells)
+    return tuple(sigma)
+
+
+def descent_graph(perm) -> Placement:
+    """Rook placement read off the cycle factorization cut at successive
+    minima: each cycle is a maximal prefix segment ending at the smallest
+    value not yet used, and a rook sits at (i, j) whenever i immediately
+    follows j cyclically inside its cycle.  The number of rooks strictly
+    above the diagonal equals the number of descents."""
+    return Placement.from_permutation(_descent_sigma(_letters(perm)))
+
+
+def _reflect_sigma(sigma: tuple[int, ...]) -> tuple[int, ...]:
+    # the cross-diagonal reflection (i, j) -> (n-j+1, n-i+1) of a full placement
+    n = len(sigma)
+    reflected = [0] * n
+    for i, j in enumerate(sigma, start=1):
+        reflected[n - j] = n - i + 1
+    return tuple(reflected)
 
 
 def reverse_perm(perm) -> tuple[int, ...]:
@@ -331,13 +437,13 @@ def stat_family(perm, family: str = "mat", variant: int = 1) -> int:
         reverse, reflect, shifted = _VARIANTS[variant - 4 if complemented else variant]
     except KeyError:
         raise ValueError("variant must lie in 1..8") from None
-    board = triangular_board(n)
     k = des(s)
-    placement = descent_graph(reverse_perm(s) if reverse else s)
+    sigma = _descent_sigma(reverse_perm(s) if reverse else s)
     if reflect:
-        placement = placement.reflect(n)
-    sigma = placement.sigma(n)
-    value = _STAT_KERNELS[family](sigma, board.heights, board.area, _hits(sigma, board.heights))
+        sigma = _reflect_sigma(sigma)
+    # the triangular board of order n has heights 0, 1, ..., n-1
+    heights = tuple(range(n))
+    value = _STAT_KERNELS[family](sigma, heights, n * (n - 1) // 2, _hits(sigma, heights))
     if shifted:
         value += n * k - n * (n - 1) // 2
     # the fiber of des = k is symmetric about n*k/2, so complementing
@@ -379,9 +485,8 @@ def stat7(w, v: Sequence[int]) -> int:
     preserves the excedence count, so pairing with exc keeps the joint
     distribution."""
     letters, spec, shift = _block_context(w, v)
-    n = len(letters)
     _, _, rev_heights, rev_area, _ = _spec_context(g_spec(reversed(spec.widths)))
-    reflected = Placement.from_permutation(_lift_sigma(letters, spec, "mat")[0]).reflect(n).sigma(n)
+    reflected = _reflect_sigma(_lift_sigma(letters, spec, "mat")[0])
     return shift + _mat_raw(reflected, rev_heights, rev_area, _hits(reflected, rev_heights))
 
 

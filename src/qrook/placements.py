@@ -405,8 +405,16 @@ def _hit_polys_by_rows(heights: tuple[int, ...], family: str) -> tuple[LaurentPo
                         if not state >> i & 1:
                             nxt[state] <<= (state & above[i]).bit_count() * width
         layer = nxt
-    packed = layer[full]
-    mat_base = n * n + sum(heights) - n * (n + 1) // 2
+    mat_base = None if xi else n * n + sum(heights) - n * (n + 1) // 2
+    return _unpack_hit_table(layer[full], n, stride, width, mat_base)
+
+
+def _unpack_hit_table(
+    packed: int, n: int, stride: int, width: int, mat_base: int | None
+) -> tuple[LaurentPoly, ...]:
+    """T_0..T_n from a table {(hits, e): count} packed a count per ``width``
+    bits at slot hits * stride + e.  The exponent is e itself, or
+    mat_base - n * hits - e when ``mat_base`` is given."""
     counts: list[dict[int, int]] = [dict() for _ in range(n + 1)]
     mask = (1 << width) - 1
     slot = 0
@@ -414,7 +422,7 @@ def _hit_polys_by_rows(heights: tuple[int, ...], family: str) -> tuple[LaurentPo
         count = packed & mask
         if count:
             hits, e = divmod(slot, stride)
-            counts[hits][e if xi else mat_base - n * hits - e] = count
+            counts[hits][e if mat_base is None else mat_base - n * hits - e] = count
         packed >>= width
         slot += 1
     return tuple(LaurentPoly(c) for c in counts)

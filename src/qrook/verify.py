@@ -19,7 +19,11 @@ The checks fall into four groups:
 * structural recurrences: the empty-column recurrence for hit
   polynomials, and complement reciprocity;
 * the descent/major-index ladder on triangular boards and its multiset
-  generalization on block boards;
+  generalization on block boards; the multiset Mahonian checks and the
+  block-board (exc, stat5), (exc, stat6) checks read the position-scan
+  tables of :func:`~qrook.permstat.word_stat_polys` instead of lifting
+  every word, against q-multinomials and against the (des, maj)
+  distribution of the enumerated words;
 * the step-board formulas: the alternating q-binomial expansion and the
   composition expansion (equal to each other and to the enumerated hit
   polynomials on admissible boards), the truncation recurrence that
@@ -45,6 +49,7 @@ from .boards import (
     compositions,
     flip,
     g_board,
+    g_spec,
     staircase_board,
     triangular_board,
 )
@@ -507,24 +512,15 @@ def suite_mahonian(max_n: int) -> Iterator[CheckResult]:
         specs = all_step_specs(n, admissible_only=True)
         for widths, run in itertools.groupby(specs, key=lambda spec: spec.widths):
             target = q_multinomial(widths)
-            words = list(permstat.words_over(widths))
             for spec in run:
-                mat_counts: dict[int, int] = {}
-                xi_counts: dict[int, int] = {}
-                for w in words:
-                    e = permstat.mat_word(w, spec)
-                    mat_counts[e] = mat_counts.get(e, 0) + 1
-                    e = permstat.xi_word(w, spec)
-                    xi_counts[e] = xi_counts.get(e, 0) + 1
                 name = spec.spec_string()
-                got = LaurentPoly(mat_counts)
-                yield CheckResult(
-                    "mat-multiset-mahonian", name, got == target, _poly_diff_detail(got, target)
-                )
-                got = LaurentPoly(xi_counts)
-                yield CheckResult(
-                    "xi-multiset-mahonian", name, got == target, _poly_diff_detail(got, target)
-                )
+                for family in ("mat", "xi"):
+                    got = LaurentPoly.zero()
+                    for poly in permstat.word_stat_polys(spec, family):
+                        got = got + poly
+                    yield CheckResult(
+                        f"{family}-multiset-mahonian", name, got == target, _poly_diff_detail(got, target)
+                    )
 
 
 def suite_euler(max_n: int) -> Iterator[CheckResult]:
@@ -561,14 +557,28 @@ def suite_euler(max_n: int) -> Iterator[CheckResult]:
         # so the excedence-paired distribution over the reversed vector must
         # reproduce the maj distribution over the original one
         rev = tuple(reversed(v))
-        for check, domain, stat in (
-            ("stat5-euler-mahonian", words, lambda w: permstat.stat5(w, v)),
-            ("stat6-euler-mahonian", words, lambda w: permstat.stat6(w, v)),
-            ("reflected-block-euler-mahonian", permstat.words_over(rev), lambda w: permstat.stat5(w, rev)),
-            ("closed-form-exc-statx", words, lambda w: permstat.theorem5_statx(w, v)),
+        for check, vector, family in (
+            ("stat5-euler-mahonian", v, "mat"),
+            ("stat6-euler-mahonian", v, "xi"),
+            ("reflected-block-euler-mahonian", rev, "mat"),
         ):
-            got = permstat.joint_distribution(domain, permstat.exc, stat)
-            yield CheckResult(check, name, got == ref)
+            yield CheckResult(check, name, _exc_block_joint(vector, family) == ref)
+        got = permstat.joint_distribution(words, permstat.exc, lambda w: permstat.theorem5_statx(w, v))
+        yield CheckResult("closed-form-exc-statx", name, got == ref)
+
+
+def _exc_block_joint(v: tuple[int, ...], family: str) -> dict[tuple[int, int], int]:
+    """The joint distribution of (exc, stat5) over the words of v for mat,
+    of (exc, stat6) for xi, read off the word-statistic tables of the
+    block board: there the hits of a word are its excedences, and the
+    statistic is n*exc - Area plus the lift statistic."""
+    spec = g_spec(v)
+    n, area = spec.n, spec.area
+    return {
+        (k, n * k - area + e): count
+        for k, poly in enumerate(permstat.word_stat_polys(spec, family))
+        for e, count in poly.items()
+    }
 
 
 def suite_reciprocity(max_n: int) -> Iterator[CheckResult]:

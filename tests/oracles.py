@@ -7,7 +7,8 @@ library paths it checks.
 import itertools
 import math
 
-from qrook.boards import FerrersBoard
+from qrook.boards import FerrersBoard, StepSpec
+from qrook.permstat import mat_word, words_over, xi_word
 from qrook.placements import Placement, mat_stat, xi_stat
 from qrook.qpoly import LaurentPoly
 
@@ -69,6 +70,21 @@ def hit_polys_by_permutations(heights: tuple[int, ...], family: str) -> tuple[La
         placement = Placement.from_permutation(sigma)
         bucket = counts[placement.on_board_count(board)]
         e = stat(placement, board)
+        bucket[e] = bucket.get(e, 0) + 1
+    return tuple(LaurentPoly(c) for c in counts)
+
+
+def word_stat_polys_by_words(spec: StepSpec, family: str) -> tuple[LaurentPoly, ...]:
+    """W_0..W_n of an admissible step spec by walking every word with its
+    widths: each adds q^stat to the entry of its hits, the positions j
+    with j <= H_(w_j), where stat is the public ``mat_word`` or
+    ``xi_word`` of the word's canonical lift."""
+    stat = {"mat": mat_word, "xi": xi_word}[family]
+    heights = spec.block_heights
+    counts: list[dict[int, int]] = [{} for _ in range(spec.n + 1)]
+    for w in words_over(spec.widths):
+        bucket = counts[sum(1 for j, y in enumerate(w, start=1) if j <= heights[y - 1])]
+        e = stat(w, spec)
         bucket[e] = bucket.get(e, 0) + 1
     return tuple(LaurentPoly(c) for c in counts)
 

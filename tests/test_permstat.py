@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -36,11 +37,15 @@ from qrook.permstat import (
     theorem5_stat,
     theorem5_statx,
     word_of_placement,
+    word_stat_polys,
     words_over,
     xi_word,
 )
-from qrook.placements import Placement, mat_stat, xi_stat
-from qrook.qpoly import LaurentPoly, q_factorial
+from qrook.placements import HIT_DP_MAX_STATES, BudgetExceededError, Placement, mat_stat, xi_stat
+from qrook.qpoly import LaurentPoly, q_factorial, q_multinomial
+from qrook.verify import _exc_block_joint
+
+from oracles import word_stat_polys_by_words
 
 
 def compositions_upto(total):
@@ -302,6 +307,76 @@ class TestBlockStatistics:
         assert any(
             stat7(p, ones) != stat5(p, ones) for p in permutations_of(4)
         )
+
+
+def seeded_specs(n: int, count: int) -> list[StepSpec]:
+    """count admissible step specs of total width n within the position-scan
+    budget, drawn with seed n: random widths, sorted random block heights."""
+    rng = random.Random(n)
+    specs = []
+    while len(specs) < count:
+        cuts = sorted(rng.sample(range(1, n), rng.randint(1, min(6, n) - 1)))
+        widths = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+        if math.prod(d + 1 for d in widths) > HIT_DP_MAX_STATES:
+            continue
+        heights = sorted(rng.randint(0, n) for _ in widths)
+        rises = [b - a for a, b in zip([0] + heights, heights)]
+        specs.append(StepSpec(tuple(zip(rises, widths))))
+    return specs
+
+
+class TestWordStatPolys:
+    """The position-scan tables against the word walk, and the multiset
+    Mahonian theorem past the walk's reach."""
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_matches_the_word_walk(self, n):
+        for spec in all_step_specs(n, admissible_only=True):
+            for family in ("mat", "xi"):
+                assert word_stat_polys(spec, family) == word_stat_polys_by_words(spec, family)
+
+    def test_matches_the_word_walk_on_seeded_specs(self):
+        specs = list(all_step_specs(6, admissible_only=True))
+        for spec in random.Random(6).sample(specs, 20):
+            for family in ("mat", "xi"):
+                assert word_stat_polys(spec, family) == word_stat_polys_by_words(spec, family)
+
+    @pytest.mark.parametrize("n", range(10, 21, 2))
+    def test_generates_the_q_multinomial_past_enumeration(self, n):
+        specs = seeded_specs(n, 2)
+        if n == 20:
+            # about 3*10^11 words
+            specs.append(StepSpec(((3, 4), (5, 4), (2, 4), (6, 4), (4, 4))))
+        for spec in specs:
+            target = q_multinomial(spec.widths)
+            for family in ("mat", "xi"):
+                table = word_stat_polys(spec, family)
+                assert len(table) == n + 1
+                total = LaurentPoly.zero()
+                for poly in table:
+                    total = total + poly
+                assert total == target, (spec, family)
+
+    @pytest.mark.parametrize("v", list(compositions_upto(5)))
+    def test_block_board_tables_give_stat5_stat6(self, v):
+        # the euler suite's route to the (exc, stat5) and (exc, stat6)
+        # distributions, against the statistics of every word
+        words = list(words_over(v))
+        for family, stat in (("mat", stat5), ("xi", stat6)):
+            assert _exc_block_joint(v, family) == joint_distribution(words, exc, lambda w: stat(w, v))
+
+    def test_state_budget(self):
+        # fifteen singleton blocks need 2^15 states, the first count past 2^14
+        spec = StepSpec(((0, 1),) * 15)
+        for family in ("mat", "xi"):
+            with pytest.raises(BudgetExceededError, match="32768 position-scan states"):
+                word_stat_polys(spec, family)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="unknown statistic family"):
+            word_stat_polys(StepSpec(((0, 1),)), "nope")
+        with pytest.raises(ValueError, match="admissible"):
+            word_stat_polys(StepSpec(((2, 1),)), "mat")
 
 
 class TestClosedForms:

@@ -346,20 +346,33 @@ class TestFailuresStayInTheSuite:
         assert any(line.startswith("FAIL hit-classical-at-1 ") for line in lines)
         assert len(lines) == len(self.verify_lines("hit", 2)[1])
 
-    def test_wrong_word_statistic(self, monkeypatch):
-        real = permstat.mat_word
-        permstat._spec_context.cache_clear()
-        try:
-            with monkeypatch.context() as patch:
-                patch.setattr(permstat, "mat_word", lambda w, spec: real(w, spec) + 1)
-                code, lines = self.verify_lines("mahonian", 2)
-        finally:
-            permstat._spec_context.cache_clear()
+    def wrong_word_statistic(self, monkeypatch, suite):
+        # every mat value of the position scan comes out one too high
+        real = permstat._unpack_hit_table
+
+        def unpack(packed, n, stride, width, mat_base):
+            return real(packed, n, stride, width, None if mat_base is None else mat_base + 1)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(permstat, "_unpack_hit_table", unpack)
+            code, lines = self.verify_lines(suite, 2)
         assert code == 1
-        assert "FAIL mat-multiset-mahonian steps:0x1 first differing exponent 0: q vs 1" in lines
-        fails = [line for line in lines if line.startswith("FAIL ")]
-        assert fails and all(line.startswith("FAIL mat-multiset-mahonian ") for line in fails)
-        assert len(lines) == len(self.verify_lines("mahonian", 2)[1])
+        assert len(lines) == len(self.verify_lines(suite, 2)[1])
+        return [line for line in lines if line.startswith("FAIL ")]
+
+    def test_wrong_word_statistic(self, monkeypatch):
+        fails = self.wrong_word_statistic(monkeypatch, "mahonian")
+        assert "FAIL mat-multiset-mahonian steps:0x1 first differing exponent 0: q vs 1" in fails
+        assert all(line.startswith("FAIL mat-multiset-mahonian ") for line in fails)
+
+    def test_wrong_block_statistic(self, monkeypatch):
+        # stat5 and its reflected form read the mat tables of the block board
+        fails = self.wrong_word_statistic(monkeypatch, "euler")
+        assert "FAIL stat5-euler-mahonian v=1" in fails
+        assert all(
+            line.startswith(("FAIL stat5-euler-mahonian ", "FAIL reflected-block-euler-mahonian "))
+            for line in fails
+        )
 
 
 def run_optimized(*args):
