@@ -14,9 +14,12 @@ placement of its rank; its fibers have size (p-1)^k * p^(Area-k-inv).
 
 Prime moduli only: the formula route covers arbitrary q symbolically,
 so extension fields would add no verification power here.  Enumeration
-is deterministic (odometer over the support cells in row-major order)
-and partitionable by fixing a prefix of cell values; rank counting is
-an associative reduction with no shared state.
+is a deterministic depth-first walk over the columns that carries each
+matrix's rank, since a new column raises it exactly when it lies outside
+the span of the earlier ones; counting by rank therefore eliminates no
+matrix, and ``rank_ff`` stays the independent elimination that checks
+the fibers.  The walk is partitionable by fixing a prefix of columns,
+and rank counting is an associative reduction with no shared state.
 """
 
 from __future__ import annotations
@@ -48,6 +51,15 @@ class FfMatrix:
         if len(rows) != self.n or any(len(r) != self.n for r in rows):
             raise ValueError("entries must form an n x n matrix")
 
+    @classmethod
+    def _reduced(cls, n: int, p: int, entries: tuple[tuple[int, ...], ...]) -> "FfMatrix":
+        """A matrix from entries that are already an n x n tuple of tuples
+        of residues in range(p), without the renormalisation pass."""
+        matrix = object.__new__(cls)
+        fields = matrix.__dict__
+        fields["n"], fields["p"], fields["entries"] = n, p, entries
+        return matrix
+
     def supported_on(self, board: FerrersBoard) -> bool:
         return all(
             self.entries[i][j] == 0
@@ -68,28 +80,59 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def enumerate_support_matrices(board: FerrersBoard, p: int) -> Iterator[FfMatrix]:
-    """All p^Area(B) matrices supported on the board, each exactly once.
-    An enumeration oracle for the rank counts."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if not board.admissible:
-        raise ValueError("matrix enumeration needs an admissible board")
+def enumerate_support_matrices(board: FerrersBoard, p: int) -> Iterator[tuple[FfMatrix, int]]:
+    """All p^Area(B) matrices supported on the board, each exactly once and
+    paired with its rank over F_p.  An enumeration oracle for the rank counts.
+
+    A depth-first walk over the columns, left to right; column j runs over
+    F_p^(c_j) (its top c_j entries) in lexicographic order.  Heights weakly
+    increase, so the earlier columns lie in the first c_j coordinates, and
+    column j raises the rank exactly when it lies outside their span, kept
+    per depth as the set of its p^r vectors.
+    """
     area = board.area
     total = p**area
+    # the budget first: it is O(1), the primality test O(sqrt p)
     if total > DEFAULT_BUDGET:
         raise BudgetExceededError(
             f"p^Area = {p}^{area} = {total} exceeds the enumeration budget {DEFAULT_BUDGET}"
         )
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if not board.admissible:
+        raise ValueError("matrix enumeration needs an admissible board")
     n = board.n
-    # an odometer over the board cells in row-major order, so enumeration
-    # is deterministic and restartable
-    cells = list(board.cells())
-    for values in itertools.product(range(p), repeat=area):
-        rows = [[0] * n for _ in range(n)]
-        for (i, j), v in zip(cells, values):
-            rows[i - 1][j - 1] = v
-        yield FfMatrix(n, p, tuple(tuple(r) for r in rows))
+    heights = board.heights
+    if n == 0:
+        yield FfMatrix(0, p, ()), 0
+        return
+    zero = (0,) * n
+
+    def prefixes(j: int, columns: tuple, span: set, rank: int):
+        # every choice of the columns before the last, with its span and rank
+        if j == n - 1:
+            yield columns, span, rank
+            return
+        pad = zero[heights[j]:]
+        for head in itertools.product(range(p), repeat=heights[j]):
+            column = head + pad
+            if column in span:
+                yield from prefixes(j + 1, columns + (column,), span, rank)
+            else:
+                yield from prefixes(j + 1, columns + (column,), _span_with(span, column, p), rank + 1)
+
+    reduced = FfMatrix._reduced
+    pad = zero[heights[-1]:]
+    for columns, span, rank in prefixes(0, (), {zero}, 0):
+        for head in itertools.product(range(p), repeat=heights[-1]):
+            column = head + pad
+            yield reduced(n, p, tuple(zip(*columns, column))), rank + (column not in span)
+
+
+def _span_with(span: set, column: tuple[int, ...], p: int) -> set:
+    """The span of a subspace's vectors and one more column outside it."""
+    multiples = [tuple(a * x % p for x in column) for a in range(p)]
+    return {tuple((x + y) % p for x, y in zip(s, m)) for s in span for m in multiples}
 
 
 def rank_ff(matrix: FfMatrix) -> int:
@@ -117,10 +160,11 @@ def rank_ff(matrix: FfMatrix) -> int:
 
 @lru_cache(maxsize=None)
 def rank_distribution(board: FerrersBoard, p: int) -> tuple[int, ...]:
-    """Counts of supported matrices by rank, indexed 0..n."""
+    """Counts of supported matrices by rank, indexed 0..n: the ranks the
+    column walk carries, summed."""
     counts = [0] * (board.n + 1)
-    for m in enumerate_support_matrices(board, p):
-        counts[rank_ff(m)] += 1
+    for _, rank in enumerate_support_matrices(board, p):
+        counts[rank] += 1
     return tuple(counts)
 
 
@@ -193,7 +237,7 @@ def theorem1_check(board: FerrersBoard, p: int) -> bool:
 def fiber_check(board: FerrersBoard, p: int) -> bool:
     """Every elimination fiber has size (p-1)^k p^(Area-k-inv(C,B))."""
     fibers: dict[frozenset, int] = {}
-    for m in enumerate_support_matrices(board, p):
+    for m, _ in enumerate_support_matrices(board, p):
         c = elimination_placement(m, board)
         fibers[c.cells] = fibers.get(c.cells, 0) + 1
     area = board.area

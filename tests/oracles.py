@@ -118,6 +118,22 @@ def rook_numbers(heights: tuple[int, ...]) -> list[int]:
     return r
 
 
+def rank_counts_by_columns(heights: tuple[int, ...], p: int) -> list[int]:
+    """Supported matrices over F_p by rank, adding columns left to right
+    without building a matrix.  Heights weakly increase, so the r earlier
+    columns' span lies in the first c coordinates of a new column of height
+    c, which keeps the rank in p^r ways and raises it in p^c - p^r ways."""
+    counts = [1] + [0] * len(heights)
+    for c in heights:
+        nxt = [0] * len(counts)
+        for r, count in enumerate(counts):
+            nxt[r] += count * p**r
+            if r < c:
+                nxt[r + 1] += count * (p**c - p**r)
+        counts = nxt
+    return counts
+
+
 def stirling2_closed(n: int, k: int) -> int:
     """S(n, k) by inclusion-exclusion over surjections onto k blocks."""
     return sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1)) // math.factorial(k)

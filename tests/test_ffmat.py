@@ -1,7 +1,11 @@
+import random
+
 import pytest
 from click.testing import CliRunner
+from oracles import rank_counts_by_columns
 
-from qrook.boards import all_ferrers_boards, board_from_heights, staircase_board
+from qrook import ffmat
+from qrook.boards import FerrersBoard, all_ferrers_boards, board_from_heights, staircase_board
 from qrook.cli import main
 from qrook.ffmat import (
     BudgetExceededError,
@@ -27,14 +31,16 @@ class TestEnumeration:
     def test_trivial_board_only_zero_matrix(self):
         ms = list(enumerate_support_matrices(board_from_heights((0, 0)), 5))
         assert len(ms) == 1
-        assert all(v == 0 for row in ms[0].entries for v in row)
+        m, rank = ms[0]
+        assert all(v == 0 for row in m.entries for v in row)
+        assert rank == 0
 
     def test_counts(self):
-        assert len(list(enumerate_support_matrices(DEF1, 2))) == 8
-        assert len(list(enumerate_support_matrices(staircase_board(2), 3))) == 27
+        assert len({m for m, _ in enumerate_support_matrices(DEF1, 2)}) == 8
+        assert len({m for m, _ in enumerate_support_matrices(staircase_board(2), 3)}) == 27
 
     def test_support_respected(self):
-        for m in enumerate_support_matrices(DEF1, 3):
+        for m, _ in enumerate_support_matrices(DEF1, 3):
             assert m.supported_on(DEF1)
 
     def test_budget_error_names_bound(self):
@@ -52,6 +58,56 @@ class TestEnumeration:
     def test_non_prime_rejected(self):
         with pytest.raises(ValueError, match="not prime"):
             list(enumerate_support_matrices(DEF1, 4))
+
+    def test_budget_checked_before_primality(self, monkeypatch):
+        # trial division up to sqrt(p) would take seconds at this p
+        def never(p):
+            raise AssertionError("primality tested past the budget")
+
+        monkeypatch.setattr(ffmat, "is_prime", never)
+        with pytest.raises(BudgetExceededError, match="exceeds the enumeration budget"):
+            list(enumerate_support_matrices(board_from_heights((1,)), 100000000000031))
+        result = CliRunner().invoke(main, ["matrices", "--board", "heights:1", "--prime", "100000000000031"])
+        assert result.exit_code == 2
+        assert "exceeds the enumeration budget" in result.output
+
+
+def sampled_boards(n: int, p: int, max_matrices: int, count: int) -> list:
+    """count admissible n-column boards with p^Area <= max_matrices, drawn
+    with seed n * p."""
+    pool = [b for b in all_ferrers_boards(n) if p**b.area <= max_matrices]
+    return random.Random(n * p).sample(pool, count)
+
+
+def board_id(value):
+    return value.spec_string() if isinstance(value, FerrersBoard) else None
+
+
+WALK_BOARDS = [(b, p) for p in (2, 3) for n in range(4) for b in all_ferrers_boards(n)] + [
+    (b, p) for n in (4, 5) for p in (2, 3) for b in sampled_boards(n, p, 2**12, 3)
+]
+
+
+@pytest.mark.parametrize("board,p", WALK_BOARDS, ids=board_id)
+def test_walk_against_elimination(board, p):
+    seen = set()
+    for m, rank in enumerate_support_matrices(board, p):
+        seen.add(m)
+        assert m.supported_on(board)
+        # already in normal form: the full constructor changes nothing
+        assert FfMatrix(m.n, m.p, m.entries) == m
+        assert rank == rank_ff(m)
+    assert len(seen) == p**board.area
+
+
+@pytest.mark.parametrize(
+    "board,p", [(b, p) for n in (5, 6) for p in (2, 3) for b in sampled_boards(n, p, 2**16, 2)],
+    ids=board_id,
+)
+def test_rank_counts_three_routes(board, p):
+    counts = rank_distribution(board, p)
+    assert list(counts) == rank_counts_by_columns(board.heights, p)
+    assert all(c == p_k_formula(board, k).evaluate(p) for k, c in enumerate(counts))
 
 
 class TestRank:
@@ -131,7 +187,7 @@ class TestElimination:
     @pytest.mark.parametrize("p", [2, 3])
     def test_fibers_directly(self, p):
         fibers = {}
-        for m in enumerate_support_matrices(DEF1, p):
+        for m, _ in enumerate_support_matrices(DEF1, p):
             c = elimination_placement(m, DEF1)
             fibers[c.cells] = fibers.get(c.cells, 0) + 1
         for k in range(4):

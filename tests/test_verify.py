@@ -329,6 +329,23 @@ class TestFailuresStayInTheSuite:
         assert len(fails) == 2 and all("pivots but rank 0" in line for line in fails)
         assert len(lines) == len(self.verify_lines("ffmat", 1)[1])
 
+    def test_wrong_walk_rank(self, monkeypatch):
+        # the rank counts read the ranks the matrix walk carries, not rank_ff:
+        # a span that never grows makes later columns raise the rank too often
+        ffmat.rank_distribution.cache_clear()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(ffmat, "_span_with", lambda span, column, p: span)
+                code, lines = self.verify_lines("ffmat", 2)
+                cli = CliRunner().invoke(main, ["matrices", "--board", "heights:0,1,2", "--prime", "2"])
+        finally:
+            ffmat.rank_distribution.cache_clear()
+        assert code == 1
+        assert any(line.startswith("FAIL rank-bridge ") for line in lines)
+        assert len(lines) == len(self.verify_lines("ffmat", 2)[1])
+        assert cli.exit_code == 1
+        assert cli.output.splitlines()[-1] == "THEOREM1 FAIL"
+
     def test_wrong_hit_count(self, monkeypatch):
         # the q=1 hit numbers come from the rook numbers, not from the
         # mat/xi row scan, so a wrong hit count in the scan cannot hide there
