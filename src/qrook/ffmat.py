@@ -90,9 +90,13 @@ def enumerate_support_matrices(board: FerrersBoard, p: int) -> Iterator[tuple[Ff
     column j raises the rank exactly when it lies outside their span, kept
     per depth as the set of its p^r vectors.
     """
+    # p < 2 first, in O(1): a large negative p would otherwise be reported
+    # as a budget overrun, not as a non-prime
+    if p < 2:
+        raise ValueError(f"{p} is not prime")
     area = board.area
     total = p**area
-    # the budget first: it is O(1), the primality test O(sqrt p)
+    # the budget next: it is O(1), the primality test O(sqrt p)
     if total > DEFAULT_BUDGET:
         raise BudgetExceededError(
             f"p^Area = {p}^{area} = {total} exceeds the enumeration budget {DEFAULT_BUDGET}"

@@ -17,11 +17,10 @@ letters within their column block); two canonical lifts matter here:
   rows take the leftmost columns and off-board rows the remaining ones,
   in both cases with columns decreasing as rows increase.
 
-``word_stat_polys`` sums ``mat_word`` or ``xi_word`` over all the words
-of a step spec's widths without lifting any: a dynamic program over
-positions whose state is the vector of letters used, prod (d_i + 1)
-states, returns the generating polynomials indexed by hits.  The word
-walk over the lifts is kept in the tests as its oracle.
+``word_stat_polys``, re-exported from :mod:`~qrook.placements` where the
+hit polynomials share it, sums ``mat_word`` or ``xi_word`` over all the
+words of a step spec's widths without lifting any.  The walk over every
+word is kept in the tests as its oracle.
 
 On triangular boards the descent graph of a permutation (rooks read off
 the cycle factorization cut at successive minima) turns descent counts
@@ -33,7 +32,6 @@ from block boards.
 from __future__ import annotations
 
 import itertools
-import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -41,16 +39,8 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .boards import StepSpec, g_spec
-from .placements import (
-    _STAT_KERNELS,
-    HIT_DP_MAX_STATES,
-    BudgetExceededError,
-    Placement,
-    _hits,
-    _mat_raw,
-    _unpack_hit_table,
-)
-from .qpoly import LaurentPoly
+from . import placements
+from .placements import _STAT_KERNELS, Placement, _hits, _mat_raw
 
 
 @dataclass(frozen=True)
@@ -270,103 +260,9 @@ def xi_word(w, spec: StepSpec) -> int:
     return _lift_stat(_letters(w), spec, "xi")
 
 
-def word_stat_polys(spec: StepSpec, family: str = "mat") -> tuple[LaurentPoly, ...]:
-    """W_0..W_n: the generating polynomials of ``mat_word`` or ``xi_word``
-    over all words with the spec's widths, indexed by hits like
-    :func:`~qrook.placements.hit_polys`, where the hits of a word are the
-    positions j <= H_(w_j).
-
-    A dynamic program over positions 1..n, placing one letter per step,
-    whose state is the vector of letters used so far: prod (d_i + 1)
-    states, and ``BudgetExceededError`` past ``HIT_DP_MAX_STATES`` of
-    them.  Within a block the standard lift's crossings add exactly
-    C(d_i, 2) and the regular lift's circles nothing, so both statistics
-    reduce to sums over position pairs j < i of the word, each settled by
-    the state when the earlier or the later letter is placed.  With
-    "left" meaning the letters not yet placed, letter y at position j
-    adds to e:
-
-    * mat: the letters z < y left with H_z >= j, and, when j > H_y, every
-      letter z > y left;
-    * xi: the letters z < y used with H_z >= j, and, when j > H_y, every
-      letter z > y left; besides, once position H_y is filled, each y
-      still left adds the letters > y used so far.
-
-    A state's table {(hits, e): count} is packed into one integer as in
-    the row scan of :func:`~qrook.placements.hit_polys`.  At the end mat
-    is n(n - hits) + Area - C(n+1, 2) - sum_i C(d_i, 2) - e and xi is e.
-    This is MacMahon's inversion count for the q-multinomial with height
-    thresholds added."""
-    widths, block_heights, _, area, t = _spec_context(spec)
-    if family not in _STAT_KERNELS:
-        raise ValueError(f"unknown statistic family {family!r}")
-    radix = [1]
-    for d in widths:
-        radix.append(radix[-1] * (d + 1))
-    if radix[-1] > HIT_DP_MAX_STATES:
-        raise BudgetExceededError(
-            f"{family} word statistics over widths {widths} need {radix[-1]} position-scan"
-            f" states, past the budget of {HIT_DP_MAX_STATES}"
-        )
-    n = sum(widths)
-    xi = family == "xi"
-    stride = n * (n - 1) // 2 + 1  # e counts position pairs, each at most once
-    # no count exceeds the number of words, n! / prod d_i!
-    width = (math.factorial(n) // math.prod(math.factorial(d) for d in widths)).bit_length()
-    letters = range(t)
-    tables = [0] * radix[-1]
-    tables[0] = 1
-    # the state's index is sum_i used_i * radix_i, so placing letter y adds
-    # radix[y] and every state comes after the states it is reached from;
-    # product() varies its last factor fastest, hence the reversals
-    for index, rev_used in enumerate(itertools.product(*(range(d + 1) for d in reversed(widths)))):
-        used = rev_used[::-1]
-        table = tables[index]
-        j = sum(used)
-        if xi:
-            below = 0  # letters <= y used
-            for y in letters:
-                below += used[y]
-                if block_heights[y] == j:
-                    table <<= (j - below) * (widths[y] - used[y]) * width
-        if j == n:
-            break  # the last state: every letter used
-        j += 1
-        left = [d - u for d, u in zip(widths, used)]
-        counted = used if xi else left
-        later = n - j + 1  # all letters left; the letters z > y left once y is taken off
-        lower_tall = 0  # the counted letters z < y with H_z >= j
-        for y in letters:
-            later -= left[y]
-            if left[y]:
-                slot = lower_tall + (stride if j <= block_heights[y] else later)
-                tables[index + radix[y]] += table << slot * width
-            if block_heights[y] >= j:
-                lower_tall += counted[y]
-    mat_base = None if xi else n * n + area - n * (n + 1) // 2 - sum(d * (d - 1) // 2 for d in widths)
-    return _unpack_hit_table(tables[-1], n, stride, width, mat_base)
-
-
-def lifts(w, widths: Sequence[int]) -> Iterator[Placement]:
-    """All full placements that collapse to the word (block-wise column
-    assignments in every order).  An enumeration oracle: it yields
-    prod d_i! placements."""
-    letters = _letters(w)
-    widths = tuple(int(d) for d in widths)
-    rows_by_block = _block_rows(letters, len(widths))
-    col_ranges = []
-    lo = 1
-    for d in widths:
-        col_ranges.append(range(lo, lo + d))
-        lo += d
-    for assignment in itertools.product(
-        *(itertools.permutations(cols) for cols in col_ranges)
-    ):
-        sigma = [0] * len(letters)
-        for rows, cols in zip(rows_by_block, assignment):
-            for row, col in zip(rows, cols):
-                sigma[row - 1] = col
-        yield Placement.from_permutation(sigma)
+# the generating polynomials of mat_word and xi_word, indexed by hits: the
+# dynamic program that the mat/xi hit polynomials are built on
+word_stat_polys = placements.word_stat_polys
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,12 @@ Conventions (matrix coordinates, row 1 on top):
   exactly k rooks on the board, either by the crossing statistic
   (``mat``), by the circle statistic (``xi``), or extracted from the
   rook polynomials through the defining product identity.  ``hit_polys``
-  sums ``mat`` and ``xi`` over the n! permutations by a dynamic program
-  over rows whose state is the set of used columns, 2^n states in all;
-  the tests keep the permutation walk over ``mat_stat``/``xi_stat`` as
-  its oracle.
+  gets ``mat`` and ``xi`` from the word tables of the board's maximal
+  step decomposition times the block factorials; ``word_stat_polys``
+  computes those tables by a dynamic program over word positions whose
+  state is the vector of letters used, prod (d_i + 1) states in all.
+  The tests keep the walks over every permutation (``mat_stat`` /
+  ``xi_stat``) and over every word as its oracles.
 
 The statistic kernels work on plain tuples for speed; the public
 functions accept :class:`Placement` values and validate their inputs.
@@ -30,12 +32,13 @@ partitioned across workers freely.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .boards import FerrersBoard
+from .boards import FerrersBoard, StepSpec, step_decomposition
 from .qpoly import BivariatePoly, LaurentPoly, q_bracket, q_factorial
 
 
@@ -306,7 +309,9 @@ def rook_poly(board: FerrersBoard, k: int) -> LaurentPoly:
 
 HIT_METHODS = ("mat", "xi", "defining")
 
-# the mat/xi row scan keeps one table per set of used columns, 2^n in all
+# the position scan keeps one table per vector of letters used, prod (d_i + 1)
+# over the blocks of a step spec: 2^n on a board of n distinct heights, n + 1
+# on a board of one height
 HIT_DP_MAX_STATES = 2**14
 
 
@@ -319,25 +324,24 @@ class BudgetExceededError(ValueError):
 def hit_polys(board: FerrersBoard, method: str = "mat") -> tuple[LaurentPoly, ...]:
     """All hit polynomials T_0..T_n of an admissible board at once.
 
-    ``mat`` and ``xi`` sum their statistic over all n! permutations by a
-    dynamic program over rows with 2^n states, and raise
-    ``BudgetExceededError`` past ``HIT_DP_MAX_STATES`` of them.
+    ``mat`` and ``xi`` are the block factorials times the word tables of
+    the board's maximal step decomposition,
+    T_k(B) = prod_i [d_i]! W_k(step_decomposition(B)): each word lifts to
+    prod_i d_i! full placements with the hits of the word, and within a
+    block these differ from the canonical lift by inversions.  They raise
+    ``BudgetExceededError`` where :func:`word_stat_polys` does.
     ``defining`` expands the rook polynomials, in polynomial time."""
     if not board.admissible:
         raise ValueError("hit polynomials need an admissible board")
     if method not in HIT_METHODS:
         raise ValueError(f"unknown hit method {method!r}")
-    n = board.n
     if method in ("mat", "xi"):
-        if 2**n > HIT_DP_MAX_STATES:
-            raise BudgetExceededError(
-                f"{method} hit polynomials of a board with {n} columns need 2^{n} = {2**n}"
-                f" row-scan states, past the budget of {HIT_DP_MAX_STATES};"
-                " the defining method has no such limit"
-            )
-        return _hit_polys_by_rows(board.heights, method)
+        spec = step_decomposition(board)
+        factorials = _widths_factorial(spec)
+        return tuple(factorials * w for w in word_stat_polys(spec, method))
     # defining identity: sum_j [j]! R_{n-j} prod_{i=j+1}^{n} (x - q^i), a
     # polynomial in x (z here) whose x^k coefficient is T_k, in Horner form
+    n = board.n
     acc = BivariatePoly.zero()
     for j in range(n + 1):
         acc = acc * BivariatePoly({(0, 1): 1, (j, 0): -1}) + BivariatePoly.from_laurent(
@@ -346,67 +350,93 @@ def hit_polys(board: FerrersBoard, method: str = "mat") -> tuple[LaurentPoly, ..
     return tuple(acc.coefficient(k) for k in range(n + 1))
 
 
-def _on_board_columns(heights: tuple[int, ...], row: int) -> int:
-    """Bitmask of the columns where a rook in this row is a hit: bit c - 1
-    is set when row <= h(c)."""
-    return sum(1 << i for i, h in enumerate(heights) if row <= h)
+def _widths_factorial(spec: StepSpec) -> LaurentPoly:
+    """prod_i [d_i]! over the block widths: the lifts of one word."""
+    out = LaurentPoly.one()
+    for d in spec.widths:
+        out = out * q_factorial(d)
+    return out
 
 
-def _hit_polys_by_rows(heights: tuple[int, ...], family: str) -> tuple[LaurentPoly, ...]:
-    """T_0..T_n by the mat or xi statistic, placing the rooks of rows 1..n
-    in turn.
+def word_stat_polys(spec: StepSpec, family: str = "mat") -> tuple[LaurentPoly, ...]:
+    """W_0..W_n: the generating polynomials of ``mat_word`` or ``xi_word``
+    over all words with the spec's widths, indexed by hits like
+    :func:`hit_polys`, where the hits of a word are the positions
+    j <= H_(w_j).
 
-    The state after row a is the set of used columns, and every row-pair
-    term of ``_cross_raw`` and ``_xi_raw`` is settled by the state alone.
-    Call a column tall at row a when its height is at least a, so that a
-    rook of row a in a tall column is a hit.  With "unused" meaning left
-    for the later rows, a rook placed in column c of row a adds to e:
+    A dynamic program over positions 1..n, placing one letter per step,
+    whose state is the vector of letters used so far: prod (d_i + 1)
+    states, and ``BudgetExceededError`` past ``HIT_DP_MAX_STATES`` of
+    them.  Within a block the standard lift's crossings add exactly
+    C(d_i, 2) and the regular lift's circles nothing, so both statistics
+    reduce to sums over position pairs j < i of the word, each settled by
+    the state when the earlier or the later letter is placed.  With
+    "left" meaning the letters not yet placed, letter y at position j
+    adds to e:
 
-    * mat: the unused tall columns left of c, and, when the rook is off
-      the board, every unused column right of c;
-    * xi: the used tall columns left of c, and, when the rook is off the
-      board, every unused column right of c; besides, after row a, each
-      unused column c3 with h(c3) = a adds the used columns right of c3.
+    * mat: the letters z < y left with H_z >= j, and, when j > H_y, every
+      letter z > y left;
+    * xi: the letters z < y used with H_z >= j, and, when j > H_y, every
+      letter z > y left; besides, once position H_y is filled, each y
+      still left adds the letters > y used so far.
 
-    The table of a state, {(hits, e): count}, is packed into one integer,
-    a count per ``width`` bits at slot hits * stride + e, so a transition
-    is one shift and one addition.  At the end mat is
-    n(n - hits) + Area - C(n+1, 2) - e and xi is e."""
-    n = len(heights)
-    full = (1 << n) - 1
-    stride = n * (n - 1) // 2 + 1  # e counts row pairs, each at most once
-    width = math.factorial(n).bit_length()  # no count exceeds n!
-    below = [(1 << i) - 1 for i in range(n)]
-    above = [full ^ ((2 << i) - 1) for i in range(n)]
+    A state's table {(hits, e): count} is packed into one integer, a count
+    per ``width`` bits at slot hits * stride + e, so a transition is one
+    shift and one addition.  At the end mat is
+    n(n - hits) + Area - C(n+1, 2) - sum_i C(d_i, 2) - e and xi is e.
+    This is MacMahon's inversion count for the q-multinomial with height
+    thresholds added; the tests keep the walks over every word and every
+    permutation as its oracles."""
+    if not spec.admissible:
+        raise ValueError(f"word lifts need an admissible step spec, not {spec}")
+    if family not in _STAT_KERNELS:
+        raise ValueError(f"unknown statistic family {family!r}")
+    widths, block_heights = spec.widths, spec.block_heights
+    radix = [1]
+    for d in widths:
+        radix.append(radix[-1] * (d + 1))
+    if radix[-1] > HIT_DP_MAX_STATES:
+        raise BudgetExceededError(
+            f"{family} tables over block widths {widths} need {radix[-1]} position-scan"
+            f" states, past the budget of {HIT_DP_MAX_STATES}"
+        )
+    n = sum(widths)
     xi = family == "xi"
-    layer = {0: 1}
-    for a in range(1, n + 1):
-        tall = _on_board_columns(heights, a)
-        nxt: dict[int, int] = {}
-        for used, table in layer.items():
-            free = full ^ used
-            rest = free
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                i = bit.bit_length() - 1
-                unused = free ^ bit
-                slot = ((used if xi else unused) & tall & below[i]).bit_count()
-                if tall & bit:
-                    slot += stride
-                else:
-                    slot += (unused & above[i]).bit_count()
-                state = used | bit
-                nxt[state] = nxt.get(state, 0) + (table << slot * width)
+    stride = n * (n - 1) // 2 + 1  # e counts position pairs, each at most once
+    # no count exceeds the number of words, n! / prod d_i!
+    width = (math.factorial(n) // math.prod(math.factorial(d) for d in widths)).bit_length()
+    letters = range(spec.t)
+    tables = [0] * radix[-1]
+    tables[0] = 1
+    # the state's index is sum_i used_i * radix_i, so placing letter y adds
+    # radix[y] and every state comes after the states it is reached from;
+    # product() varies its last factor fastest, hence the reversals
+    for index, rev_used in enumerate(itertools.product(*(range(d + 1) for d in reversed(widths)))):
+        used = rev_used[::-1]
+        table = tables[index]
+        j = sum(used)
         if xi:
-            for i, h in enumerate(heights):
-                if h == a:
-                    for state in nxt:
-                        if not state >> i & 1:
-                            nxt[state] <<= (state & above[i]).bit_count() * width
-        layer = nxt
-    mat_base = None if xi else n * n + sum(heights) - n * (n + 1) // 2
-    return _unpack_hit_table(layer[full], n, stride, width, mat_base)
+            below = 0  # letters <= y used
+            for y in letters:
+                below += used[y]
+                if block_heights[y] == j:
+                    table <<= (j - below) * (widths[y] - used[y]) * width
+        if j == n:
+            break  # the last state: every letter used
+        j += 1
+        left = [d - u for d, u in zip(widths, used)]
+        counted = used if xi else left
+        later = n - j + 1  # all letters left; the letters z > y left once y is taken off
+        lower_tall = 0  # the counted letters z < y with H_z >= j
+        for y in letters:
+            later -= left[y]
+            if left[y]:
+                slot = lower_tall + (stride if j <= block_heights[y] else later)
+                tables[index + radix[y]] += table << slot * width
+            if block_heights[y] >= j:
+                lower_tall += counted[y]
+    mat_base = None if xi else n * n + spec.area - n * (n + 1) // 2 - sum(d * (d - 1) // 2 for d in widths)
+    return _unpack_hit_table(tables[-1], n, stride, width, mat_base)
 
 
 def _unpack_hit_table(

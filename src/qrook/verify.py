@@ -21,9 +21,12 @@ The checks fall into four groups:
 * the descent/major-index ladder on triangular boards and its multiset
   generalization on block boards; the multiset Mahonian checks and the
   block-board (exc, stat5), (exc, stat6) checks read the position-scan
-  tables of :func:`~qrook.permstat.word_stat_polys` instead of lifting
+  tables of :func:`~qrook.placements.word_stat_polys` instead of lifting
   every word, against q-multinomials and against the (des, maj)
-  distribution of the enumerated words;
+  distribution of the enumerated words.  The ``mat``/``xi`` hit
+  polynomials are the same tables times the block factorials; the
+  hit-method, q = 1, step-formula and maj checks compare them with
+  routes that share no code with the scan;
 * the step-board formulas: the alternating q-binomial expansion and the
   composition expansion (equal to each other and to the enumerated hit
   polynomials on admissible boards), the truncation recurrence that
@@ -55,6 +58,7 @@ from .boards import (
 )
 from .placements import (
     HIT_METHODS,
+    _widths_factorial,
     classical_hit_distribution,
     factorization_check,
     hit_polys,
@@ -254,13 +258,6 @@ def corollary3_check(v: Sequence[int]) -> bool:
 # ---------------------------------------------------------------------------
 # Step-board formulas
 # ---------------------------------------------------------------------------
-
-
-def _widths_factorial(spec: StepSpec) -> LaurentPoly:
-    out = LaurentPoly.one()
-    for d in spec.widths:
-        out = out * q_factorial(d)
-    return out
 
 
 def darga_target(spec: StepSpec, k: int) -> int:

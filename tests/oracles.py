@@ -89,6 +89,21 @@ def word_stat_polys_by_words(spec: StepSpec, family: str) -> tuple[LaurentPoly, 
     return tuple(LaurentPoly(c) for c in counts)
 
 
+def lifts(w, widths) -> list[Placement]:
+    """All full placements that collapse to the word, prod d_i! of them:
+    the rows holding letter i take the columns of block i in every order."""
+    blocks = []
+    lo = 0
+    for i, d in enumerate(widths, start=1):
+        rows = [row for row, letter in enumerate(w, start=1) if letter == i]
+        blocks.append([list(zip(rows, cols)) for cols in itertools.permutations(range(lo + 1, lo + d + 1))])
+        lo += d
+    return [
+        Placement.from_cells(cell for block in choice for cell in block)
+        for choice in itertools.product(*blocks)
+    ]
+
+
 def rook_poly_by_cells(heights: tuple[int, ...], k: int) -> LaurentPoly:
     """q-rook polynomial of any Ferrers board by trying every k-set of
     cells: a non-attacking set counts q^(uncovered squares), where a

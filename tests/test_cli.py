@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from qrook import ffmat, placements, verify
 from qrook.cli import main
 from qrook.permstat import des, exc, joint_distribution, maj, stat7, words_over
-from qrook.qpoly import LaurentPoly
+from qrook.qpoly import LaurentPoly, q_factorial
 
 from oracles import stirling2_closed
 
@@ -98,13 +98,13 @@ class TestHit:
         assert polys["defining"] == polys["eq24"]
 
     def test_all_methods_consistent_beyond_enumeration(self):
-        # 12! permutations; the mat/xi row scan has 2^12 states
+        # 12! permutations; the mat/xi position scan has 2^12 states
         result = run("hit", "--board", "stair:12", "--method", "all", "--format", "text")
         assert result.exit_code == 0
         assert result.output.splitlines()[-1] == "CONSISTENT"
 
     def test_row_scan_at_its_state_budget(self):
-        # stair:14 needs 2^14 states, exactly the budget
+        # stair:14 has fourteen blocks of width 1: 2^14 states, exactly the budget
         n = placements.HIT_DP_MAX_STATES.bit_length() - 1
         result = run("hit", "--board", f"stair:{n}", "--k", str(n), "--method", "xi")
         assert result.exit_code == 0
@@ -116,10 +116,19 @@ class TestHit:
             result = run("hit", "--board", f"stair:{n}", "--method", method)
             assert result.exit_code == 2
             assert result.output == (
-                f"error: mat hit polynomials of a board with {n} columns need 2^{n} = {2**n}"
-                f" row-scan states, past the budget of {placements.HIT_DP_MAX_STATES}; the defining method has"
-                " no such limit\n"
+                f"error: mat tables over block widths {(1,) * n} need {2**n} position-scan"
+                f" states, past the budget of {placements.HIT_DP_MAX_STATES}\n"
             )
+
+    def test_full_board_past_the_subset_budget(self):
+        # 16 columns of one height: one block, 17 position-scan states; the
+        # only full placement puts all 16 rooks on the board
+        result = run("hit", "--board", "heights:" + ",".join(["16"] * 16), "--method", "mat")
+        assert result.exit_code == 0
+        rows = [json.loads(line) for line in result.output.splitlines()]
+        assert [row["k"] for row in rows] == list(range(17))
+        assert all(row["coeffs"] == [] for row in rows[:16])
+        assert LaurentPoly.from_dense_dict(rows[16]) == q_factorial(16)
 
     def test_all_methods_consistent(self):
         result = run("hit", "--board", "tri:3", "--method", "all", "--format", "text")
@@ -240,6 +249,12 @@ class TestMatrices:
 
     def test_non_prime(self):
         assert run("matrices", "--board", "tri:2", "--prime", "6").exit_code == 2
+
+    def test_negative_prime_is_not_prime_before_the_budget(self):
+        # (-100000)^2 would overrun the enumeration budget
+        result = run("matrices", "--board", "heights:1,1", "--prime", "-100000")
+        assert result.exit_code == 2
+        assert result.output == "error: -100000 is not prime\n"
 
 
 class TestVerify:

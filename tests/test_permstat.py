@@ -24,7 +24,6 @@ from qrook.permstat import (
     is_block_regular,
     is_block_standard,
     joint_distribution,
-    lifts,
     maj,
     mat_word,
     parse_word,
@@ -41,11 +40,12 @@ from qrook.permstat import (
     words_over,
     xi_word,
 )
+from qrook import placements
 from qrook.placements import HIT_DP_MAX_STATES, BudgetExceededError, Placement, mat_stat, xi_stat
 from qrook.qpoly import LaurentPoly, q_factorial, q_multinomial
 from qrook.verify import _exc_block_joint
 
-from oracles import word_stat_polys_by_words
+from oracles import lifts, word_stat_polys_by_words
 
 
 def compositions_upto(total):
@@ -365,12 +365,20 @@ class TestWordStatPolys:
         for family, stat in (("mat", stat5), ("xi", stat6)):
             assert _exc_block_joint(v, family) == joint_distribution(words, exc, lambda w: stat(w, v))
 
+    def test_is_the_hit_polynomial_dp(self):
+        # one dynamic program serves the word tables and the mat/xi hit tables
+        assert word_stat_polys is placements.word_stat_polys
+
     def test_state_budget(self):
         # fifteen singleton blocks need 2^15 states, the first count past 2^14
         spec = StepSpec(((0, 1),) * 15)
         for family in ("mat", "xi"):
-            with pytest.raises(BudgetExceededError, match="32768 position-scan states"):
+            with pytest.raises(BudgetExceededError) as raised:
                 word_stat_polys(spec, family)
+            assert str(raised.value) == (
+                f"{family} tables over block widths {(1,) * 15} need 32768 position-scan states,"
+                f" past the budget of {HIT_DP_MAX_STATES}"
+            )
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError, match="unknown statistic family"):

@@ -256,8 +256,9 @@ def assert_four_hit_routes_agree(board):
 
 
 class TestHitRowScan:
-    """The mat/xi row scan against the permutation walk, and the four hit
-    routes against each other past the walk's reach."""
+    """The mat/xi tables, the word tables of the maximal step decomposition
+    times the block factorials, against the permutation walk, and the four
+    hit routes against each other past the walk's reach."""
 
     @pytest.mark.parametrize("n", range(6))
     def test_matches_the_permutation_walk(self, n):
@@ -282,13 +283,30 @@ class TestHitRowScan:
         n = len(raw)
         assert_four_hit_routes_agree(board_from_heights(sorted(min(h, n) for h in raw)))
 
+    @pytest.mark.parametrize(
+        "heights",
+        [
+            # one block of 16: 17 states where a scan over column subsets needs 2^16
+            (16,) * 16,
+            # four blocks of width 5: 6^4 states against 2^20
+            (3,) * 5 + (8,) * 5 + (12,) * 5 + (20,) * 5,
+        ],
+    )
+    def test_routes_agree_past_the_subset_budget(self, heights):
+        assert 2 ** len(heights) > HIT_DP_MAX_STATES
+        assert_four_hit_routes_agree(board_from_heights(heights))
+
     def test_state_budget(self):
         # the first board past the budget; the defining route has no such limit
         n = HIT_DP_MAX_STATES.bit_length()
         big = staircase_board(n)
         for family in ("mat", "xi"):
-            with pytest.raises(BudgetExceededError, match=rf"2\^{n} = {2**n} row-scan states"):
+            with pytest.raises(BudgetExceededError) as raised:
                 hit_polys(big, family)
+            assert str(raised.value) == (
+                f"{family} tables over block widths {(1,) * n} need {2**n} position-scan states,"
+                f" past the budget of {HIT_DP_MAX_STATES}"
+            )
         assert sum(t.evaluate(1) for t in hit_polys(big, "defining")) == math.factorial(n)
 
 

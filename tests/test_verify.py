@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from qrook import ffmat, permstat, placements, verify
+from qrook import ffmat, placements, verify
 from qrook.boards import (
     StepSpec,
     all_ferrers_boards,
@@ -348,13 +348,20 @@ class TestFailuresStayInTheSuite:
 
     def test_wrong_hit_count(self, monkeypatch):
         # the q=1 hit numbers come from the rook numbers, not from the
-        # mat/xi row scan, so a wrong hit count in the scan cannot hide there
+        # mat/xi position scan, so a wrong hit count in the scan cannot hide
+        # there: here the scan files every placement under zero hits
+        real = placements._unpack_hit_table
+
+        def unpack(packed, n, stride, width, mat_base):
+            table = real(packed, n, stride, width, mat_base)
+            return (sum(table, LaurentPoly.zero()),) + (LaurentPoly.zero(),) * n
+
         caches = (placements.hit_polys, placements.classical_hit_distribution)
         for cached in caches:
             cached.cache_clear()
         try:
             with monkeypatch.context() as patch:
-                patch.setattr(placements, "_on_board_columns", lambda heights, row: 0)
+                patch.setattr(placements, "_unpack_hit_table", unpack)
                 code, lines = self.verify_lines("hit", 2)
         finally:
             for cached in caches:
@@ -364,15 +371,20 @@ class TestFailuresStayInTheSuite:
         assert len(lines) == len(self.verify_lines("hit", 2)[1])
 
     def wrong_word_statistic(self, monkeypatch, suite):
-        # every mat value of the position scan comes out one too high
-        real = permstat._unpack_hit_table
+        # every mat value of the position scan comes out one too high; the
+        # mat hit polynomials share the scan, so their cache is emptied too
+        real = placements._unpack_hit_table
 
         def unpack(packed, n, stride, width, mat_base):
             return real(packed, n, stride, width, None if mat_base is None else mat_base + 1)
 
-        with monkeypatch.context() as patch:
-            patch.setattr(permstat, "_unpack_hit_table", unpack)
-            code, lines = self.verify_lines(suite, 2)
+        placements.hit_polys.cache_clear()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(placements, "_unpack_hit_table", unpack)
+                code, lines = self.verify_lines(suite, 2)
+        finally:
+            placements.hit_polys.cache_clear()
         assert code == 1
         assert len(lines) == len(self.verify_lines(suite, 2)[1])
         return [line for line in lines if line.startswith("FAIL ")]
@@ -383,11 +395,20 @@ class TestFailuresStayInTheSuite:
         assert all(line.startswith("FAIL mat-multiset-mahonian ") for line in fails)
 
     def test_wrong_block_statistic(self, monkeypatch):
-        # stat5 and its reflected form read the mat tables of the block board
+        # stat5 and its reflected form read the mat tables of the block board;
+        # the euler ladder and the block-board maj check read the mat hit
+        # polynomials, which are those tables times the block factorials
         fails = self.wrong_word_statistic(monkeypatch, "euler")
         assert "FAIL stat5-euler-mahonian v=1" in fails
         assert all(
-            line.startswith(("FAIL stat5-euler-mahonian ", "FAIL reflected-block-euler-mahonian "))
+            line.startswith(
+                (
+                    "FAIL stat5-euler-mahonian ",
+                    "FAIL reflected-block-euler-mahonian ",
+                    "FAIL euler-ladder ",
+                    "FAIL block-board-maj ",
+                )
+            )
             for line in fails
         )
 
