@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 
@@ -76,6 +77,8 @@ class StepSpec:
     may present the same board (a block may repeat the previous height
     via h_i = 0), and the block structure itself is meaningful: words
     and their canonical rook-placement lifts are defined per block.
+    The block data (widths, heights, offsets, n, area) is computed once
+    per spec, on first use.
     """
 
     steps: tuple[tuple[int, int], ...]
@@ -92,29 +95,25 @@ class StepSpec:
     def t(self) -> int:
         return len(self.steps)
 
-    @property
-    def rises(self) -> tuple[int, ...]:
-        return tuple(h for h, _ in self.steps)
-
-    @property
+    @cached_property
     def widths(self) -> tuple[int, ...]:
         return tuple(d for _, d in self.steps)
 
-    @property
+    @cached_property
     def n(self) -> int:
         return sum(self.widths)
 
-    @property
+    @cached_property
     def block_heights(self) -> tuple[int, ...]:
         """Partial sums H_i = h_1 + ... + h_i."""
-        return tuple(itertools.accumulate(self.rises))
+        return tuple(itertools.accumulate(h for h, _ in self.steps))
 
-    @property
+    @cached_property
     def col_offsets(self) -> tuple[int, ...]:
         """Partial sums D_i = d_1 + ... + d_i."""
         return tuple(itertools.accumulate(self.widths))
 
-    @property
+    @cached_property
     def area(self) -> int:
         return sum(d * H for d, H in zip(self.widths, self.block_heights))
 

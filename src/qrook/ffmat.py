@@ -69,14 +69,39 @@ class FfMatrix:
         )
 
 
+# Miller-Rabin with the prime bases up to 41 decides primality exactly below
+# this bound (Sorenson and Webster, strong pseudoprimes to twelve prime bases)
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin test, in O(log p) modular products per
+    base.  Raises ``BudgetExceededError`` at or above MILLER_RABIN_BOUND,
+    where these bases are not known to decide."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if p >= MILLER_RABIN_BOUND:
+        raise BudgetExceededError(
+            f"cannot decide whether {p} is prime: the Miller-Rabin test here is"
+            f" exact only below {MILLER_RABIN_BOUND}"
+        )
+    for a in MILLER_RABIN_BASES:
+        if p % a == 0:
+            return p == a
+    # p - 1 = d * 2^s with d odd
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    d = (p - 1) >> s
+    for a in MILLER_RABIN_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -96,7 +121,7 @@ def enumerate_support_matrices(board: FerrersBoard, p: int) -> Iterator[tuple[Ff
         raise ValueError(f"{p} is not prime")
     area = board.area
     total = p**area
-    # the budget next: it is O(1), the primality test O(sqrt p)
+    # the budget next: it is O(1), the primality test O(log p) products
     if total > DEFAULT_BUDGET:
         raise BudgetExceededError(
             f"p^Area = {p}^{area} = {total} exceeds the enumeration budget {DEFAULT_BUDGET}"

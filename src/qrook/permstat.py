@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .boards import StepSpec, g_spec
+from .boards import FerrersBoard, StepSpec, g_spec
 from . import placements
 from .placements import _STAT_KERNELS, Placement, _hits, _mat_raw
 
@@ -187,13 +187,13 @@ def _block_rows(letters: tuple[int, ...], t: int) -> list[list[int]]:
 
 
 @lru_cache(maxsize=None)
-def _spec_context(spec: StepSpec) -> tuple:
-    """(widths, block heights, column heights, area, t) — hoisted out of the
-    per-word statistic loops.  Lifts need the board inside the grid."""
+def _spec_context(spec: StepSpec) -> FerrersBoard:
+    """The expanded board, built once per spec for the per-word statistic
+    loops.  Lifts need the board inside the grid."""
     board = spec.expand()
     if not board.admissible:
         raise ValueError(f"word lifts need an admissible step spec, not {spec}")
-    return spec.widths, spec.block_heights, board.heights, board.area, spec.t
+    return board
 
 
 def _lift_sigma(letters: tuple[int, ...], spec: StepSpec, family: str) -> tuple[tuple[int, ...], int]:
@@ -204,11 +204,11 @@ def _lift_sigma(letters: tuple[int, ...], spec: StepSpec, family: str) -> tuple[
     # rest, both descending.  Returns the lift and its hit count: every
     # column of a block has the block height, so the on-board rows are
     # exactly the hits.
-    widths, block_heights, _, _, t = _spec_context(spec)
+    _spec_context(spec)  # validates the spec
     regular = family == "xi"
     sigma = [0] * len(letters)
     lo, hits = 1, 0
-    for rows, H, d in zip(_block_rows(letters, t), block_heights, widths):
+    for rows, H, d in zip(_block_rows(letters, spec.t), spec.block_heights, spec.widths):
         if len(rows) != d:
             raise ValueError("word multiset does not match the block widths")
         split = bisect_right(rows, H)
@@ -225,9 +225,8 @@ def _lift_sigma(letters: tuple[int, ...], spec: StepSpec, family: str) -> tuple[
 
 def _lift_stat(letters: tuple[int, ...], spec: StepSpec, family: str) -> int:
     """The family's statistic of the family's canonical lift."""
-    _, _, heights, area, _ = _spec_context(spec)
     sigma, hits = _lift_sigma(letters, spec, family)
-    return _STAT_KERNELS[family](sigma, heights, area, hits)
+    return _STAT_KERNELS[family](sigma, _spec_context(spec).heights, spec.area, hits)
 
 
 def b_standard_graph(w, spec: StepSpec) -> Placement:
@@ -357,8 +356,7 @@ def _block_context(w, v: Sequence[int]) -> tuple[tuple[int, ...], StepSpec, int]
     shift n*exc - Area that every block statistic adds."""
     letters = _letters(w)
     spec = g_spec(v)
-    _, _, _, area, _ = _spec_context(spec)
-    return letters, spec, len(letters) * exc(letters) - area
+    return letters, spec, len(letters) * exc(letters) - spec.area
 
 
 def stat5(w, v: Sequence[int]) -> int:
@@ -381,9 +379,9 @@ def stat7(w, v: Sequence[int]) -> int:
     preserves the excedence count, so pairing with exc keeps the joint
     distribution."""
     letters, spec, shift = _block_context(w, v)
-    _, _, rev_heights, rev_area, _ = _spec_context(g_spec(reversed(spec.widths)))
+    rev = _spec_context(g_spec(reversed(spec.widths)))
     reflected = _reflect_sigma(_lift_sigma(letters, spec, "mat")[0])
-    return shift + _mat_raw(reflected, rev_heights, rev_area, _hits(reflected, rev_heights))
+    return shift + _mat_raw(reflected, rev.heights, rev.area, _hits(reflected, rev.heights))
 
 
 # ---------------------------------------------------------------------------

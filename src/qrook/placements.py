@@ -352,10 +352,7 @@ def hit_polys(board: FerrersBoard, method: str = "mat") -> tuple[LaurentPoly, ..
 
 def _widths_factorial(spec: StepSpec) -> LaurentPoly:
     """prod_i [d_i]! over the block widths: the lifts of one word."""
-    out = LaurentPoly.one()
-    for d in spec.widths:
-        out = out * q_factorial(d)
-    return out
+    return math.prod((q_factorial(d) for d in spec.widths), start=LaurentPoly.one())
 
 
 def word_stat_polys(spec: StepSpec, family: str = "mat") -> tuple[LaurentPoly, ...]:
@@ -445,17 +442,19 @@ def _unpack_hit_table(
     """T_0..T_n from a table {(hits, e): count} packed a count per ``width``
     bits at slot hits * stride + e.  The exponent is e itself, or
     mat_base - n * hits - e when ``mat_base`` is given."""
-    counts: list[dict[int, int]] = [dict() for _ in range(n + 1)]
-    mask = (1 << width) - 1
-    slot = 0
-    while packed:
-        count = packed & mask
-        if count:
-            hits, e = divmod(slot, stride)
-            counts[hits][e if mat_base is None else mat_base - n * hits - e] = count
-        packed >>= width
-        slot += 1
-    return tuple(LaurentPoly(c) for c in counts)
+    mask, row_bits = (1 << width) - 1, stride * width
+    polys = []
+    for hits in range(n + 1):
+        row = (packed >> hits * row_bits) & ((1 << row_bits) - 1)
+        counts = []  # by e
+        while row:
+            counts.append(row & mask)
+            row >>= width
+        if mat_base is None:
+            polys.append(LaurentPoly.dense(0, counts))
+        else:
+            polys.append(LaurentPoly.dense(mat_base - n * hits - len(counts) + 1, counts[::-1]))
+    return tuple(polys)
 
 
 @lru_cache(maxsize=None)

@@ -6,8 +6,10 @@ the factors 1 - q^i, as running sums) checks that it leaves no
 remainder.  All values are immutable after construction and every
 function is pure, so the whole module is safe for concurrent use.
 
-The main value type is :class:`LaurentPoly`, a sparse polynomial in q
-allowing negative exponents.  On top of it live the q-bracket
+The main value type is :class:`LaurentPoly`, a polynomial in q allowing
+negative exponents, stored as its lowest exponent and the coefficients
+from there up to the highest, zeros included: the paper's polynomials
+have no gaps in their exponents.  On top of it live the q-bracket
 [k] = (1-q^k)/(1-q), q-factorials, q-binomials (with the standard
 extension to negative numerators), q-multinomials, q-Stirling numbers of
 the second kind, and the symmetry/unimodality analyzer ``zsu_check``.
@@ -21,7 +23,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
+from operator import add
+from typing import Iterable, Mapping, Sequence
 
 
 class IdentityViolation(Exception):
@@ -33,20 +36,20 @@ class IdentityViolation(Exception):
 class LaurentPoly:
     """A Laurent polynomial in q with integer coefficients.
 
-    Stored sparsely as exponent -> coefficient with no zero
-    coefficients retained (canonical form).  The zero polynomial has an
-    empty coefficient map.
+    Stored densely as min_exp and the coefficients of q^min_exp, ...,
+    q^max_exp, a list whose first and last entries are nonzero (canonical
+    form); zero is min_exp 0 and the empty list.  The list is never
+    mutated, so polynomials share it.  Not a tuple: short-lived products
+    fill CPython's free lists of short tuples, which raised the peak
+    memory of the verification suites by a seventh.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_lo", "_coeffs")
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
-        data = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                if c:
-                    data[int(e)] = int(c)
-        self._coeffs = data
+        terms = {int(e): int(c) for e, c in coeffs.items() if c} if coeffs else {}
+        lo, hi = min(terms, default=0), max(terms, default=-1)
+        self._lo, self._coeffs = lo, [terms.get(e, 0) for e in range(lo, hi + 1)]
 
     # -- constructors -----------------------------------------------------
 
@@ -64,10 +67,20 @@ class LaurentPoly:
         return LaurentPoly({exp: coeff})
 
     @staticmethod
+    def dense(min_exp: int, coeffs: Sequence[int]) -> "LaurentPoly":
+        """sum_i coeffs[i] q^(min_exp + i); zeros at either end are dropped."""
+        hi = len(coeffs)
+        while hi and not coeffs[hi - 1]:
+            hi -= 1
+        lo = 0
+        while lo < hi and not coeffs[lo]:
+            lo += 1
+        return _canonical(min_exp + lo, list(coeffs[lo:hi])) if hi else _ZERO
+
+    @staticmethod
     def from_dense_dict(obj: Mapping) -> "LaurentPoly":
         """Inverse of :meth:`to_dense_dict`."""
-        lo = int(obj["min_exp"])
-        return LaurentPoly({lo + i: c for i, c in enumerate(obj["coeffs"])})
+        return LaurentPoly.dense(int(obj["min_exp"]), [int(c) for c in obj["coeffs"]])
 
     # -- basic queries ----------------------------------------------------
 
@@ -79,31 +92,29 @@ class LaurentPoly:
     def min_exp(self) -> int:
         if not self._coeffs:
             raise ValueError("zero polynomial has no minimum exponent")
-        return min(self._coeffs)
+        return self._lo
 
     @property
     def max_exp(self) -> int:
         if not self._coeffs:
             raise ValueError("zero polynomial has no maximum exponent")
-        return max(self._coeffs)
+        return self._lo + len(self._coeffs) - 1
 
     def coefficient(self, exp: int) -> int:
-        return self._coeffs.get(exp, 0)
+        i = exp - self._lo
+        return self._coeffs[i] if 0 <= i < len(self._coeffs) else 0
 
-    def items(self):
-        return self._coeffs.items()
+    def items(self) -> list[tuple[int, int]]:
+        """The nonzero (exponent, coefficient) pairs, exponents ascending."""
+        return [(e, c) for e, c in enumerate(self._coeffs, self._lo) if c]
 
     def dense_coeffs(self) -> tuple[int, list[int]]:
         """(min_exp, dense coefficient list up to max_exp); (0, []) if zero."""
-        if not self._coeffs:
-            return 0, []
-        lo, hi = self.min_exp, self.max_exp
-        return lo, [self._coeffs.get(e, 0) for e in range(lo, hi + 1)]
+        return self._lo, list(self._coeffs)
 
     def to_dense_dict(self) -> dict:
         """Wire form: {"min_exp": m, "coeffs": [...]} with a nonzero last entry."""
-        lo, dense = self.dense_coeffs()
-        return {"min_exp": lo, "coeffs": dense}
+        return {"min_exp": self._lo, "coeffs": list(self._coeffs)}
 
     # -- ring operations --------------------------------------------------
 
@@ -112,28 +123,26 @@ class LaurentPoly:
             other = LaurentPoly.monomial(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        data = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            s = data.get(e, 0) + c
-            if s:
-                data[e] = s
-            else:
-                data.pop(e, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._coeffs = data
-        return out
+        a, b = self._coeffs, other._coeffs
+        if not b:
+            return self
+        if not a:
+            return other
+        lo = min(self._lo, other._lo)
+        out = [0] * (max(self._lo + len(a), other._lo + len(b)) - lo)
+        i = self._lo - lo
+        out[i : i + len(a)] = a
+        j = other._lo - lo
+        out[j : j + len(b)] = map(add, out[j : j + len(b)], b)
+        return LaurentPoly.dense(lo, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._coeffs = {e: -c for e, c in self._coeffs.items()}
-        return out
+        return _canonical(self._lo, [-c for c in self._coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.monomial(other)
-        if not isinstance(other, LaurentPoly):
+        if not isinstance(other, (int, LaurentPoly)):
             return NotImplemented
         return self + (-other)
 
@@ -144,26 +153,21 @@ class LaurentPoly:
         if isinstance(other, int):
             if other == 0:
                 return _ZERO
-            out = LaurentPoly.__new__(LaurentPoly)
-            out._coeffs = {e: c * other for e, c in self._coeffs.items()}
-            return out
+            return _canonical(self._lo, [c * other for c in self._coeffs])
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         a, b = self._coeffs, other._coeffs
+        if not a or not b:
+            return _ZERO
         if len(a) > len(b):
             a, b = b, a
-        data: dict[int, int] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = ea + eb
-                s = data.get(e, 0) + ca * cb
-                if s:
-                    data[e] = s
-                else:
-                    del data[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._coeffs = data
-        return out
+        # the ends are products of nonzero ints, so the result is canonical
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            if ca:
+                for j, cb in enumerate(b, i):
+                    out[j] += ca * cb
+        return _canonical(self._lo + other._lo, out)
 
     __rmul__ = __mul__
 
@@ -181,35 +185,29 @@ class LaurentPoly:
 
     def shifted(self, s: int) -> "LaurentPoly":
         """Multiply by q^s."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._coeffs = {e + s: c for e, c in self._coeffs.items()}
-        return out
+        return _canonical(self._lo + s, self._coeffs) if self._coeffs else _ZERO
 
     def subs_q_inverse(self) -> "LaurentPoly":
         """Substitute q -> 1/q (negate every exponent)."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._coeffs = {-e: c for e, c in self._coeffs.items()}
-        return out
+        return _canonical(-self.max_exp, self._coeffs[::-1]) if self._coeffs else _ZERO
 
     def evaluate(self, value):
         """Evaluate at q = value exactly (int or Fraction); ints stay ints."""
-        acc = Fraction(0)
         v = Fraction(value)
-        for e, c in self._coeffs.items():
-            acc += c * v ** e
+        acc = sum(c * v**e for e, c in self.items())
         return int(acc) if acc.denominator == 1 else acc
 
     # -- comparisons / hashing --------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, int):
-            return self._coeffs == ({0: other} if other else {})
+            return self._lo == 0 and self._coeffs == ([other] if other else [])
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._lo == other._lo and self._coeffs == other._coeffs
 
     def __hash__(self):
-        return hash(frozenset(self._coeffs.items()))
+        return hash((self._lo, tuple(self._coeffs)))
 
     def __bool__(self):
         return bool(self._coeffs)
@@ -220,8 +218,7 @@ class LaurentPoly:
         if not self._coeffs:
             return "0"
         parts = []
-        for e in sorted(self._coeffs):
-            c = self._coeffs[e]
+        for e, c in self.items():
             if e == 0:
                 body = str(abs(c))
             else:
@@ -235,6 +232,13 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({self})"
+
+
+def _canonical(lo: int, coeffs: list[int]) -> LaurentPoly:
+    """The polynomial of a coefficient list already in canonical form."""
+    out = LaurentPoly.__new__(LaurentPoly)
+    out._lo, out._coeffs = lo, coeffs
+    return out
 
 
 _ZERO = LaurentPoly()
@@ -349,8 +353,8 @@ def q_bracket(k: int) -> LaurentPoly:
     -(q^-1 + q^-2 + ... + q^k).
     """
     if k >= 0:
-        return LaurentPoly({i: 1 for i in range(k)})
-    return LaurentPoly({i: -1 for i in range(k, 0)})
+        return LaurentPoly.dense(0, [1] * k)
+    return LaurentPoly.dense(k, [-1] * -k)
 
 
 @lru_cache(maxsize=None)
@@ -391,7 +395,7 @@ def q_binomial(m: int, k: int) -> LaurentPoly:
     top = k * (m - k)
     if any(coeffs[top + 1 :]):
         raise IdentityViolation(f"[{m}, {k}] left a remainder above degree {top}")
-    return LaurentPoly(dict(enumerate(coeffs[: top + 1])))
+    return LaurentPoly.dense(0, coeffs[: top + 1])
 
 
 def q_multinomial(v: Iterable[int]) -> LaurentPoly:
@@ -437,29 +441,24 @@ def darga(f: LaurentPoly) -> int:
 
 def is_symmetric(f: LaurentPoly) -> bool:
     """Palindromic coefficient sequence (vacuously true for zero)."""
-    if f.is_zero:
-        return True
-    _, dense = f.dense_coeffs()
-    return dense == dense[::-1]
+    return f._coeffs == f._coeffs[::-1]
 
 
 def is_unimodal(f: LaurentPoly) -> bool:
     """Dense coefficients rise then fall (zeros in the middle count)."""
-    if f.is_zero:
-        return True
-    _, dense = f.dense_coeffs()
+    dense = f._coeffs
     i = 0
     while i + 1 < len(dense) and dense[i] <= dense[i + 1]:
         i += 1
     while i + 1 < len(dense) and dense[i] >= dense[i + 1]:
         i += 1
-    return i == len(dense) - 1
+    return i >= len(dense) - 1
 
 def zsu_check(f: LaurentPoly, d: int) -> bool:
     """True iff f is zero, or nonnegative, symmetric, unimodal with darga d."""
     if f.is_zero:
         return True
-    if any(c < 0 for _, c in f.items()):
+    if any(c < 0 for c in f._coeffs):
         return False
     return is_symmetric(f) and is_unimodal(f) and darga(f) == d
 
@@ -473,4 +472,4 @@ def zsu_atom(d: int, i: int) -> LaurentPoly:
     """
     if not (2 * i >= d >= 0 and i <= d):
         raise ValueError("atom needs d/2 <= i <= d")
-    return LaurentPoly({e: 1 for e in range(d - i, i + 1)})
+    return LaurentPoly.dense(d - i, [1] * (2 * i - d + 1))

@@ -199,9 +199,10 @@ def maj_by_des(words) -> dict[int, LaurentPoly]:
     buckets: dict[int, dict[int, int]] = {}
     for w in words:
         d, m = permstat.des(w), permstat.maj(w)
-        buckets.setdefault(d, {})
-        buckets[d][m] = buckets[d].get(m, 0) + 1
-    return {d: LaurentPoly(c) for d, c in buckets.items()}
+        bucket = buckets.setdefault(d, {})
+        bucket[m] = bucket.get(m, 0) + 1
+    # maj >= 0, so each bucket is the dense run 0..max(maj)
+    return {d: LaurentPoly.dense(0, [c.get(m, 0) for m in range(max(c) + 1)]) for d, c in buckets.items()}
 
 
 def euler_ladder_check(n: int) -> bool:
@@ -234,9 +235,7 @@ def g_identity_check(v: Sequence[int]) -> bool:
     board = g_board(v)
     t = hit_polys(board, "mat")
     dist = maj_by_des(permstat.words_over(v))
-    vfact = LaurentPoly.one()
-    for m in v:
-        vfact = vfact * q_factorial(m)
+    vfact = _widths_factorial(g_spec(v))
     for k in range(n + 1):
         a_k = dist.get(k, LaurentPoly.zero())
         if a_k * vfact != t[k].shifted(n * k - board.area):

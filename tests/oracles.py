@@ -152,3 +152,64 @@ def rank_counts_by_columns(heights: tuple[int, ...], p: int) -> list[int]:
 def stirling2_closed(n: int, k: int) -> int:
     """S(n, k) by inclusion-exclusion over surjections onto k blocks."""
     return sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1)) // math.factorial(k)
+
+
+def is_prime_by_trial_division(p: int) -> bool:
+    """Primality by trial division up to sqrt(p)."""
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
+
+# A sparse Laurent polynomial: {exponent: coefficient}, no zero coefficients.
+
+
+def sparse_add(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Termwise sum, dropping the coefficients that cancel."""
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+        if not out[e]:
+            del out[e]
+    return out
+
+
+def sparse_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Every pair of terms multiplied, the products summed by exponent."""
+    out: dict[int, int] = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def sparse_dense(a: dict[int, int]) -> dict:
+    """The wire form {"min_exp", "coeffs"}: coefficients from the lowest
+    exponent to the highest, zeros included."""
+    if not a:
+        return {"min_exp": 0, "coeffs": []}
+    lo = min(a)
+    return {"min_exp": lo, "coeffs": [a.get(e, 0) for e in range(lo, max(a) + 1)]}
+
+
+def sparse_str(a: dict[int, int]) -> str:
+    """Terms in ascending exponent as [-]c*q^e, joined by + or -, with the
+    coefficient 1 and the exponents 0 and 1 written short."""
+    terms = []
+    for e in sorted(a):
+        c = a[e]
+        power = "" if e == 0 else "q" if e == 1 else f"q^{e}"
+        if not power:
+            body = str(abs(c))
+        elif abs(c) == 1:
+            body = power
+        else:
+            body = f"{abs(c)}*{power}"
+        sign = ("" if c > 0 else "-") if not terms else ("+ " if c > 0 else "- ")
+        terms.append(sign + body)
+    return " ".join(terms) or "0"

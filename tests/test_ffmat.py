@@ -1,8 +1,9 @@
 import random
+import time
 
 import pytest
 from click.testing import CliRunner
-from oracles import rank_counts_by_columns
+from oracles import is_prime_by_trial_division, rank_counts_by_columns
 
 from qrook import ffmat
 from qrook.boards import FerrersBoard, all_ferrers_boards, board_from_heights, staircase_board
@@ -60,7 +61,7 @@ class TestEnumeration:
             list(enumerate_support_matrices(DEF1, 4))
 
     def test_budget_checked_before_primality(self, monkeypatch):
-        # trial division up to sqrt(p) would take seconds at this p
+        # the budget is O(1), so it is checked before any primality test
         def never(p):
             raise AssertionError("primality tested past the budget")
 
@@ -70,6 +71,45 @@ class TestEnumeration:
         result = CliRunner().invoke(main, ["matrices", "--board", "heights:1", "--prime", "100000000000031"])
         assert result.exit_code == 2
         assert "exceeds the enumeration budget" in result.output
+
+
+class TestPrimality:
+    def test_matches_trial_division_below_1e5(self):
+        assert [p for p in range(10**5) if ffmat.is_prime(p)] == [
+            p for p in range(10**5) if is_prime_by_trial_division(p)
+        ]
+
+    def test_large_primes(self):
+        assert ffmat.is_prime(2**61 - 1) and ffmat.is_prime(10**18 + 3)
+        assert not ffmat.is_prime((10**6 + 3) * (2**61 - 1))
+
+    @pytest.mark.parametrize(
+        "p",
+        [3215031751, 3825123056546413051, 318665857834031151167461],
+    )
+    def test_strong_pseudoprimes_are_not_prime(self, p):
+        # strong pseudoprimes to every prime base up to 7, 23 and 37
+        assert not ffmat.is_prime(p)
+        result = CliRunner().invoke(main, ["matrices", "--board", "heights:", "--prime", str(p)])
+        assert result.exit_code == 2
+        assert f"{p} is not prime" in result.output
+
+    def test_undecided_at_the_bound(self):
+        bound = ffmat.MILLER_RABIN_BOUND
+        with pytest.raises(BudgetExceededError, match="cannot decide whether"):
+            ffmat.is_prime(bound)
+        result = CliRunner().invoke(main, ["matrices", "--board", "heights:", "--prime", str(bound + 2)])
+        assert result.exit_code == 2
+        assert "cannot decide whether" in result.output
+
+    def test_zero_area_board_at_a_large_prime(self):
+        start = time.perf_counter()
+        result = CliRunner().invoke(
+            main, ["matrices", "--board", "heights:", "--prime", "1000000000000000003"]
+        )
+        assert time.perf_counter() - start < 1
+        assert result.exit_code == 0
+        assert result.output == "ranks: 1\nTHEOREM1 PASS\n"
 
 
 def sampled_boards(n: int, p: int, max_matrices: int, count: int) -> list:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,14 @@ from qrook.qpoly import (
     zsu_check,
 )
 
-from oracles import partitions_in_box_gf, stirling2
+from oracles import (
+    partitions_in_box_gf,
+    sparse_add,
+    sparse_dense,
+    sparse_mul,
+    sparse_str,
+    stirling2,
+)
 
 
 def poly(d):
@@ -248,3 +257,93 @@ def test_bivariate_coefficient_past_degree_is_zero():
 def test_bivariate_delta_of_monomial(k):
     # delta(z^k) = [k] z^(k-1), and delta(1) = 0
     assert BivariatePoly({(0, k): 1}).delta() == BivariatePoly.from_laurent(q_bracket(k), k - 1)
+
+
+# ---------------------------------------------------------------------------
+# The dense store against the sparse reference in oracles.py
+# ---------------------------------------------------------------------------
+
+# small coefficients cancel often; large ones pass 2^64
+COEFFS = st.one_of(st.integers(-3, 3), st.integers(-(2**80), 2**80))
+SPARSE = st.dictionaries(st.integers(-8, 8), COEFFS, max_size=7).map(
+    lambda terms: {e: c for e, c in terms.items() if c}
+)
+
+
+@st.composite
+def sparse_pairs(draw):
+    """Two sparse polynomials; half the time the second cancels the lowest
+    or the highest term of the first in their sum."""
+    a, b = draw(SPARSE), draw(SPARSE)
+    if a and draw(st.booleans()):
+        e = draw(st.sampled_from([min(a), max(a)]))
+        b[e] = -a[e]
+    return a, b
+
+
+def rises_then_falls(dense: list[int]) -> bool:
+    return not dense or any(
+        all(x <= y for x, y in zip(dense[:m], dense[1 : m + 1]))
+        and all(x >= y for x, y in zip(dense[m:], dense[m + 1 :]))
+        for m in range(len(dense))
+    )
+
+
+def assert_matches(f: LaurentPoly, ref: dict[int, int]) -> None:
+    """f is the polynomial of the sparse terms ref, in every public view."""
+    assert f.to_dense_dict() == sparse_dense(ref)
+    assert f.items() == sorted(ref.items())
+    built = LaurentPoly(ref)
+    assert f == built and hash(f) == hash(built)
+    assert str(f) == sparse_str(ref)
+    assert LaurentPoly.from_dense_dict(f.to_dense_dict()) == f
+    assert f.is_zero == (not ref)
+    if ref:
+        assert (f.min_exp, f.max_exp) == (min(ref), max(ref))
+        assert darga(f) == min(ref) + max(ref)
+    dense = sparse_dense(ref)["coeffs"]
+    assert is_symmetric(f) == (dense == dense[::-1])
+    assert is_unimodal(f) == rises_then_falls(dense)
+    for v in (2, Fraction(-1, 3)):
+        assert f.evaluate(v) == sum(c * Fraction(v) ** e for e, c in ref.items())
+
+
+@given(sparse_pairs(), st.one_of(st.integers(-2, 2), COEFFS), st.integers(-9, 9), st.integers(0, 3))
+@settings(max_examples=200)
+def test_dense_store_matches_sparse_reference(pair, k, s, power):
+    a, b = pair
+    f, g = LaurentPoly(a), LaurentPoly(b)
+    neg_a, neg_b = ({e: -c for e, c in x.items()} for x in (a, b))
+    const = {0: k} if k else {}
+    assert_matches(f, a)
+    assert_matches(-g, neg_b)
+    assert_matches(f + g, sparse_add(a, b))
+    assert_matches(f - g, sparse_add(a, neg_b))
+    assert_matches(f * g, sparse_mul(a, b))
+    assert_matches(f + k, sparse_add(a, const))
+    assert_matches(k + f, sparse_add(const, a))
+    assert_matches(f - k, sparse_add(a, {0: -k} if k else {}))
+    assert_matches(k - f, sparse_add(const, neg_a))
+    assert_matches(f * k, sparse_mul(a, const))
+    assert_matches(k * f, sparse_mul(const, a))
+    expected = {0: 1}
+    for _ in range(power):
+        expected = sparse_mul(expected, a)
+    assert_matches(f**power, expected)
+    assert_matches(f.shifted(s), {e + s: c for e, c in a.items()})
+    assert_matches(f.subs_q_inverse(), {-e: c for e, c in a.items()})
+    assert (f == g) == (a == b)
+    assert (f == k) == (a == const)
+
+
+def test_dense_constructor_trims_both_ends():
+    assert LaurentPoly.dense(-2, [0, 0, 3, 0, -1, 0]).to_dense_dict() == {
+        "min_exp": 0,
+        "coeffs": [3, 0, -1],
+    }
+    assert LaurentPoly.dense(5, [0, 0]) == LaurentPoly.zero()
+    assert LaurentPoly.dense(5, []).to_dense_dict() == {"min_exp": 0, "coeffs": []}
+    assert (LaurentPoly.dense(-4, [1]) - LaurentPoly.dense(-4, [1])).to_dense_dict() == {
+        "min_exp": 0,
+        "coeffs": [],
+    }
