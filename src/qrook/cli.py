@@ -53,10 +53,10 @@ def _emit_poly(poly: LaurentPoly, fmt: str, labels: dict | None = None):
     if fmt == "json":
         _echo(json.dumps({**labels, **poly.to_dense_dict()}, sort_keys=True))
     elif fmt == "csv":
-        lo, dense = poly.dense_coeffs()
+        wire = poly.to_dense_dict()
         prefix = "".join(f"{value}," for value in labels.values())
-        for i, c in enumerate(dense or [0]):
-            _echo(f"{prefix}{lo + i},{c}")
+        for e, c in enumerate(wire["coeffs"] or [0], wire["min_exp"]):
+            _echo(f"{prefix}{e},{c}")
     else:
         prefix = " ".join(f"{key}={value}" for key, value in labels.items())
         _echo(f"{prefix}: {poly}" if labels else str(poly))

@@ -187,13 +187,14 @@ def _block_rows(letters: tuple[int, ...], t: int) -> list[list[int]]:
 
 
 @lru_cache(maxsize=None)
-def _spec_context(spec: StepSpec) -> FerrersBoard:
-    """The expanded board, built once per spec for the per-word statistic
-    loops.  Lifts need the board inside the grid."""
+def _spec_context(spec: StepSpec) -> tuple[StepSpec, FerrersBoard]:
+    """The first-seen spec equal to this one, whose block data the
+    per-word statistic loops thus compute once, and its expanded board.
+    Lifts need the board inside the grid."""
     board = spec.expand()
     if not board.admissible:
         raise ValueError(f"word lifts need an admissible step spec, not {spec}")
-    return board
+    return spec, board
 
 
 def _lift_sigma(letters: tuple[int, ...], spec: StepSpec, family: str) -> tuple[tuple[int, ...], int]:
@@ -204,7 +205,7 @@ def _lift_sigma(letters: tuple[int, ...], spec: StepSpec, family: str) -> tuple[
     # rest, both descending.  Returns the lift and its hit count: every
     # column of a block has the block height, so the on-board rows are
     # exactly the hits.
-    _spec_context(spec)  # validates the spec
+    spec, _ = _spec_context(spec)  # validates the spec; block data come cached
     regular = family == "xi"
     sigma = [0] * len(letters)
     lo, hits = 1, 0
@@ -225,8 +226,9 @@ def _lift_sigma(letters: tuple[int, ...], spec: StepSpec, family: str) -> tuple[
 
 def _lift_stat(letters: tuple[int, ...], spec: StepSpec, family: str) -> int:
     """The family's statistic of the family's canonical lift."""
+    spec, board = _spec_context(spec)
     sigma, hits = _lift_sigma(letters, spec, family)
-    return _STAT_KERNELS[family](sigma, _spec_context(spec).heights, spec.area, hits)
+    return _STAT_KERNELS[family](sigma, board.heights, spec.area, hits)
 
 
 def b_standard_graph(w, spec: StepSpec) -> Placement:
@@ -355,7 +357,7 @@ def _block_context(w, v: Sequence[int]) -> tuple[tuple[int, ...], StepSpec, int]
     """The word's letters, the step spec of the block board of v, and the
     shift n*exc - Area that every block statistic adds."""
     letters = _letters(w)
-    spec = g_spec(v)
+    spec, _ = _spec_context(g_spec(v))
     return letters, spec, len(letters) * exc(letters) - spec.area
 
 
@@ -379,9 +381,9 @@ def stat7(w, v: Sequence[int]) -> int:
     preserves the excedence count, so pairing with exc keeps the joint
     distribution."""
     letters, spec, shift = _block_context(w, v)
-    rev = _spec_context(g_spec(reversed(spec.widths)))
+    rev, board = _spec_context(g_spec(reversed(spec.widths)))
     reflected = _reflect_sigma(_lift_sigma(letters, spec, "mat")[0])
-    return shift + _mat_raw(reflected, rev.heights, rev.area, _hits(reflected, rev.heights))
+    return shift + _mat_raw(reflected, board.heights, rev.area, _hits(reflected, board.heights))
 
 
 # ---------------------------------------------------------------------------

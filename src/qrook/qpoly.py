@@ -15,14 +15,17 @@ extension to negative numerators), q-multinomials, q-Stirling numbers of
 the second kind, and the symmetry/unimodality analyzer ``zsu_check``.
 
 :class:`BivariatePoly` is a two-variable companion (Laurent in q,
-polynomial in a second formal symbol z); it is used for identities where
-z stands for q^x or for a series variable.
+polynomial in a second formal symbol z) stored as the tuple of its
+z-coefficients, each a :class:`LaurentPoly`, so LaurentPoly's product is
+the only coefficient arithmetic; it is used for identities where z
+stands for q^x or for a series variable.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
@@ -107,10 +110,6 @@ class LaurentPoly:
     def items(self) -> list[tuple[int, int]]:
         """The nonzero (exponent, coefficient) pairs, exponents ascending."""
         return [(e, c) for e, c in enumerate(self._coeffs, self._lo) if c]
-
-    def dense_coeffs(self) -> tuple[int, list[int]]:
-        """(min_exp, dense coefficient list up to max_exp); (0, []) if zero."""
-        return self._lo, list(self._coeffs)
 
     def to_dense_dict(self) -> dict:
         """Wire form: {"min_exp": m, "coeffs": [...]} with a nonzero last entry."""
@@ -248,85 +247,81 @@ _ONE = LaurentPoly({0: 1})
 class BivariatePoly:
     """Integer polynomial in two symbols: Laurent in q, ordinary in z.
 
-    The second symbol has no fixed meaning: identities use it for the
-    formal power q^x (so [x+m] appears as (1 - z*q^m)/(1-q)) or as a
-    plain series variable.  A power series in z is held truncated: after
-    :meth:`truncated` it is exact up to and including z^order.
+    Stored as the tuple of its z-coefficients, the LaurentPoly values of
+    z^0, ..., z^degree, whose last entry is nonzero (canonical form);
+    zero is the empty tuple.  The second symbol has no fixed meaning:
+    identities use it for the formal power q^x (so [x+m] appears as
+    (1 - z*q^m)/(1-q)) or as a plain series variable.  A power series in
+    z is held truncated: after :meth:`truncated` it is exact up to and
+    including z^order.
     """
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Mapping[tuple[int, int], int] | None = None):
-        data = {}
-        if coeffs:
-            for key, c in coeffs.items():
-                if c:
-                    data[(int(key[0]), int(key[1]))] = int(c)
-        self._coeffs = data
+        by_z: dict[int, dict[int, int]] = {}
+        for (qe, ze), c in (coeffs or {}).items():
+            if c:
+                by_z.setdefault(int(ze), {})[int(qe)] = int(c)
+        if min(by_z, default=0) < 0:
+            raise ValueError("a BivariatePoly has no negative powers of z")
+        self._coeffs = tuple(LaurentPoly(by_z.get(k)) for k in range(max(by_z, default=-1) + 1))
 
     @staticmethod
     def zero() -> "BivariatePoly":
-        return BivariatePoly()
+        return BivariatePoly.series(())
 
     @staticmethod
     def one() -> "BivariatePoly":
-        return BivariatePoly({(0, 0): 1})
+        return BivariatePoly.series((_ONE,))
+
+    @staticmethod
+    def series(polys: Iterable[LaurentPoly]) -> "BivariatePoly":
+        """sum_k polys[k] z^k; zeros past the last nonzero entry are dropped."""
+        coeffs = list(polys)
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        out = BivariatePoly.__new__(BivariatePoly)
+        out._coeffs = tuple(coeffs)
+        return out
 
     @staticmethod
     def from_laurent(p: LaurentPoly, z_exp: int = 0) -> "BivariatePoly":
-        return BivariatePoly({(e, z_exp): c for e, c in p.items()})
+        """p * z^z_exp; zero at any power of z is zero."""
+        if p and z_exp < 0:
+            raise ValueError("a BivariatePoly has no negative powers of z")
+        return BivariatePoly.series((_ZERO,) * z_exp + (p,))
 
     def coefficient(self, k: int) -> LaurentPoly:
         """The z^k coefficient; zero past the degree."""
-        return LaurentPoly({qe: c for (qe, ze), c in self._coeffs.items() if ze == k})
+        return self._coeffs[k] if 0 <= k < len(self._coeffs) else _ZERO
 
     def truncated(self, order: int) -> "BivariatePoly":
         """Drop every term above z^order."""
-        out = BivariatePoly.__new__(BivariatePoly)
-        out._coeffs = {key: c for key, c in self._coeffs.items() if key[1] <= order}
-        return out
+        return BivariatePoly.series(self._coeffs[: max(order + 1, 0)])
 
     def delta(self) -> "BivariatePoly":
         """The q-difference operator (F(zq) - F(z)) / (zq - z): it maps
         a_k z^k to [k] a_k z^(k-1), so a series exact up to z^order
         comes out exact up to z^(order-1)."""
-        data: dict[tuple[int, int], int] = {}
-        for (qe, ze), c in self._coeffs.items():
-            # [ze] = 1 + q + ... + q^(ze-1)
-            for i in range(ze):
-                key = (qe + i, ze - 1)
-                data[key] = data.get(key, 0) + c
-        return BivariatePoly(data)
+        return BivariatePoly.series(q_bracket(k) * a for k, a in enumerate(self._coeffs) if k)
 
     def __add__(self, other):
         if not isinstance(other, BivariatePoly):
             return NotImplemented
-        data = dict(self._coeffs)
-        for k, c in other._coeffs.items():
-            s = data.get(k, 0) + c
-            if s:
-                data[k] = s
-            else:
-                del data[k]
-        out = BivariatePoly.__new__(BivariatePoly)
-        out._coeffs = data
-        return out
+        return BivariatePoly.series(
+            a + b for a, b in zip_longest(self._coeffs, other._coeffs, fillvalue=_ZERO)
+        )
 
     def __mul__(self, other):
         if not isinstance(other, BivariatePoly):
             return NotImplemented
-        data: dict[tuple[int, int], int] = {}
-        for (qa, za), ca in self._coeffs.items():
-            for (qb, zb), cb in other._coeffs.items():
-                k = (qa + qb, za + zb)
-                s = data.get(k, 0) + ca * cb
-                if s:
-                    data[k] = s
-                else:
-                    del data[k]
-        out = BivariatePoly.__new__(BivariatePoly)
-        out._coeffs = data
-        return out
+        a, b = self._coeffs, other._coeffs
+        out = [_ZERO] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b, i):
+                out[j] = out[j] + x * y
+        return BivariatePoly.series(out)
 
     def __eq__(self, other):
         if not isinstance(other, BivariatePoly):
@@ -334,10 +329,9 @@ class BivariatePoly:
         return self._coeffs == other._coeffs
 
     def __repr__(self):
-        if not self._coeffs:
-            return "BivariatePoly(0)"
-        terms = [f"{c}*q^{qe}*z^{ze}" for (qe, ze), c in sorted(self._coeffs.items())]
-        return "BivariatePoly(" + " + ".join(terms) + ")"
+        terms = sorted((qe, ze, c) for ze, p in enumerate(self._coeffs) for qe, c in p.items())
+        body = " + ".join(f"{c}*q^{qe}*z^{ze}" for qe, ze, c in terms)
+        return f"BivariatePoly({body or 0})"
 
 
 # ---------------------------------------------------------------------------

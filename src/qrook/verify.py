@@ -15,7 +15,9 @@ The checks fall into four groups:
   dividing the hit-polynomial numerator by (1-x)(1-xq)...(1-xq^n),
   together with the finite-difference operator identity used to add an
   empty column; the series are :class:`~qrook.qpoly.BivariatePoly`
-  values truncated at their order, with z standing for x;
+  values truncated at their order, with z standing for x, built by
+  ``BivariatePoly.series`` from their x^k coefficients (q-binomials,
+  hit polynomials) as z-coefficients;
 * structural recurrences: the empty-column recurrence for hit
   polynomials, and complement reciprocity;
 * the descent/major-index ladder on triangular boards and its multiset
@@ -90,9 +92,7 @@ from . import ffmat
 def inverse_product_series(m: int, order: int) -> BivariatePoly:
     """1 / ((1-x)(1-xq)...(1-xq^m)) truncated at the given order: by the
     q-binomial theorem its x^j coefficient is [m+j, j]."""
-    return BivariatePoly(
-        {(e, j): c for j in range(order + 1) for e, c in q_binomial(m + j, j).items()}
-    )
+    return BivariatePoly.series(q_binomial(m + j, j) for j in range(order + 1))
 
 
 def phi_series(board: FerrersBoard, order: int | None = None) -> BivariatePoly:
@@ -109,9 +109,7 @@ def phi_series(board: FerrersBoard, order: int | None = None) -> BivariatePoly:
     if order is None:
         order = n + 3
     hits = hit_polys(board, "defining")
-    numerator = BivariatePoly(
-        {(e, k): c for k in range(min(n, order) + 1) for e, c in hits[n - k].items()}
-    )
+    numerator = BivariatePoly.series(hits[n - k] for k in range(min(n, order) + 1))
     route_a = (numerator * inverse_product_series(n, order)).truncated(order)
     for k in range(order + 1):
         direct, via_hits = _bracket_product(board.heights, k), route_a.coefficient(k)
@@ -214,17 +212,14 @@ def euler_ladder_check(n: int) -> bool:
     t_comp = hit_polys(comp, "mat")
     dist = maj_by_des(permstat.permutations_of(n))
     binom = n * (n - 1) // 2
-    for k in range(n):
-        a_k = dist.get(k, LaurentPoly.zero())
-        if a_k != t_tri[k].shifted(n * k - binom):
-            return False
-        if a_k != t_tri[n - k - 1]:
-            return False
-        if a_k != t_comp[k + 1].shifted(n * k - binom):
-            return False
-        if a_k != t_comp[n - k]:
-            return False
-    return True
+    return all(
+        dist.get(k, LaurentPoly.zero())
+        == t_tri[k].shifted(n * k - binom)
+        == t_tri[n - k - 1]
+        == t_comp[k + 1].shifted(n * k - binom)
+        == t_comp[n - k]
+        for k in range(n)
+    )
 
 
 def g_identity_check(v: Sequence[int]) -> bool:
@@ -236,11 +231,10 @@ def g_identity_check(v: Sequence[int]) -> bool:
     t = hit_polys(board, "mat")
     dist = maj_by_des(permstat.words_over(v))
     vfact = _widths_factorial(g_spec(v))
-    for k in range(n + 1):
-        a_k = dist.get(k, LaurentPoly.zero())
-        if a_k * vfact != t[k].shifted(n * k - board.area):
-            return False
-    return True
+    return all(
+        dist.get(k, LaurentPoly.zero()) * vfact == t[k].shifted(n * k - board.area)
+        for k in range(n + 1)
+    )
 
 
 def corollary3_check(v: Sequence[int]) -> bool:
@@ -249,9 +243,7 @@ def corollary3_check(v: Sequence[int]) -> bool:
     v = tuple(int(x) for x in v)
     n = sum(v)
     dist = maj_by_des(permstat.words_over(v))
-    return all(
-        zsu_check(dist.get(k, LaurentPoly.zero()), n * k) for k in range(n + 1)
-    )
+    return all(zsu_check(dist.get(k, LaurentPoly.zero()), n * k) for k in range(n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -458,48 +450,61 @@ def _poly_diff_detail(a: LaurentPoly, b: LaurentPoly) -> str:
     return f"first differing exponent {first}: {a} vs {b}"
 
 
-def _guarded(check: str, instance: str, fn: Callable[..., bool], *args) -> CheckResult:
-    """Run one check; an IdentityViolation raised inside it becomes a FAIL
-    line carrying its message, and the suite goes on."""
+def _guarded(check: str, instance: str, fn: Callable[..., bool | str], *args) -> CheckResult:
+    """Run one check.  It returns whether it holds, or a detail string
+    that is empty when it holds; an IdentityViolation raised inside it
+    becomes a FAIL line carrying its message, and the suite goes on."""
     try:
-        return CheckResult(check, instance, fn(*args))
+        result = fn(*args)
     except IdentityViolation as exc:
         return CheckResult(check, instance, False, str(exc))
+    if isinstance(result, str):
+        return CheckResult(check, instance, not result, result)
+    return CheckResult(check, instance, result)
 
 
 def suite_rook(max_n: int) -> Iterator[CheckResult]:
     for n in range(1, max_n + 1):
         for board in all_ferrers_boards(n):
             name = board.spec_string()
-            yield CheckResult("factorization", name, factorization_check(board))
-            yield CheckResult("rook-sum", name, rook_sum_identity(board))
+            yield _guarded("factorization", name, factorization_check, board)
+            yield _guarded("rook-sum", name, rook_sum_identity, board)
             flipped = flip(board)
-            ok = all(
-                rook_poly(board, k) == rook_poly(flipped, k) for k in range(n + 1)
+            yield _guarded(
+                "flip-invariance",
+                name,
+                lambda: all(rook_poly(board, k) == rook_poly(flipped, k) for k in range(n + 1)),
             )
-            yield CheckResult("flip-invariance", name, ok)
         stair = staircase_board(n)
-        ok = all(
-            rook_poly(stair, k) == q_stirling(n + 1, n + 1 - k) for k in range(n + 1)
+        yield _guarded(
+            "staircase-stirling",
+            f"n={n}",
+            lambda: all(rook_poly(stair, k) == q_stirling(n + 1, n + 1 - k) for k in range(n + 1)),
         )
-        yield CheckResult("staircase-stirling", f"n={n}", ok)
+
+
+def _hit_methods_detail(board: FerrersBoard) -> str:
+    mat, xi, defining = (hit_polys(board, m) for m in HIT_METHODS)
+    k = next((k for k in range(board.n + 1) if not mat[k] == xi[k] == defining[k]), None)
+    return "" if k is None else f"k={k} mat={mat[k]} xi={xi[k]} defining={defining[k]}"
+
+
+def _hit_sum_check(board: FerrersBoard) -> bool:
+    return sum(hit_polys(board, "mat"), LaurentPoly.zero()) == q_factorial(board.n)
+
+
+def _hit_classical_check(board: FerrersBoard) -> bool:
+    mat, classical = hit_polys(board, "mat"), classical_hit_distribution(board)
+    return all(mat[k].evaluate(1) == classical[k] for k in range(board.n + 1))
 
 
 def suite_hit(max_n: int) -> Iterator[CheckResult]:
     for n in range(1, max_n + 1):
         for board in all_ferrers_boards(n):
             name = board.spec_string()
-            mat, xi, defining = (hit_polys(board, m) for m in HIT_METHODS)
-            k = next((k for k in range(n + 1) if not mat[k] == xi[k] == defining[k]), None)
-            detail = "" if k is None else f"k={k} mat={mat[k]} xi={xi[k]} defining={defining[k]}"
-            yield CheckResult("hit-methods-agree", name, k is None, detail)
-            total = LaurentPoly.zero()
-            for k in range(n + 1):
-                total = total + mat[k]
-            yield CheckResult("hit-sum-factorial", name, total == q_factorial(n))
-            classical = classical_hit_distribution(board)
-            at_one = all(mat[k].evaluate(1) == classical[k] for k in range(n + 1))
-            yield CheckResult("hit-classical-at-1", name, at_one)
+            yield _guarded("hit-methods-agree", name, _hit_methods_detail, board)
+            yield _guarded("hit-sum-factorial", name, _hit_sum_check, board)
+            yield _guarded("hit-classical-at-1", name, _hit_classical_check, board)
 
 
 def suite_mahonian(max_n: int) -> Iterator[CheckResult]:
@@ -509,19 +514,19 @@ def suite_mahonian(max_n: int) -> Iterator[CheckResult]:
         for widths, run in itertools.groupby(specs, key=lambda spec: spec.widths):
             target = q_multinomial(widths)
             for spec in run:
-                name = spec.spec_string()
                 for family in ("mat", "xi"):
-                    got = LaurentPoly.zero()
-                    for poly in permstat.word_stat_polys(spec, family):
-                        got = got + poly
-                    yield CheckResult(
-                        f"{family}-multiset-mahonian", name, got == target, _poly_diff_detail(got, target)
+                    yield _guarded(
+                        f"{family}-multiset-mahonian",
+                        spec.spec_string(),
+                        lambda: _poly_diff_detail(
+                            sum(permstat.word_stat_polys(spec, family), LaurentPoly.zero()), target
+                        ),
                     )
 
 
 def suite_euler(max_n: int) -> Iterator[CheckResult]:
     for n in range(1, max_n + 1):
-        yield CheckResult("euler-ladder", f"n={n}", euler_ladder_check(n))
+        yield _guarded("euler-ladder", f"n={n}", euler_ladder_check, n)
         perms = list(permstat.permutations_of(n))
         ref = permstat.joint_distribution(perms, permstat.des, permstat.maj)
         ones = (1,) * n
@@ -530,23 +535,22 @@ def suite_euler(max_n: int) -> Iterator[CheckResult]:
             ("closed-form-exc-stat", permstat.theorem5_stat),
             ("stat7-permutations", lambda p: permstat.stat7(p, ones)),
         ):
-            got = permstat.joint_distribution(perms, permstat.exc, stat)
-            yield CheckResult(check, f"n={n}", got == ref)
+            yield _guarded(
+                check, f"n={n}", lambda: permstat.joint_distribution(perms, permstat.exc, stat) == ref
+            )
         for family in ("mat", "xi"):
             for variant in range(1, 9):
-                got = permstat.joint_distribution(
-                    perms,
-                    permstat.des,
-                    lambda p: permstat.stat_family(p, family, variant),
-                )
-                yield CheckResult(
+                yield _guarded(
                     "descent-family-euler-mahonian",
                     f"n={n} family={family} variant={variant}",
-                    got == ref,
+                    lambda: permstat.joint_distribution(
+                        perms, permstat.des, lambda p: permstat.stat_family(p, family, variant)
+                    )
+                    == ref,
                 )
     for v in compositions(range(1, max_n + 1)):
         name = "v=" + ",".join(map(str, v))
-        yield CheckResult("block-board-maj", name, g_identity_check(v))
+        yield _guarded("block-board-maj", name, g_identity_check, v)
         words = list(permstat.words_over(v))
         ref = permstat.joint_distribution(words, permstat.des, permstat.maj)
         # the reflected identity: reflection re-indexes the standard lifts,
@@ -558,9 +562,15 @@ def suite_euler(max_n: int) -> Iterator[CheckResult]:
             ("stat6-euler-mahonian", v, "xi"),
             ("reflected-block-euler-mahonian", rev, "mat"),
         ):
-            yield CheckResult(check, name, _exc_block_joint(vector, family) == ref)
-        got = permstat.joint_distribution(words, permstat.exc, lambda w: permstat.theorem5_statx(w, v))
-        yield CheckResult("closed-form-exc-statx", name, got == ref)
+            yield _guarded(check, name, lambda: _exc_block_joint(vector, family) == ref)
+        yield _guarded(
+            "closed-form-exc-statx",
+            name,
+            lambda: permstat.joint_distribution(
+                words, permstat.exc, lambda w: permstat.theorem5_statx(w, v)
+            )
+            == ref,
+        )
 
 
 def _exc_block_joint(v: tuple[int, ...], family: str) -> dict[tuple[int, int], int]:
@@ -581,11 +591,11 @@ def suite_reciprocity(max_n: int) -> Iterator[CheckResult]:
     for n in range(1, max_n + 1):
         for board in all_ferrers_boards(n):
             name = board.spec_string()
-            yield CheckResult("reciprocity", name, reciprocity_check(board))
-            yield CheckResult("add-empty-column", name, add_recurrence_check(board))
+            yield _guarded("reciprocity", name, reciprocity_check, board)
+            yield _guarded("add-empty-column", name, add_recurrence_check, board)
             # phi_series raises IdentityViolation on any disagreement
             yield _guarded("series-two-ways", name, lambda: phi_series(board) is not None)
-        yield CheckResult("delta-identity", f"n={n}", lemma3_delta_check(n))
+        yield _guarded("delta-identity", f"n={n}", lemma3_delta_check, n)
 
 
 def suite_ffmat(max_n: int) -> Iterator[CheckResult]:
@@ -609,48 +619,39 @@ def suite_ffmat(max_n: int) -> Iterator[CheckResult]:
             for p in (2, 3):
                 name = f"{board.spec_string()} p={p}"
                 yield _guarded("rank-bridge", name, ffmat.theorem1_check, board, p)
-                yield CheckResult("rank-sum", name, ffmat.rank_sum_check(board, p))
+                yield _guarded("rank-sum", name, ffmat.rank_sum_check, board, p)
             yield _guarded(
                 "rank-product-identity", board.spec_string(), ffmat.corollary2_check, board
             )
     for n in range(1, min(max_n, 3) + 1):
         for p in (2, 3):
-            yield CheckResult(
-                "upper-triangular-stirling", f"n={n} p={p}", ffmat.corollary1_check(n, p)
-            )
+            yield _guarded("upper-triangular-stirling", f"n={n} p={p}", ffmat.corollary1_check, n, p)
     if max_n >= 4:
-        yield CheckResult(
-            "upper-triangular-stirling", "n=4 p=2", ffmat.corollary1_check(4, 2)
-        )
+        yield _guarded("upper-triangular-stirling", "n=4 p=2", ffmat.corollary1_check, 4, 2)
 
 
 def suite_unimodal(max_n: int) -> Iterator[CheckResult]:
     for n in range(1, max_n + 1):
         for board in all_ferrers_boards(n):
-            yield CheckResult("hit-zsu", board.spec_string(), hit_zsu_check(board))
+            yield _guarded("hit-zsu", board.spec_string(), hit_zsu_check, board)
         for spec in all_step_specs(n):
             yield _guarded("step-symmetry-zsu", spec.spec_string(), step_zsu_check, spec)
     for v in compositions(range(1, max_n + 1)):
-        yield CheckResult(
-            "word-maj-zsu", "v=" + ",".join(map(str, v)), corollary3_check(v)
-        )
+        yield _guarded("word-maj-zsu", "v=" + ",".join(map(str, v)), corollary3_check, v)
+
+
+def _step_formulas_detail(spec: StepSpec) -> str:
+    t = hit_polys(spec.expand(), "mat")
+    a, b = step_formula(spec, "eq24"), step_formula(spec, "eq26")
+    k = next((k for k in range(spec.n + 1) if not a[k] == b[k] == t[k]), None)
+    return "" if k is None else f"k={k} eq24={a[k]} eq26={b[k]} enumerated={t[k]}"
 
 
 def suite_steps(max_n: int) -> Iterator[CheckResult]:
     for n in range(1, max_n + 1):
         for spec in all_step_specs(n, admissible_only=True):
-            board = spec.expand()
-            t = hit_polys(board, "mat")
             name = spec.spec_string()
-            detail = ""
-            try:
-                a, b = step_formula(spec, "eq24"), step_formula(spec, "eq26")
-                k = next((k for k in range(n + 1) if not a[k] == b[k] == t[k]), None)
-                if k is not None:
-                    detail = f"k={k} eq24={a[k]} eq26={b[k]} enumerated={t[k]}"
-            except IdentityViolation as exc:
-                detail = str(exc)
-            yield CheckResult("step-formulas-agree", name, not detail, detail)
+            yield _guarded("step-formulas-agree", name, _step_formulas_detail, spec)
             yield _guarded("step-truncation-recurrence", name, recurrence25_check, spec)
 
 

@@ -213,3 +213,35 @@ def sparse_str(a: dict[int, int]) -> str:
         sign = ("" if c > 0 else "-") if not terms else ("+ " if c > 0 else "- ")
         terms.append(sign + body)
     return " ".join(terms) or "0"
+
+
+# A sparse bivariate polynomial: {(q_exp, z_exp): coefficient}, no zero
+# coefficients.  sparse_add serves it unchanged.
+
+
+def sparse_bivariate_mul(a: dict[tuple[int, int], int], b: dict[tuple[int, int], int]) -> dict:
+    """The dict convolution: every pair of terms multiplied, the products
+    summed by (q, z) exponent."""
+    out: dict[tuple[int, int], int] = {}
+    for (qa, za), ca in a.items():
+        for (qb, zb), cb in b.items():
+            key = (qa + qb, za + zb)
+            out[key] = out.get(key, 0) + ca * cb
+    return {key: c for key, c in out.items() if c}
+
+
+def sparse_bivariate_delta(a: dict[tuple[int, int], int]) -> dict:
+    """a_k z^k -> [k] a_k z^(k-1) term by term: c q^e z^k becomes
+    c (q^e + ... + q^(e+k-1)) z^(k-1)."""
+    out: dict[tuple[int, int], int] = {}
+    for (qe, ze), c in a.items():
+        for i in range(ze):
+            key = (qe + i, ze - 1)
+            out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def sparse_bivariate_repr(a: dict[tuple[int, int], int]) -> str:
+    """Terms c*q^e*z^k sorted by (e, k), joined by " + "."""
+    body = " + ".join(f"{c}*q^{qe}*z^{ze}" for (qe, ze), c in sorted(a.items()))
+    return f"BivariatePoly({body or 0})"

@@ -1,4 +1,4 @@
-"""Per-word values pinned to digests.
+"""Per-word values and whole CLI outputs pinned to digests.
 
 The suites compare joint distributions only, so a change that permutes
 statistic values among words would pass them; these digests pin every
@@ -52,3 +52,22 @@ def test_block_statistics():
     ]
     assert len(rows) == 5316
     assert rows_digest(rows) == "a882e5511171e685512053e832fea80bc7b2a8ad17c50171ec6ff1fbfffec171"
+
+
+def test_verify_all_output():
+    result = CliRunner().invoke(main, ["verify", "--suite", "all", "--max-n", "4"])
+    assert result.exit_code == 0
+    lines = result.output.splitlines()
+    assert len(lines) == 2973 and lines[-1] == "TOTAL pass=2972 fail=0"
+    assert hashlib.sha256(result.output.encode()).hexdigest() == (
+        "90a19ea56c77f8ffd0dd32d903cc2cadcc37e25b4a0d87b39c1f09edb0823eb3"
+    )
+
+
+def test_hit_all_methods_output():
+    h = hashlib.sha256()
+    for board in ("heights:0,1,2", "stair:9", "tri:6", "heights:1,1,3,3", "heights:0,2,2,4,5,6", "heights:"):
+        result = CliRunner().invoke(main, ["hit", "--board", board, "--method", "all", "--format", "json"])
+        assert result.exit_code == 0 and result.output.endswith("CONSISTENT\n")
+        h.update(result.output.encode())
+    assert h.hexdigest() == "f0c68a1dc90f6eb6fd23417303a7b6ecef0b58a5aae4bb56e42e4f36c32547b8"

@@ -23,6 +23,9 @@ from qrook.qpoly import (
 from oracles import (
     partitions_in_box_gf,
     sparse_add,
+    sparse_bivariate_delta,
+    sparse_bivariate_mul,
+    sparse_bivariate_repr,
     sparse_dense,
     sparse_mul,
     sparse_str,
@@ -347,3 +350,66 @@ def test_dense_constructor_trims_both_ends():
         "min_exp": 0,
         "coeffs": [],
     }
+
+
+# ---------------------------------------------------------------------------
+# The z-coefficient store of BivariatePoly against the sparse reference
+# ---------------------------------------------------------------------------
+
+SPARSE_BIVARIATE = st.dictionaries(
+    st.tuples(st.integers(-6, 6), st.integers(0, 5)), COEFFS, max_size=8
+).map(lambda terms: {key: c for key, c in terms.items() if c})
+
+
+@st.composite
+def bivariate_pairs(draw):
+    """Two sparse bivariate polynomials; half the time the second cancels
+    every term of one z-power of the first (the top one included) in
+    their sum."""
+    a, b = draw(SPARSE_BIVARIATE), draw(SPARSE_BIVARIATE)
+    if a and draw(st.booleans()):
+        z = draw(st.sampled_from(sorted({ze for _, ze in a})))
+        b.update({key: -c for key, c in a.items() if key[1] == z})
+    return a, b
+
+
+def assert_bivariate_matches(f: BivariatePoly, ref: dict[tuple[int, int], int]) -> None:
+    """f is the polynomial of the sparse terms ref, in every public view."""
+    assert repr(f) == sparse_bivariate_repr(ref)
+    assert f == BivariatePoly(ref)
+    top = max((ze for _, ze in ref), default=-1)
+    coeffs = [LaurentPoly({qe: c for (qe, ze), c in ref.items() if ze == k}) for k in range(-1, top + 3)]
+    assert [f.coefficient(k) for k in range(-1, top + 3)] == coeffs
+    assert BivariatePoly.series(coeffs[1:]) == f
+    assert (f == BivariatePoly.zero()) == (not ref)
+
+
+@given(bivariate_pairs(), st.integers(-2, 7))
+@settings(max_examples=200)
+def test_bivariate_store_matches_sparse_reference(pair, order):
+    a, b = pair
+    f, g = BivariatePoly(a), BivariatePoly(b)
+    assert_bivariate_matches(f, a)
+    assert_bivariate_matches(f + g, sparse_add(a, b))
+    assert_bivariate_matches(g + f, sparse_add(b, a))
+    assert_bivariate_matches(f * g, sparse_bivariate_mul(a, b))
+    assert_bivariate_matches(f * BivariatePoly.one(), a)
+    assert_bivariate_matches(f * BivariatePoly.zero(), {})
+    assert_bivariate_matches(f.truncated(order), {key: c for key, c in a.items() if key[1] <= order})
+    assert_bivariate_matches(f.delta(), sparse_bivariate_delta(a))
+    assert_bivariate_matches(BivariatePoly({(0, 1): 1}) * f, {(qe, ze + 1): c for (qe, ze), c in a.items()})
+    for z in range(3):
+        p = f.coefficient(z)
+        assert_bivariate_matches(BivariatePoly.from_laurent(p, z), {(qe, z): c for qe, c in p.items()})
+    assert (f == g) == (a == b)
+
+
+def test_negative_z_power_raises():
+    with pytest.raises(ValueError):
+        BivariatePoly({(0, 0): 1, (2, -1): 3})
+    with pytest.raises(ValueError):
+        BivariatePoly.from_laurent(LaurentPoly.monomial(-2, 5), -1)
+    # a zero coefficient at a negative power is no term at all: delta(1)
+    # is [0] z^-1 = 0
+    assert BivariatePoly({(0, -1): 0, (1, 0): 2}) == BivariatePoly.from_laurent(LaurentPoly.monomial(2, 1))
+    assert BivariatePoly.from_laurent(q_bracket(0), -1) == BivariatePoly.zero()

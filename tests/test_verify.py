@@ -412,6 +412,20 @@ class TestFailuresStayInTheSuite:
             for line in fails
         )
 
+    def test_violation_in_unguarded_check(self, monkeypatch):
+        # the delta identity builds its series from verify.q_binomial; a
+        # violation raised there is a FAIL line, not a traceback
+        def q_binomial_refusing(m, k):
+            if (m, k) == (3, 1):
+                raise IdentityViolation("[3, 1] refused")
+            return q_binomial(m, k)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "q_binomial", q_binomial_refusing)
+            lines = [result.line() for result in run_suites(["reciprocity"], 2)]
+        assert "FAIL delta-identity n=1 [3, 1] refused" in lines
+        assert len(lines) == len(list(run_suites(["reciprocity"], 2)))
+
 
 def run_optimized(*args):
     """Run python -O with the library on the path; return (exit code, stdout lines)."""
