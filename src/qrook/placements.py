@@ -41,6 +41,8 @@ from typing import Iterable, Iterator
 from .boards import FerrersBoard, StepSpec, step_decomposition
 from .qpoly import BivariatePoly, LaurentPoly, q_bracket, q_factorial
 
+_ONE_MINUS_Q = LaurentPoly.dense(0, (1, -1))
+
 
 @dataclass(frozen=True)
 class Placement:
@@ -337,22 +339,21 @@ def hit_polys(board: FerrersBoard, method: str = "mat") -> tuple[LaurentPoly, ..
         raise ValueError(f"unknown hit method {method!r}")
     if method in ("mat", "xi"):
         spec = step_decomposition(board)
-        factorials = _widths_factorial(spec)
+        factorials = _widths_factorial(spec.widths)
         return tuple(factorials * w for w in word_stat_polys(spec, method))
     # defining identity: sum_j [j]! R_{n-j} prod_{i=j+1}^{n} (x - q^i), a
     # polynomial in x (z here) whose x^k coefficient is T_k, in Horner form
     n = board.n
     acc = BivariatePoly.zero()
     for j in range(n + 1):
-        acc = acc * BivariatePoly({(0, 1): 1, (j, 0): -1}) + BivariatePoly.from_laurent(
-            q_factorial(j) * rook_poly(board, n - j)
-        )
+        z_minus_qj = BivariatePoly.series((LaurentPoly.dense(j, (-1,)), LaurentPoly.one()))
+        acc = acc * z_minus_qj + BivariatePoly.from_laurent(q_factorial(j) * rook_poly(board, n - j))
     return tuple(acc.coefficient(k) for k in range(n + 1))
 
 
-def _widths_factorial(spec: StepSpec) -> LaurentPoly:
-    """prod_i [d_i]! over the block widths: the lifts of one word."""
-    return math.prod((q_factorial(d) for d in spec.widths), start=LaurentPoly.one())
+def _widths_factorial(widths: Iterable[int]) -> LaurentPoly:
+    """prod_i [d_i]! over the block widths d_i: the lifts of one word."""
+    return math.prod((q_factorial(d) for d in widths), start=LaurentPoly.one())
 
 
 def word_stat_polys(spec: StepSpec, family: str = "mat") -> tuple[LaurentPoly, ...]:
@@ -490,23 +491,28 @@ def factorization_check(board: FerrersBoard) -> bool:
     if not board.admissible:
         raise ValueError("factorization check needs an admissible board")
     n = board.n
-    one_minus_q = LaurentPoly({0: 1, 1: -1})
     # nested: A_0 + (1 - z)(A_1 + (1 - z/q)(A_2 + ...)), A_k = R_(n-k) (1-q)^(n-k)
     lhs = BivariatePoly.zero()
+    power = LaurentPoly.one()  # (1-q)^(n-k)
     for k in range(n, -1, -1):
-        lhs = lhs * BivariatePoly({(0, 0): 1, (-k, 1): -1}) + BivariatePoly.from_laurent(
-            rook_poly(board, n - k) * one_minus_q ** (n - k)
-        )
+        lhs = lhs * _one_minus_z_q(-k) + BivariatePoly.from_laurent(rook_poly(board, n - k) * power)
+        power = power * _ONE_MINUS_Q
     rhs = BivariatePoly.one()
     for i, c in enumerate(board.heights, start=1):
-        rhs = rhs * BivariatePoly({(0, 0): 1, (c - i + 1, 1): -1})
+        rhs = rhs * _one_minus_z_q(c - i + 1)
     return lhs == rhs
+
+
+def _one_minus_z_q(m: int) -> BivariatePoly:
+    """1 - z q^m."""
+    return BivariatePoly.series((LaurentPoly.one(), LaurentPoly.dense(m, (-1,))))
 
 
 def rook_sum_identity(board: FerrersBoard) -> bool:
     """Check sum_k R_k(B) (1-q)^k = 1."""
-    one_minus_q = LaurentPoly({0: 1, 1: -1})
     total = LaurentPoly.zero()
+    power = LaurentPoly.one()  # (1-q)^k
     for k in range(board.n + 1):
-        total = total + rook_poly(board, k) * one_minus_q ** k
+        total = total + rook_poly(board, k) * power
+        power = power * _ONE_MINUS_Q
     return total == LaurentPoly.one()

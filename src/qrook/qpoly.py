@@ -160,13 +160,18 @@ class LaurentPoly:
             return _ZERO
         if len(a) > len(b):
             a, b = b, a
+        lo = self._lo + other._lo
+        if len(a) == 1:
+            # a single term scales the other list, and q^e shares it
+            c = a[0]
+            return _canonical(lo, b if c == 1 else [c * cb for cb in b])
         # the ends are products of nonzero ints, so the result is canonical
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b, i):
                     out[j] += ca * cb
-        return _canonical(self._lo + other._lo, out)
+        return _canonical(lo, out)
 
     __rmul__ = __mul__
 

@@ -41,6 +41,7 @@ The checks fall into four groups:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -59,7 +60,9 @@ from .boards import (
     triangular_board,
 )
 from .placements import (
+    HIT_DP_MAX_STATES,
     HIT_METHODS,
+    BudgetExceededError,
     _widths_factorial,
     classical_hit_distribution,
     factorization_check,
@@ -230,7 +233,7 @@ def g_identity_check(v: Sequence[int]) -> bool:
     board = g_board(v)
     t = hit_polys(board, "mat")
     dist = maj_by_des(permstat.words_over(v))
-    vfact = _widths_factorial(g_spec(v))
+    vfact = _widths_factorial(v)
     return all(
         dist.get(k, LaurentPoly.zero()) * vfact == t[k].shifted(n * k - board.area)
         for k in range(n + 1)
@@ -267,12 +270,15 @@ def eq24_divided(spec: StepSpec) -> tuple[LaurentPoly, ...]:
 
     Every surviving term must be symmetric with darga
     ``darga_target(spec, k)``, and a P_s with any negative bracket
-    numerator must vanish (the cancellation the closed form relies on);
-    IdentityViolation reports a term or product that is not.
+    numerator, that is with s < max_i (D_(i-1) - H_i), must vanish (the
+    cancellation the closed form relies on); IdentityViolation reports a
+    term or product that is not.
     """
     n = spec.n
     H = spec.block_heights
     D = (0,) + spec.col_offsets
+    # P_s has a negative bracket numerator exactly when s < min_s
+    min_s = max((D[i] - H[i] for i in range(spec.t)), default=0)
     products = []
     for s in range(n + 1):
         prod = LaurentPoly.one()
@@ -280,22 +286,29 @@ def eq24_divided(spec: StepSpec) -> tuple[LaurentPoly, ...]:
             prod = prod * q_binomial(s + H[i] - D[i], spec.widths[i])
             if prod.is_zero:
                 break
-        if not prod.is_zero and any(s + H[i] < D[i] for i in range(spec.t)):
+        if not prod.is_zero and s < min_s:
             raise IdentityViolation(f"{spec} s={s}: a negative bracket numerator left {prod}")
         products.append(prod)
+    # (-1)^j q^C(j,2) [n+1, j], by j
+    signed = [q_binomial(n + 1, j).shifted(j * (j - 1) // 2) for j in range(n + 1)]
+    signed[1::2] = [-b for b in signed[1::2]]
+    target = darga_target(spec, 0)  # minus n k at k hits
     table = []
     for k in range(n + 1):
-        target = darga_target(spec, k)
         total = LaurentPoly.zero()
         for s, prod in enumerate(products[: n - k + 1]):
             if prod.is_zero:
                 continue
             j = n - k - s
-            term = (q_binomial(n + 1, j) * prod).shifted(j * (j - 1) // 2)
+            term = signed[j] * prod
             if not (is_symmetric(term) and darga(term) == target):
-                raise IdentityViolation(f"{spec} k={k} s={s}: term {term} is not symmetric with darga {target}")
-            total = total + (term if j % 2 == 0 else -term)
+                unsigned = term if j % 2 == 0 else -term
+                raise IdentityViolation(
+                    f"{spec} k={k} s={s}: term {unsigned} is not symmetric with darga {target}"
+                )
+            total = total + term
         table.append(total)
+        target -= n
     return tuple(table)
 
 
@@ -314,64 +327,89 @@ def step_formula(spec: StepSpec, which: str = "eq24") -> tuple[LaurentPoly, ...]
         divided = _eq26_divided(spec)
     else:
         raise ValueError(f"unknown step formula {which!r}")
-    factorials = _widths_factorial(spec)
+    factorials = _widths_factorial(spec.widths)
     return tuple(factorials * t for t in divided)
 
 
 def _eq26_divided(spec: StepSpec) -> tuple[LaurentPoly, ...]:
-    n = spec.n
+    """(T_0, ..., T_n)(B) / prod [d_i]! by the composition expansion: the
+    vector e with 0 <= e_i <= d_i and E_i = e_1 + ... + e_i adds
+
+        prod_i [H_i - D_(i-1) + E_(i-1), d_i - e_i] [D_i + D_(i-1) - H_i - E_(i-1), e_i]
+               q^(e_i (H_i - D_i + E_i))
+
+    to the entry with n - E_t hits.
+
+    A depth-first walk over the blocks, taking e_i = 0, ..., d_i at block
+    i, forms each prefix product once, and drops a prefix whose product is
+    zero with every vector that extends it.  So the vectors come in
+    lexicographic order, as the q-binomial calls do.  Under the overlap or
+    dominance condition each vector is checked: a nonzero product with a
+    negative bracket numerator, or a term with a negative coefficient,
+    raises IdentityViolation naming e.  The walk has prod (d_i + 1)
+    leaves, and past ``HIT_DP_MAX_STATES`` of them it raises
+    ``BudgetExceededError`` before it starts.
+    """
+    n, t = spec.n, spec.t
     H = spec.block_heights
     D = (0,) + spec.col_offsets
     widths = spec.widths
+    vectors = math.prod(d + 1 for d in widths)
+    if vectors > HIT_DP_MAX_STATES:
+        raise BudgetExceededError(
+            f"eq26 over block widths {widths} sums over {vectors} vectors e,"
+            f" past the budget of {HIT_DP_MAX_STATES}"
+        )
     conditions = spec.condition_overlap() or spec.condition_dominance()
     table = [LaurentPoly.zero()] * (n + 1)
-    for e in itertools.product(*(range(d + 1) for d in widths)):
-        prod = LaurentPoly.one()
-        exponent = 0
-        E = 0
-        negative_numerator = False
-        for i in range(spec.t):
-            prev_E = E
-            E += e[i]
-            m1 = H[i] - D[i] + prev_E
-            m2 = D[i + 1] + D[i] - H[i] - prev_E
-            if m1 < 0 or m2 < 0:
-                negative_numerator = True
-            prod = prod * q_binomial(m1, widths[i] - e[i]) * q_binomial(m2, e[i])
-            if prod.is_zero:
-                break
-            exponent += e[i] * (H[i] - D[i + 1] + E)
-        if prod.is_zero:
-            continue
-        if conditions and negative_numerator:
-            raise IdentityViolation(f"{spec} e={e}: a negative numerator left {prod}")
-        term = prod.shifted(exponent)
-        if conditions and any(c < 0 for _, c in term.items()):
-            raise IdentityViolation(
-                f"{spec} e={e}: term {term} is negative under the overlap or dominance condition"
-            )
-        table[n - E] = table[n - E] + term
+    e = [0] * t
+
+    def walk(i: int, prod: LaurentPoly, E: int, exponent: int, negative: bool) -> None:
+        if i == t:
+            if conditions and negative:
+                raise IdentityViolation(f"{spec} e={tuple(e)}: a negative numerator left {prod}")
+            term = prod.shifted(exponent)
+            if conditions and any(c < 0 for _, c in term.items()):
+                raise IdentityViolation(
+                    f"{spec} e={tuple(e)}: term {term} is negative"
+                    " under the overlap or dominance condition"
+                )
+            table[n - E] = table[n - E] + term
+            return
+        m1 = H[i] - D[i] + E
+        m2 = D[i + 1] + D[i] - H[i] - E
+        negative = negative or m1 < 0 or m2 < 0
+        for ei in range(widths[i] + 1):
+            e[i] = ei
+            block = prod * q_binomial(m1, widths[i] - ei) * q_binomial(m2, ei)
+            if block:
+                walk(i + 1, block, E + ei, exponent + ei * (H[i] - D[i + 1] + E + ei), negative)
+
+    walk(0, LaurentPoly.one(), 0, 0, False)
     return tuple(table)
 
 
 def recurrence25_check(spec: StepSpec) -> bool:
-    """Peeling off the last block (H_t, d_t): the hit polynomials of the
-    full board, rebuilt from the table of the truncated board B' by
+    """Peeling off the last block (H_t, d_t): the divided hit polynomials
+    T_k / prod_i [d_i]! of the full board, rebuilt from those of the
+    truncated board B' by
 
-        T_k(B) = [d_t]! sum_r T_r(B') [H_t - r, k - r] [n - H_t + r, d_t + r - k]
-                 q^((d_t + r - k)(H_t - k)),
+        T_k(B) / prod_i [d_i]! = sum_r T_r(B') / prod_(i<t) [d_i]!
+                                 [H_t - r, k - r] [n - H_t + r, d_t + r - k]
+                                 q^((d_t + r - k)(H_t - k)),
 
-    match the table of the full board; both tables come from the
-    composition formula.  The empty board has nothing to peel off; its
-    table must be (1,)."""
+    match those of the full board; both tables come from the composition
+    formula.  This is eq. (25) divided by the block factorials, which are
+    nonzero, so Z[q, q^-1] having no zero divisors makes it the same
+    check.  The empty board has nothing to peel off; its table must be
+    (1,)."""
     if not spec.t:
-        return step_formula(spec, "eq26") == (LaurentPoly.one(),)
+        return _eq26_divided(spec) == (LaurentPoly.one(),)
     n = spec.n
     d_t = spec.widths[-1]
     H_t = spec.block_heights[-1]
-    inner = step_formula(spec.truncated(), "eq26")
-    full = step_formula(spec, "eq26")
-    dt_fact = q_factorial(d_t)
+    inner = _eq26_divided(spec.truncated())
+    full = _eq26_divided(spec)
     for k in range(n + 1):
         total = LaurentPoly.zero()
         for r in range(max(0, k - d_t), min(k, n - d_t) + 1):
@@ -381,7 +419,7 @@ def recurrence25_check(spec: StepSpec) -> bool:
             if coeff.is_zero:
                 continue
             total = total + (inner[r] * coeff).shifted((d_t + r - k) * (H_t - k))
-        if dt_fact * total != full[k]:
+        if total != full[k]:
             return False
     return True
 
@@ -641,10 +679,15 @@ def suite_unimodal(max_n: int) -> Iterator[CheckResult]:
 
 
 def _step_formulas_detail(spec: StepSpec) -> str:
+    """The two formulas agree divided by the block factorials, and times
+    them with the hit polynomials of the expanded board."""
     t = hit_polys(spec.expand(), "mat")
-    a, b = step_formula(spec, "eq24"), step_formula(spec, "eq26")
-    k = next((k for k in range(spec.n + 1) if not a[k] == b[k] == t[k]), None)
-    return "" if k is None else f"k={k} eq24={a[k]} eq26={b[k]} enumerated={t[k]}"
+    a, b = eq24_divided(spec), _eq26_divided(spec)
+    factorials = _widths_factorial(spec.widths)
+    k = next((k for k in range(spec.n + 1) if not (a[k] == b[k] and factorials * a[k] == t[k])), None)
+    if k is None:
+        return ""
+    return f"k={k} eq24={factorials * a[k]} eq26={factorials * b[k]} enumerated={t[k]}"
 
 
 def suite_steps(max_n: int) -> Iterator[CheckResult]:

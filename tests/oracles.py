@@ -10,7 +10,7 @@ import math
 from qrook.boards import FerrersBoard, StepSpec
 from qrook.permstat import mat_word, words_over, xi_word
 from qrook.placements import Placement, mat_stat, xi_stat
-from qrook.qpoly import LaurentPoly
+from qrook.qpoly import IdentityViolation, LaurentPoly, q_binomial
 
 
 def partitions_in_box_gf(rows: int, cols: int) -> LaurentPoly:
@@ -87,6 +87,47 @@ def word_stat_polys_by_words(spec: StepSpec, family: str) -> tuple[LaurentPoly, 
         e = stat(w, spec)
         bucket[e] = bucket.get(e, 0) + 1
     return tuple(LaurentPoly(c) for c in counts)
+
+
+def eq26_divided_by_vectors(spec: StepSpec, binomial=q_binomial) -> tuple[LaurentPoly, ...]:
+    """The composition expansion of ``verify._eq26_divided`` one vector e
+    at a time: every e in lexicographic order rebuilds its product over
+    the blocks from scratch, with the same guards and messages.
+    ``binomial`` stands in for ``q_binomial``, so a test can corrupt both
+    routes alike."""
+    n = spec.n
+    H = spec.block_heights
+    D = (0,) + spec.col_offsets
+    widths = spec.widths
+    conditions = spec.condition_overlap() or spec.condition_dominance()
+    table = [LaurentPoly.zero()] * (n + 1)
+    for e in itertools.product(*(range(d + 1) for d in widths)):
+        prod = LaurentPoly.one()
+        exponent = 0
+        E = 0
+        negative_numerator = False
+        for i in range(spec.t):
+            prev_E = E
+            E += e[i]
+            m1 = H[i] - D[i] + prev_E
+            m2 = D[i + 1] + D[i] - H[i] - prev_E
+            if m1 < 0 or m2 < 0:
+                negative_numerator = True
+            prod = prod * binomial(m1, widths[i] - e[i]) * binomial(m2, e[i])
+            if prod.is_zero:
+                break
+            exponent += e[i] * (H[i] - D[i + 1] + E)
+        if prod.is_zero:
+            continue
+        if conditions and negative_numerator:
+            raise IdentityViolation(f"{spec} e={e}: a negative numerator left {prod}")
+        term = prod.shifted(exponent)
+        if conditions and any(c < 0 for _, c in term.items()):
+            raise IdentityViolation(
+                f"{spec} e={e}: term {term} is negative under the overlap or dominance condition"
+            )
+        table[n - E] = table[n - E] + term
+    return tuple(table)
 
 
 def lifts(w, widths) -> list[Placement]:

@@ -120,6 +120,19 @@ class TestHit:
                 f" states, past the budget of {placements.HIT_DP_MAX_STATES}\n"
             )
 
+    def test_eq26_at_and_past_its_vector_budget(self):
+        # stair:14 sums over 2^14 vectors e, exactly the budget
+        n = placements.HIT_DP_MAX_STATES.bit_length() - 1
+        result = run("hit", "--board", f"stair:{n}", "--k", str(n), "--method", "eq26")
+        assert result.exit_code == 0
+        assert json.loads(result.output) == {"k": n, "method": "eq26", "min_exp": 0, "coeffs": [1]}
+        result = run("hit", "--board", f"stair:{n + 1}", "--method", "eq26")
+        assert result.exit_code == 2
+        assert result.output == (
+            f"error: eq26 over block widths {(1,) * (n + 1)} sums over {2 ** (n + 1)} vectors e,"
+            f" past the budget of {placements.HIT_DP_MAX_STATES}\n"
+        )
+
     def test_full_board_past_the_subset_budget(self):
         # 16 columns of one height: one block, 17 position-scan states; the
         # only full placement puts all 16 rooks on the board

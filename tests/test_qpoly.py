@@ -339,6 +339,33 @@ def test_dense_store_matches_sparse_reference(pair, k, s, power):
     assert (f == k) == (a == const)
 
 
+UNITS_AND_LARGE = st.one_of(st.sampled_from([1, -1]), st.integers(2**64, 2**80), st.integers(-(2**80), -(2**64)))
+
+
+@given(SPARSE, SPARSE, UNITS_AND_LARGE, st.integers(-9, 9))
+@settings(max_examples=100)
+def test_single_term_products_match_sparse_reference(a, b, c, e):
+    # a single term scales the other operand's list, and q^e shares it
+    f, g, m = LaurentPoly(a), LaurentPoly(b), LaurentPoly.monomial(c, e)
+    term = {e: c}
+    left, right = m * f, f * m
+    assert_matches(left, sparse_mul(term, a))
+    assert_matches(right, sparse_mul(a, term))
+    assert_matches(f * c, sparse_mul(a, {0: c}))
+    assert_matches(c * f, sparse_mul({0: c}, a))
+    if c == 1 and a:
+        assert left._coeffs is f._coeffs
+    # arithmetic on the products leaves their operand as it was
+    for p in (left, right):
+        assert_matches(p + g, sparse_add(sparse_mul(term, a), b))
+        assert_matches(p * g, sparse_mul(sparse_mul(term, a), b))
+        assert_matches(-p, sparse_mul({e: -c}, a))
+        assert_matches(p - p, {})
+        assert_matches(p.subs_q_inverse().shifted(3), {3 - x: y for x, y in sparse_mul(term, a).items()})
+    assert_matches(f, a)
+    assert_matches(m, term)
+
+
 def test_dense_constructor_trims_both_ends():
     assert LaurentPoly.dense(-2, [0, 0, 3, 0, -1, 0]).to_dense_dict() == {
         "min_exp": 0,

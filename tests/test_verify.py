@@ -42,6 +42,8 @@ from qrook.verify import (
     step_zsu_check,
 )
 
+from oracles import eq26_divided_by_vectors
+
 
 def x_power(k):
     return BivariatePoly({(0, k): 1})
@@ -228,6 +230,48 @@ class TestStepFormulas:
         with pytest.raises(ValueError):
             step_formula(StepSpec(((0, 1),)), "eq99")
 
+    @pytest.mark.parametrize(
+        "corruption,max_n,message",
+        [
+            (None, 5, None),
+            ("zero-brackets-are-one", 4, "a negative numerator left"),
+            ("negated-k1", 4, "is negative under the overlap or dominance condition"),
+            ("refuses-2-1", 4, "[2, 1] refused"),
+        ],
+        ids=["exact", "zero-brackets-are-one", "negated-k1", "refuses-2-1"],
+    )
+    def test_eq26_walk_matches_vector_oracle(self, monkeypatch, corruption, max_n, message):
+        # the depth-first walk against the per-vector sum, on every spec with
+        # rises <= 3, inadmissible ones included: the same table, or the same
+        # first IdentityViolation when q_binomial is corrupted
+        def binomial(m, k):
+            if corruption == "zero-brackets-are-one" and 0 <= m < k:
+                return LaurentPoly.one()
+            if corruption == "negated-k1" and k == 1:
+                return -q_binomial(m, k)
+            if corruption == "refuses-2-1" and (m, k) == (2, 1):
+                raise IdentityViolation("[2, 1] refused")
+            return q_binomial(m, k)
+
+        def outcome(fn, spec):
+            try:
+                return fn(spec)
+            except IdentityViolation as exc:
+                return str(exc)
+
+        monkeypatch.setattr(verify, "q_binomial", binomial)
+        violations = []
+        for n in range(max_n + 1):
+            for spec in all_step_specs(n, max_rise=3):
+                walked = outcome(verify._eq26_divided, spec)
+                assert walked == outcome(lambda s: eq26_divided_by_vectors(s, binomial), spec), spec
+                if isinstance(walked, str):
+                    violations.append(walked)
+        if message is None:
+            assert not violations
+        else:
+            assert any(message in v for v in violations)
+
 
 class TestUnimodality:
     def test_darga_targets(self):
@@ -411,6 +455,30 @@ class TestFailuresStayInTheSuite:
             )
             for line in fails
         )
+
+    def test_wrong_truncated_table(self, monkeypatch):
+        # one entry of the divided table of steps:1x2 is off by a factor q:
+        # the recurrence fails where that spec is the full or the truncated
+        # board, and the formula check shows both tables times [2]!
+        real = verify._eq26_divided
+        target = StepSpec(((1, 2),))
+
+        def corrupted(spec):
+            table = real(spec)
+            return table[:1] + (table[1].shifted(1),) + table[2:] if spec == target else table
+
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "_eq26_divided", corrupted)
+            code, lines = self.verify_lines("steps", 3)
+        assert code == 1
+        assert [line for line in lines if line.startswith("FAIL ")] == [
+            "FAIL step-formulas-agree steps:1x2 k=1 eq24=1 + q eq26=q + q^2 enumerated=1 + q",
+            "FAIL step-truncation-recurrence steps:1x2",
+            "FAIL step-truncation-recurrence steps:1x2,0x1",
+            "FAIL step-truncation-recurrence steps:1x2,1x1",
+            "FAIL step-truncation-recurrence steps:1x2,2x1",
+        ]
+        assert len(lines) == len(self.verify_lines("steps", 3)[1])
 
     def test_violation_in_unguarded_check(self, monkeypatch):
         # the delta identity builds its series from verify.q_binomial; a
