@@ -98,15 +98,9 @@ def hit_cmd(board_spec: str, k: int | None, method: str, fmt: str):
     board, spec = _board_and_spec(board_spec)
     n = board.n
     methods = list(HIT_METHODS) + ["eq24", "eq26"] if method == "all" else [method]
-    needs_spec = any(m in ("eq24", "eq26") for m in methods)
-    if needs_spec and spec is None:
-        spec = step_decomposition(board)
-    if not board.admissible:
-        bad = [m for m in methods if m in HIT_METHODS]
-        if bad:
-            _fail_usage(
-                "inadmissible board: only the step formulas eq24/eq26 apply"
-            )
+    spec = spec or step_decomposition(board)
+    if not board.admissible and any(m in HIT_METHODS for m in methods):
+        _fail_usage("inadmissible board: only the step formulas eq24/eq26 apply")
     if k is not None and not 0 <= k <= n:
         _fail_usage(f"k must lie in 0..{n}")
     try:
@@ -161,12 +155,8 @@ def stats_cmd(word_text: str, v_text: str | None, stat_name: str, family: str, v
         elif stat_name in ("stat1", "stat2", "stat3", "stat4"):
             chosen = variant if variant is not None else int(stat_name[-1])
             value = permstat.stat_family(letters, family, chosen)
-        elif stat_name == "stat5":
-            value = permstat.stat5(word, v)
-        elif stat_name == "stat6":
-            value = permstat.stat6(word, v)
-        elif stat_name == "stat7":
-            value = permstat.stat7(word, v)
+        elif stat_name in ("stat5", "stat6", "stat7"):
+            value = getattr(permstat, stat_name)(word, v)
         elif stat_name == "t5a":
             value = permstat.theorem5_stat(word)
         else:

@@ -31,7 +31,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .boards import FerrersBoard, staircase_board
-from .placements import BudgetExceededError, Placement, enumerate_placements, inv_stat, rook_poly
+from .placements import BudgetExceededError, Placement, _one_minus_z_q, enumerate_placements, inv_stat, rook_poly
 from .qpoly import BivariatePoly, IdentityViolation, LaurentPoly, q_stirling
 
 DEFAULT_BUDGET = 10**7
@@ -305,12 +305,10 @@ def corollary2_check(board: FerrersBoard) -> bool:
     # nested: P_n + (1 - x)(P_(n-1) + (1 - xq)(P_(n-2) + ...))
     lhs = BivariatePoly.zero()
     for k in range(n, -1, -1):
-        lhs = lhs * BivariatePoly({(0, 0): 1, (k, 1): -1}) + BivariatePoly.from_laurent(
-            p_k_formula(board, n - k)
-        )
+        lhs = lhs * _one_minus_z_q(k) + BivariatePoly.from_laurent(p_k_formula(board, n - k))
     rhs = BivariatePoly.one()
     for i, c in enumerate(board.heights, start=1):
-        rhs = rhs * BivariatePoly({(c, 0): 1, (i - 1, 1): -1})
+        rhs = rhs * BivariatePoly.series((LaurentPoly.dense(c, (1,)), LaurentPoly.dense(i - 1, (-1,))))
     return lhs == rhs
 
 

@@ -41,6 +41,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .boards import FerrersBoard, StepSpec, g_spec
 from . import placements
 from .placements import _STAT_KERNELS, Placement, _hits, _mat_raw
+from .qpoly import LaurentPoly
 
 
 @dataclass(frozen=True)
@@ -443,9 +444,26 @@ def theorem5_statx(w, v: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def joint_distribution(words: Iterable, stat_a: Callable, stat_b: Callable) -> Counter:
-    """Multiset of (stat_a(w), stat_b(w)) pairs."""
-    return Counter((stat_a(w), stat_b(w)) for w in words)
+def joint_distribution(words: Iterable, stat_a: Callable, stat_b: Callable) -> tuple[LaurentPoly, ...]:
+    """The joint distribution of (stat_a, stat_b) over words of one length
+    n as a hit table (D_0, ..., D_n): D_a is the generating polynomial of
+    stat_b over the words with stat_a = a.  No words give (); a word of
+    another length, or a stat_a outside 0..n, raises ValueError."""
+    n, counts = None, []
+    for w in words:
+        length = len(_letters(w))
+        if n is None:
+            n, counts = length, [{} for _ in range(length + 1)]
+        elif length != n:
+            raise ValueError(f"a word of length {length} among words of length {n}")
+        a, b = stat_a(w), stat_b(w)
+        if not 0 <= a <= n:
+            raise ValueError(f"stat_a = {a} lies outside 0..{n}")
+        counts[a][b] = counts[a].get(b, 0) + 1
+    return tuple(
+        LaurentPoly.dense(min(c), [c.get(b, 0) for b in range(min(c), max(c) + 1)]) if c else LaurentPoly.zero()
+        for c in counts
+    )
 
 
 def parse_word(text: str) -> tuple[int, ...]:

@@ -211,6 +211,9 @@ class LaurentPoly:
         return self._lo == other._lo and self._coeffs == other._coeffs
 
     def __hash__(self):
+        # a constant equals its int, so it hashes as that int
+        if self._lo == 0 and len(self._coeffs) <= 1:
+            return hash(sum(self._coeffs))
         return hash((self._lo, tuple(self._coeffs)))
 
     def __bool__(self):

@@ -2,10 +2,10 @@
 
 Each check returns True on its whole desk-scale domain; a False from a
 suite is a build-breaking failure.  Every FAIL line names its check and
-instance; the hit-method and step-formula comparisons add the first
-disagreeing hit index with each route's polynomial, the multiset-Mahonian
-checks the first differing exponent, and a check that raises
-IdentityViolation carries its message.  Suites are pure and
+instance; the hit-method, step-formula and Euler-Mahonian table
+comparisons add the first disagreeing index with each table's entry,
+the multiset-Mahonian checks the first differing exponent, and a check
+that raises IdentityViolation carries its message.  Suites are pure and
 embarrassingly parallel across their instances.
 
 The checks fall into four groups:
@@ -145,7 +145,7 @@ def lemma3_delta_check(n: int, order: int | None = None) -> bool:
     base = inverse_product_series(n, order + 1)
     extended = inverse_product_series(n + 1, order)
     for k in range(n + 1):
-        lhs = (BivariatePoly({(0, k): 1}) * base).truncated(order + 1).delta()
+        lhs = (BivariatePoly.from_laurent(LaurentPoly.one(), k) * base).truncated(order + 1).delta()
         # for k = 0 the first numerator term is [0] = 0
         rhs_num = BivariatePoly.from_laurent(q_bracket(k), k - 1) + BivariatePoly.from_laurent(
             q_bracket(n - k + 1).shifted(k), k
@@ -195,17 +195,6 @@ def reciprocity_check(board: FerrersBoard) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def maj_by_des(words) -> dict[int, LaurentPoly]:
-    """For each descent count, the generating polynomial of maj."""
-    buckets: dict[int, dict[int, int]] = {}
-    for w in words:
-        d, m = permstat.des(w), permstat.maj(w)
-        bucket = buckets.setdefault(d, {})
-        bucket[m] = bucket.get(m, 0) + 1
-    # maj >= 0, so each bucket is the dense run 0..max(maj)
-    return {d: LaurentPoly.dense(0, [c.get(m, 0) for m in range(max(c) + 1)]) for d, c in buckets.items()}
-
-
 def euler_ladder_check(n: int) -> bool:
     """The four expressions for the maj distribution at fixed descent count:
     shifted hit polynomials of the triangular board and of its complement."""
@@ -213,10 +202,10 @@ def euler_ladder_check(n: int) -> bool:
     comp = complement(tri)
     t_tri = hit_polys(tri, "mat")
     t_comp = hit_polys(comp, "mat")
-    dist = maj_by_des(permstat.permutations_of(n))
+    dist = permstat.joint_distribution(permstat.permutations_of(n), permstat.des, permstat.maj)
     binom = n * (n - 1) // 2
     return all(
-        dist.get(k, LaurentPoly.zero())
+        dist[k]
         == t_tri[k].shifted(n * k - binom)
         == t_tri[n - k - 1]
         == t_comp[k + 1].shifted(n * k - binom)
@@ -232,21 +221,17 @@ def g_identity_check(v: Sequence[int]) -> bool:
     n = sum(v)
     board = g_board(v)
     t = hit_polys(board, "mat")
-    dist = maj_by_des(permstat.words_over(v))
+    dist = permstat.joint_distribution(permstat.words_over(v), permstat.des, permstat.maj)
     vfact = _widths_factorial(v)
-    return all(
-        dist.get(k, LaurentPoly.zero()) * vfact == t[k].shifted(n * k - board.area)
-        for k in range(n + 1)
-    )
+    return all(dist[k] * vfact == t[k].shifted(n * k - board.area) for k in range(n + 1))
 
 
 def corollary3_check(v: Sequence[int]) -> bool:
     """The maj distribution at fixed descent count over words is zero or
     symmetric unimodal with darga n*k."""
-    v = tuple(int(x) for x in v)
     n = sum(v)
-    dist = maj_by_des(permstat.words_over(v))
-    return all(zsu_check(dist.get(k, LaurentPoly.zero()), n * k) for k in range(n + 1))
+    dist = permstat.joint_distribution(permstat.words_over(v), permstat.des, permstat.maj)
+    return all(zsu_check(dist[k], n * k) for k in range(n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -521,10 +506,12 @@ def suite_rook(max_n: int) -> Iterator[CheckResult]:
         )
 
 
-def _hit_methods_detail(board: FerrersBoard) -> str:
-    mat, xi, defining = (hit_polys(board, m) for m in HIT_METHODS)
-    k = next((k for k in range(board.n + 1) if not mat[k] == xi[k] == defining[k]), None)
-    return "" if k is None else f"k={k} mat={mat[k]} xi={xi[k]} defining={defining[k]}"
+def _tables_detail(**tables: Sequence[LaurentPoly]) -> str:
+    """Empty when the named tables agree; otherwise the first index k
+    where they differ, then each table's entry there by name."""
+    first, *rest = tables.values()
+    k = next((k for k, entry in enumerate(first) if any(t[k] != entry for t in rest)), None)
+    return "" if k is None else f"k={k} " + " ".join(f"{name}={table[k]}" for name, table in tables.items())
 
 
 def _hit_sum_check(board: FerrersBoard) -> bool:
@@ -540,7 +527,9 @@ def suite_hit(max_n: int) -> Iterator[CheckResult]:
     for n in range(1, max_n + 1):
         for board in all_ferrers_boards(n):
             name = board.spec_string()
-            yield _guarded("hit-methods-agree", name, _hit_methods_detail, board)
+            yield _guarded(
+                "hit-methods-agree", name, lambda: _tables_detail(**{m: hit_polys(board, m) for m in HIT_METHODS})
+            )
             yield _guarded("hit-sum-factorial", name, _hit_sum_check, board)
             yield _guarded("hit-classical-at-1", name, _hit_classical_check, board)
 
@@ -562,6 +551,10 @@ def suite_mahonian(max_n: int) -> Iterator[CheckResult]:
                     )
 
 
+def _joint_detail(words: list, stat_a: Callable, stat_b: Callable, ref: tuple[LaurentPoly, ...]) -> str:
+    return _tables_detail(got=permstat.joint_distribution(words, stat_a, stat_b), ref=ref)
+
+
 def suite_euler(max_n: int) -> Iterator[CheckResult]:
     for n in range(1, max_n + 1):
         yield _guarded("euler-ladder", f"n={n}", euler_ladder_check, n)
@@ -573,18 +566,17 @@ def suite_euler(max_n: int) -> Iterator[CheckResult]:
             ("closed-form-exc-stat", permstat.theorem5_stat),
             ("stat7-permutations", lambda p: permstat.stat7(p, ones)),
         ):
-            yield _guarded(
-                check, f"n={n}", lambda: permstat.joint_distribution(perms, permstat.exc, stat) == ref
-            )
+            yield _guarded(check, f"n={n}", _joint_detail, perms, permstat.exc, stat, ref)
         for family in ("mat", "xi"):
             for variant in range(1, 9):
                 yield _guarded(
                     "descent-family-euler-mahonian",
                     f"n={n} family={family} variant={variant}",
-                    lambda: permstat.joint_distribution(
-                        perms, permstat.des, lambda p: permstat.stat_family(p, family, variant)
-                    )
-                    == ref,
+                    _joint_detail,
+                    perms,
+                    permstat.des,
+                    lambda p: permstat.stat_family(p, family, variant),
+                    ref,
                 )
     for v in compositions(range(1, max_n + 1)):
         name = "v=" + ",".join(map(str, v))
@@ -600,29 +592,27 @@ def suite_euler(max_n: int) -> Iterator[CheckResult]:
             ("stat6-euler-mahonian", v, "xi"),
             ("reflected-block-euler-mahonian", rev, "mat"),
         ):
-            yield _guarded(check, name, lambda: _exc_block_joint(vector, family) == ref)
+            yield _guarded(check, name, lambda: _tables_detail(got=_exc_block_joint(vector, family), ref=ref))
         yield _guarded(
             "closed-form-exc-statx",
             name,
-            lambda: permstat.joint_distribution(
-                words, permstat.exc, lambda w: permstat.theorem5_statx(w, v)
-            )
-            == ref,
+            _joint_detail,
+            words,
+            permstat.exc,
+            lambda w: permstat.theorem5_statx(w, v),
+            ref,
         )
 
 
-def _exc_block_joint(v: tuple[int, ...], family: str) -> dict[tuple[int, int], int]:
-    """The joint distribution of (exc, stat5) over the words of v for mat,
-    of (exc, stat6) for xi, read off the word-statistic tables of the
-    block board: there the hits of a word are its excedences, and the
-    statistic is n*exc - Area plus the lift statistic."""
+def _exc_block_joint(v: tuple[int, ...], family: str) -> tuple[LaurentPoly, ...]:
+    """The (exc, stat5) table of ``joint_distribution`` over the words of
+    v for mat, the (exc, stat6) table for xi, read off the word-statistic
+    table of the block board: there the hits of a word are its
+    excedences, and the statistic is n*exc - Area plus the lift
+    statistic, so entry k is shifted by n*k - Area."""
     spec = g_spec(v)
     n, area = spec.n, spec.area
-    return {
-        (k, n * k - area + e): count
-        for k, poly in enumerate(permstat.word_stat_polys(spec, family))
-        for e, count in poly.items()
-    }
+    return tuple(poly.shifted(n * k - area) for k, poly in enumerate(permstat.word_stat_polys(spec, family)))
 
 
 def suite_reciprocity(max_n: int) -> Iterator[CheckResult]:

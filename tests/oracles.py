@@ -6,6 +6,7 @@ library paths it checks.
 
 import itertools
 import math
+from collections import Counter
 
 from qrook.boards import FerrersBoard, StepSpec
 from qrook.permstat import mat_word, words_over, xi_word
@@ -87,6 +88,12 @@ def word_stat_polys_by_words(spec: StepSpec, family: str) -> tuple[LaurentPoly, 
         e = stat(w, spec)
         bucket[e] = bucket.get(e, 0) + 1
     return tuple(LaurentPoly(c) for c in counts)
+
+
+def joint_pairs(words, stat_a, stat_b) -> Counter:
+    """The joint distribution of (stat_a, stat_b) as the multiset of
+    (stat_a(w), stat_b(w)) pairs, with no table and no range checks."""
+    return Counter((stat_a(w), stat_b(w)) for w in words)
 
 
 def eq26_divided_by_vectors(spec: StepSpec, binomial=q_binomial) -> tuple[LaurentPoly, ...]:

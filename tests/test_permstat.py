@@ -45,7 +45,7 @@ from qrook.placements import HIT_DP_MAX_STATES, BudgetExceededError, Placement, 
 from qrook.qpoly import LaurentPoly, q_factorial, q_multinomial
 from qrook.verify import _exc_block_joint
 
-from oracles import lifts, word_stat_polys_by_words
+from oracles import joint_pairs, lifts, word_stat_polys_by_words
 
 
 def compositions_upto(total):
@@ -447,3 +447,40 @@ def test_g_spec_matches_block_reading():
     spec = g_spec((2, 3, 2))
     assert spec.widths == (2, 3, 2)
     assert spec.block_heights == (0, 2, 5)
+
+
+class TestJointDistribution:
+    @pytest.mark.parametrize("v", list(compositions_upto(5)))
+    def test_table_matches_pairs(self, v):
+        # entry a of the table holds q^b for every pair (a, b) of the oracle
+        words = list(words_over(v))
+        n = sum(v)
+        for stat_a, stat_b in (
+            (des, maj),
+            (exc, lambda w: theorem5_statx(w, v)),
+            # maj < n*des on a word with descents, so this goes negative
+            (des, lambda w: maj(w) - n * des(w)),
+        ):
+            table = joint_distribution(words, stat_a, stat_b)
+            assert len(table) == n + 1
+            pairs = {(a, b): c for a, poly in enumerate(table) for b, c in poly.items()}
+            assert pairs == joint_pairs(words, stat_a, stat_b)
+        if len(v) > 1:
+            # some word has one descent, and the last stat_b was negative on it
+            assert table[1].min_exp < 0
+
+    def test_stat_a_outside_the_table_raises(self):
+        words = list(words_over((1, 2)))
+        for a in (-1, 4):
+            with pytest.raises(ValueError, match=f"stat_a = {a} lies outside 0..3"):
+                joint_distribution(words, lambda w: a, maj)
+
+    def test_words_of_another_length_raise(self):
+        with pytest.raises(ValueError, match="length 3 among words of length 2"):
+            joint_distribution([(1, 2), (1, 2, 3)], des, maj)
+
+    def test_edge_collections(self):
+        assert joint_distribution([], des, maj) == ()
+        assert joint_distribution(words_over(()), des, maj) == (LaurentPoly.one(),)
+        words = [Word.of(w) for w in permutations_of(3)]
+        assert joint_distribution(words, des, maj) == joint_distribution(permutations_of(3), des, maj)

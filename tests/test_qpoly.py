@@ -440,3 +440,12 @@ def test_negative_z_power_raises():
     # is [0] z^-1 = 0
     assert BivariatePoly({(0, -1): 0, (1, 0): 2}) == BivariatePoly.from_laurent(LaurentPoly.monomial(2, 1))
     assert BivariatePoly.from_laurent(q_bracket(0), -1) == BivariatePoly.zero()
+
+
+def test_constants_hash_as_their_ints():
+    # a constant polynomial equals its int, so a set holds one of the two
+    for c in (0, 1, -1, 2**70):
+        p = LaurentPoly.dense(0, [c])
+        assert p == c and hash(p) == hash(c)
+        assert len({p, c}) == 1
+    assert {LaurentPoly.one(), 1} == {1} and {LaurentPoly.zero(), 0} == {0}

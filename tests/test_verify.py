@@ -1,6 +1,7 @@
 import ast
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from qrook import ffmat, placements, verify
+from qrook import ffmat, permstat, placements, verify
 from qrook.boards import (
     StepSpec,
     all_ferrers_boards,
@@ -443,7 +444,7 @@ class TestFailuresStayInTheSuite:
         # the euler ladder and the block-board maj check read the mat hit
         # polynomials, which are those tables times the block factorials
         fails = self.wrong_word_statistic(monkeypatch, "euler")
-        assert "FAIL stat5-euler-mahonian v=1" in fails
+        assert "FAIL stat5-euler-mahonian v=1 k=0 got=q ref=1" in fails
         assert all(
             line.startswith(
                 (
@@ -455,6 +456,56 @@ class TestFailuresStayInTheSuite:
             )
             for line in fails
         )
+
+    def test_wrong_maj(self, monkeypatch):
+        # maj one too high moves the (des, maj) reference table: every Euler
+        # comparison fails with the first differing entry of both tables,
+        # and the ladder and block-board checks, which compare it with hit
+        # polynomials, fail too
+        real = permstat.maj
+        with monkeypatch.context() as patch:
+            patch.setattr(permstat, "maj", lambda w: real(w) + 1)
+            code, lines = self.verify_lines("euler", 2)
+        assert code == 1
+        assert len(lines) == len(self.verify_lines("euler", 2)[1])
+        assert "FAIL exc-den-euler-mahonian n=1 k=0 got=1 ref=q" in lines
+        assert "FAIL descent-family-euler-mahonian n=2 family=xi variant=8 k=0 got=1 ref=q" in lines
+        assert "FAIL closed-form-exc-statx v=1,1 k=0 got=1 ref=q" in lines
+        compared = (
+            "exc-den-euler-mahonian",
+            "closed-form-exc-stat",
+            "stat7-permutations",
+            "descent-family-euler-mahonian",
+            "stat5-euler-mahonian",
+            "stat6-euler-mahonian",
+            "reflected-block-euler-mahonian",
+            "closed-form-exc-statx",
+        )
+        checks = [line.split()[:2] for line in lines[:-1]]
+        assert {check for status, check in checks if status == "FAIL"} == {
+            *compared,
+            "euler-ladder",
+            "block-board-maj",
+        }
+        for line in lines[:-1]:
+            if line.split()[1] in compared:
+                assert re.fullmatch(r"FAIL .+ k=\d+ got=.+ ref=.+", line), line
+
+    def test_hit_methods_detail(self, monkeypatch):
+        # xi's one-hit entry is off by a factor q: the FAIL line names the
+        # first differing hit count and each method's polynomial there
+        real = verify.hit_polys
+
+        def corrupted(board, method):
+            table = real(board, method)
+            return table[:1] + (table[1].shifted(1),) + table[2:] if method == "xi" else table
+
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "hit_polys", corrupted)
+            lines = [result.line() for result in run_suites(["hit"], 2)]
+        assert "FAIL hit-methods-agree heights:0,2 k=1 mat=1 + q xi=q + q^2 defining=1 + q" in lines
+        assert len([line for line in lines if line.startswith("FAIL ")]) == 5
+        assert len(lines) == len(list(run_suites(["hit"], 2)))
 
     def test_wrong_truncated_table(self, monkeypatch):
         # one entry of the divided table of steps:1x2 is off by a factor q:
