@@ -7,8 +7,10 @@ formula), ``verify`` (the named check suites), and ``table`` (the
 eight-variant statistic table over a symmetric group).
 
 Exit codes: 0 on success and all-pass verification, 1 when any suite
-check fails, 2 on usage errors (bad board spec, malformed word,
-enumeration or dynamic-program budget exceeded).  Output is
+check fails (a ``hit`` or ``matrices`` computation whose own check
+raises prints ``error: <message>`` on stderr), 2 on usage errors (bad
+board spec, malformed word, enumeration or dynamic-program budget
+exceeded).  Output is
 deterministic: identical invocations produce byte-identical output.
 """
 
@@ -23,7 +25,7 @@ from . import ffmat, permstat, verify
 from .boards import parse_board_spec, step_decomposition
 from .placements import HIT_METHODS, BudgetExceededError, hit_polys
 from .placements import rook_poly as rook_poly_fn
-from .qpoly import LaurentPoly
+from .qpoly import IdentityViolation, LaurentPoly
 
 
 def _echo(line: str):
@@ -36,6 +38,11 @@ def _echo(line: str):
 def _fail_usage(message: str):
     click.echo(f"error: {message}", file=sys.stderr)
     sys.exit(2)
+
+
+def _fail_check(exc: IdentityViolation):
+    click.echo(f"error: {exc}", file=sys.stderr)
+    sys.exit(1)
 
 
 def _board_and_spec(spec_text: str):
@@ -110,6 +117,8 @@ def hit_cmd(board_spec: str, k: int | None, method: str, fmt: str):
         }
     except BudgetExceededError as exc:
         _fail_usage(str(exc))
+    except IdentityViolation as exc:
+        _fail_check(exc)
     consistent = True
     for kk in range(n + 1) if k is None else [k]:
         values = {m: table[kk] for m, table in tables.items()}
@@ -177,7 +186,10 @@ def matrices_cmd(board_spec: str, prime: int):
     except ValueError as exc:  # BudgetExceededError is a ValueError
         _fail_usage(str(exc))
     _echo("ranks: " + ",".join(str(c) for c in counts))
-    agrees = ffmat.theorem1_check(board, prime)
+    try:
+        agrees = ffmat.theorem1_check(board, prime)
+    except IdentityViolation as exc:
+        _fail_check(exc)
     _echo("THEOREM1 PASS" if agrees else "THEOREM1 FAIL")
     if not agrees:
         sys.exit(1)

@@ -196,9 +196,16 @@ class LaurentPoly:
         return _canonical(-self.max_exp, self._coeffs[::-1]) if self._coeffs else _ZERO
 
     def evaluate(self, value):
-        """Evaluate at q = value exactly (int or Fraction); ints stay ints."""
-        v = Fraction(value)
-        acc = sum(c * v**e for e, c in self.items())
+        """Evaluate at q = value exactly (int or Fraction); ints stay ints.
+
+        Horner's rule over the dense list, times value^min_exp as a
+        Fraction when min_exp is negative, which raises ZeroDivisionError
+        at 0."""
+        v = value if isinstance(value, int) else Fraction(value)
+        acc = 0
+        for c in reversed(self._coeffs):
+            acc = acc * v + c
+        acc *= v**self._lo if self._lo >= 0 else Fraction(v) ** self._lo
         return int(acc) if acc.denominator == 1 else acc
 
     # -- comparisons / hashing --------------------------------------------

@@ -35,7 +35,12 @@ The checks fall into four groups:
   peels off the last block, and the symmetry/unimodality statements
   with their darga bookkeeping.  Each formula yields the whole table
   (T_0, ..., T_n) of a step board, indexed by hits like
-  :func:`~qrook.placements.hit_polys`.
+  :func:`~qrook.placements.hit_polys`.  By the q-binomial theorem the
+  alternating expansion's signed q-binomials are the coefficients of the
+  Gauss product (1-x)(1-xq)...(1-xq^n), so it is computed as that product
+  times sum_s P_s x^s, by shift-and-subtract passes and no term products;
+  its per-term symmetry guard is checked once per P_s, which is
+  equivalent since each signed q-binomial is nonzero and symmetric.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import sub
 from typing import Callable, Iterator, Sequence
 
 from .boards import (
@@ -253,11 +259,23 @@ def eq24_divided(spec: StepSpec) -> tuple[LaurentPoly, ...]:
     expansion: with P_s = prod_i [s + H_i - D_(i-1), d_i], the k-hit entry
     is sum_s (-1)^j q^C(j,2) [n+1, j] P_s over s + j = n - k.
 
-    Every surviving term must be symmetric with darga
-    ``darga_target(spec, k)``, and a P_s with any negative bracket
-    numerator, that is with s < max_i (D_(i-1) - H_i), must vanish (the
-    cancellation the closed form relies on); IdentityViolation reports a
-    term or product that is not.
+    By the q-binomial theorem those signed q-binomials are the x^j
+    coefficients of (1 - x)(1 - xq)...(1 - xq^n), so the k-hit entry is the
+    x^(n-k) coefficient of that product times sum_s P_s x^s.  The table is
+    built as n+1 passes, each multiplying by one factor 1 - xq^i, that
+    subtract every row shifted by i exponents from the row above it; the
+    rows are dense coefficient lists sharing one lowest exponent, from the
+    first nonzero P_s up, and forming no polynomial product.
+
+    A P_s with any negative bracket numerator, that is with
+    s < max_i (D_(i-1) - H_i), must vanish (the cancellation the closed
+    form relies on).  Every term (-1)^j q^C(j,2) [n+1, j] P_s must be
+    symmetric with darga ``darga_target(spec, k)``; the signed q-binomial
+    is nonzero and symmetric with darga j n, and Z[q, q^-1] has no zero
+    divisors, so that holds exactly when P_s is symmetric with darga
+    ``darga_target(spec, 0) - n(n - s)``, which is what is checked, once
+    per nonzero P_s.  IdentityViolation reports a product that does not
+    vanish, or the first failing term, the one at k = 0.
     """
     n = spec.n
     H = spec.block_heights
@@ -267,34 +285,45 @@ def eq24_divided(spec: StepSpec) -> tuple[LaurentPoly, ...]:
     products = []
     for s in range(n + 1):
         prod = LaurentPoly.one()
-        for i in range(spec.t):
-            prod = prod * q_binomial(s + H[i] - D[i], spec.widths[i])
-            if prod.is_zero:
+        for i, d in enumerate(spec.widths):
+            prod = prod * q_binomial(s + H[i] - D[i], d)
+            if not prod:
                 break
-        if not prod.is_zero and s < min_s:
+        if prod and s < min_s:
             raise IdentityViolation(f"{spec} s={s}: a negative bracket numerator left {prod}")
         products.append(prod)
-    # (-1)^j q^C(j,2) [n+1, j], by j
-    signed = [q_binomial(n + 1, j).shifted(j * (j - 1) // 2) for j in range(n + 1)]
-    signed[1::2] = [-b for b in signed[1::2]]
     target = darga_target(spec, 0)  # minus n k at k hits
-    table = []
-    for k in range(n + 1):
-        total = LaurentPoly.zero()
-        for s, prod in enumerate(products[: n - k + 1]):
-            if prod.is_zero:
-                continue
-            j = n - k - s
-            term = signed[j] * prod
-            if not (is_symmetric(term) and darga(term) == target):
-                unsigned = term if j % 2 == 0 else -term
-                raise IdentityViolation(
-                    f"{spec} k={k} s={s}: term {unsigned} is not symmetric with darga {target}"
-                )
-            total = total + term
-        table.append(total)
-        target -= n
-    return tuple(table)
+    nonzero = [s for s, prod in enumerate(products) if prod]
+    for s in nonzero:
+        prod = products[s]
+        if not (is_symmetric(prod) and darga(prod) == target - n * (n - s)):
+            j = n - s
+            term = q_binomial(n + 1, j).shifted(j * (j - 1) // 2) * prod
+            raise IdentityViolation(
+                f"{spec} k=0 s={s}: term {term} is not symmetric with darga {target}"
+            )
+    if not nonzero:
+        return (LaurentPoly.zero(),) * (n + 1)
+    first = nonzero[0]
+    lo = min(products[s].min_exp for s in nonzero)
+    width = max(products[s].max_exp for s in nonzero) - lo + 1 + n * (n + 1) // 2
+    rows = [[0] * width for _ in range(n + 1)]
+    ends = [0] * (n + 1)  # row m is zero from index ends[m] on
+    for s in nonzero:
+        dense = products[s].to_dense_dict()["coeffs"]
+        offset = products[s].min_exp - lo
+        ends[s] = offset + len(dense)
+        rows[s][offset : ends[s]] = dense
+    for i in range(n + 1):
+        # times 1 - x q^i; row m - 1 is still the previous pass's when row m reads it
+        for m in range(n, first, -1):
+            end = i + ends[m - 1]
+            rows[m][i:end] = map(sub, rows[m][i:end], rows[m - 1])
+            ends[m] = max(ends[m], end)
+    return tuple(
+        LaurentPoly.dense(lo, rows[n - k][: ends[n - k]]) if n - k >= first else LaurentPoly.zero()
+        for k in range(n + 1)
+    )
 
 
 def step_formula(spec: StepSpec, which: str = "eq24") -> tuple[LaurentPoly, ...]:

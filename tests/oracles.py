@@ -7,6 +7,7 @@ library paths it checks.
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 from qrook.boards import FerrersBoard, StepSpec
 from qrook.permstat import mat_word, words_over, xi_word
@@ -94,6 +95,49 @@ def joint_pairs(words, stat_a, stat_b) -> Counter:
     """The joint distribution of (stat_a, stat_b) as the multiset of
     (stat_a(w), stat_b(w)) pairs, with no table and no range checks."""
     return Counter((stat_a(w), stat_b(w)) for w in words)
+
+
+def eq24_signed_terms(spec: StepSpec, binomial=q_binomial) -> tuple[LaurentPoly, ...]:
+    """Oracle for ``verify.eq24_divided``: the alternating q-binomial
+    expansion one signed term at a time.  With P_s = prod_i
+    [s + H_i - D_(i-1), d_i], the k-hit entry sums the products
+    (-1)^j q^C(j,2) [n+1, j] P_s over s + j = n - k, each term guarded
+    to be symmetric with darga ``darga_target(spec, k)``; a nonzero P_s
+    with a negative bracket numerator raises first.  The messages are
+    those of the library route.  ``binomial`` stands in for
+    ``q_binomial``, so a test can corrupt both routes alike."""
+    n = spec.n
+    H = spec.block_heights
+    D = (0,) + spec.col_offsets
+    min_s = max((D[i] - H[i] for i in range(spec.t)), default=0)
+    products = []
+    for s in range(n + 1):
+        prod = LaurentPoly.one()
+        for i in range(spec.t):
+            prod = prod * binomial(s + H[i] - D[i], spec.widths[i])
+            if prod.is_zero:
+                break
+        if not prod.is_zero and s < min_s:
+            raise IdentityViolation(f"{spec} s={s}: a negative bracket numerator left {prod}")
+        products.append(prod)
+    target = spec.area + n * n - sum(d * w for d, w in zip(spec.col_offsets, spec.widths))
+    table = []
+    for k in range(n + 1):
+        total = LaurentPoly.zero()
+        for s, prod in enumerate(products[: n - k + 1]):
+            if prod.is_zero:
+                continue
+            j = n - k - s
+            unsigned = binomial(n + 1, j).shifted(j * (j - 1) // 2) * prod
+            term = unsigned if j % 2 == 0 else -unsigned
+            if not (term == term.subs_q_inverse().shifted(target - n * k)):
+                raise IdentityViolation(
+                    f"{spec} k={k} s={s}: term {unsigned} is not symmetric"
+                    f" with darga {target - n * k}"
+                )
+            total = total + term
+        table.append(total)
+    return tuple(table)
 
 
 def eq26_divided_by_vectors(spec: StepSpec, binomial=q_binomial) -> tuple[LaurentPoly, ...]:
@@ -212,6 +256,15 @@ def is_prime_by_trial_division(p: int) -> bool:
             return False
         d += 1
     return True
+
+
+def evaluate_by_powers(poly: LaurentPoly, value):
+    """Oracle for ``LaurentPoly.evaluate``: the sum of c * value^e over
+    the nonzero terms, each power formed as a Fraction; an integral
+    result comes back as an int."""
+    v = Fraction(value)
+    acc = sum(c * v**e for e, c in poly.items())
+    return int(acc) if acc.denominator == 1 else acc
 
 
 # A sparse Laurent polynomial: {exponent: coefficient}, no zero coefficients.

@@ -5,6 +5,7 @@ import json
 import math
 import weakref
 
+import pytest
 from click.testing import CliRunner
 
 from qrook import ffmat, placements, verify
@@ -96,6 +97,19 @@ class TestHit:
         assert at_one == [poly.evaluate(1) for poly in polys["eq24"]]
         assert sum(at_one) == math.factorial(12)
         assert polys["defining"] == polys["eq24"]
+
+    @pytest.mark.parametrize("method", ["eq24", "all"])
+    def test_identity_violation_is_a_failed_check(self, monkeypatch, method):
+        # every bracket times q breaks the eq24 symmetry guard: exit 1 with
+        # the violation on stderr, not a traceback and not a usage error
+        real = verify.q_binomial
+        monkeypatch.setattr(verify, "q_binomial", lambda m, k: real(m, k).shifted(1))
+        result = run("hit", "--board", "stair:3", "--method", method)
+        assert result.exit_code == 1
+        assert result.output == (
+            "error: steps:1x1,1x1,1x1 k=0 s=0: term q^7 + q^8 + q^9 + q^10"
+            " is not symmetric with darga 9\n"
+        )
 
     def test_all_methods_consistent_beyond_enumeration(self):
         # 12! permutations; the mat/xi position scan has 2^12 states
@@ -253,6 +267,21 @@ class TestMatrices:
             result = run("matrices", "--board", "heights:0,1,2", "--prime", "2")
         assert result.exit_code == 1
         assert result.output.splitlines() == ["ranks: 1,5,2,0", "THEOREM1 FAIL"]
+
+    def test_identity_violation_is_a_failed_check(self, monkeypatch):
+        # R_k times q^(Area + 1) gives the rank-count polynomial negative
+        # powers: p_k_formula raises, and the CLI reports it as a failed check
+        def shifted(board, k):
+            return placements.rook_poly(board, k).shifted(board.area + 1)
+
+        with cleared(ffmat.rank_distribution):
+            monkeypatch.setattr(ffmat, "rook_poly", shifted)
+            result = run("matrices", "--board", "heights:0,1,2", "--prime", "2")
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [
+            "ranks: 1,5,2,0",
+            "error: rank-count polynomial q^-4 of heights:0,1,2 at k=0 has negative powers",
+        ]
 
     def test_budget_exceeded_is_usage_error(self):
         # p^Area = 7^15 is over the enumeration budget of 10^7

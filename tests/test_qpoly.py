@@ -21,6 +21,7 @@ from qrook.qpoly import (
 )
 
 from oracles import (
+    evaluate_by_powers,
     partitions_in_box_gf,
     sparse_add,
     sparse_bivariate_delta,
@@ -65,6 +66,14 @@ class TestLaurentRing:
         from fractions import Fraction
 
         assert poly({-1: 1}).evaluate(2) == Fraction(1, 2)
+        assert LaurentPoly.zero().evaluate(0) == 0 and type(LaurentPoly.zero().evaluate(0)) is int
+        assert poly({0: 5, 1: 1}).evaluate(0) == 5
+        with pytest.raises(ZeroDivisionError):
+            poly({-1: 1, 1: 1}).evaluate(0)
+        # an integral Fraction result comes back as an int
+        value = poly({-1: 2, 1: 2}).evaluate(Fraction(1, 2))
+        assert value == 5 and type(value) is int
+        assert poly({-2: 1}).evaluate(Fraction(2, 3)) == Fraction(9, 4)
 
     def test_dense_serialization_round_trip(self):
         f = poly({-2: 3, 0: -1, 1: 4})
@@ -449,3 +458,27 @@ def test_constants_hash_as_their_ints():
         assert p == c and hash(p) == hash(c)
         assert len({p, c}) == 1
     assert {LaurentPoly.one(), 1} == {1} and {LaurentPoly.zero(), 0} == {0}
+
+
+@given(
+    SPARSE,
+    st.one_of(
+        st.integers(-3, 3),
+        st.integers(-(2**40), 2**40),
+        st.fractions(max_denominator=60),
+        st.fractions(min_value=-1, max_value=1, max_denominator=2**30),
+    ),
+)
+@settings(max_examples=300)
+def test_evaluate_matches_powers_oracle(terms, value):
+    # Horner's rule against the sum of Fraction powers: negative exponents,
+    # Fraction values, coefficients up to 2^80, and the int/Fraction type
+    f = LaurentPoly(terms)
+    try:
+        expected = evaluate_by_powers(f, value)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            f.evaluate(value)
+        return
+    got = f.evaluate(value)
+    assert got == expected and type(got) is type(expected)

@@ -43,11 +43,34 @@ from qrook.verify import (
     step_zsu_check,
 )
 
-from oracles import eq26_divided_by_vectors
+from oracles import eq24_signed_terms, eq26_divided_by_vectors
 
 
 def x_power(k):
     return BivariatePoly({(0, k): 1})
+
+
+def seeded_admissible_specs(n, count=10):
+    """A seeded sample of admissible specs of total width n, rises <= 3."""
+    rng = random.Random(n)
+    specs = []
+    for _ in range(count):
+        while True:
+            cuts = sorted(rng.sample(range(1, n), rng.randrange(n)))
+            widths = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+            rises = [rng.randrange(4) for _ in widths]
+            if sum(rises) <= n:
+                break
+        specs.append(StepSpec(tuple(zip(rises, widths))))
+    return specs
+
+
+def outcome(fn, spec):
+    """The table fn returns, or the message of the IdentityViolation it raises."""
+    try:
+        return fn(spec)
+    except IdentityViolation as exc:
+        return str(exc)
 
 
 class TestTruncatedSeries:
@@ -205,16 +228,7 @@ class TestStepFormulas:
 
     @pytest.mark.parametrize("n", range(7, 10))
     def test_formulas_match_defining_beyond_enumeration(self, n):
-        # a seeded sample of admissible specs with rises <= 3
-        rng = random.Random(n)
-        for _ in range(10):
-            while True:
-                cuts = sorted(rng.sample(range(1, n), rng.randrange(n)))
-                widths = [b - a for a, b in zip([0] + cuts, cuts + [n])]
-                rises = [rng.randrange(4) for _ in widths]
-                if sum(rises) <= n:
-                    break
-            spec = StepSpec(tuple(zip(rises, widths)))
+        for spec in seeded_admissible_specs(n):
             t = hit_polys(spec.expand(), "defining")
             assert step_formula(spec, "eq24") == step_formula(spec, "eq26") == t
 
@@ -254,12 +268,6 @@ class TestStepFormulas:
                 raise IdentityViolation("[2, 1] refused")
             return q_binomial(m, k)
 
-        def outcome(fn, spec):
-            try:
-                return fn(spec)
-            except IdentityViolation as exc:
-                return str(exc)
-
         monkeypatch.setattr(verify, "q_binomial", binomial)
         violations = []
         for n in range(max_n + 1):
@@ -272,6 +280,52 @@ class TestStepFormulas:
             assert not violations
         else:
             assert any(message in v for v in violations)
+
+    # every spec with n <= 5 and rises <= 3, inadmissible ones included,
+    # and the seeded admissible samples with n = 7..9
+    ORACLE_SPECS = [spec for n in range(1, 6) for spec in all_step_specs(n)] + [
+        spec for n in range(7, 10) for spec in seeded_admissible_specs(n)
+    ]
+
+    def test_eq24_matches_signed_term_oracle(self):
+        assert len(self.ORACLE_SPECS) == 3124 + 30
+        for spec in self.ORACLE_SPECS:
+            assert verify.eq24_divided(spec) == eq24_signed_terms(spec), spec
+
+    def test_eq24_and_oracle_raise_alike_under_a_wrong_q_binomial(self, monkeypatch):
+        # every bracket times q: each guard fails, on the same first term
+        def binomial(m, k):
+            return q_binomial(m, k).shifted(1)
+
+        monkeypatch.setattr(verify, "q_binomial", binomial)
+        for spec in self.ORACLE_SPECS:
+            got = outcome(verify.eq24_divided, spec)
+            assert isinstance(got, str) and "is not symmetric with darga" in got, spec
+            assert got == outcome(lambda s: eq24_signed_terms(s, binomial), spec), spec
+
+    @pytest.mark.parametrize(
+        "text,blocks,admissible", [("stair:12", 12, True), ("steps:3x1,0x2,2x2,3x1", 4, False)]
+    )
+    def test_eq24_forms_no_term_products(self, monkeypatch, text, blocks, admissible):
+        # at most one product per bracket of each P_s: the signed terms
+        # (-1)^j q^C(j,2) [n+1, j] P_s are never formed
+        board, spec = parse_board_spec(text)
+        spec = spec or step_decomposition(board)
+        assert (spec.t, spec.admissible) == (blocks, admissible)
+        verify.eq24_divided(spec)  # fill the q-binomial cache
+        real = LaurentPoly.__mul__
+        calls = 0
+
+        def counting(a, b):
+            nonlocal calls
+            calls += 1
+            return real(a, b)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(LaurentPoly, "__mul__", counting)
+            table = verify.eq24_divided(spec)
+        assert table == eq24_signed_terms(spec)
+        assert 0 < calls <= (spec.n + 1) * spec.t
 
 
 class TestUnimodality:
