@@ -54,13 +54,6 @@ class FerrersBoard:
         """Cell membership: (row, col) is on the board iff row <= c_col."""
         return 1 <= col <= self.n and 1 <= row <= self.heights[col - 1]
 
-    def cells(self) -> Iterator[tuple[int, int]]:
-        """All board cells in row-major order (admissible boards only)."""
-        for row in range(1, self.n + 1):
-            for col in range(1, self.n + 1):
-                if row <= self.heights[col - 1]:
-                    yield (row, col)
-
     def spec_string(self) -> str:
         return "heights:" + ",".join(str(h) for h in self.heights)
 
@@ -232,15 +225,6 @@ def step_decomposition(board: FerrersBoard) -> StepSpec:
         steps.append((height - prev_height, len(list(run))))
         prev_height = height
     return StepSpec(tuple(steps))
-
-
-def sections(board: FerrersBoard) -> list[tuple[int, int]]:
-    """Maximal intervals of consecutive columns with equal height, as
-    1-based inclusive (first, last) pairs.  These generate all sections:
-    a placement canonical on each maximal run is canonical on every
-    sub-window of it."""
-    ends = step_decomposition(board).col_offsets
-    return [(start + 1, end) for start, end in zip((0,) + ends, ends)]
 
 
 # ---------------------------------------------------------------------------

@@ -241,7 +241,7 @@ def elimination_placement(matrix: FfMatrix, board: FerrersBoard) -> Placement:
         # column/row operations must never disturb the support pattern
         if any(rows[i][j] for i in range(n) for j in range(n) if i + 1 > board.heights[j]):
             raise IdentityViolation(f"elimination left the support of {board}")
-    placement = Placement.from_cells(pivots)
+    placement = Placement(pivots)
     rank = rank_ff(matrix)
     if placement.k != rank:
         raise IdentityViolation(f"{placement.k} pivots but rank {rank} on {board} p={p}")

@@ -17,11 +17,6 @@ letters within their column block); two canonical lifts matter here:
   rows take the leftmost columns and off-board rows the remaining ones,
   in both cases with columns decreasing as rows increase.
 
-``word_stat_polys``, re-exported from :mod:`~qrook.placements` where the
-hit polynomials share it, sums ``mat_word`` or ``xi_word`` over all the
-words of a step spec's widths without lifting any.  The walk over every
-word is kept in the tests as its oracle.
-
 On triangular boards the descent graph of a permutation (rooks read off
 the cycle factorization cut at successive minima) turns descent counts
 into hit counts, which induces the two eight-member families of
@@ -39,7 +34,6 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .boards import FerrersBoard, StepSpec, g_spec
-from . import placements
 from .placements import _STAT_KERNELS, Placement, _hits, _mat_raw
 from .qpoly import LaurentPoly
 
@@ -74,10 +68,6 @@ class Word:
     @property
     def n(self) -> int:
         return len(self.letters)
-
-    def sorted_word(self) -> tuple[int, ...]:
-        """The nondecreasing rearrangement (the unique descent-free word)."""
-        return tuple(sorted(self.letters))
 
 
 def _letters(w) -> tuple[int, ...]:
@@ -161,25 +151,6 @@ def den(perm) -> int:
 # ---------------------------------------------------------------------------
 
 
-def graph(perm) -> Placement:
-    """Rook at (i, sigma_i) for each position i."""
-    return Placement.from_permutation(_letters(perm))
-
-
-def word_of_placement(placement: Placement, widths: Sequence[int]) -> tuple[int, ...]:
-    """Collapse a full placement to a word: the letter at position i is the
-    index of the column block containing the rook of row i."""
-    widths = tuple(int(d) for d in widths)
-    n = sum(widths)
-    sigma = placement.sigma(n)
-    offsets = []
-    acc = 0
-    for d in widths:
-        acc += d
-        offsets.append(acc)
-    return tuple(bisect_right(offsets, col - 1) + 1 for col in sigma)
-
-
 def _block_rows(letters: tuple[int, ...], t: int) -> list[list[int]]:
     rows: list[list[int]] = [[] for _ in range(t)]
     for i, a in enumerate(letters, start=1):
@@ -244,14 +215,6 @@ def b_regular_graph(w, spec: StepSpec) -> Placement:
     return Placement.from_permutation(_lift_sigma(_letters(w), spec, "xi")[0])
 
 
-def is_block_standard(placement: Placement, spec: StepSpec) -> bool:
-    return b_standard_graph(word_of_placement(placement, spec.widths), spec) == placement
-
-
-def is_block_regular(placement: Placement, spec: StepSpec) -> bool:
-    return b_regular_graph(word_of_placement(placement, spec.widths), spec) == placement
-
-
 def mat_word(w, spec: StepSpec) -> int:
     """Crossing statistic of the standard lift of the word."""
     return _lift_stat(_letters(w), spec, "mat")
@@ -260,11 +223,6 @@ def mat_word(w, spec: StepSpec) -> int:
 def xi_word(w, spec: StepSpec) -> int:
     """Circle statistic of the regular lift of the word."""
     return _lift_stat(_letters(w), spec, "xi")
-
-
-# the generating polynomials of mat_word and xi_word, indexed by hits: the
-# dynamic program that the mat/xi hit polynomials are built on
-word_stat_polys = placements.word_stat_polys
 
 
 # ---------------------------------------------------------------------------

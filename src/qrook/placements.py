@@ -59,10 +59,6 @@ class Placement:
             raise ValueError("attacking rooks: rows and columns must be distinct")
 
     @staticmethod
-    def from_cells(cells: Iterable[tuple[int, int]]) -> "Placement":
-        return Placement(frozenset(cells))
-
-    @staticmethod
     def from_permutation(sigma: Iterable[int]) -> "Placement":
         """The graph of a permutation: a rook at (i, sigma_i) for each i."""
         return Placement(frozenset((i, s) for i, s in enumerate(sigma, start=1)))
@@ -78,17 +74,9 @@ class Placement:
         by_row = dict(self.cells)
         if set(by_row) != set(range(1, n + 1)):
             raise ValueError("full placement must cover rows 1..n")
+        if set(by_row.values()) != set(range(1, n + 1)):
+            raise ValueError("full placement must cover columns 1..n")
         return tuple(by_row[i] for i in range(1, n + 1))
-
-    def transpose(self) -> "Placement":
-        return Placement(frozenset((c, r) for r, c in self.cells))
-
-    def reflect(self, n: int) -> "Placement":
-        """Reflect about the cross diagonal: (i, j) -> (n-j+1, n-i+1)."""
-        return Placement(frozenset((n - c + 1, n - r + 1) for r, c in self.cells))
-
-    def on_board_count(self, board: FerrersBoard) -> int:
-        return sum(1 for r, c in self.cells if r <= board.heights[c - 1])
 
 
 # ---------------------------------------------------------------------------

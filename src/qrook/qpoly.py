@@ -50,7 +50,7 @@ class LaurentPoly:
     __slots__ = ("_lo", "_coeffs")
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
-        terms = {int(e): int(c) for e, c in coeffs.items() if c} if coeffs else {}
+        terms = {_integral(e): _integral(c) for e, c in coeffs.items() if c} if coeffs else {}
         lo, hi = min(terms, default=0), max(terms, default=-1)
         self._lo, self._coeffs = lo, [terms.get(e, 0) for e in range(lo, hi + 1)]
 
@@ -82,8 +82,8 @@ class LaurentPoly:
 
     @staticmethod
     def from_dense_dict(obj: Mapping) -> "LaurentPoly":
-        """Inverse of :meth:`to_dense_dict`."""
-        return LaurentPoly.dense(int(obj["min_exp"]), [int(c) for c in obj["coeffs"]])
+        """Inverse of :meth:`to_dense_dict`; ValueError on a non-integer."""
+        return LaurentPoly.dense(_integral(obj["min_exp"]), [_integral(c) for c in obj["coeffs"]])
 
     # -- basic queries ----------------------------------------------------
 
@@ -248,6 +248,15 @@ class LaurentPoly:
         return f"LaurentPoly({self})"
 
 
+def _integral(x) -> int:
+    """x as an int; ValueError when x is not an integer, where int() would
+    truncate a float or a Fraction."""
+    value = int(x)
+    if value != x:
+        raise ValueError(f"{x!r} is not an integer")
+    return value
+
+
 def _canonical(lo: int, coeffs: list[int]) -> LaurentPoly:
     """The polynomial of a coefficient list already in canonical form."""
     out = LaurentPoly.__new__(LaurentPoly)
@@ -277,7 +286,7 @@ class BivariatePoly:
         by_z: dict[int, dict[int, int]] = {}
         for (qe, ze), c in (coeffs or {}).items():
             if c:
-                by_z.setdefault(int(ze), {})[int(qe)] = int(c)
+                by_z.setdefault(_integral(ze), {})[_integral(qe)] = _integral(c)
         if min(by_z, default=0) < 0:
             raise ValueError("a BivariatePoly has no negative powers of z")
         self._coeffs = tuple(LaurentPoly(by_z.get(k)) for k in range(max(by_z, default=-1) + 1))
@@ -463,6 +472,7 @@ def is_unimodal(f: LaurentPoly) -> bool:
         i += 1
     return i >= len(dense) - 1
 
+
 def zsu_check(f: LaurentPoly, d: int) -> bool:
     """True iff f is zero, or nonnegative, symmetric, unimodal with darga d."""
     if f.is_zero:
@@ -470,15 +480,3 @@ def zsu_check(f: LaurentPoly, d: int) -> bool:
     if any(c < 0 for c in f._coeffs):
         return False
     return is_symmetric(f) and is_unimodal(f) and darga(f) == d
-
-
-def zsu_atom(d: int, i: int) -> LaurentPoly:
-    """The building block q^(d-i) + q^(d-i+1) + ... + q^i, for d/2 <= i <= d.
-
-    Every polynomial that passes ``zsu_check(f, d)`` is a nonnegative
-    integer combination of these atoms, which makes them the natural
-    generators for closure property tests.
-    """
-    if not (2 * i >= d >= 0 and i <= d):
-        raise ValueError("atom needs d/2 <= i <= d")
-    return LaurentPoly.dense(d - i, [1] * (2 * i - d + 1))

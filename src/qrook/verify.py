@@ -75,6 +75,7 @@ from .placements import (
     hit_polys,
     rook_poly,
     rook_sum_identity,
+    word_stat_polys,
 )
 from .qpoly import (
     BivariatePoly,
@@ -465,13 +466,14 @@ def step_zsu_check(spec: StepSpec) -> bool:
     dominate the heights (D_i >= H_i), it is additionally nonnegative
     and unimodal."""
     refined = spec.condition_overlap() or spec.condition_dominance()
+    n = spec.n
+    target = darga_target(spec, 0)  # minus n k at k hits
     for k, divided in enumerate(eq24_divided(spec)):
-        target = darga_target(spec, k)
         if divided.is_zero:
             continue
-        if not (is_symmetric(divided) and darga(divided) == target):
+        if not (is_symmetric(divided) and darga(divided) == target - n * k):
             return False
-        if refined and not zsu_check(divided, target):
+        if refined and not zsu_check(divided, target - n * k):
             return False
     return True
 
@@ -575,7 +577,7 @@ def suite_mahonian(max_n: int) -> Iterator[CheckResult]:
                         f"{family}-multiset-mahonian",
                         spec.spec_string(),
                         lambda: _poly_diff_detail(
-                            sum(permstat.word_stat_polys(spec, family), LaurentPoly.zero()), target
+                            sum(word_stat_polys(spec, family), LaurentPoly.zero()), target
                         ),
                     )
 
@@ -641,7 +643,7 @@ def _exc_block_joint(v: tuple[int, ...], family: str) -> tuple[LaurentPoly, ...]
     statistic, so entry k is shifted by n*k - Area."""
     spec = g_spec(v)
     n, area = spec.n, spec.area
-    return tuple(poly.shifted(n * k - area) for k, poly in enumerate(permstat.word_stat_polys(spec, family)))
+    return tuple(poly.shifted(n * k - area) for k, poly in enumerate(word_stat_polys(spec, family)))
 
 
 def suite_reciprocity(max_n: int) -> Iterator[CheckResult]:

@@ -70,7 +70,7 @@ def hit_polys_by_permutations(heights: tuple[int, ...], family: str) -> tuple[La
     counts: list[dict[int, int]] = [{} for _ in range(n + 1)]
     for sigma in itertools.permutations(range(1, n + 1)):
         placement = Placement.from_permutation(sigma)
-        bucket = counts[placement.on_board_count(board)]
+        bucket = counts[on_board_count(placement, board)]
         e = stat(placement, board)
         bucket[e] = bucket.get(e, 0) + 1
     return tuple(LaurentPoly(c) for c in counts)
@@ -191,9 +191,45 @@ def lifts(w, widths) -> list[Placement]:
         blocks.append([list(zip(rows, cols)) for cols in itertools.permutations(range(lo + 1, lo + d + 1))])
         lo += d
     return [
-        Placement.from_cells(cell for block in choice for cell in block)
+        Placement(cell for block in choice for cell in block)
         for choice in itertools.product(*blocks)
     ]
+
+
+def board_cells(board: FerrersBoard) -> list[tuple[int, int]]:
+    """The cells (row, col) of the board, row by row: column j holds rows 1..c_j."""
+    rows = range(1, max(board.heights, default=0) + 1)
+    return [(r, c) for r in rows for c, h in enumerate(board.heights, start=1) if r <= h]
+
+
+def on_board_count(placement: Placement, board: FerrersBoard) -> int:
+    """The rooks of the placement that sit on a cell of the board."""
+    return len(placement.cells & set(board_cells(board)))
+
+
+def reflect(placement: Placement, n: int) -> Placement:
+    """Every cell reflected about the cross diagonal: (i, j) -> (n-j+1, n-i+1)."""
+    return Placement({(n - c + 1, n - r + 1) for r, c in placement.cells})
+
+
+def transpose(placement: Placement) -> Placement:
+    """Every cell (i, j) moved to (j, i)."""
+    return Placement({(c, r) for r, c in placement.cells})
+
+
+def word_of_placement(placement: Placement, widths) -> tuple[int, ...]:
+    """A full placement collapsed to a word: the letter of row i is the
+    block of columns, widths[b - 1] wide for block b, that holds its rook."""
+    block_of = [i for i, d in enumerate(widths, start=1) for _ in range(d)]
+    return tuple(block_of[c - 1] for _, c in sorted(placement.cells))
+
+
+def zsu_atom(d: int, i: int) -> LaurentPoly:
+    """q^(d-i) + ... + q^i for d/2 <= i <= d; the polynomials that pass
+    ``zsu_check(f, d)`` are the nonnegative integer sums of these atoms."""
+    if not (2 * i >= d >= 0 and i <= d):
+        raise ValueError("atom needs d/2 <= i <= d")
+    return LaurentPoly({e: 1 for e in range(d - i, i + 1)})
 
 
 def rook_poly_by_cells(heights: tuple[int, ...], k: int) -> LaurentPoly:

@@ -1,13 +1,13 @@
 """Acceptance suite: every criterion runs at its stated scale with exact
 arithmetic and prints one PASS/FAIL line (run with -s to see them)."""
 
-import itertools
 import time
 
 from qrook.boards import (
     all_ferrers_boards,
     all_step_specs,
     board_from_heights,
+    compositions,
 )
 from qrook.ffmat import (
     corollary1_check,
@@ -51,14 +51,6 @@ DEF1 = board_from_heights((0, 1, 2))
 def report(number, name, ok):
     print(f"{'PASS' if ok else 'FAIL'} criterion-{number:02d} {name}")
     assert ok, f"acceptance criterion {number} ({name}) failed"
-
-
-def compositions_upto(total):
-    for n in range(1, total + 1):
-        for t in range(1, n + 1):
-            for cuts in itertools.combinations(range(1, n), t - 1):
-                b = (0,) + cuts + (n,)
-                yield tuple(y - x for x, y in zip(b, b[1:]))
 
 
 def test_criterion_1_definition_board_exactness():
@@ -122,7 +114,7 @@ def test_criterion_5_step_formulas():
 
 def test_criterion_6_euler_mahonian_ladder():
     ok = all(euler_ladder_check(n) for n in range(1, 7))
-    for v in compositions_upto(6):
+    for v in compositions(range(1, 7)):
         ok = ok and g_identity_check(v)
         words = list(words_over(v))
         ref = joint_distribution(words, des, maj)
@@ -178,7 +170,7 @@ def test_criterion_9_unimodality():
             ok = ok and hit_zsu_check(board)
         for spec in all_step_specs(n, max_rise=3):
             ok = ok and step_zsu_check(spec)
-    for v in compositions_upto(6):
+    for v in compositions(range(1, 7)):
         ok = ok and corollary3_check(v)
     report(9, "hit-polynomials-symmetric-unimodal", ok)
 

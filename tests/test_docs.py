@@ -108,3 +108,33 @@ def test_benchmark_clears_every_library_cache():
         if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["CACHES"]
     ]
     assert cached == set(ast.literal_eval(caches))
+
+
+def _imported_names(tree: ast.AST) -> list[str]:
+    """module.name per name imported from a module, the module alone per
+    ``import module``; a relative module keeps only its own name."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+    return names
+
+
+def test_oracles_share_no_private_kernel_with_the_library():
+    # an oracle that reached a private qrook kernel could share a fault
+    # with the route it checks, and then the check would prove nothing
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+    for name in _imported_names(tree):
+        parts = name.split(".")
+        assert parts[0] != "qrook" or not any(part.startswith("_") for part in parts), name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            assert not node.attr.startswith("_") or node.attr.endswith("__"), node.attr
+
+
+def test_library_imports_no_test_module():
+    for path in sorted((ROOT / "src" / "qrook").glob("*.py")):
+        for name in _imported_names(ast.parse(path.read_text())):
+            assert not {"tests", "oracles"} & set(name.split(".")), (path.name, name)

@@ -202,7 +202,7 @@ class TestRankCounts:
 class TestElimination:
     def test_zero_matrix(self):
         m = FfMatrix(3, 2, ((0, 0, 0),) * 3)
-        assert elimination_placement(m, DEF1) == Placement.from_cells([])
+        assert elimination_placement(m, DEF1) == Placement(())
 
     def test_identity_on_full_board(self):
         full = board_from_heights((2, 2))

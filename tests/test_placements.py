@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -17,6 +18,7 @@ from qrook.placements import (
     HIT_DP_MAX_STATES,
     BudgetExceededError,
     Placement,
+    _hits,
     classical_hit_distribution,
     cross_stat,
     enumerate_placements,
@@ -32,12 +34,13 @@ from qrook.qpoly import LaurentPoly, q_factorial, q_stirling
 from qrook.verify import step_formula
 
 from oracles import hit_counts_by_enumeration, hit_polys_by_permutations, rook_numbers, rook_poly_by_cells
+from oracles import on_board_count, reflect, transpose
 
 DEF1 = board_from_heights((0, 1, 2))  # squares (1,2), (1,3), (2,3)
 
 
 def P(*cells):
-    return Placement.from_cells(cells)
+    return Placement(cells)
 
 
 class TestPlacementType:
@@ -50,14 +53,14 @@ class TestPlacementType:
     def test_permutation_round_trip(self):
         p = Placement.from_permutation((2, 1, 3))
         assert p.sigma(3) == (2, 1, 3)
-        assert p.transpose().sigma(3) == (2, 1, 3)
-        assert Placement.from_permutation((3, 1, 2)).transpose().sigma(3) == (2, 3, 1)
+        assert transpose(p).sigma(3) == (2, 1, 3)
+        assert transpose(Placement.from_permutation((3, 1, 2))).sigma(3) == (2, 3, 1)
         with pytest.raises(ValueError):
             P((1, 1)).sigma(2)
 
     def test_reflect(self):
-        assert P((1, 3)).reflect(3).cells == frozenset({(1, 3)})
-        assert Placement.from_permutation((2, 1)).reflect(2).sigma(2) == (2, 1)
+        assert reflect(P((1, 3)), 3).cells == frozenset({(1, 3)})
+        assert reflect(Placement.from_permutation((2, 1)), 2).sigma(2) == (2, 1)
 
 
 class TestEnumeration:
@@ -186,9 +189,22 @@ class TestFullStatistics:
         with pytest.raises(ValueError):
             xi_stat(P((1, 2)), triangular_board(2))
 
-    def test_nonnegative_on_admissible_boards(self):
-        import itertools
+    @pytest.mark.parametrize("stat", [mat_stat, xi_stat, cross_stat])
+    def test_requires_columns_one_to_n(self, stat):
+        # rows 1..n with a column 0 or n + 1 is no permutation: column 0
+        # would read heights[-1], the last column's height
+        board = board_from_heights((1, 2))
+        for cells in (((1, 0), (2, 1)), ((1, 1), (2, 3))):
+            with pytest.raises(ValueError, match="columns 1..n"):
+                stat(P(*cells), board)
 
+    @pytest.mark.parametrize("n", range(5))
+    def test_hits_kernel_matches_the_cell_count(self, n):
+        for b in all_ferrers_boards(n):
+            for sigma in itertools.permutations(range(1, n + 1)):
+                assert _hits(sigma, b.heights) == on_board_count(Placement.from_permutation(sigma), b)
+
+    def test_nonnegative_on_admissible_boards(self):
         for n in range(1, 5):
             for b in all_ferrers_boards(n):
                 for sigma in itertools.permutations(range(1, n + 1)):

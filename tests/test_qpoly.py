@@ -16,7 +16,6 @@ from qrook.qpoly import (
     q_factorial,
     q_multinomial,
     q_stirling,
-    zsu_atom,
     zsu_check,
 )
 
@@ -31,6 +30,7 @@ from oracles import (
     sparse_mul,
     sparse_str,
     stirling2,
+    zsu_atom,
 )
 
 
@@ -81,6 +81,21 @@ class TestLaurentRing:
         assert obj == {"min_exp": -2, "coeffs": [3, 0, -1, 4]}
         assert LaurentPoly.from_dense_dict(obj) == f
         assert LaurentPoly.zero().to_dense_dict() == {"min_exp": 0, "coeffs": []}
+
+    def test_non_integral_values_rejected(self):
+        # int() would truncate these to 1 + 2*q and to 0
+        with pytest.raises(ValueError, match="0.9 is not an integer"):
+            LaurentPoly.from_dense_dict({"min_exp": 0.9, "coeffs": [1, 2]})
+        with pytest.raises(ValueError, match="1.5 is not an integer"):
+            LaurentPoly.from_dense_dict({"min_exp": 0, "coeffs": [1.5, 2.7]})
+        with pytest.raises(ValueError, match=r"Fraction\(1, 2\) is not an integer"):
+            LaurentPoly({0: Fraction(1, 2)})
+        with pytest.raises(ValueError, match="is not an integer"):
+            LaurentPoly({Fraction(1, 2): 1})
+        with pytest.raises(ValueError, match="is not an integer"):
+            BivariatePoly({(0, 0): 0.5})
+        # integral values of other types read as their int
+        assert LaurentPoly.from_dense_dict({"min_exp": 1.0, "coeffs": [Fraction(4, 2), 3.0]}) == poly({1: 2, 2: 3})
 
     def test_str(self):
         assert str(poly({1: 2, 2: 1})) == "2*q + q^2"
