@@ -30,7 +30,6 @@ from .ffmat import (
     theorem1_check,
 )
 from .permstat import (
-    Word,
     b_regular_graph,
     b_standard_graph,
     den,

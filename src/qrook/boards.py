@@ -17,13 +17,15 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
+from .qpoly import _integral
+
 
 @dataclass(frozen=True)
 class FerrersBoard:
     heights: tuple[int, ...]
 
     def __post_init__(self):
-        hs = tuple(int(h) for h in self.heights)
+        hs = tuple(_integral(h) for h in self.heights)
         object.__setattr__(self, "heights", hs)
         if any(h < 0 for h in hs):
             raise ValueError("column heights must be nonnegative")
@@ -77,7 +79,7 @@ class StepSpec:
     steps: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        norm = tuple((int(h), int(d)) for h, d in self.steps)
+        norm = tuple((_integral(h), _integral(d)) for h, d in self.steps)
         object.__setattr__(self, "steps", norm)
         if any(d < 1 for _, d in norm):
             raise ValueError("block widths d_i must be positive")
@@ -171,7 +173,7 @@ def staircase_board(n: int) -> FerrersBoard:
 def g_board(v: Sequence[int]) -> FerrersBoard:
     """Block board for a multiplicity vector v: block i has width v_i and
     height v_1 + ... + v_{i-1} (the first block is empty)."""
-    parts = [int(x) for x in v]
+    parts = [_integral(x) for x in v]
     if any(x < 0 for x in parts) or sum(parts) < 1:
         raise ValueError("multiplicity vector must be nonnegative with positive sum")
     heights: list[int] = []
@@ -184,7 +186,7 @@ def g_board(v: Sequence[int]) -> FerrersBoard:
 
 def g_spec(v: Sequence[int]) -> StepSpec:
     """Step presentation of g_board(v) with blocks exactly the v_i (all v_i >= 1)."""
-    parts = tuple(int(x) for x in v)
+    parts = tuple(v)  # StepSpec checks that they are integers
     if any(x < 1 for x in parts):
         raise ValueError("block multiplicities must be positive")
     rises = (0,) + parts[:-1]
@@ -252,11 +254,11 @@ def compositions(totals: Iterable[int]) -> Iterator[tuple[int, ...]]:
 MAX_RISE = 3
 
 
-def all_step_specs(n: int, max_rise: int = MAX_RISE, admissible_only: bool = False) -> Iterator[StepSpec]:
-    """All step specs with total width n and every rise h_i <= max_rise,
+def all_step_specs(n: int, admissible_only: bool = False) -> Iterator[StepSpec]:
+    """All step specs with total width n and every rise h_i <= MAX_RISE,
     grouped by width vector in the order of :func:`compositions`."""
     for widths in compositions([n]):
-        for rises in itertools.product(range(max_rise + 1), repeat=len(widths)):
+        for rises in itertools.product(range(MAX_RISE + 1), repeat=len(widths)):
             if admissible_only and sum(rises) > n:
                 continue
             yield StepSpec(tuple(zip(rises, widths)))

@@ -142,34 +142,27 @@ STAT_NAMES = [
 
 @main.command("stats")
 @click.option("--word", "word_text", required=True, help="word literal, e.g. 2313212 or 2,3,1")
-@click.option("--v", "v_text", default=None, help="multiplicity vector, e.g. 2,3,2")
 @click.option("--stat", "stat_name", required=True, type=click.Choice(STAT_NAMES))
 @click.option("--family", type=click.Choice(["mat", "xi"]), default="mat")
 @click.option("--variant", type=click.IntRange(1, 8), default=None)
-def stats_cmd(word_text: str, v_text: str | None, stat_name: str, family: str, variant: int | None):
-    """Evaluate a statistic on a word or permutation."""
+def stats_cmd(word_text: str, stat_name: str, family: str, variant: int | None):
+    """Evaluate a statistic on a word or permutation.  The block-board
+    statistics (stat5-7, t5b) take the word's multiplicity vector from
+    its letters."""
     try:
-        letters = permstat.parse_word(word_text)
-        v = (
-            tuple(int(x) for x in v_text.split(","))
-            if v_text
-            else permstat.Word.of(letters).v
-        )
-        word = permstat.Word.of(letters, v)
+        word = permstat.parse_word(word_text)
     except ValueError as exc:
         _fail_usage(str(exc))
     try:
-        if stat_name in ("des", "maj", "exc", "den"):
-            value = getattr(permstat, stat_name)(word)
-        elif stat_name in ("stat1", "stat2", "stat3", "stat4"):
+        if stat_name in ("stat1", "stat2", "stat3", "stat4"):
             chosen = variant if variant is not None else int(stat_name[-1])
-            value = permstat.stat_family(letters, family, chosen)
-        elif stat_name in ("stat5", "stat6", "stat7"):
-            value = getattr(permstat, stat_name)(word, v)
+            value = permstat.stat_family(word, family, chosen)
         elif stat_name == "t5a":
             value = permstat.theorem5_stat(word)
+        elif stat_name == "t5b":
+            value = permstat.theorem5_statx(word)
         else:
-            value = permstat.theorem5_statx(word, v)
+            value = getattr(permstat, stat_name)(word)
     except ValueError as exc:
         _fail_usage(str(exc))
     _echo(str(value))

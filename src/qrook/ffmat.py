@@ -32,7 +32,7 @@ from typing import Iterator
 
 from .boards import FerrersBoard, staircase_board
 from .placements import BudgetExceededError, Placement, _one_minus_z_q, enumerate_placements, inv_stat, rook_poly
-from .qpoly import BivariatePoly, IdentityViolation, LaurentPoly, q_stirling
+from .qpoly import BivariatePoly, IdentityViolation, LaurentPoly, _integral, q_stirling
 
 DEFAULT_BUDGET = 10**7
 
@@ -41,30 +41,34 @@ DEFAULT_BUDGET = 10**7
 class FfMatrix:
     """A square matrix with entries reduced mod a prime p."""
 
-    n: int
     p: int
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) % self.p for x in row) for row in self.entries)
+        rows = tuple(tuple(_integral(x) % self.p for x in row) for row in self.entries)
         object.__setattr__(self, "entries", rows)
-        if len(rows) != self.n or any(len(r) != self.n for r in rows):
+        if any(len(r) != len(rows) for r in rows):
             raise ValueError("entries must form an n x n matrix")
 
     @classmethod
-    def _reduced(cls, n: int, p: int, entries: tuple[tuple[int, ...], ...]) -> "FfMatrix":
+    def _reduced(cls, p: int, entries: tuple[tuple[int, ...], ...]) -> "FfMatrix":
         """A matrix from entries that are already an n x n tuple of tuples
         of residues in range(p), without the renormalisation pass."""
         matrix = object.__new__(cls)
         fields = matrix.__dict__
-        fields["n"], fields["p"], fields["entries"] = n, p, entries
+        fields["p"], fields["entries"] = p, entries
         return matrix
 
+    @property
+    def n(self) -> int:
+        return len(self.entries)
+
     def supported_on(self, board: FerrersBoard) -> bool:
+        n = self.n
         return all(
             self.entries[i][j] == 0
-            for i in range(self.n)
-            for j in range(self.n)
+            for i in range(n)
+            for j in range(n)
             if i + 1 > board.heights[j]
         )
 
@@ -133,7 +137,7 @@ def enumerate_support_matrices(board: FerrersBoard, p: int) -> Iterator[tuple[Ff
     n = board.n
     heights = board.heights
     if n == 0:
-        yield FfMatrix(0, p, ()), 0
+        yield FfMatrix(p, ()), 0
         return
     zero = (0,) * n
 
@@ -155,7 +159,7 @@ def enumerate_support_matrices(board: FerrersBoard, p: int) -> Iterator[tuple[Ff
     for columns, span, rank in prefixes(0, (), {zero}, 0):
         for head in itertools.product(range(p), repeat=heights[-1]):
             column = head + pad
-            yield reduced(n, p, tuple(zip(*columns, column))), rank + (column not in span)
+            yield reduced(p, tuple(zip(*columns, column))), rank + (column not in span)
 
 
 def _span_with(span: set, column: tuple[int, ...], p: int) -> set:

@@ -1,10 +1,12 @@
 """Multiset permutations, their classical statistics, and the placement
 statistics they induce.
 
-Words are sequences over the alphabet {1..t} with a multiplicity vector
-v; when v = (1,...,1) a word is a permutation of S_n.  Classical
-statistics: descents/major index, excedences (positions above the
-sorted rearrangement), and Denert's statistic on permutations.
+Words are sequences over the alphabet {1..t}.  Their multiplicity
+vector v counts each letter, so the statistics read v off the letters
+and never take it as an argument; when v = (1,...,1) a word is a
+permutation of S_n.  Classical statistics: descents/major index,
+excedences (positions above the sorted rearrangement), and Denert's
+statistic on permutations.
 
 A word lifts to many full rook placements (one per ordering of equal
 letters within their column block); two canonical lifts matter here:
@@ -28,59 +30,35 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .boards import FerrersBoard, StepSpec, g_spec
-from .placements import _STAT_KERNELS, Placement, _hits, _mat_raw
-from .qpoly import LaurentPoly
-
-
-@dataclass(frozen=True)
-class Word:
-    """A multiset permutation with its multiplicity vector."""
-
-    letters: tuple[int, ...]
-    v: tuple[int, ...]
-
-    def __post_init__(self):
-        letters = tuple(int(x) for x in self.letters)
-        v = tuple(int(x) for x in self.v)
-        object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "v", v)
-        if any(x < 1 or x > len(v) for x in letters):
-            raise ValueError("letters must lie in 1..t")
-        counts = Counter(letters)
-        if any(counts.get(i + 1, 0) != m for i, m in enumerate(v)):
-            raise ValueError("letter multiset does not match the multiplicity vector")
-
-    @staticmethod
-    def of(letters: Sequence[int], v: Sequence[int] | None = None) -> "Word":
-        letters = tuple(int(x) for x in letters)
-        if v is None:
-            top = max(letters) if letters else 0
-            counts = Counter(letters)
-            v = tuple(counts.get(i, 0) for i in range(1, top + 1))
-        return Word(letters, tuple(v))
-
-    @property
-    def n(self) -> int:
-        return len(self.letters)
+from .placements import _STAT_KERNELS, Placement, _mat_raw
+from .qpoly import LaurentPoly, _integral
 
 
 def _letters(w) -> tuple[int, ...]:
     if type(w) is tuple:
         return w
-    if isinstance(w, Word):
-        return w.letters
-    return tuple(int(x) for x in w)
+    return tuple(_integral(x) for x in w)
+
+
+def _multiplicities(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The multiplicity vector v of a word: how often each letter 1..max
+    occurs.  ValueError on a letter below 1 or one that is no integer."""
+    letters = [_integral(a) for a in letters]
+    if letters and min(letters) < 1:
+        raise ValueError("letters must be positive")
+    counts = [0] * max(letters, default=0)
+    for a in letters:
+        counts[a - 1] += 1
+    return tuple(counts)
 
 
 def words_over(v: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """All words with multiplicity vector v, in lexicographic order."""
-    v = [int(x) for x in v]
+    v = [_integral(x) for x in v]
     n = sum(v)
     word: list[int] = []
 
@@ -169,23 +147,20 @@ def _spec_context(spec: StepSpec) -> tuple[StepSpec, FerrersBoard]:
     return spec, board
 
 
-def _lift_sigma(letters: tuple[int, ...], spec: StepSpec, family: str) -> tuple[tuple[int, ...], int]:
+def _lift_sigma(letters: tuple[int, ...], spec: StepSpec, family: str) -> tuple[int, ...]:
     # Per block, the rows up to the block height are on the board.  The
     # standard lift ("mat") gives them the rightmost columns, descending,
     # and the off-board rows the leftmost, ascending; the regular lift
     # ("xi") gives them the leftmost columns and the off-board rows the
-    # rest, both descending.  Returns the lift and its hit count: every
-    # column of a block has the block height, so the on-board rows are
-    # exactly the hits.
+    # rest, both descending.
     spec, _ = _spec_context(spec)  # validates the spec; block data come cached
     regular = family == "xi"
     sigma = [0] * len(letters)
-    lo, hits = 1, 0
+    lo = 1
     for rows, H, d in zip(_block_rows(letters, spec.t), spec.block_heights, spec.widths):
         if len(rows) != d:
             raise ValueError("word multiset does not match the block widths")
         split = bisect_right(rows, H)
-        hits += split
         # on-board rows descend from `top`; off-board rows walk from `start`
         top, start, step = (lo + split - 1, lo + d - 1, -1) if regular else (lo + d - 1, lo, 1)
         for idx in range(split):
@@ -193,26 +168,25 @@ def _lift_sigma(letters: tuple[int, ...], spec: StepSpec, family: str) -> tuple[
         for idx in range(d - split):
             sigma[rows[split + idx] - 1] = start + step * idx
         lo += d
-    return tuple(sigma), hits
+    return tuple(sigma)
 
 
 def _lift_stat(letters: tuple[int, ...], spec: StepSpec, family: str) -> int:
     """The family's statistic of the family's canonical lift."""
     spec, board = _spec_context(spec)
-    sigma, hits = _lift_sigma(letters, spec, family)
-    return _STAT_KERNELS[family](sigma, board.heights, spec.area, hits)
+    return _STAT_KERNELS[family](_lift_sigma(letters, spec, family), board.heights)
 
 
 def b_standard_graph(w, spec: StepSpec) -> Placement:
     """The unique lift of the word whose crossing statistic is minimal on
     every block."""
-    return Placement.from_permutation(_lift_sigma(_letters(w), spec, "mat")[0])
+    return Placement.from_permutation(_lift_sigma(_letters(w), spec, "mat"))
 
 
 def b_regular_graph(w, spec: StepSpec) -> Placement:
     """The unique lift of the word whose circle statistic is minimal on
     every block."""
-    return Placement.from_permutation(_lift_sigma(_letters(w), spec, "xi")[0])
+    return Placement.from_permutation(_lift_sigma(_letters(w), spec, "xi"))
 
 
 def mat_word(w, spec: StepSpec) -> int:
@@ -299,7 +273,7 @@ def stat_family(perm, family: str = "mat", variant: int = 1) -> int:
         sigma = _reflect_sigma(sigma)
     # the triangular board of order n has heights 0, 1, ..., n-1
     heights = tuple(range(n))
-    value = _STAT_KERNELS[family](sigma, heights, n * (n - 1) // 2, _hits(sigma, heights))
+    value = _STAT_KERNELS[family](sigma, heights)
     if shifted:
         value += n * k - n * (n - 1) // 2
     # the fiber of des = k is symmetric about n*k/2, so complementing
@@ -312,37 +286,38 @@ def stat_family(perm, family: str = "mat", variant: int = 1) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _block_context(w, v: Sequence[int]) -> tuple[tuple[int, ...], StepSpec, int]:
-    """The word's letters, the step spec of the block board of v, and the
-    shift n*exc - Area that every block statistic adds."""
+def _block_context(w) -> tuple[tuple[int, ...], StepSpec, int]:
+    """The word's letters, the step spec of the block board of its
+    multiplicity vector v, and the shift n*exc - Area that every block
+    statistic adds."""
     letters = _letters(w)
-    spec, _ = _spec_context(g_spec(v))
+    spec, _ = _spec_context(g_spec(_multiplicities(letters)))
     return letters, spec, len(letters) * exc(letters) - spec.area
 
 
-def stat5(w, v: Sequence[int]) -> int:
+def stat5(w) -> int:
     """n*exc - Area + crossing statistic of the standard lift on the block board."""
-    letters, spec, shift = _block_context(w, v)
+    letters, spec, shift = _block_context(w)
     return shift + _lift_stat(letters, spec, "mat")
 
 
-def stat6(w, v: Sequence[int]) -> int:
+def stat6(w) -> int:
     """n*exc - Area + circle statistic of the regular lift on the block board."""
-    letters, spec, shift = _block_context(w, v)
+    letters, spec, shift = _block_context(w)
     return shift + _lift_stat(letters, spec, "xi")
 
 
-def stat7(w, v: Sequence[int]) -> int:
+def stat7(w) -> int:
     """Like stat5, but routed through the cross-diagonal reflection: the
     standard lift of the word is reflected, and the crossing statistic
     is evaluated against the reflected board (the block board of
     reversed(v), whose area sum_{i<j} v_i v_j is the same).  Reflection
     preserves the excedence count, so pairing with exc keeps the joint
     distribution."""
-    letters, spec, shift = _block_context(w, v)
-    rev, board = _spec_context(g_spec(reversed(spec.widths)))
-    reflected = _reflect_sigma(_lift_sigma(letters, spec, "mat")[0])
-    return shift + _mat_raw(reflected, board.heights, rev.area, _hits(reflected, board.heights))
+    letters, spec, shift = _block_context(w)
+    _, board = _spec_context(g_spec(reversed(spec.widths)))
+    reflected = _reflect_sigma(_lift_sigma(letters, spec, "mat"))
+    return shift + _mat_raw(reflected, board.heights)
 
 
 # ---------------------------------------------------------------------------
@@ -372,17 +347,13 @@ def theorem5_stat(perm) -> int:
     return total
 
 
-def theorem5_statx(w, v: Sequence[int]) -> int:
-    """Closed-form partner of exc on words over v."""
+def theorem5_statx(w) -> int:
+    """Closed-form partner of exc on words."""
     s = _letters(w)
-    v = tuple(int(x) for x in v)
     n = len(s)
-    if sum(v) != n:
-        raise ValueError("multiplicity vector does not match the word length")
     f = tuple(sorted(s))
-    prefix = [0]
-    for m in v:
-        prefix.append(prefix[-1] + m)
+    # prefix[a - 1] is the number of letters below a
+    prefix = [0, *itertools.accumulate(_multiplicities(s))]
     total = n * (n - 1) // 2
     for i in range(1, n + 1):
         si = s[i - 1]
@@ -425,10 +396,15 @@ def joint_distribution(words: Iterable, stat_a: Callable, stat_b: Callable) -> t
 
 
 def parse_word(text: str) -> tuple[int, ...]:
-    """Word literal: plain digits for alphabets up to 9, else comma-separated."""
+    """Word literal: plain digits for alphabets up to 9, else comma-separated.
+    Every letter is at least 1."""
     text = text.strip()
     if "," in text:
-        return tuple(int(x) for x in text.split(","))
-    if not text.isdigit():
+        word = tuple(int(x) for x in text.split(","))
+    elif text.isdigit():
+        word = tuple(int(ch) for ch in text)
+    else:
         raise ValueError(f"malformed word literal {text!r}")
-    return tuple(int(ch) for ch in text)
+    if min(word) < 1:
+        raise ValueError(f"word literal {text!r} has a letter below 1")
+    return word

@@ -39,7 +39,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .boards import FerrersBoard, StepSpec, step_decomposition
-from .qpoly import BivariatePoly, LaurentPoly, q_bracket, q_factorial
+from .qpoly import BivariatePoly, LaurentPoly, _integral, q_bracket, q_factorial
 
 _ONE_MINUS_Q = LaurentPoly.dense(0, (1, -1))
 
@@ -51,7 +51,7 @@ class Placement:
     cells: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        cells = frozenset((int(r), int(c)) for r, c in self.cells)
+        cells = frozenset((_integral(r), _integral(c)) for r, c in self.cells)
         object.__setattr__(self, "cells", cells)
         rows = {r for r, _ in cells}
         cols = {c for _, c in cells}
@@ -150,7 +150,7 @@ def _inv_raw(cells: Iterable[tuple[int, int]], heights: tuple[int, ...]) -> int:
 
 
 def _hits(sigma: tuple[int, ...], heights: tuple[int, ...]) -> int:
-    # a plain loop: this runs once per lifted placement in permstat
+    # a plain loop: _mat_raw runs it once per lifted placement in permstat
     hits = 0
     for i, c in enumerate(sigma, start=1):
         if i <= heights[c - 1]:
@@ -178,10 +178,8 @@ def _cross_raw(sigma: tuple[int, ...], heights: tuple[int, ...]) -> int:
     return n * (n + 1) // 2 + extra
 
 
-def _xi_raw(sigma: tuple[int, ...], heights: tuple[int, ...], area: int, hits: int) -> int:
+def _xi_raw(sigma: tuple[int, ...], heights: tuple[int, ...]) -> int:
     # Circle count minus the circles cancelled by sitting right of a rook.
-    # The area and the hit count are unused; they keep the signature of
-    # _mat_raw.
     n = len(sigma)
     total = 0
     for b in range(1, n + 1):
@@ -204,13 +202,13 @@ def _xi_raw(sigma: tuple[int, ...], heights: tuple[int, ...], area: int, hits: i
     return total
 
 
-def _mat_raw(sigma: tuple[int, ...], heights: tuple[int, ...], area: int, hits: int) -> int:
+def _mat_raw(sigma: tuple[int, ...], heights: tuple[int, ...]) -> int:
     n = len(sigma)
-    return n * (n - hits) + area - _cross_raw(sigma, heights)
+    return n * (n - _hits(sigma, heights)) + sum(heights) - _cross_raw(sigma, heights)
 
 
-# statistic family -> kernel (sigma, heights, area, hits) -> value, where
-# hits = _hits(sigma, heights), which the caller has counted already
+# statistic family -> kernel (sigma, heights) -> value, for the full
+# placement sigma on the board of the given column heights
 _STAT_KERNELS = {"mat": _mat_raw, "xi": _xi_raw}
 
 
@@ -237,8 +235,7 @@ def cross_stat(placement: Placement, board: FerrersBoard) -> int:
 
 def mat_stat(placement: Placement, board: FerrersBoard) -> int:
     """n(n-k) + Area - cross for a full placement with k rooks on the board."""
-    sigma = placement.sigma(board.n)
-    return _mat_raw(sigma, board.heights, board.area, _hits(sigma, board.heights))
+    return _mat_raw(placement.sigma(board.n), board.heights)
 
 
 def xi_stat(placement: Placement, board: FerrersBoard) -> int:
@@ -249,8 +246,7 @@ def xi_stat(placement: Placement, board: FerrersBoard) -> int:
     above it.  Circles landing right of a rook in their row are
     cancelled; the statistic is circles minus cancellations.
     """
-    sigma = placement.sigma(board.n)
-    return _xi_raw(sigma, board.heights, board.area, _hits(sigma, board.heights))
+    return _xi_raw(placement.sigma(board.n), board.heights)
 
 
 # ---------------------------------------------------------------------------

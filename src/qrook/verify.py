@@ -140,15 +140,15 @@ def _bracket_product(heights: tuple[int, ...], k: int) -> LaurentPoly:
     return out
 
 
-def lemma3_delta_check(n: int, order: int | None = None) -> bool:
+def lemma3_delta_check(n: int) -> bool:
     """delta(x^k / prod_{i=0}^{n}(1-xq^i)) equals
     ([k] x^(k-1) + [n-k+1] q^k x^k) / prod_{i=0}^{n+1}(1-xq^i), for 0<=k<=n.
 
     The q^k factor follows from expanding the difference quotient:
-    (q^k - q^(n+1)) / (q-1) = -q^k [n-k+1].
+    (q^k - q^(n+1)) / (q-1) = -q^k [n-k+1].  The series are compared up to
+    x^(n+3).
     """
-    if order is None:
-        order = n + 3
+    order = n + 3
     base = inverse_product_series(n, order + 1)
     extended = inverse_product_series(n + 1, order)
     for k in range(n + 1):
@@ -591,11 +591,10 @@ def suite_euler(max_n: int) -> Iterator[CheckResult]:
         yield _guarded("euler-ladder", f"n={n}", euler_ladder_check, n)
         perms = list(permstat.permutations_of(n))
         ref = permstat.joint_distribution(perms, permstat.des, permstat.maj)
-        ones = (1,) * n
         for check, stat in (
             ("exc-den-euler-mahonian", permstat.den),
             ("closed-form-exc-stat", permstat.theorem5_stat),
-            ("stat7-permutations", lambda p: permstat.stat7(p, ones)),
+            ("stat7-permutations", permstat.stat7),
         ):
             yield _guarded(check, f"n={n}", _joint_detail, perms, permstat.exc, stat, ref)
         for family in ("mat", "xi"):
@@ -630,7 +629,7 @@ def suite_euler(max_n: int) -> Iterator[CheckResult]:
             _joint_detail,
             words,
             permstat.exc,
-            lambda w: permstat.theorem5_statx(w, v),
+            permstat.theorem5_statx,
             ref,
         )
 

@@ -118,17 +118,12 @@ def test_criterion_6_euler_mahonian_ladder():
         ok = ok and g_identity_check(v)
         words = list(words_over(v))
         ref = joint_distribution(words, des, maj)
-        ok = ok and joint_distribution(words, exc, lambda w: stat5(w, v)) == ref
-        ok = ok and joint_distribution(words, exc, lambda w: stat6(w, v)) == ref
+        ok = ok and joint_distribution(words, exc, stat5) == ref
+        ok = ok and joint_distribution(words, exc, stat6) == ref
         rev = tuple(reversed(v))
-        reflected = joint_distribution(
-            list(words_over(rev)), exc, lambda w: stat5(w, rev)
-        )
+        reflected = joint_distribution(list(words_over(rev)), exc, stat5)
         ok = ok and reflected == ref
-        ok = (
-            ok
-            and joint_distribution(words, exc, lambda w: theorem5_statx(w, v)) == ref
-        )
+        ok = ok and joint_distribution(words, exc, theorem5_statx) == ref
     for n in range(1, 7):
         perms = list(permutations_of(n))
         ref = joint_distribution(perms, des, maj)
@@ -168,7 +163,7 @@ def test_criterion_9_unimodality():
     for n in range(1, 6):
         for board in all_ferrers_boards(n):
             ok = ok and hit_zsu_check(board)
-        for spec in all_step_specs(n, max_rise=3):
+        for spec in all_step_specs(n):
             ok = ok and step_zsu_check(spec)
     for v in compositions(range(1, 7)):
         ok = ok and corollary3_check(v)
@@ -185,5 +180,5 @@ def test_criterion_10_reciprocity_add_series():
                 phi_series(board, order=n + 3)
             except IdentityViolation:
                 ok = False
-        ok = ok and lemma3_delta_check(n, order=n + 3)
+        ok = ok and lemma3_delta_check(n)
     report(10, "reciprocity-add-recurrence-series-identities", ok)

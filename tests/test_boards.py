@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrook.boards import (
+    FerrersBoard,
     StepSpec,
     all_ferrers_boards,
     all_step_specs,
@@ -42,6 +43,14 @@ class TestConstruction:
             board_from_heights((2, 1))
         with pytest.raises(ValueError):
             board_from_heights((-1, 0))
+
+    def test_non_integral_heights_rejected(self):
+        assert FerrersBoard((0.0, 2.0)).heights == (0, 2)
+        with pytest.raises(ValueError, match="not an integer"):
+            FerrersBoard((0.5, 1.7))
+        assert g_board((1.0, 2.0)) == g_board((1, 2))
+        with pytest.raises(ValueError, match="not an integer"):
+            g_board((1.5, 2))
 
     def test_named_families(self):
         assert triangular_board(2).heights == (0, 1)
@@ -127,6 +136,14 @@ class TestSteps:
         with pytest.raises(ValueError):
             StepSpec(((-1, 2),))
 
+    def test_non_integral_steps_rejected(self):
+        assert StepSpec(((1.0, 2.0),)).steps == ((1, 2),)
+        with pytest.raises(ValueError, match="not an integer"):
+            StepSpec(((1.9, 2.2),))
+        assert g_spec((1.0, 2.0)) == g_spec((1, 2))
+        with pytest.raises(ValueError, match="not an integer"):
+            g_spec((1.5, 2))
+
     def test_conditions(self):
         assert StepSpec(((3, 1),)).condition_overlap() is False
         assert StepSpec(((1, 2), (2, 1))).condition_overlap()
@@ -148,10 +165,10 @@ def test_expand_decompose_round_trip(raw):
 
 def test_families():
     assert sum(1 for _ in all_ferrers_boards(3)) == 20
-    specs = list(all_step_specs(3, max_rise=3))
+    specs = list(all_step_specs(3))
     assert len(specs) == len(set(specs))
     assert all(s.n == 3 for s in specs)
-    admissible = list(all_step_specs(3, max_rise=3, admissible_only=True))
+    admissible = list(all_step_specs(3, admissible_only=True))
     assert all(s.admissible for s in admissible)
     assert len(admissible) < len(specs)
 

@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import math
@@ -9,8 +10,9 @@ import pytest
 from click.testing import CliRunner
 
 from qrook import ffmat, placements, verify
-from qrook.cli import main
-from qrook.permstat import des, exc, joint_distribution, maj, stat7, words_over
+from qrook.boards import compositions
+from qrook.cli import STAT_NAMES, main
+from qrook.permstat import des, exc, joint_distribution, maj, stat6, stat7, words_over
 from qrook.qpoly import LaurentPoly, q_factorial
 
 from oracles import stirling2_closed
@@ -225,8 +227,9 @@ class TestStats:
 
     def test_block_statistics(self):
         assert run("stats", "--word", "21", "--stat", "stat5").output.strip() == "1"
-        result = run("stats", "--word", "2313212", "--stat", "stat6", "--v", "2,3,2")
+        result = run("stats", "--word", "2313212", "--stat", "stat6")
         assert result.exit_code == 0
+        assert int(result.output) == stat6((2, 3, 1, 3, 2, 1, 2))
 
     def test_closed_forms(self):
         assert run("stats", "--word", "21", "--stat", "t5a").output.strip() == "1"
@@ -237,16 +240,38 @@ class TestStats:
         words = list(words_over(v))
         values = {}
         for w in words:
-            result = run("stats", "--word", "".join(map(str, w)), "--v", "2,1,1", "--stat", "stat7")
+            result = run("stats", "--word", "".join(map(str, w)), "--stat", "stat7")
             assert result.exit_code == 0
             values[w] = int(result.output)
-            assert values[w] == stat7(w, v)
+            assert values[w] == stat7(w)
         assert joint_distribution(words, exc, values.__getitem__) == joint_distribution(
             words, des, maj
         )
 
     def test_malformed_word(self):
         assert run("stats", "--word", "2x1", "--stat", "des").exit_code == 2
+
+    def test_letter_zero_is_usage_error(self):
+        result = run("stats", "--word", "0", "--stat", "des")
+        assert result.exit_code == 2
+        assert "below 1" in result.output
+
+    def test_every_small_word_and_statistic(self):
+        # every word of a composition of 1..4, every statistic, both
+        # families, with and without a variant: exit codes and output
+        h = hashlib.sha256()
+        runs = 0
+        for v in compositions(range(1, 5)):
+            for w in words_over(v):
+                for name in STAT_NAMES:
+                    for family in ("mat", "xi"):
+                        for extra in ((), ("--variant", "6")):
+                            args = ["stats", "--word", "".join(map(str, w)), "--stat", name, "--family", family, *extra]
+                            result = run(*args)
+                            h.update(repr((args, result.exit_code, result.output)).encode())
+                            runs += 1
+        assert runs == 4784
+        assert h.hexdigest() == "7eb3ae474f0b63027f3b49cc0c804488f7ccc3eba0de1f7f9937b8031e228418"
 
     def test_den_needs_permutation(self):
         assert run("stats", "--word", "11", "--stat", "den").exit_code == 2

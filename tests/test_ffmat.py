@@ -135,7 +135,7 @@ def test_walk_against_elimination(board, p):
         seen.add(m)
         assert m.supported_on(board)
         # already in normal form: the full constructor changes nothing
-        assert FfMatrix(m.n, m.p, m.entries) == m
+        assert FfMatrix(m.p, m.entries) == m
         assert rank == rank_ff(m)
     assert len(seen) == p**board.area
 
@@ -152,18 +152,31 @@ def test_rank_counts_three_routes(board, p):
 
 class TestRank:
     def test_basics(self):
-        zero = FfMatrix(3, 2, ((0, 0, 0),) * 3)
+        zero = FfMatrix(2, ((0, 0, 0),) * 3)
         assert rank_ff(zero) == 0
-        ident = FfMatrix(3, 5, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        ident = FfMatrix(5, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
         assert rank_ff(ident) == 3
-        single = FfMatrix(3, 2, ((0, 1, 0), (0, 0, 0), (0, 0, 0)))
+        single = FfMatrix(2, ((0, 1, 0), (0, 0, 0), (0, 0, 0)))
         assert rank_ff(single) == 1
+
+    def test_n_is_the_side_of_the_square(self):
+        assert FfMatrix(2, ((1, 0, 1),) * 3).n == 3
+        assert FfMatrix(2, ()).n == 0
+        with pytest.raises(ValueError, match="n x n"):
+            FfMatrix(2, ((1, 0), (0, 1), (1, 1)))
+        with pytest.raises(ValueError, match="n x n"):
+            FfMatrix(2, ((1, 0), (0,)))
+
+    def test_non_integral_entries_rejected(self):
+        assert FfMatrix(3, ((4.0, 0), (0, 1))).entries == ((1, 0), (0, 1))
+        with pytest.raises(ValueError, match="not an integer"):
+            FfMatrix(3, ((0.5, 0), (0, 1)))
 
     def test_rank_mod_p_matters(self):
         # (2,1) = 2 * (1,2) over F_3, so the rank drops to 1 there
-        m = FfMatrix(2, 3, ((1, 2), (2, 1)))
+        m = FfMatrix(3, ((1, 2), (2, 1)))
         assert rank_ff(m) == 1
-        m = FfMatrix(2, 5, ((1, 2), (2, 1)))
+        m = FfMatrix(5, ((1, 2), (2, 1)))
         assert rank_ff(m) == 2
 
 
@@ -201,22 +214,22 @@ class TestRankCounts:
 
 class TestElimination:
     def test_zero_matrix(self):
-        m = FfMatrix(3, 2, ((0, 0, 0),) * 3)
+        m = FfMatrix(2, ((0, 0, 0),) * 3)
         assert elimination_placement(m, DEF1) == Placement(())
 
     def test_identity_on_full_board(self):
         full = board_from_heights((2, 2))
-        m = FfMatrix(2, 3, ((1, 0), (0, 1)))
+        m = FfMatrix(3, ((1, 0), (0, 1)))
         assert elimination_placement(m, full) == Placement.from_permutation((1, 2))
 
     def test_pivot_is_bottom_most(self):
         full = board_from_heights((2, 2))
-        m = FfMatrix(2, 3, ((1, 0), (1, 0)))
+        m = FfMatrix(3, ((1, 0), (1, 0)))
         # column 1 scanned from the bottom: pivot at row 2
         assert elimination_placement(m, full).cells == frozenset({(2, 1)})
 
     def test_support_violation_rejected(self):
-        m = FfMatrix(3, 2, ((1, 0, 0), (0, 0, 0), (0, 0, 0)))
+        m = FfMatrix(2, ((1, 0, 0), (0, 0, 0), (0, 0, 0)))
         with pytest.raises(ValueError, match="not supported"):
             elimination_placement(m, DEF1)
 

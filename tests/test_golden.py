@@ -37,7 +37,7 @@ def test_word_lift_statistics():
     rows = [
         (spec.steps, w, mat_word(w, spec), xi_word(w, spec))
         for n in range(1, 6)
-        for spec in all_step_specs(n, max_rise=3, admissible_only=True)
+        for spec in all_step_specs(n, admissible_only=True)
         for w in words_over(spec.widths)
     ]
     assert len(rows) == 62257
@@ -46,7 +46,7 @@ def test_word_lift_statistics():
 
 def test_block_statistics():
     rows = [
-        (v, w, stat5(w, v), stat6(w, v), stat7(w, v))
+        (v, w, stat5(w), stat6(w), stat7(w))
         for v in compositions(range(1, 7))
         for w in words_over(v)
     ]

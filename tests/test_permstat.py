@@ -14,7 +14,6 @@ from qrook.boards import (
     triangular_board,
 )
 from qrook.permstat import (
-    Word,
     _reflect_sigma,
     b_regular_graph,
     b_standard_graph,
@@ -45,18 +44,29 @@ from oracles import joint_pairs, lifts, word_stat_polys_by_words
 from oracles import on_board_count, reflect, transpose, word_of_placement
 
 
+def specs_rising_at_most(n: int, rise: int) -> list[StepSpec]:
+    """The admissible step specs of width n whose rises are at most rise,
+    in the order of all_step_specs."""
+    return [s for s in all_step_specs(n, admissible_only=True) if all(h <= rise for h, _ in s.steps)]
+
+
 class TestWords:
-    def test_word_validation(self):
-        w = Word.of((2, 3, 1, 3, 2, 1, 2))
-        assert w.v == (2, 3, 2)
-        with pytest.raises(ValueError):
-            Word((1, 2), (2,))
-        with pytest.raises(ValueError):
-            Word((1, 1), (1, 1))
+    def test_letters_below_one_or_not_integral_rejected(self):
+        for stat in (stat5, stat6, stat7, theorem5_statx):
+            assert stat([2.0, 1.0]) == stat((2, 1))
+            for word in ((0, 1), (1, 0), (2, -1), [1.5, 1]):
+                with pytest.raises(ValueError):
+                    stat(word)
+        for literal in ("0", "10", "1,0,2", "2,-1"):
+            with pytest.raises(ValueError, match="below 1"):
+                parse_word(literal)
 
     def test_words_over(self):
         ws = list(words_over((2, 1)))
         assert ws == [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
+        assert list(words_over((2.0, 1.0))) == ws
+        with pytest.raises(ValueError, match="not an integer"):
+            list(words_over((1.5, 1)))
         assert len(list(words_over((2, 2, 1)))) == math.factorial(5) // 4
 
     def test_parse_word(self):
@@ -135,7 +145,7 @@ class TestGraphs:
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_bijections_round_trip(self, n):
-        for spec in all_step_specs(n, max_rise=2, admissible_only=True):
+        for spec in specs_rising_at_most(n, 2):
             for w in words_over(spec.widths):
                 std = b_standard_graph(w, spec)
                 reg = b_regular_graph(w, spec)
@@ -144,7 +154,7 @@ class TestGraphs:
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_canonical_lifts_minimize(self, n):
-        for spec in all_step_specs(n, max_rise=2, admissible_only=True):
+        for spec in specs_rising_at_most(n, 2):
             board = spec.expand()
             dfact = LaurentPoly.one()
             for d in spec.widths:
@@ -263,37 +273,33 @@ class TestStatFamilies:
 
 class TestBlockStatistics:
     def test_stat5_example(self):
-        assert stat5((2, 1), (1, 1)) == 1
-        assert stat5((1, 2), (1, 1)) == 0
+        assert stat5((2, 1)) == 1
+        assert stat5((1, 2)) == 0
 
     @pytest.mark.parametrize("v", list(compositions(range(1, 6))))
     def test_stat5_stat6_euler_mahonian(self, v):
         words = list(words_over(v))
         ref = joint_distribution(words, des, maj)
-        assert joint_distribution(words, exc, lambda w: stat5(w, v)) == ref
-        assert joint_distribution(words, exc, lambda w: stat6(w, v)) == ref
+        assert joint_distribution(words, exc, stat5) == ref
+        assert joint_distribution(words, exc, stat6) == ref
 
     @pytest.mark.parametrize("v", list(compositions(range(1, 6))))
     def test_reflected_identity(self, v):
         # maj distribution is invariant under reversing the multiplicities,
         # so the excedence statistic over the reversed vector matches it
         rev = tuple(reversed(v))
-        lhs = joint_distribution(words_over(rev), exc, lambda w: stat5(w, rev))
+        lhs = joint_distribution(words_over(rev), exc, stat5)
         rhs = joint_distribution(words_over(v), des, maj)
         assert lhs == rhs
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_stat7_on_permutations(self, n):
-        ones = (1,) * n
         perms = list(permutations_of(n))
         ref = joint_distribution(perms, des, maj)
-        assert joint_distribution(perms, exc, lambda p: stat7(p, ones)) == ref
+        assert joint_distribution(perms, exc, stat7) == ref
 
     def test_stat7_differs_from_stat5(self):
-        ones = (1, 1, 1, 1)
-        assert any(
-            stat7(p, ones) != stat5(p, ones) for p in permutations_of(4)
-        )
+        assert any(stat7(p) != stat5(p) for p in permutations_of(4))
 
 
 def seeded_specs(n: int, count: int) -> list[StepSpec]:
@@ -350,7 +356,7 @@ class TestWordStatPolys:
         # distributions, against the statistics of every word
         words = list(words_over(v))
         for family, stat in (("mat", stat5), ("xi", stat6)):
-            assert _exc_block_joint(v, family) == joint_distribution(words, exc, lambda w: stat(w, v))
+            assert _exc_block_joint(v, family) == joint_distribution(words, exc, stat)
 
     def test_is_the_hit_polynomial_dp(self):
         # one dynamic program serves the word tables and the mat/xi hit
@@ -422,14 +428,10 @@ class TestClosedForms:
     def test_multiset_closed_form(self, v):
         words = list(words_over(v))
         ref = joint_distribution(words, des, maj)
-        assert joint_distribution(words, exc, lambda w: theorem5_statx(w, v)) == ref
+        assert joint_distribution(words, exc, theorem5_statx) == ref
         # the closed form evaluates the block-board crossing statistic exactly
         for w in words:
-            assert theorem5_statx(w, v) == stat5(w, v)
-
-    def test_statx_validates_length(self):
-        with pytest.raises(ValueError):
-            theorem5_statx((1, 2), (1, 1, 1))
+            assert theorem5_statx(w) == stat5(w)
 
 
 def test_g_spec_matches_block_reading():
@@ -446,7 +448,7 @@ class TestJointDistribution:
         n = sum(v)
         for stat_a, stat_b in (
             (des, maj),
-            (exc, lambda w: theorem5_statx(w, v)),
+            (exc, theorem5_statx),
             # maj < n*des on a word with descents, so this goes negative
             (des, lambda w: maj(w) - n * des(w)),
         ):
@@ -471,5 +473,5 @@ class TestJointDistribution:
     def test_edge_collections(self):
         assert joint_distribution([], des, maj) == ()
         assert joint_distribution(words_over(()), des, maj) == (LaurentPoly.one(),)
-        words = [Word.of(w) for w in permutations_of(3)]
+        words = [list(w) for w in permutations_of(3)]
         assert joint_distribution(words, des, maj) == joint_distribution(permutations_of(3), des, maj)

@@ -50,6 +50,11 @@ class TestPlacementType:
         with pytest.raises(ValueError):
             P((1, 1), (2, 1))
 
+    def test_non_integral_cells_rejected(self):
+        assert P((1.0, 2.0)).cells == frozenset({(1, 2)})
+        with pytest.raises(ValueError, match="not an integer"):
+            P((1.5, 2.9))
+
     def test_permutation_round_trip(self):
         p = Placement.from_permutation((2, 1, 3))
         assert p.sigma(3) == (2, 1, 3)

@@ -200,7 +200,7 @@ class TestStepFormulas:
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_agreement_with_enumeration(self, n):
-        for spec in all_step_specs(n, max_rise=3, admissible_only=True):
+        for spec in all_step_specs(n, admissible_only=True):
             t = hit_polys(spec.expand(), "mat")
             for k in range(n + 1):
                 assert step_formula(spec, "eq24")[k] == t[k]
@@ -208,7 +208,7 @@ class TestStepFormulas:
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_truncation_recurrence(self, n):
-        for spec in all_step_specs(n, max_rise=3, admissible_only=True):
+        for spec in all_step_specs(n, admissible_only=True):
             assert recurrence25_check(spec)
 
     def test_inadmissible_board_values(self):
@@ -221,7 +221,7 @@ class TestStepFormulas:
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_formulas_agree_on_inadmissible_boards(self, n):
-        inadmissible = [s for s in all_step_specs(n, max_rise=3) if not s.admissible]
+        inadmissible = [s for s in all_step_specs(n) if not s.admissible]
         assert inadmissible
         for spec in inadmissible:
             assert step_formula(spec, "eq24") == step_formula(spec, "eq26")
@@ -271,7 +271,7 @@ class TestStepFormulas:
         monkeypatch.setattr(verify, "q_binomial", binomial)
         violations = []
         for n in range(max_n + 1):
-            for spec in all_step_specs(n, max_rise=3):
+            for spec in all_step_specs(n):
                 walked = outcome(verify._eq26_divided, spec)
                 assert walked == outcome(lambda s: eq26_divided_by_vectors(s, binomial), spec), spec
                 if isinstance(walked, str):
@@ -342,7 +342,7 @@ class TestUnimodality:
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_step_boards_incl_inadmissible(self, n):
-        for spec in all_step_specs(n, max_rise=3):
+        for spec in all_step_specs(n):
             assert step_zsu_check(spec)
 
     def test_divided_darga_uses_block_structure(self):
