@@ -7,7 +7,6 @@ from .boards import (
     StepSpec,
     all_ferrers_boards,
     all_step_specs,
-    board_from_heights,
     complement,
     flip,
     g_board,

@@ -8,6 +8,8 @@ taller boards can be constructed but are accepted only by the step-board
 formula routes that are defined for them.
 
 Boards and step specs are immutable; all operations are pure functions.
+``str`` of either is its spelling in the CLI board grammar, which
+:func:`parse_board_spec` reads back as a board.
 """
 
 from __future__ import annotations
@@ -56,11 +58,8 @@ class FerrersBoard:
         """Cell membership: (row, col) is on the board iff row <= c_col."""
         return 1 <= col <= self.n and 1 <= row <= self.heights[col - 1]
 
-    def spec_string(self) -> str:
-        return "heights:" + ",".join(str(h) for h in self.heights)
-
     def __str__(self):
-        return self.spec_string()
+        return "heights:" + ",".join(str(h) for h in self.heights)
 
 
 @dataclass(frozen=True)
@@ -139,21 +138,13 @@ class StepSpec:
         """Drop the last block."""
         return StepSpec(self.steps[:-1])
 
-    def spec_string(self) -> str:
-        return "steps:" + ",".join(f"{h}x{d}" for h, d in self.steps)
-
     def __str__(self):
-        return self.spec_string()
+        return "steps:" + ",".join(f"{h}x{d}" for h, d in self.steps)
 
 
 # ---------------------------------------------------------------------------
 # Constructors
 # ---------------------------------------------------------------------------
-
-
-def board_from_heights(heights: Sequence[int]) -> FerrersBoard:
-    """Board with the given weakly increasing column heights."""
-    return FerrersBoard(tuple(heights))
 
 
 def triangular_board(n: int) -> FerrersBoard:
@@ -171,21 +162,17 @@ def staircase_board(n: int) -> FerrersBoard:
 
 
 def g_board(v: Sequence[int]) -> FerrersBoard:
-    """Block board for a multiplicity vector v: block i has width v_i and
-    height v_1 + ... + v_{i-1} (the first block is empty)."""
+    """Block board for a multiplicity vector v: the board of
+    :func:`g_spec` over the nonzero parts of v."""
     parts = [_integral(x) for x in v]
     if any(x < 0 for x in parts) or sum(parts) < 1:
         raise ValueError("multiplicity vector must be nonnegative with positive sum")
-    heights: list[int] = []
-    offset = 0
-    for width in parts:
-        heights.extend([offset] * width)
-        offset += width
-    return FerrersBoard(tuple(heights))
+    return g_spec([x for x in parts if x]).expand()
 
 
 def g_spec(v: Sequence[int]) -> StepSpec:
-    """Step presentation of g_board(v) with blocks exactly the v_i (all v_i >= 1)."""
+    """Blocks exactly the v_i (all v_i >= 1): block i has width v_i and
+    height v_1 + ... + v_{i-1}, so the first block is empty."""
     parts = tuple(v)  # StepSpec checks that they are integers
     if any(x < 1 for x in parts):
         raise ValueError("block multiplicities must be positive")
@@ -269,11 +256,12 @@ def all_step_specs(n: int, admissible_only: bool = False) -> Iterator[StepSpec]:
 # ---------------------------------------------------------------------------
 
 
-def parse_board_spec(text: str) -> tuple[FerrersBoard, StepSpec | None]:
+def parse_board_spec(text: str) -> FerrersBoard:
     """Parse "heights:0,1,2" | "steps:1x1,1x1" | "tri:7" | "stair:4" | "gv:2,3,2".
 
-    Returns the board together with the explicit StepSpec when the
-    input carries block structure (steps/gv), else None.
+    Each spelling names a board and nothing more: "steps:" blocks and "gv:"
+    vectors are ways of writing its heights, and a formula stated per block
+    reads the board's maximal step decomposition.
     """
     kind, sep, rest = text.partition(":")
     if not sep:
@@ -282,21 +270,19 @@ def parse_board_spec(text: str) -> tuple[FerrersBoard, StepSpec | None]:
     items = rest.split(",") if rest else []
     try:
         if kind == "heights":
-            return board_from_heights([int(x) for x in items]), None
+            return FerrersBoard([int(x) for x in items])
         if kind == "steps":
             pairs = []
             for item in items:
                 h, _, d = item.partition("x")
                 pairs.append((int(h), int(d)))
-            spec = StepSpec(tuple(pairs))
-            return spec.expand(), spec
+            return StepSpec(tuple(pairs)).expand()
         if kind == "tri":
-            return triangular_board(int(rest)), None
+            return triangular_board(int(rest))
         if kind == "stair":
-            return staircase_board(int(rest)), None
+            return staircase_board(int(rest))
         if kind == "gv":
-            v = [int(x) for x in items]
-            return g_board(v), g_spec(v) if all(x >= 1 for x in v) else None
+            return g_board([int(x) for x in items])
     except ValueError as exc:
         raise ValueError(f"bad board spec {text!r}: {exc}") from exc
     raise ValueError(f"unknown board spec {text!r}")

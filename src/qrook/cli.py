@@ -12,6 +12,10 @@ raises prints ``error: <message>`` on stderr), 2 on usage errors (bad
 board spec, malformed word, enumeration or dynamic-program budget
 exceeded).  Output is
 deterministic: identical invocations produce byte-identical output.
+
+A ``--board`` spelling names a board only: ``steps:`` and ``gv:`` are ways
+of writing its heights, and ``hit``'s step formulas eq24/eq26 read the
+board's maximal step decomposition, whichever spelling was given.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ def _fail_check(exc: IdentityViolation):
     sys.exit(1)
 
 
-def _board_and_spec(spec_text: str):
+def _board(spec_text: str):
     try:
         return parse_board_spec(spec_text)
     except ValueError as exc:
@@ -81,7 +85,7 @@ def main():
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "text"]), default="json")
 def rook_cmd(board_spec: str, k: int | None, fmt: str):
     """q-rook polynomial(s) of a board."""
-    board, _ = _board_and_spec(board_spec)
+    board = _board(board_spec)
     if not board.admissible:
         _fail_usage("rook polynomials need an admissible board")
     ks = range(board.n + 1) if k is None else [k]
@@ -102,10 +106,10 @@ def rook_cmd(board_spec: str, k: int | None, fmt: str):
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "text"]), default="json")
 def hit_cmd(board_spec: str, k: int | None, method: str, fmt: str):
     """Hit polynomial(s) of a board, by one method or all, with a verdict."""
-    board, spec = _board_and_spec(board_spec)
+    board = _board(board_spec)
     n = board.n
     methods = list(HIT_METHODS) + ["eq24", "eq26"] if method == "all" else [method]
-    spec = spec or step_decomposition(board)
+    spec = step_decomposition(board)
     if not board.admissible and any(m in HIT_METHODS for m in methods):
         _fail_usage("inadmissible board: only the step formulas eq24/eq26 apply")
     if k is not None and not 0 <= k <= n:
@@ -173,7 +177,7 @@ def stats_cmd(word_text: str, stat_name: str, family: str, variant: int | None):
 @click.option("--prime", type=int, required=True)
 def matrices_cmd(board_spec: str, prime: int):
     """Rank counts of board-supported matrices, checked against the formula."""
-    board, _ = _board_and_spec(board_spec)
+    board = _board(board_spec)
     try:
         counts = ffmat.rank_distribution(board, prime)
     except ValueError as exc:  # BudgetExceededError is a ValueError

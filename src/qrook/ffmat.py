@@ -65,6 +65,8 @@ class FfMatrix:
 
     def supported_on(self, board: FerrersBoard) -> bool:
         n = self.n
+        if n != board.n:
+            raise ValueError(f"a {n} x {n} matrix cannot lie on a board with {board.n} columns")
         return all(
             self.entries[i][j] == 0
             for i in range(n)

@@ -65,11 +65,6 @@ class LaurentPoly:
         return _ONE
 
     @staticmethod
-    def monomial(coeff: int, exp: int = 0) -> "LaurentPoly":
-        """coeff * q^exp."""
-        return LaurentPoly({exp: coeff})
-
-    @staticmethod
     def dense(min_exp: int, coeffs: Sequence[int]) -> "LaurentPoly":
         """sum_i coeffs[i] q^(min_exp + i); zeros at either end are dropped."""
         hi = len(coeffs)
@@ -119,7 +114,7 @@ class LaurentPoly:
 
     def __add__(self, other):
         if isinstance(other, int):
-            other = LaurentPoly.monomial(other)
+            other = LaurentPoly({0: other})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         a, b = self._coeffs, other._coeffs

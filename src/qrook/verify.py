@@ -27,8 +27,10 @@ The checks fall into four groups:
   every word, against q-multinomials and against the (des, maj)
   distribution of the enumerated words.  The ``mat``/``xi`` hit
   polynomials are the same tables times the block factorials; the
-  hit-method, q = 1, step-formula and maj checks compare them with
-  routes that share no code with the scan;
+  hit-method, q = 1 and step-formula checks compare them with routes
+  that share no code with the scan, and the block-board maj check reads
+  the ``defining`` hit polynomials, so that it and the stat5 check do
+  not read one table;
 * the step-board formulas: the alternating q-binomial expansion and the
   composition expansion (equal to each other and to the enumerated hit
   polynomials on admissible boards), the truncation recurrence that
@@ -56,7 +58,6 @@ from .boards import (
     StepSpec,
     all_ferrers_boards,
     all_step_specs,
-    board_from_heights,
     complement,
     compositions,
     flip,
@@ -171,7 +172,7 @@ def add_recurrence_check(board: FerrersBoard) -> bool:
     """Adding an empty column: T_k(B with a new empty column) equals
     [n+1-k] T_k(B) + [k+1] q^(n-k) T_{k+1}(B), and the top index vanishes."""
     n = board.n
-    grown = board_from_heights((0,) + board.heights)
+    grown = FerrersBoard((0,) + board.heights)
     t_old = hit_polys(board, "mat")
     t_new = hit_polys(grown, "mat")
     if not t_new[n + 1].is_zero:
@@ -223,11 +224,13 @@ def euler_ladder_check(n: int) -> bool:
 
 def g_identity_check(v: Sequence[int]) -> bool:
     """Multiset maj distribution against the block-board hit polynomials:
-    sum_{des=k} q^maj * prod [v_i]! = T_k * q^(nk - Area)."""
+    sum_{des=k} q^maj * prod [v_i]! = T_k * q^(nk - Area).  The hit
+    polynomials come from the rook recurrence (``defining``), not from the
+    word tables that the stat5 check reads."""
     v = tuple(int(x) for x in v)
     n = sum(v)
     board = g_board(v)
-    t = hit_polys(board, "mat")
+    t = hit_polys(board, "defining")
     dist = permstat.joint_distribution(permstat.words_over(v), permstat.des, permstat.maj)
     vfact = _widths_factorial(v)
     return all(dist[k] * vfact == t[k].shifted(n * k - board.area) for k in range(n + 1))
@@ -246,13 +249,11 @@ def corollary3_check(v: Sequence[int]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def darga_target(spec: StepSpec, k: int) -> int:
-    """Area + n(n-k) - sum_i D_i d_i: the darga of the k-hit polynomial
-    divided by the block factorials."""
+def darga_target(spec: StepSpec) -> int:
+    """Area + n^2 - sum_i D_i d_i: the darga of the 0-hit polynomial
+    divided by the block factorials; at k hits it is n k less."""
     n = spec.n
-    return spec.area + n * (n - k) - sum(
-        D * d for D, d in zip(spec.col_offsets, spec.widths)
-    )
+    return spec.area + n * n - sum(D * d for D, d in zip(spec.col_offsets, spec.widths))
 
 
 def eq24_divided(spec: StepSpec) -> tuple[LaurentPoly, ...]:
@@ -271,10 +272,10 @@ def eq24_divided(spec: StepSpec) -> tuple[LaurentPoly, ...]:
     A P_s with any negative bracket numerator, that is with
     s < max_i (D_(i-1) - H_i), must vanish (the cancellation the closed
     form relies on).  Every term (-1)^j q^C(j,2) [n+1, j] P_s must be
-    symmetric with darga ``darga_target(spec, k)``; the signed q-binomial
+    symmetric with darga ``darga_target(spec) - n k``; the signed q-binomial
     is nonzero and symmetric with darga j n, and Z[q, q^-1] has no zero
     divisors, so that holds exactly when P_s is symmetric with darga
-    ``darga_target(spec, 0) - n(n - s)``, which is what is checked, once
+    ``darga_target(spec) - n(n - s)``, which is what is checked, once
     per nonzero P_s.  IdentityViolation reports a product that does not
     vanish, or the first failing term, the one at k = 0.
     """
@@ -293,7 +294,7 @@ def eq24_divided(spec: StepSpec) -> tuple[LaurentPoly, ...]:
         if prod and s < min_s:
             raise IdentityViolation(f"{spec} s={s}: a negative bracket numerator left {prod}")
         products.append(prod)
-    target = darga_target(spec, 0)  # minus n k at k hits
+    target = darga_target(spec)  # minus n k at k hits
     nonzero = [s for s, prod in enumerate(products) if prod]
     for s in nonzero:
         prod = products[s]
@@ -467,7 +468,7 @@ def step_zsu_check(spec: StepSpec) -> bool:
     and unimodal."""
     refined = spec.condition_overlap() or spec.condition_dominance()
     n = spec.n
-    target = darga_target(spec, 0)  # minus n k at k hits
+    target = darga_target(spec)  # minus n k at k hits
     for k, divided in enumerate(eq24_divided(spec)):
         if divided.is_zero:
             continue
@@ -520,7 +521,7 @@ def _guarded(check: str, instance: str, fn: Callable[..., bool | str], *args) ->
 def suite_rook(max_n: int) -> Iterator[CheckResult]:
     for n in range(1, max_n + 1):
         for board in all_ferrers_boards(n):
-            name = board.spec_string()
+            name = str(board)
             yield _guarded("factorization", name, factorization_check, board)
             yield _guarded("rook-sum", name, rook_sum_identity, board)
             flipped = flip(board)
@@ -557,7 +558,7 @@ def _hit_classical_check(board: FerrersBoard) -> bool:
 def suite_hit(max_n: int) -> Iterator[CheckResult]:
     for n in range(1, max_n + 1):
         for board in all_ferrers_boards(n):
-            name = board.spec_string()
+            name = str(board)
             yield _guarded(
                 "hit-methods-agree", name, lambda: _tables_detail(**{m: hit_polys(board, m) for m in HIT_METHODS})
             )
@@ -575,7 +576,7 @@ def suite_mahonian(max_n: int) -> Iterator[CheckResult]:
                 for family in ("mat", "xi"):
                     yield _guarded(
                         f"{family}-multiset-mahonian",
-                        spec.spec_string(),
+                        str(spec),
                         lambda: _poly_diff_detail(
                             sum(word_stat_polys(spec, family), LaurentPoly.zero()), target
                         ),
@@ -648,7 +649,7 @@ def _exc_block_joint(v: tuple[int, ...], family: str) -> tuple[LaurentPoly, ...]
 def suite_reciprocity(max_n: int) -> Iterator[CheckResult]:
     for n in range(1, max_n + 1):
         for board in all_ferrers_boards(n):
-            name = board.spec_string()
+            name = str(board)
             yield _guarded("reciprocity", name, reciprocity_check, board)
             yield _guarded("add-empty-column", name, add_recurrence_check, board)
             # phi_series raises IdentityViolation on any disagreement
@@ -657,7 +658,7 @@ def suite_reciprocity(max_n: int) -> Iterator[CheckResult]:
 
 
 def suite_ffmat(max_n: int) -> Iterator[CheckResult]:
-    definition_board = board_from_heights((0, 1, 2))
+    definition_board = FerrersBoard((0, 1, 2))
     expected = {
         0: LaurentPoly.one(),
         1: LaurentPoly({2: 2, 1: -1, 0: -1}),
@@ -666,21 +667,19 @@ def suite_ffmat(max_n: int) -> Iterator[CheckResult]:
     }
     yield _guarded(
         "rank-formula-values",
-        definition_board.spec_string(),
+        str(definition_board),
         lambda: all(ffmat.p_k_formula(definition_board, k) == expected[k] for k in range(4)),
     )
     for p in (2, 3):
-        name = f"{definition_board.spec_string()} p={p}"
+        name = f"{definition_board} p={p}"
         yield _guarded("elimination-fibers", name, ffmat.fiber_check, definition_board, p)
     for n in range(1, min(max_n, 3) + 1):
         for board in all_ferrers_boards(n):
             for p in (2, 3):
-                name = f"{board.spec_string()} p={p}"
+                name = f"{board} p={p}"
                 yield _guarded("rank-bridge", name, ffmat.theorem1_check, board, p)
                 yield _guarded("rank-sum", name, ffmat.rank_sum_check, board, p)
-            yield _guarded(
-                "rank-product-identity", board.spec_string(), ffmat.corollary2_check, board
-            )
+            yield _guarded("rank-product-identity", str(board), ffmat.corollary2_check, board)
     for n in range(1, min(max_n, 3) + 1):
         for p in (2, 3):
             yield _guarded("upper-triangular-stirling", f"n={n} p={p}", ffmat.corollary1_check, n, p)
@@ -691,9 +690,9 @@ def suite_ffmat(max_n: int) -> Iterator[CheckResult]:
 def suite_unimodal(max_n: int) -> Iterator[CheckResult]:
     for n in range(1, max_n + 1):
         for board in all_ferrers_boards(n):
-            yield _guarded("hit-zsu", board.spec_string(), hit_zsu_check, board)
+            yield _guarded("hit-zsu", str(board), hit_zsu_check, board)
         for spec in all_step_specs(n):
-            yield _guarded("step-symmetry-zsu", spec.spec_string(), step_zsu_check, spec)
+            yield _guarded("step-symmetry-zsu", str(spec), step_zsu_check, spec)
     for v in compositions(range(1, max_n + 1)):
         yield _guarded("word-maj-zsu", "v=" + ",".join(map(str, v)), corollary3_check, v)
 
@@ -713,7 +712,7 @@ def _step_formulas_detail(spec: StepSpec) -> str:
 def suite_steps(max_n: int) -> Iterator[CheckResult]:
     for n in range(1, max_n + 1):
         for spec in all_step_specs(n, admissible_only=True):
-            name = spec.spec_string()
+            name = str(spec)
             yield _guarded("step-formulas-agree", name, _step_formulas_detail, spec)
             yield _guarded("step-truncation-recurrence", name, recurrence25_check, spec)
 

@@ -102,7 +102,7 @@ def eq24_signed_terms(spec: StepSpec, binomial=q_binomial) -> tuple[LaurentPoly,
     expansion one signed term at a time.  With P_s = prod_i
     [s + H_i - D_(i-1), d_i], the k-hit entry sums the products
     (-1)^j q^C(j,2) [n+1, j] P_s over s + j = n - k, each term guarded
-    to be symmetric with darga ``darga_target(spec, k)``; a nonzero P_s
+    to be symmetric with darga ``darga_target(spec) - n k``; a nonzero P_s
     with a negative bracket numerator raises first.  The messages are
     those of the library route.  ``binomial`` stands in for
     ``q_binomial``, so a test can corrupt both routes alike."""

@@ -4,9 +4,9 @@ arithmetic and prints one PASS/FAIL line (run with -s to see them)."""
 import time
 
 from qrook.boards import (
+    FerrersBoard,
     all_ferrers_boards,
     all_step_specs,
-    board_from_heights,
     compositions,
 )
 from qrook.ffmat import (
@@ -45,7 +45,7 @@ from qrook.verify import (
     step_zsu_check,
 )
 
-DEF1 = board_from_heights((0, 1, 2))
+DEF1 = FerrersBoard((0, 1, 2))
 
 
 def report(number, name, ok):

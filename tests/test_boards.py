@@ -7,7 +7,6 @@ from qrook.boards import (
     StepSpec,
     all_ferrers_boards,
     all_step_specs,
-    board_from_heights,
     complement,
     flip,
     g_board,
@@ -23,26 +22,26 @@ from oracles import board_cells
 
 class TestConstruction:
     def test_from_heights(self):
-        b = board_from_heights((0, 1, 2))
+        b = FerrersBoard((0, 1, 2))
         assert b.n == 3 and b.area == 3 and b.admissible
         assert sorted(board_cells(b)) == [(1, 2), (1, 3), (2, 3)]
 
     def test_prefix_equals_the_validated_board(self):
-        b = board_from_heights((0, 1, 1, 3))
+        b = FerrersBoard((0, 1, 1, 3))
         for n in range(5):
             prefix = b._prefix(n)
-            assert prefix == board_from_heights(b.heights[:n])
-            assert hash(prefix) == hash(board_from_heights(b.heights[:n]))
+            assert prefix == FerrersBoard(b.heights[:n])
+            assert hash(prefix) == hash(FerrersBoard(b.heights[:n]))
 
     def test_trivial_board(self):
-        b = board_from_heights((0, 0, 0))
+        b = FerrersBoard((0, 0, 0))
         assert b.area == 0 and board_cells(b) == []
 
     def test_rejects_decreasing_and_negative(self):
         with pytest.raises(ValueError, match="not a Ferrers board"):
-            board_from_heights((2, 1))
+            FerrersBoard((2, 1))
         with pytest.raises(ValueError):
-            board_from_heights((-1, 0))
+            FerrersBoard((-1, 0))
 
     def test_non_integral_heights_rejected(self):
         assert FerrersBoard((0.0, 2.0)).heights == (0, 2)
@@ -74,15 +73,15 @@ class TestConstruction:
             assert spec.expand() == g_board(v)
 
     def test_inadmissible_is_tagged(self):
-        b = board_from_heights((3,))
+        b = FerrersBoard((3,))
         assert not b.admissible
 
 
 class TestTransforms:
     def test_complement_examples(self):
         assert complement(triangular_board(2)).heights == (1, 2)
-        assert complement(board_from_heights((0, 0))).heights == (2, 2)
-        assert complement(board_from_heights((3, 3, 3))).heights == (0, 0, 0)
+        assert complement(FerrersBoard((0, 0))).heights == (2, 2)
+        assert complement(FerrersBoard((3, 3, 3))).heights == (0, 0, 0)
 
     def test_complement_involution_and_area(self):
         for n in range(1, 6):
@@ -92,9 +91,9 @@ class TestTransforms:
                 assert b.area + c.area == n * n
 
     def test_flip_examples(self):
-        assert flip(board_from_heights((2, 2))).heights == (2, 2)
-        assert flip(board_from_heights((0, 1))).heights == (0, 1)
-        assert flip(board_from_heights((0, 0, 1))).heights == (0, 0, 1)
+        assert flip(FerrersBoard((2, 2))).heights == (2, 2)
+        assert flip(FerrersBoard((0, 1))).heights == (0, 1)
+        assert flip(FerrersBoard((0, 0, 1))).heights == (0, 0, 1)
 
     def test_flip_is_cell_set_reflection(self):
         for n in range(1, 6):
@@ -106,7 +105,7 @@ class TestTransforms:
                 assert flip(f) == b
 
     def test_transforms_reject_inadmissible(self):
-        tall = board_from_heights((3,))
+        tall = FerrersBoard((3,))
         with pytest.raises(ValueError):
             complement(tall)
         with pytest.raises(ValueError):
@@ -115,13 +114,13 @@ class TestTransforms:
 
 class TestSteps:
     def test_step_decomposition_examples(self):
-        assert step_decomposition(board_from_heights((1, 2))).steps == ((1, 1), (1, 1))
-        assert step_decomposition(board_from_heights((0, 0, 2, 2, 2, 5, 5))).steps == (
+        assert step_decomposition(FerrersBoard((1, 2))).steps == ((1, 1), (1, 1))
+        assert step_decomposition(FerrersBoard((0, 0, 2, 2, 2, 5, 5))).steps == (
             (0, 2),
             (2, 3),
             (3, 2),
         )
-        assert step_decomposition(board_from_heights((3, 3, 3))).steps == ((3, 3),)
+        assert step_decomposition(FerrersBoard((3, 3, 3))).steps == ((3, 3),)
 
     def test_spec_partial_sums(self):
         spec = StepSpec(((0, 2), (2, 3), (3, 2)))
@@ -155,7 +154,7 @@ class TestSteps:
 @settings(max_examples=80)
 def test_expand_decompose_round_trip(raw):
     heights = tuple(sorted(raw))
-    board = board_from_heights(heights)
+    board = FerrersBoard(heights)
     spec = step_decomposition(board)
     assert spec.expand() == board
     # the decomposition uses maximal runs: all rises after the first positive
@@ -175,25 +174,20 @@ def test_families():
 
 class TestParse:
     def test_grammar(self):
-        b, spec = parse_board_spec("heights:0,1,2")
-        assert b.heights == (0, 1, 2) and spec is None
-        b, spec = parse_board_spec("steps:1x1,1x1")
-        assert b == staircase_board(2) and spec.steps == ((1, 1), (1, 1))
-        b, _ = parse_board_spec("tri:7")
-        assert b == triangular_board(7)
-        b, _ = parse_board_spec("stair:4")
-        assert b == staircase_board(4)
-        b, spec = parse_board_spec("gv:2,3,2")
-        assert b == g_board((2, 3, 2)) and spec == g_spec((2, 3, 2))
+        assert parse_board_spec("heights:0,1,2").heights == (0, 1, 2)
+        assert parse_board_spec("steps:1x1,1x1") == staircase_board(2)
+        assert parse_board_spec("tri:7") == triangular_board(7)
+        assert parse_board_spec("stair:4") == staircase_board(4)
+        assert parse_board_spec("gv:2,3,2") == g_board((2, 3, 2)) == g_spec((2, 3, 2)).expand()
 
     def test_spec_strings_round_trip(self):
         # the empty board and empty spec are spelled "heights:" and "steps:"
         for n in range(5):
             for board in all_ferrers_boards(n):
-                assert parse_board_spec(board.spec_string()) == (board, None)
+                assert parse_board_spec(str(board)) == board
         specs = [StepSpec(())] + [s for n in range(1, 4) for s in all_step_specs(n)]
         for spec in specs:
-            assert parse_board_spec(spec.spec_string()) == (spec.expand(), spec)
+            assert parse_board_spec(str(spec)) == spec.expand()
 
     @pytest.mark.parametrize(
         "bad", ["nope:3", "heights:2,1", "steps:1", "tri:x", "plain"]

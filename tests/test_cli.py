@@ -199,6 +199,22 @@ class TestHit:
         assert result.exit_code == 0
         assert result.output.strip() == "k=1 method=eq24: q"
 
+    @pytest.mark.parametrize(
+        "spelling,heights,method",
+        [
+            ("steps:0x1,1x1,0x2", "heights:0,1,1,1", "all"),
+            # fifteen width-1 blocks would be 2^15 vectors e, past the budget;
+            # the board is one block of width 15, 16 vectors
+            ("steps:1x1" + ",0x1" * 14, "heights:" + ",".join(["1"] * 15), "eq26"),
+        ],
+    )
+    def test_steps_spelling_prints_what_heights_prints(self, spelling, heights, method):
+        # a board spec names the board only: eq24/eq26 read its maximal
+        # step decomposition, not the blocks it was spelled with
+        results = [run("hit", "--board", board, "--method", method, "--format", "text") for board in (spelling, heights)]
+        assert [result.exit_code for result in results] == [0, 0]
+        assert results[0].output == results[1].output
+
     def test_inadmissible_needs_step_methods(self):
         assert run("hit", "--board", "steps:3x1", "--method", "mat").exit_code == 2
         result = run(
@@ -348,7 +364,7 @@ class TestVerify:
 
 
 class TestEmptyBoard:
-    """The board with no columns, spelled heights: as its spec_string."""
+    """The board with no columns, spelled heights: as its ``str``."""
 
     def test_rook(self):
         result = run("rook", "--board", "heights:", "--format", "text")

@@ -6,7 +6,7 @@ from click.testing import CliRunner
 from oracles import is_prime_by_trial_division, rank_counts_by_columns
 
 from qrook import ffmat
-from qrook.boards import FerrersBoard, all_ferrers_boards, board_from_heights, staircase_board
+from qrook.boards import FerrersBoard, all_ferrers_boards, staircase_board
 from qrook.cli import main
 from qrook.ffmat import (
     BudgetExceededError,
@@ -25,12 +25,12 @@ from qrook.ffmat import (
 from qrook.placements import Placement, enumerate_placements, inv_stat
 from qrook.qpoly import LaurentPoly
 
-DEF1 = board_from_heights((0, 1, 2))
+DEF1 = FerrersBoard((0, 1, 2))
 
 
 class TestEnumeration:
     def test_trivial_board_only_zero_matrix(self):
-        ms = list(enumerate_support_matrices(board_from_heights((0, 0)), 5))
+        ms = list(enumerate_support_matrices(FerrersBoard((0, 0)), 5))
         assert len(ms) == 1
         m, rank = ms[0]
         assert all(v == 0 for row in m.entries for v in row)
@@ -67,7 +67,7 @@ class TestEnumeration:
 
         monkeypatch.setattr(ffmat, "is_prime", never)
         with pytest.raises(BudgetExceededError, match="exceeds the enumeration budget"):
-            list(enumerate_support_matrices(board_from_heights((1,)), 100000000000031))
+            list(enumerate_support_matrices(FerrersBoard((1,)), 100000000000031))
         result = CliRunner().invoke(main, ["matrices", "--board", "heights:1", "--prime", "100000000000031"])
         assert result.exit_code == 2
         assert "exceeds the enumeration budget" in result.output
@@ -120,7 +120,7 @@ def sampled_boards(n: int, p: int, max_matrices: int, count: int) -> list:
 
 
 def board_id(value):
-    return value.spec_string() if isinstance(value, FerrersBoard) else None
+    return str(value) if isinstance(value, FerrersBoard) else None
 
 
 WALK_BOARDS = [(b, p) for p in (2, 3) for n in range(4) for b in all_ferrers_boards(n)] + [
@@ -218,12 +218,12 @@ class TestElimination:
         assert elimination_placement(m, DEF1) == Placement(())
 
     def test_identity_on_full_board(self):
-        full = board_from_heights((2, 2))
+        full = FerrersBoard((2, 2))
         m = FfMatrix(3, ((1, 0), (0, 1)))
         assert elimination_placement(m, full) == Placement.from_permutation((1, 2))
 
     def test_pivot_is_bottom_most(self):
-        full = board_from_heights((2, 2))
+        full = FerrersBoard((2, 2))
         m = FfMatrix(3, ((1, 0), (1, 0)))
         # column 1 scanned from the bottom: pivot at row 2
         assert elimination_placement(m, full).cells == frozenset({(2, 1)})
@@ -232,6 +232,17 @@ class TestElimination:
         m = FfMatrix(2, ((1, 0, 0), (0, 0, 0), (0, 0, 0)))
         with pytest.raises(ValueError, match="not supported"):
             elimination_placement(m, DEF1)
+
+    @pytest.mark.parametrize(
+        "matrix,board,sizes",
+        [
+            (FfMatrix(2, ((0, 0, 0),) * 3), FerrersBoard((0, 1)), "a 3 x 3 matrix .* 2 columns"),
+            (FfMatrix(2, ((0, 1), (0, 0))), DEF1, "a 2 x 2 matrix .* 3 columns"),
+        ],
+    )
+    def test_size_mismatch_rejected(self, matrix, board, sizes):
+        with pytest.raises(ValueError, match=sizes):
+            elimination_placement(matrix, board)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_fiber_sizes(self, p):

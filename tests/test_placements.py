@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrook.boards import (
+    FerrersBoard,
     all_ferrers_boards,
-    board_from_heights,
     flip,
     staircase_board,
     step_decomposition,
@@ -36,7 +36,7 @@ from qrook.verify import step_formula
 from oracles import hit_counts_by_enumeration, hit_polys_by_permutations, rook_numbers, rook_poly_by_cells
 from oracles import on_board_count, reflect, transpose
 
-DEF1 = board_from_heights((0, 1, 2))  # squares (1,2), (1,3), (2,3)
+DEF1 = FerrersBoard((0, 1, 2))  # squares (1,2), (1,3), (2,3)
 
 
 def P(*cells):
@@ -84,7 +84,7 @@ class TestEnumeration:
 
     def test_inadmissible_rejected(self):
         with pytest.raises(ValueError):
-            list(enumerate_placements(board_from_heights((3,)), 1))
+            list(enumerate_placements(FerrersBoard((3,)), 1))
 
 
 class TestInv:
@@ -138,7 +138,7 @@ class TestRookPolyOracles:
 
     @pytest.mark.parametrize(
         "board",
-        [board_from_heights((6,) * 6), staircase_board(6), triangular_board(6)],
+        [FerrersBoard((6,) * 6), staircase_board(6), triangular_board(6)],
         ids=str,
     )
     def test_recurrence_matches_placement_walk_at_six(self, board):
@@ -149,13 +149,13 @@ class TestRookPolyOracles:
     def test_identities_on_larger_boards(self, seed):
         rng = random.Random(seed)
         n = rng.randint(10, 15)
-        b = board_from_heights(sorted(rng.randint(0, n) for _ in range(n)))
+        b = FerrersBoard(sorted(rng.randint(0, n) for _ in range(n)))
         assert factorization_check(b)
         assert rook_sum_identity(b)
 
     @pytest.mark.parametrize("heights", [(3,), (2, 3), (0, 4, 4), (1, 1, 5), (4, 4, 4), (2, 5, 6, 6)])
     def test_inadmissible_boards(self, heights):
-        b = board_from_heights(heights)
+        b = FerrersBoard(heights)
         assert not b.admissible
         numbers = rook_numbers(heights)
         for k in range(b.n + 1):
@@ -185,7 +185,7 @@ class TestFullStatistics:
         assert xi_stat(Placement.from_permutation((2, 1)), tri) == 0
         # identity on the trivial board: one circle below the diagonal per
         # pair, none cancelled
-        triv = board_from_heights((0, 0, 0))
+        triv = FerrersBoard((0, 0, 0))
         assert xi_stat(Placement.from_permutation((1, 2, 3)), triv) == 3
 
     def test_requires_full_placement(self):
@@ -198,7 +198,7 @@ class TestFullStatistics:
     def test_requires_columns_one_to_n(self, stat):
         # rows 1..n with a column 0 or n + 1 is no permutation: column 0
         # would read heights[-1], the last column's height
-        board = board_from_heights((1, 2))
+        board = FerrersBoard((1, 2))
         for cells in (((1, 0), (2, 1)), ((1, 1), (2, 3))):
             with pytest.raises(ValueError, match="columns 1..n"):
                 stat(P(*cells), board)
@@ -266,7 +266,7 @@ class TestHitPolys:
 def seeded_boards(n: int, count: int) -> list:
     """count admissible boards with n columns, drawn with seed n."""
     rng = random.Random(n)
-    return [board_from_heights(sorted(rng.randint(0, n) for _ in range(n))) for _ in range(count)]
+    return [FerrersBoard(sorted(rng.randint(0, n) for _ in range(n))) for _ in range(count)]
 
 
 def assert_four_hit_routes_agree(board):
@@ -302,7 +302,7 @@ class TestHitRowScan:
     @settings(max_examples=40, deadline=None)
     def test_four_routes_agree(self, raw):
         n = len(raw)
-        assert_four_hit_routes_agree(board_from_heights(sorted(min(h, n) for h in raw)))
+        assert_four_hit_routes_agree(FerrersBoard(sorted(min(h, n) for h in raw)))
 
     @pytest.mark.parametrize(
         "heights",
@@ -315,7 +315,7 @@ class TestHitRowScan:
     )
     def test_routes_agree_past_the_subset_budget(self, heights):
         assert 2 ** len(heights) > HIT_DP_MAX_STATES
-        assert_four_hit_routes_agree(board_from_heights(heights))
+        assert_four_hit_routes_agree(FerrersBoard(heights))
 
     def test_state_budget(self):
         # the first board past the budget; the defining route has no such limit
@@ -334,7 +334,7 @@ class TestHitRowScan:
 class TestFactorization:
     def test_examples(self):
         assert factorization_check(staircase_board(2))
-        assert factorization_check(board_from_heights((0, 0, 0)))
+        assert factorization_check(FerrersBoard((0, 0, 0)))
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_all_boards(self, n):
