@@ -13,6 +13,14 @@ board spec, malformed word, enumeration or dynamic-program budget
 exceeded).  Output is
 deterministic: identical invocations produce byte-identical output.
 
+``main(argv=None, standalone_mode=True)`` parses ``argv`` (``sys.argv[1:]``
+when None) and runs the command.  With ``standalone_mode`` true it ends in
+``sys.exit(code)``; with it false it returns the exit code, which is also
+how a usage error reports itself in-process.  Lines are written to
+``sys.stdout`` as it is at call time, so ``contextlib.redirect_stdout``
+captures them; an ``error: ...`` line on stderr follows a flush of stdout,
+so the two streams merged keep the order in which they were written.
+
 A ``--board`` spelling names a board only: ``steps:`` and ``gv:`` are ways
 of writing its heights, and ``hit``'s step formulas eq24/eq26 read the
 board's maximal step decomposition, whichever spelling was given.
@@ -20,10 +28,10 @@ board's maximal step decomposition, whichever spelling was given.
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
 import sys
-
-import click
 
 from . import ffmat, permstat, verify
 from .boards import parse_board_spec, step_decomposition
@@ -31,22 +39,25 @@ from .placements import HIT_METHODS, BudgetExceededError, hit_polys
 from .placements import rook_poly as rook_poly_fn
 from .qpoly import IdentityViolation, LaurentPoly
 
+_JSON = json.JSONEncoder(sort_keys=True)
+
 
 def _echo(line: str):
-    # An explicit file: without one, click.echo caches a text wrapper per
-    # stdout object in a WeakKeyDictionary whose value, for a StringIO, is
-    # the stream itself, so every captured in-process run would stay alive.
-    click.echo(line, file=sys.stdout)
+    sys.stdout.write(line + "\n")
+
+
+def _fail(code: int, message: str):
+    sys.stdout.flush()
+    sys.stderr.write(f"error: {message}\n")
+    sys.exit(code)
 
 
 def _fail_usage(message: str):
-    click.echo(f"error: {message}", file=sys.stderr)
-    sys.exit(2)
+    _fail(2, message)
 
 
 def _fail_check(exc: IdentityViolation):
-    click.echo(f"error: {exc}", file=sys.stderr)
-    sys.exit(1)
+    _fail(1, str(exc))
 
 
 def _board(spec_text: str):
@@ -62,7 +73,7 @@ def _emit_poly(poly: LaurentPoly, fmt: str, labels: dict | None = None):
     is one row with exponent 0 and coefficient 0."""
     labels = labels or {}
     if fmt == "json":
-        _echo(json.dumps({**labels, **poly.to_dense_dict()}, sort_keys=True))
+        _echo(_JSON.encode({**labels, **poly.to_dense_dict()}))
     elif fmt == "csv":
         wire = poly.to_dense_dict()
         prefix = "".join(f"{value}," for value in labels.values())
@@ -73,16 +84,6 @@ def _emit_poly(poly: LaurentPoly, fmt: str, labels: dict | None = None):
         _echo(f"{prefix}: {poly}" if labels else str(poly))
 
 
-@click.group()
-def main():
-    """Exact q-rook polynomials, hit polynomials, permutation statistics,
-    and finite-field rank counts on Ferrers boards."""
-
-
-@main.command("rook")
-@click.option("--board", "board_spec", required=True, help="board spec, e.g. heights:0,1,2")
-@click.option("--k", type=int, default=None, help="number of rooks; all values if omitted")
-@click.option("--format", "fmt", type=click.Choice(["json", "csv", "text"]), default="json")
 def rook_cmd(board_spec: str, k: int | None, fmt: str):
     """q-rook polynomial(s) of a board."""
     board = _board(board_spec)
@@ -95,15 +96,6 @@ def rook_cmd(board_spec: str, k: int | None, fmt: str):
         _emit_poly(rook_poly_fn(board, kk), fmt, None if k is not None else {"k": str(kk)})
 
 
-@main.command("hit")
-@click.option("--board", "board_spec", required=True)
-@click.option("--k", type=int, default=None, help="number of hits; all values if omitted")
-@click.option(
-    "--method",
-    type=click.Choice(list(HIT_METHODS) + ["eq24", "eq26", "all"]),
-    default="mat",
-)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv", "text"]), default="json")
 def hit_cmd(board_spec: str, k: int | None, method: str, fmt: str):
     """Hit polynomial(s) of a board, by one method or all, with a verdict."""
     board = _board(board_spec)
@@ -144,11 +136,6 @@ STAT_NAMES = [
 ]
 
 
-@main.command("stats")
-@click.option("--word", "word_text", required=True, help="word literal, e.g. 2313212 or 2,3,1")
-@click.option("--stat", "stat_name", required=True, type=click.Choice(STAT_NAMES))
-@click.option("--family", type=click.Choice(["mat", "xi"]), default="mat")
-@click.option("--variant", type=click.IntRange(1, 8), default=None)
 def stats_cmd(word_text: str, stat_name: str, family: str, variant: int | None):
     """Evaluate a statistic on a word or permutation.  The block-board
     statistics (stat5-7, t5b) take the word's multiplicity vector from
@@ -172,9 +159,6 @@ def stats_cmd(word_text: str, stat_name: str, family: str, variant: int | None):
     _echo(str(value))
 
 
-@main.command("matrices")
-@click.option("--board", "board_spec", required=True)
-@click.option("--prime", type=int, required=True)
 def matrices_cmd(board_spec: str, prime: int):
     """Rank counts of board-supported matrices, checked against the formula."""
     board = _board(board_spec)
@@ -192,13 +176,6 @@ def matrices_cmd(board_spec: str, prime: int):
         sys.exit(1)
 
 
-@main.command("verify")
-@click.option(
-    "--suite",
-    type=click.Choice(["all"] + sorted(verify.SUITES)),
-    default="all",
-)
-@click.option("--max-n", type=click.IntRange(min=1), default=4)
 def verify_cmd(suite: str, max_n: int):
     """Run the named check suites; one PASS/FAIL line per check."""
     names = sorted(verify.SUITES) if suite == "all" else [suite]
@@ -214,9 +191,6 @@ def verify_cmd(suite: str, max_n: int):
         sys.exit(1)
 
 
-@main.command("table")
-@click.option("--family", type=click.Choice(["mat", "xi"]), default="mat")
-@click.option("--n", type=int, required=True)
 def table_cmd(family: str, n: int):
     """The eight descent-paired statistics over S_n, one row per permutation."""
     if n < 1 or n > 8:
@@ -229,6 +203,81 @@ def table_cmd(family: str, n: int):
             str(permstat.stat_family(perm, family, variant)) for variant in range(1, 9)
         ]
         _echo(",".join(row))
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not >= 1")
+    return value
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="qrook",
+        description="Exact q-rook polynomials, hit polynomials, permutation statistics, "
+        "and finite-field rank counts on Ferrers boards.",
+        allow_abbrev=False,
+    )
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(name, run):
+        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__, allow_abbrev=False)
+        sub.set_defaults(run=run)
+        return sub.add_argument
+
+    formats = ["json", "csv", "text"]
+    add = command("rook", rook_cmd)
+    add("--board", dest="board_spec", required=True, help="board spec, e.g. heights:0,1,2")
+    add("--k", type=int, help="number of rooks; all values if omitted")
+    add("--format", dest="fmt", choices=formats, default="json")
+    add = command("hit", hit_cmd)
+    add("--board", dest="board_spec", required=True)
+    add("--k", type=int, help="number of hits; all values if omitted")
+    add("--method", choices=list(HIT_METHODS) + ["eq24", "eq26", "all"], default="mat")
+    add("--format", dest="fmt", choices=formats, default="json")
+    add = command("stats", stats_cmd)
+    add("--word", dest="word_text", required=True, help="word literal, e.g. 2313212 or 2,3,1")
+    add("--stat", dest="stat_name", required=True, choices=STAT_NAMES)
+    add("--family", choices=["mat", "xi"], default="mat")
+    add("--variant", type=int, choices=range(1, 9))
+    add = command("matrices", matrices_cmd)
+    add("--board", dest="board_spec", required=True)
+    add("--prime", type=int, required=True)
+    add = command("verify", verify_cmd)
+    add("--suite", choices=["all"] + sorted(verify.SUITES), default="all")
+    add("--max-n", type=_positive_int, default=4)
+    add = command("table", table_cmd)
+    add("--family", choices=["mat", "xi"], default="mat")
+    add("--n", type=int, required=True)
+    return parser
+
+
+_PARSER = _parser()
+
+
+def main(argv: list[str] | None = None, standalone_mode: bool = True):
+    """Run the command that ``argv`` names; see the module docstring."""
+    try:
+        try:
+            options = vars(_PARSER.parse_args(argv))
+            options.pop("run")(**options)
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+        if standalone_mode:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        if not standalone_mode:
+            raise
+        # the reader has gone (``qrook ... | head``): exit 1 without a
+        # traceback, sending what is still buffered, which the interpreter
+        # flushes on exit, to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    if standalone_mode:
+        sys.exit(code)
+    return code
 
 
 if __name__ == "__main__":

@@ -414,7 +414,7 @@ def q_binomial(m: int, k: int) -> LaurentPoly:
 def q_multinomial(v: Iterable[int]) -> LaurentPoly:
     """[sum(v)]! / prod [v_i]!, as the product of the q-binomials
     [v_1 + ... + v_i, v_i]."""
-    parts = [int(x) for x in v]
+    parts = [_integral(x) for x in v]
     if any(x < 0 for x in parts):
         raise ValueError("multinomial parts must be nonnegative")
     result, total = LaurentPoly.one(), 0

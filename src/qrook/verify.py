@@ -82,6 +82,7 @@ from .qpoly import (
     BivariatePoly,
     IdentityViolation,
     LaurentPoly,
+    _integral,
     darga,
     is_symmetric,
     q_binomial,
@@ -227,7 +228,7 @@ def g_identity_check(v: Sequence[int]) -> bool:
     sum_{des=k} q^maj * prod [v_i]! = T_k * q^(nk - Area).  The hit
     polynomials come from the rook recurrence (``defining``), not from the
     word tables that the stat5 check reads."""
-    v = tuple(int(x) for x in v)
+    v = tuple(_integral(x) for x in v)
     n = sum(v)
     board = g_board(v)
     t = hit_polys(board, "defining")

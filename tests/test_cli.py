@@ -4,10 +4,13 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from qrook import ffmat, placements, verify
 from qrook.boards import compositions
@@ -15,11 +18,12 @@ from qrook.cli import STAT_NAMES, main
 from qrook.permstat import des, exc, joint_distribution, maj, stat6, stat7, words_over
 from qrook.qpoly import LaurentPoly, q_factorial
 
+from cli_runner import invoke
 from oracles import stirling2_closed
 
 
 def run(*args):
-    return CliRunner().invoke(main, list(args))
+    return invoke(list(args))
 
 
 @contextlib.contextmanager
@@ -419,3 +423,60 @@ class TestCapturedStreams:
 
     def test_stderr_is_released(self):
         assert self.released(["rook", "--board", "bogus:1"]) == (True, True)
+
+
+def python(*args, **popen):
+    """A fresh interpreter with the library on the path and stdout
+    block-buffered in a pipe, as it is by default."""
+    src = str(Path(verify.__file__).parent.parent)
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, *args], env=env, **popen)
+
+
+class TestProcess:
+    """The command line as a process sees it: its imports, its streams."""
+
+    def test_runs_without_click(self):
+        proc = python(
+            "-c",
+            "import sys, qrook.cli\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'click'))",
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        assert proc.communicate(timeout=60)[0] == "[]\n"
+        proc = python("-m", "qrook.cli", "rook", "--board", "stair:2", stdout=subprocess.PIPE, text=True)
+        out = proc.communicate(timeout=60)[0]
+        assert proc.returncode == 0
+        assert out == run("rook", "--board", "stair:2").output
+
+    def test_error_line_follows_the_lines_before_it(self):
+        # stdout is block-buffered in a pipe and stderr is not: the error
+        # line comes after the rank line only because stdout is flushed first
+        proc = python(
+            "-c",
+            "from qrook import ffmat\n"
+            "from qrook.cli import main\n"
+            "from qrook.qpoly import IdentityViolation\n"
+            "def broken(board, k):\n"
+            "    raise IdentityViolation('p_k_formula refused')\n"
+            "ffmat.p_k_formula = broken\n"
+            "main(['matrices', '--board', 'heights:0,1,2', '--prime', '2'])",
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+        )
+        out = proc.communicate(timeout=60)[0]
+        assert proc.returncode == 1
+        assert out == "ranks: 1,5,2,0\nerror: p_k_formula refused\n"
+
+    def test_closed_pipe_exits_1_quietly(self):
+        # qrook table ... | head -1: 5,041 rows, far more than a pipe holds
+        proc = python(
+            "-m", "qrook.cli", "table", "--n", "7", stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        )
+        assert proc.stdout.readline() == b"perm,des,maj,stat1,stat2,stat3,stat4,stat5,stat6,stat7,stat8\n"
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == 1

@@ -7,9 +7,8 @@ import shlex
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from qrook.cli import main
+from cli_runner import invoke
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -54,7 +53,7 @@ def test_readme_shell_examples_run():
     examples = readme_shell_examples()
     assert set(PROSE_EXAMPLES) <= {command for command, _ in examples}
     for command, comments in examples:
-        result = CliRunner().invoke(main, shlex.split(command)[1:])
+        result = invoke(shlex.split(command)[1:])
         assert result.exit_code == 0, command
         lines = result.output.splitlines()
         if command in PROSE_EXAMPLES:

@@ -2,12 +2,11 @@ import random
 import time
 
 import pytest
-from click.testing import CliRunner
+from cli_runner import invoke
 from oracles import is_prime_by_trial_division, rank_counts_by_columns
 
 from qrook import ffmat
 from qrook.boards import FerrersBoard, all_ferrers_boards, staircase_board
-from qrook.cli import main
 from qrook.ffmat import (
     BudgetExceededError,
     FfMatrix,
@@ -68,7 +67,7 @@ class TestEnumeration:
         monkeypatch.setattr(ffmat, "is_prime", never)
         with pytest.raises(BudgetExceededError, match="exceeds the enumeration budget"):
             list(enumerate_support_matrices(FerrersBoard((1,)), 100000000000031))
-        result = CliRunner().invoke(main, ["matrices", "--board", "heights:1", "--prime", "100000000000031"])
+        result = invoke(["matrices", "--board", "heights:1", "--prime", "100000000000031"])
         assert result.exit_code == 2
         assert "exceeds the enumeration budget" in result.output
 
@@ -90,7 +89,7 @@ class TestPrimality:
     def test_strong_pseudoprimes_are_not_prime(self, p):
         # strong pseudoprimes to every prime base up to 7, 23 and 37
         assert not ffmat.is_prime(p)
-        result = CliRunner().invoke(main, ["matrices", "--board", "heights:", "--prime", str(p)])
+        result = invoke(["matrices", "--board", "heights:", "--prime", str(p)])
         assert result.exit_code == 2
         assert f"{p} is not prime" in result.output
 
@@ -98,14 +97,14 @@ class TestPrimality:
         bound = ffmat.MILLER_RABIN_BOUND
         with pytest.raises(BudgetExceededError, match="cannot decide whether"):
             ffmat.is_prime(bound)
-        result = CliRunner().invoke(main, ["matrices", "--board", "heights:", "--prime", str(bound + 2)])
+        result = invoke(["matrices", "--board", "heights:", "--prime", str(bound + 2)])
         assert result.exit_code == 2
         assert "cannot decide whether" in result.output
 
     def test_zero_area_board_at_a_large_prime(self):
         start = time.perf_counter()
-        result = CliRunner().invoke(
-            main, ["matrices", "--board", "heights:", "--prime", "1000000000000000003"]
+        result = invoke(
+            ["matrices", "--board", "heights:", "--prime", "1000000000000000003"]
         )
         assert time.perf_counter() - start < 1
         assert result.exit_code == 0
@@ -280,7 +279,7 @@ def test_checks_share_one_rank_distribution_entry():
         assert theorem1_check(DEF1, 2)
         assert rank_sum_check(DEF1, 2)
         # the CLI asks for the same (board, p) key as the checks
-        assert CliRunner().invoke(main, ["matrices", "--board", "heights:0,1,2", "--prime", "2"]).exit_code == 0
+        assert invoke(["matrices", "--board", "heights:0,1,2", "--prime", "2"]).exit_code == 0
         assert rank_distribution.cache_info().currsize == 1
     finally:
         rank_distribution.cache_clear()

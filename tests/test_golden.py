@@ -7,11 +7,10 @@ value.  Each digest is SHA-256 over the repr of one row after another.
 
 import hashlib
 
-from click.testing import CliRunner
-
 from qrook.boards import all_step_specs, compositions
-from qrook.cli import main
 from qrook.permstat import mat_word, stat5, stat6, stat7, words_over, xi_word
+
+from cli_runner import invoke
 
 
 def rows_digest(rows) -> str:
@@ -27,7 +26,7 @@ def test_table_outputs():
         "xi": "3d3a6dba7249a8932f89f738e4d28b3f64f08618c0bf2fa9ce0676278322df66",
     }
     for family, digest in expected.items():
-        result = CliRunner().invoke(main, ["table", "--family", family, "--n", "6"])
+        result = invoke(["table", "--family", family, "--n", "6"])
         assert result.exit_code == 0
         assert len(result.output.splitlines()) == 721
         assert hashlib.sha256(result.output.encode()).hexdigest() == digest
@@ -55,7 +54,7 @@ def test_block_statistics():
 
 
 def test_verify_all_output():
-    result = CliRunner().invoke(main, ["verify", "--suite", "all", "--max-n", "4"])
+    result = invoke(["verify", "--suite", "all", "--max-n", "4"])
     assert result.exit_code == 0
     lines = result.output.splitlines()
     assert len(lines) == 2973 and lines[-1] == "TOTAL pass=2972 fail=0"
@@ -67,7 +66,7 @@ def test_verify_all_output():
 def test_hit_all_methods_output():
     h = hashlib.sha256()
     for board in ("heights:0,1,2", "stair:9", "tri:6", "heights:1,1,3,3", "heights:0,2,2,4,5,6", "heights:"):
-        result = CliRunner().invoke(main, ["hit", "--board", board, "--method", "all", "--format", "json"])
+        result = invoke(["hit", "--board", board, "--method", "all", "--format", "json"])
         assert result.exit_code == 0 and result.output.endswith("CONSISTENT\n")
         h.update(result.output.encode())
     assert h.hexdigest() == "f0c68a1dc90f6eb6fd23417303a7b6ecef0b58a5aae4bb56e42e4f36c32547b8"

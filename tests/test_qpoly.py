@@ -212,6 +212,12 @@ class TestBrackets:
         assert q_multinomial((2, 1)) == poly({0: 1, 1: 1, 2: 1})
         assert q_multinomial(()) == LaurentPoly.one()
 
+    @pytest.mark.parametrize("v", [(1.5, 1), (1, 0.5), (Fraction(3, 2),)])
+    def test_multinomial_rejects_non_integer_parts(self, v):
+        # int() would truncate 1.5 to 1 and return 1 + q
+        with pytest.raises(ValueError, match="not an integer"):
+            q_multinomial(v)
+
     def test_stirling_examples(self):
         assert q_stirling(0, 0) == LaurentPoly.one()
         assert q_stirling(2, 3).is_zero

@@ -7,7 +7,6 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from qrook import ffmat, permstat, placements, verify
 from qrook.boards import (
@@ -21,7 +20,6 @@ from qrook.boards import (
     step_decomposition,
     triangular_board,
 )
-from qrook.cli import main
 from qrook.placements import hit_polys
 from qrook.qpoly import BivariatePoly, IdentityViolation, LaurentPoly, q_binomial, q_bracket
 from qrook.verify import (
@@ -43,6 +41,7 @@ from qrook.verify import (
     step_zsu_check,
 )
 
+from cli_runner import invoke
 from oracles import eq24_signed_terms, eq26_divided_by_vectors
 
 
@@ -174,6 +173,12 @@ class TestEulerLadder:
     def test_g_identity(self):
         for v in [(1, 1), (2,), (2, 1), (1, 2), (1, 1, 1), (2, 2)]:
             assert g_identity_check(v)
+
+    @pytest.mark.parametrize("v", [(1.5, 1), (1, 2.5)])
+    def test_g_identity_rejects_non_integer_parts(self, v):
+        # int() would truncate the vector and check (1, 1) or (1, 2) instead
+        with pytest.raises(ValueError, match="not an integer"):
+            g_identity_check(v)
 
     def test_corollary3(self):
         for v in [(1, 1), (3,), (2, 1), (1, 2, 1), (2, 2)]:
@@ -413,8 +418,8 @@ class TestFailuresStayInTheSuite:
     the suite goes on to its remaining checks."""
 
     def verify_lines(self, suite, max_n):
-        result = CliRunner().invoke(main, ["verify", "--suite", suite, "--max-n", str(max_n)])
-        assert result.exception is None or isinstance(result.exception, SystemExit)
+        # invoke lets any exception but SystemExit out, so none escaped the suite
+        result = invoke(["verify", "--suite", suite, "--max-n", str(max_n)])
         return result.exit_code, result.output.splitlines()
 
     @pytest.mark.parametrize(
@@ -451,7 +456,7 @@ class TestFailuresStayInTheSuite:
             with monkeypatch.context() as patch:
                 patch.setattr(ffmat, "_span_with", lambda span, column, p: span)
                 code, lines = self.verify_lines("ffmat", 2)
-                cli = CliRunner().invoke(main, ["matrices", "--board", "heights:0,1,2", "--prime", "2"])
+                cli = invoke(["matrices", "--board", "heights:0,1,2", "--prime", "2"])
         finally:
             ffmat.rank_distribution.cache_clear()
         assert code == 1
