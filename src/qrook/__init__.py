@@ -86,7 +86,6 @@ from .verify import (
     reciprocity_check,
     recurrence25_check,
     run_suites,
-    step_formula,
     step_zsu_check,
 )
 

@@ -34,8 +34,8 @@ import os
 import sys
 
 from . import ffmat, permstat, verify
-from .boards import parse_board_spec, step_decomposition
-from .placements import HIT_METHODS, BudgetExceededError, hit_polys
+from .boards import parse_board_spec
+from .placements import HIT_METHODS, BudgetExceededError, hit_polys, validate_hit_method
 from .placements import rook_poly as rook_poly_fn
 from .qpoly import IdentityViolation, LaurentPoly
 
@@ -100,17 +100,16 @@ def hit_cmd(board_spec: str, k: int | None, method: str, fmt: str):
     """Hit polynomial(s) of a board, by one method or all, with a verdict."""
     board = _board(board_spec)
     n = board.n
-    methods = list(HIT_METHODS) + ["eq24", "eq26"] if method == "all" else [method]
-    spec = step_decomposition(board)
-    if not board.admissible and any(m in HIT_METHODS for m in methods):
-        _fail_usage("inadmissible board: only the step formulas eq24/eq26 apply")
+    methods = HIT_METHODS if method == "all" else (method,)
+    try:
+        for m in methods:
+            validate_hit_method(board, m)
+    except ValueError as exc:
+        _fail_usage(str(exc))
     if k is not None and not 0 <= k <= n:
         _fail_usage(f"k must lie in 0..{n}")
     try:
-        tables = {
-            m: hit_polys(board, m) if m in HIT_METHODS else verify.step_formula(spec, m)
-            for m in methods
-        }
+        tables = {m: hit_polys(board, m) for m in methods}
     except BudgetExceededError as exc:
         _fail_usage(str(exc))
     except IdentityViolation as exc:
@@ -234,7 +233,7 @@ def _parser() -> argparse.ArgumentParser:
     add = command("hit", hit_cmd)
     add("--board", dest="board_spec", required=True)
     add("--k", type=int, help="number of hits; all values if omitted")
-    add("--method", choices=list(HIT_METHODS) + ["eq24", "eq26", "all"], default="mat")
+    add("--method", choices=[*HIT_METHODS, "all"], default="mat")
     add("--format", dest="fmt", choices=formats, default="json")
     add = command("stats", stats_cmd)
     add("--word", dest="word_text", required=True, help="word literal, e.g. 2313212 or 2,3,1")

@@ -36,10 +36,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import sub
 from typing import Iterable, Iterator
 
 from .boards import FerrersBoard, StepSpec, step_decomposition
-from .qpoly import BivariatePoly, LaurentPoly, _integral, q_bracket, q_factorial
+from .qpoly import BivariatePoly, IdentityViolation, LaurentPoly, _integral, darga, is_symmetric
+from .qpoly import q_binomial, q_bracket, q_factorial
 
 _ONE_MINUS_Q = LaurentPoly.dense(0, (1, -1))
 
@@ -293,11 +295,11 @@ def rook_poly(board: FerrersBoard, k: int) -> LaurentPoly:
     return poly
 
 
-HIT_METHODS = ("mat", "xi", "defining")
+HIT_METHODS = ("mat", "xi", "defining", "eq24", "eq26")
 
 # the position scan keeps one table per vector of letters used, prod (d_i + 1)
 # over the blocks of a step spec: 2^n on a board of n distinct heights, n + 1
-# on a board of one height
+# on a board of one height; eq26 sums over as many vectors e
 HIT_DP_MAX_STATES = 2**14
 
 
@@ -306,33 +308,49 @@ class BudgetExceededError(ValueError):
     fixed budget."""
 
 
-@lru_cache(maxsize=None)
-def hit_polys(board: FerrersBoard, method: str = "mat") -> tuple[LaurentPoly, ...]:
-    """All hit polynomials T_0..T_n of an admissible board at once.
-
-    ``mat`` and ``xi`` are the block factorials times the word tables of
-    the board's maximal step decomposition,
-    T_k(B) = prod_i [d_i]! W_k(step_decomposition(B)): each word lifts to
-    prod_i d_i! full placements with the hits of the word, and within a
-    block these differ from the canonical lift by inversions.  They raise
-    ``BudgetExceededError`` where :func:`word_stat_polys` does.
-    ``defining`` expands the rook polynomials, in polynomial time."""
-    if not board.admissible:
-        raise ValueError("hit polynomials need an admissible board")
+def validate_hit_method(board: FerrersBoard, method: str) -> None:
+    """Raise ValueError unless ``method`` is one of ``HIT_METHODS`` and
+    applies to the board: the step formulas eq24 and eq26 apply to every
+    board, the other routes to admissible boards only."""
     if method not in HIT_METHODS:
         raise ValueError(f"unknown hit method {method!r}")
-    if method in ("mat", "xi"):
-        spec = step_decomposition(board)
-        factorials = _widths_factorial(spec.widths)
-        return tuple(factorials * w for w in word_stat_polys(spec, method))
-    # defining identity: sum_j [j]! R_{n-j} prod_{i=j+1}^{n} (x - q^i), a
-    # polynomial in x (z here) whose x^k coefficient is T_k, in Horner form
-    n = board.n
-    acc = BivariatePoly.zero()
-    for j in range(n + 1):
-        z_minus_qj = BivariatePoly.series((LaurentPoly.dense(j, (-1,)), LaurentPoly.one()))
-        acc = acc * z_minus_qj + BivariatePoly.from_laurent(q_factorial(j) * rook_poly(board, n - j))
-    return tuple(acc.coefficient(k) for k in range(n + 1))
+    if not board.admissible and method not in ("eq24", "eq26"):
+        raise ValueError("inadmissible board: only the step formulas eq24/eq26 apply")
+
+
+@lru_cache(maxsize=None)
+def hit_polys(board: FerrersBoard, method: str = "mat") -> tuple[LaurentPoly, ...]:
+    """All hit polynomials T_0..T_n of a board at once, by one of the
+    ``HIT_METHODS`` that :func:`validate_hit_method` lets through.
+
+    ``defining`` expands the rook polynomials, in polynomial time.  The
+    others are the block factorials times a table W of the board's maximal
+    step decomposition, T_k(B) = prod_i [d_i]! W_k(step_decomposition(B)):
+    for ``mat`` and ``xi`` the word table of :func:`word_stat_polys` (each
+    word lifts to prod_i d_i! full placements with its hits, and within a
+    block these differ from the canonical lift by inversions), for ``eq24``
+    and ``eq26`` the divided table of the step-board formula, which raises
+    ``IdentityViolation`` where a guard fails.  ``mat``, ``xi`` and
+    ``eq26`` raise ``BudgetExceededError`` past ``HIT_DP_MAX_STATES``."""
+    validate_hit_method(board, method)
+    if method == "defining":
+        # sum_j [j]! R_{n-j} prod_{i=j+1}^{n} (x - q^i), a polynomial in x
+        # (z here) whose x^k coefficient is T_k, in Horner form
+        n = board.n
+        acc = BivariatePoly.zero()
+        for j in range(n + 1):
+            z_minus_qj = BivariatePoly.series((LaurentPoly.dense(j, (-1,)), LaurentPoly.one()))
+            acc = acc * z_minus_qj + BivariatePoly.from_laurent(q_factorial(j) * rook_poly(board, n - j))
+        return tuple(acc.coefficient(k) for k in range(n + 1))
+    spec = step_decomposition(board)
+    if method == "eq24":
+        divided = eq24_divided(spec)
+    elif method == "eq26":
+        divided = _eq26_divided(spec)
+    else:
+        divided = word_stat_polys(spec, method)
+    factorials = _widths_factorial(spec.widths)
+    return tuple(factorials * t for t in divided)
 
 
 def _widths_factorial(widths: Iterable[int]) -> LaurentPoly:
@@ -458,6 +476,143 @@ def classical_hit_distribution(board: FerrersBoard) -> tuple[int, ...]:
         )
         for k in range(n + 1)
     )
+
+
+def darga_target(spec: StepSpec) -> int:
+    """Area + n^2 - sum_i D_i d_i: the darga of the 0-hit polynomial
+    divided by the block factorials; at k hits it is n k less."""
+    n = spec.n
+    return spec.area + n * n - sum(D * d for D, d in zip(spec.col_offsets, spec.widths))
+
+
+def eq24_divided(spec: StepSpec) -> tuple[LaurentPoly, ...]:
+    """(T_0, ..., T_n)(B) / prod [d_i]! by the alternating q-binomial
+    expansion: with P_s = prod_i [s + H_i - D_(i-1), d_i], the k-hit entry
+    is sum_s (-1)^j q^C(j,2) [n+1, j] P_s over s + j = n - k.
+
+    By the q-binomial theorem those signed q-binomials are the x^j
+    coefficients of (1 - x)(1 - xq)...(1 - xq^n), so the k-hit entry is the
+    x^(n-k) coefficient of that product times sum_s P_s x^s.  The table is
+    built as n+1 passes, each multiplying by one factor 1 - xq^i, that
+    subtract every row shifted by i exponents from the row above it; the
+    rows are dense coefficient lists sharing one lowest exponent, from the
+    first nonzero P_s up, and forming no polynomial product.
+
+    A P_s with any negative bracket numerator, that is with
+    s < max_i (D_(i-1) - H_i), must vanish (the cancellation the closed
+    form relies on).  Every term (-1)^j q^C(j,2) [n+1, j] P_s must be
+    symmetric with darga ``darga_target(spec) - n k``; the signed q-binomial
+    is nonzero and symmetric with darga j n, and Z[q, q^-1] has no zero
+    divisors, so that holds exactly when P_s is symmetric with darga
+    ``darga_target(spec) - n(n - s)``, which is what is checked, once
+    per nonzero P_s.  IdentityViolation reports a product that does not
+    vanish, or the first failing term, the one at k = 0.
+    """
+    n = spec.n
+    H = spec.block_heights
+    D = (0,) + spec.col_offsets
+    # P_s has a negative bracket numerator exactly when s < min_s
+    min_s = max((D[i] - H[i] for i in range(spec.t)), default=0)
+    products = []
+    for s in range(n + 1):
+        prod = LaurentPoly.one()
+        for i, d in enumerate(spec.widths):
+            prod = prod * q_binomial(s + H[i] - D[i], d)
+            if not prod:
+                break
+        if prod and s < min_s:
+            raise IdentityViolation(f"{spec} s={s}: a negative bracket numerator left {prod}")
+        products.append(prod)
+    target = darga_target(spec)  # minus n k at k hits
+    nonzero = [s for s, prod in enumerate(products) if prod]
+    for s in nonzero:
+        prod = products[s]
+        if not (is_symmetric(prod) and darga(prod) == target - n * (n - s)):
+            j = n - s
+            term = q_binomial(n + 1, j).shifted(j * (j - 1) // 2) * prod
+            raise IdentityViolation(
+                f"{spec} k=0 s={s}: term {term} is not symmetric with darga {target}"
+            )
+    if not nonzero:
+        return (LaurentPoly.zero(),) * (n + 1)
+    first = nonzero[0]
+    lo = min(products[s].min_exp for s in nonzero)
+    width = max(products[s].max_exp for s in nonzero) - lo + 1 + n * (n + 1) // 2
+    rows = [[0] * width for _ in range(n + 1)]
+    ends = [0] * (n + 1)  # row m is zero from index ends[m] on
+    for s in nonzero:
+        dense = products[s].to_dense_dict()["coeffs"]
+        offset = products[s].min_exp - lo
+        ends[s] = offset + len(dense)
+        rows[s][offset : ends[s]] = dense
+    for i in range(n + 1):
+        # times 1 - x q^i; row m - 1 is still the previous pass's when row m reads it
+        for m in range(n, first, -1):
+            end = i + ends[m - 1]
+            rows[m][i:end] = map(sub, rows[m][i:end], rows[m - 1])
+            ends[m] = max(ends[m], end)
+    return tuple(
+        LaurentPoly.dense(lo, rows[n - k][: ends[n - k]]) if n - k >= first else LaurentPoly.zero()
+        for k in range(n + 1)
+    )
+
+
+def _eq26_divided(spec: StepSpec) -> tuple[LaurentPoly, ...]:
+    """(T_0, ..., T_n)(B) / prod [d_i]! by the composition expansion: the
+    vector e with 0 <= e_i <= d_i and E_i = e_1 + ... + e_i adds
+
+        prod_i [H_i - D_(i-1) + E_(i-1), d_i - e_i] [D_i + D_(i-1) - H_i - E_(i-1), e_i]
+               q^(e_i (H_i - D_i + E_i))
+
+    to the entry with n - E_t hits.
+
+    A depth-first walk over the blocks, taking e_i = 0, ..., d_i at block
+    i, forms each prefix product once, and drops a prefix whose product is
+    zero with every vector that extends it.  So the vectors come in
+    lexicographic order, as the q-binomial calls do.  Under the overlap or
+    dominance condition each vector is checked: a nonzero product with a
+    negative bracket numerator, or a term with a negative coefficient,
+    raises IdentityViolation naming e.  The walk has prod (d_i + 1)
+    leaves, and past ``HIT_DP_MAX_STATES`` of them it raises
+    ``BudgetExceededError`` before it starts.
+    """
+    n, t = spec.n, spec.t
+    H = spec.block_heights
+    D = (0,) + spec.col_offsets
+    widths = spec.widths
+    vectors = math.prod(d + 1 for d in widths)
+    if vectors > HIT_DP_MAX_STATES:
+        raise BudgetExceededError(
+            f"eq26 over block widths {widths} sums over {vectors} vectors e,"
+            f" past the budget of {HIT_DP_MAX_STATES}"
+        )
+    conditions = spec.condition_overlap() or spec.condition_dominance()
+    table = [LaurentPoly.zero()] * (n + 1)
+    e = [0] * t
+
+    def walk(i: int, prod: LaurentPoly, E: int, exponent: int, negative: bool) -> None:
+        if i == t:
+            if conditions and negative:
+                raise IdentityViolation(f"{spec} e={tuple(e)}: a negative numerator left {prod}")
+            term = prod.shifted(exponent)
+            if conditions and any(c < 0 for _, c in term.items()):
+                raise IdentityViolation(
+                    f"{spec} e={tuple(e)}: term {term} is negative"
+                    " under the overlap or dominance condition"
+                )
+            table[n - E] = table[n - E] + term
+            return
+        m1 = H[i] - D[i] + E
+        m2 = D[i + 1] + D[i] - H[i] - E
+        negative = negative or m1 < 0 or m2 < 0
+        for ei in range(widths[i] + 1):
+            e[i] = ei
+            block = prod * q_binomial(m1, widths[i] - ei) * q_binomial(m2, ei)
+            if block:
+                walk(i + 1, block, E + ei, exponent + ei * (H[i] - D[i + 1] + E + ei), negative)
+
+    walk(0, LaurentPoly.one(), 0, 0, False)
+    return tuple(table)
 
 
 # ---------------------------------------------------------------------------

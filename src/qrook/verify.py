@@ -48,9 +48,7 @@ The checks fall into four groups:
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from operator import sub
 from typing import Callable, Iterator, Sequence
 
 from .boards import (
@@ -67,11 +65,11 @@ from .boards import (
     triangular_board,
 )
 from .placements import (
-    HIT_DP_MAX_STATES,
-    HIT_METHODS,
-    BudgetExceededError,
+    _eq26_divided,
     _widths_factorial,
     classical_hit_distribution,
+    darga_target,
+    eq24_divided,
     factorization_check,
     hit_polys,
     rook_poly,
@@ -250,162 +248,6 @@ def corollary3_check(v: Sequence[int]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def darga_target(spec: StepSpec) -> int:
-    """Area + n^2 - sum_i D_i d_i: the darga of the 0-hit polynomial
-    divided by the block factorials; at k hits it is n k less."""
-    n = spec.n
-    return spec.area + n * n - sum(D * d for D, d in zip(spec.col_offsets, spec.widths))
-
-
-def eq24_divided(spec: StepSpec) -> tuple[LaurentPoly, ...]:
-    """(T_0, ..., T_n)(B) / prod [d_i]! by the alternating q-binomial
-    expansion: with P_s = prod_i [s + H_i - D_(i-1), d_i], the k-hit entry
-    is sum_s (-1)^j q^C(j,2) [n+1, j] P_s over s + j = n - k.
-
-    By the q-binomial theorem those signed q-binomials are the x^j
-    coefficients of (1 - x)(1 - xq)...(1 - xq^n), so the k-hit entry is the
-    x^(n-k) coefficient of that product times sum_s P_s x^s.  The table is
-    built as n+1 passes, each multiplying by one factor 1 - xq^i, that
-    subtract every row shifted by i exponents from the row above it; the
-    rows are dense coefficient lists sharing one lowest exponent, from the
-    first nonzero P_s up, and forming no polynomial product.
-
-    A P_s with any negative bracket numerator, that is with
-    s < max_i (D_(i-1) - H_i), must vanish (the cancellation the closed
-    form relies on).  Every term (-1)^j q^C(j,2) [n+1, j] P_s must be
-    symmetric with darga ``darga_target(spec) - n k``; the signed q-binomial
-    is nonzero and symmetric with darga j n, and Z[q, q^-1] has no zero
-    divisors, so that holds exactly when P_s is symmetric with darga
-    ``darga_target(spec) - n(n - s)``, which is what is checked, once
-    per nonzero P_s.  IdentityViolation reports a product that does not
-    vanish, or the first failing term, the one at k = 0.
-    """
-    n = spec.n
-    H = spec.block_heights
-    D = (0,) + spec.col_offsets
-    # P_s has a negative bracket numerator exactly when s < min_s
-    min_s = max((D[i] - H[i] for i in range(spec.t)), default=0)
-    products = []
-    for s in range(n + 1):
-        prod = LaurentPoly.one()
-        for i, d in enumerate(spec.widths):
-            prod = prod * q_binomial(s + H[i] - D[i], d)
-            if not prod:
-                break
-        if prod and s < min_s:
-            raise IdentityViolation(f"{spec} s={s}: a negative bracket numerator left {prod}")
-        products.append(prod)
-    target = darga_target(spec)  # minus n k at k hits
-    nonzero = [s for s, prod in enumerate(products) if prod]
-    for s in nonzero:
-        prod = products[s]
-        if not (is_symmetric(prod) and darga(prod) == target - n * (n - s)):
-            j = n - s
-            term = q_binomial(n + 1, j).shifted(j * (j - 1) // 2) * prod
-            raise IdentityViolation(
-                f"{spec} k=0 s={s}: term {term} is not symmetric with darga {target}"
-            )
-    if not nonzero:
-        return (LaurentPoly.zero(),) * (n + 1)
-    first = nonzero[0]
-    lo = min(products[s].min_exp for s in nonzero)
-    width = max(products[s].max_exp for s in nonzero) - lo + 1 + n * (n + 1) // 2
-    rows = [[0] * width for _ in range(n + 1)]
-    ends = [0] * (n + 1)  # row m is zero from index ends[m] on
-    for s in nonzero:
-        dense = products[s].to_dense_dict()["coeffs"]
-        offset = products[s].min_exp - lo
-        ends[s] = offset + len(dense)
-        rows[s][offset : ends[s]] = dense
-    for i in range(n + 1):
-        # times 1 - x q^i; row m - 1 is still the previous pass's when row m reads it
-        for m in range(n, first, -1):
-            end = i + ends[m - 1]
-            rows[m][i:end] = map(sub, rows[m][i:end], rows[m - 1])
-            ends[m] = max(ends[m], end)
-    return tuple(
-        LaurentPoly.dense(lo, rows[n - k][: ends[n - k]]) if n - k >= first else LaurentPoly.zero()
-        for k in range(n + 1)
-    )
-
-
-def step_formula(spec: StepSpec, which: str = "eq24") -> tuple[LaurentPoly, ...]:
-    """The hit polynomials (T_0, ..., T_n)(B) of a step board, indexed by
-    hits as in :func:`~qrook.placements.hit_polys`, by closed formula.
-
-    ``eq24`` multiplies the alternating q-binomial expansion by the
-    block factorials; ``eq26`` sums over vectors e with 0 <= e_i <= d_i,
-    each adding to the entry with n - sum(e) hits.  Both apply to
-    inadmissible boards as well.
-    """
-    if which == "eq24":
-        divided = eq24_divided(spec)
-    elif which == "eq26":
-        divided = _eq26_divided(spec)
-    else:
-        raise ValueError(f"unknown step formula {which!r}")
-    factorials = _widths_factorial(spec.widths)
-    return tuple(factorials * t for t in divided)
-
-
-def _eq26_divided(spec: StepSpec) -> tuple[LaurentPoly, ...]:
-    """(T_0, ..., T_n)(B) / prod [d_i]! by the composition expansion: the
-    vector e with 0 <= e_i <= d_i and E_i = e_1 + ... + e_i adds
-
-        prod_i [H_i - D_(i-1) + E_(i-1), d_i - e_i] [D_i + D_(i-1) - H_i - E_(i-1), e_i]
-               q^(e_i (H_i - D_i + E_i))
-
-    to the entry with n - E_t hits.
-
-    A depth-first walk over the blocks, taking e_i = 0, ..., d_i at block
-    i, forms each prefix product once, and drops a prefix whose product is
-    zero with every vector that extends it.  So the vectors come in
-    lexicographic order, as the q-binomial calls do.  Under the overlap or
-    dominance condition each vector is checked: a nonzero product with a
-    negative bracket numerator, or a term with a negative coefficient,
-    raises IdentityViolation naming e.  The walk has prod (d_i + 1)
-    leaves, and past ``HIT_DP_MAX_STATES`` of them it raises
-    ``BudgetExceededError`` before it starts.
-    """
-    n, t = spec.n, spec.t
-    H = spec.block_heights
-    D = (0,) + spec.col_offsets
-    widths = spec.widths
-    vectors = math.prod(d + 1 for d in widths)
-    if vectors > HIT_DP_MAX_STATES:
-        raise BudgetExceededError(
-            f"eq26 over block widths {widths} sums over {vectors} vectors e,"
-            f" past the budget of {HIT_DP_MAX_STATES}"
-        )
-    conditions = spec.condition_overlap() or spec.condition_dominance()
-    table = [LaurentPoly.zero()] * (n + 1)
-    e = [0] * t
-
-    def walk(i: int, prod: LaurentPoly, E: int, exponent: int, negative: bool) -> None:
-        if i == t:
-            if conditions and negative:
-                raise IdentityViolation(f"{spec} e={tuple(e)}: a negative numerator left {prod}")
-            term = prod.shifted(exponent)
-            if conditions and any(c < 0 for _, c in term.items()):
-                raise IdentityViolation(
-                    f"{spec} e={tuple(e)}: term {term} is negative"
-                    " under the overlap or dominance condition"
-                )
-            table[n - E] = table[n - E] + term
-            return
-        m1 = H[i] - D[i] + E
-        m2 = D[i + 1] + D[i] - H[i] - E
-        negative = negative or m1 < 0 or m2 < 0
-        for ei in range(widths[i] + 1):
-            e[i] = ei
-            block = prod * q_binomial(m1, widths[i] - ei) * q_binomial(m2, ei)
-            if block:
-                walk(i + 1, block, E + ei, exponent + ei * (H[i] - D[i + 1] + E + ei), negative)
-
-    walk(0, LaurentPoly.one(), 0, 0, False)
-    return tuple(table)
-
-
 def recurrence25_check(spec: StepSpec) -> bool:
     """Peeling off the last block (H_t, d_t): the divided hit polynomials
     T_k / prod_i [d_i]! of the full board, rebuilt from those of the
@@ -560,8 +402,11 @@ def suite_hit(max_n: int) -> Iterator[CheckResult]:
     for n in range(1, max_n + 1):
         for board in all_ferrers_boards(n):
             name = str(board)
+            # the three routes over all permutations; the steps suite checks eq24 and eq26
             yield _guarded(
-                "hit-methods-agree", name, lambda: _tables_detail(**{m: hit_polys(board, m) for m in HIT_METHODS})
+                "hit-methods-agree",
+                name,
+                lambda: _tables_detail(**{m: hit_polys(board, m) for m in ("mat", "xi", "defining")}),
             )
             yield _guarded("hit-sum-factorial", name, _hit_sum_check, board)
             yield _guarded("hit-classical-at-1", name, _hit_classical_check, board)

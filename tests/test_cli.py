@@ -108,9 +108,10 @@ class TestHit:
     def test_identity_violation_is_a_failed_check(self, monkeypatch, method):
         # every bracket times q breaks the eq24 symmetry guard: exit 1 with
         # the violation on stderr, not a traceback and not a usage error
-        real = verify.q_binomial
-        monkeypatch.setattr(verify, "q_binomial", lambda m, k: real(m, k).shifted(1))
-        result = run("hit", "--board", "stair:3", "--method", method)
+        real = placements.q_binomial
+        monkeypatch.setattr(placements, "q_binomial", lambda m, k: real(m, k).shifted(1))
+        with cleared(placements.hit_polys):
+            result = run("hit", "--board", "stair:3", "--method", method)
         assert result.exit_code == 1
         assert result.output == (
             "error: steps:1x1,1x1,1x1 k=0 s=0: term q^7 + q^8 + q^9 + q^10"
@@ -186,11 +187,10 @@ class TestHit:
         assert result.output.splitlines() == ["0,mat,0,0", "1,mat,1,1", "2,mat,0,1"]
 
     def test_wrong_step_formula_is_inconsistent(self, monkeypatch):
-        real = verify.step_formula
         with cleared(placements.hit_polys):
-            monkeypatch.setattr(
-                verify, "step_formula", lambda spec, which: tuple(t.shifted(1) for t in real(spec, which))
-            )
+            for name in ("eq24_divided", "_eq26_divided"):
+                real = getattr(placements, name)
+                monkeypatch.setattr(placements, name, lambda spec, real=real: tuple(t.shifted(1) for t in real(spec)))
             result = run("hit", "--board", "tri:3", "--method", "all", "--format", "text")
         assert result.exit_code == 1
         assert result.output.splitlines()[-1] == "INCONSISTENT"

@@ -11,7 +11,6 @@ from qrook.boards import (
     all_ferrers_boards,
     flip,
     staircase_board,
-    step_decomposition,
     triangular_board,
 )
 from qrook.placements import (
@@ -31,7 +30,6 @@ from qrook.placements import (
     xi_stat,
 )
 from qrook.qpoly import LaurentPoly, q_factorial, q_stirling
-from qrook.verify import step_formula
 
 from oracles import hit_counts_by_enumeration, hit_polys_by_permutations, rook_numbers, rook_poly_by_cells
 from oracles import on_board_count, reflect, transpose
@@ -273,7 +271,7 @@ def assert_four_hit_routes_agree(board):
     mat = hit_polys(board, "mat")
     assert mat == hit_polys(board, "xi")
     assert mat == hit_polys(board, "defining")
-    assert mat == step_formula(step_decomposition(board), "eq24")
+    assert mat == hit_polys(board, "eq24")
 
 
 class TestHitRowScan:

@@ -1,4 +1,5 @@
 import ast
+import math
 import os
 import random
 import re
@@ -20,13 +21,12 @@ from qrook.boards import (
     step_decomposition,
     triangular_board,
 )
-from qrook.placements import hit_polys
-from qrook.qpoly import BivariatePoly, IdentityViolation, LaurentPoly, q_binomial, q_bracket
+from qrook.placements import darga_target, hit_polys
+from qrook.qpoly import BivariatePoly, IdentityViolation, LaurentPoly, q_binomial, q_bracket, q_factorial
 from qrook.verify import (
     CheckResult,
     add_recurrence_check,
     corollary3_check,
-    darga_target,
     euler_ladder_check,
     g_identity_check,
     hit_zsu_check,
@@ -37,7 +37,6 @@ from qrook.verify import (
     reciprocity_check,
     recurrence25_check,
     run_suites,
-    step_formula,
     step_zsu_check,
 )
 
@@ -62,6 +61,15 @@ def seeded_admissible_specs(n, count=10):
                 break
         specs.append(StepSpec(tuple(zip(rises, widths))))
     return specs
+
+
+def step_table(spec, which):
+    """A step formula's table on this presentation of the board, where
+    ``hit_polys`` reads the maximal one: the divided table times the block
+    factorials."""
+    divided = {"eq24": placements.eq24_divided, "eq26": placements._eq26_divided}[which](spec)
+    factorials = math.prod((q_factorial(d) for d in spec.widths), start=LaurentPoly.one())
+    return tuple(factorials * t for t in divided)
 
 
 def outcome(fn, spec):
@@ -190,9 +198,9 @@ class TestStepFormulas:
         spec = StepSpec(((1, 1), (1, 1)))
         for which in ("eq24", "eq26"):
             # value at index k is the hit polynomial with k hits
-            assert step_formula(spec, which)[2] == LaurentPoly.one()
-            assert step_formula(spec, which)[1] == LaurentPoly({1: 1})
-            assert step_formula(spec, which)[0].is_zero
+            assert step_table(spec, which)[2] == LaurentPoly.one()
+            assert step_table(spec, which)[1] == LaurentPoly({1: 1})
+            assert step_table(spec, which)[0].is_zero
 
     def test_single_block(self):
         # one block of width n: the composition sum has a single term per k
@@ -200,16 +208,16 @@ class TestStepFormulas:
         board = spec.expand()
         t = hit_polys(board, "mat")
         for k in range(4):
-            assert step_formula(spec, "eq24")[k] == t[k]
-            assert step_formula(spec, "eq26")[k] == t[k]
+            assert step_table(spec, "eq24")[k] == t[k]
+            assert step_table(spec, "eq26")[k] == t[k]
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_agreement_with_enumeration(self, n):
         for spec in all_step_specs(n, admissible_only=True):
             t = hit_polys(spec.expand(), "mat")
             for k in range(n + 1):
-                assert step_formula(spec, "eq24")[k] == t[k]
-                assert step_formula(spec, "eq26")[k] == t[k]
+                assert step_table(spec, "eq24")[k] == t[k]
+                assert step_table(spec, "eq26")[k] == t[k]
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_truncation_recurrence(self, n):
@@ -219,9 +227,9 @@ class TestStepFormulas:
     def test_inadmissible_board_values(self):
         # single column of height 3 in a 1x1 grid: hit values have signs
         spec = StepSpec(((3, 1),))
-        assert step_formula(spec, "eq24")[1] == LaurentPoly({0: 1, 1: 1, 2: 1})
-        assert step_formula(spec, "eq24")[0] == LaurentPoly({1: -1, 2: -1})
-        assert step_formula(spec, "eq26")[0] == step_formula(spec, "eq24")[0]
+        assert step_table(spec, "eq24")[1] == LaurentPoly({0: 1, 1: 1, 2: 1})
+        assert step_table(spec, "eq24")[0] == LaurentPoly({1: -1, 2: -1})
+        assert step_table(spec, "eq26")[0] == step_table(spec, "eq24")[0]
         assert recurrence25_check(spec)
 
     @pytest.mark.parametrize("n", range(1, 6))
@@ -229,17 +237,17 @@ class TestStepFormulas:
         inadmissible = [s for s in all_step_specs(n) if not s.admissible]
         assert inadmissible
         for spec in inadmissible:
-            assert step_formula(spec, "eq24") == step_formula(spec, "eq26")
+            assert step_table(spec, "eq24") == step_table(spec, "eq26")
 
     @pytest.mark.parametrize("n", range(7, 10))
     def test_formulas_match_defining_beyond_enumeration(self, n):
         for spec in seeded_admissible_specs(n):
             t = hit_polys(spec.expand(), "defining")
-            assert step_formula(spec, "eq24") == step_formula(spec, "eq26") == t
+            assert step_table(spec, "eq24") == step_table(spec, "eq26") == t
 
     def test_empty_spec(self):
         for which in ("eq24", "eq26"):
-            assert step_formula(StepSpec(()), which) == (LaurentPoly.one(),)
+            assert step_table(StepSpec(()), which) == (LaurentPoly.one(),)
 
     def test_truncation_recurrence_on_the_empty_board(self):
         board = parse_board_spec("steps:")
@@ -250,15 +258,14 @@ class TestStepFormulas:
     @pytest.mark.parametrize("which", ["eq24", "eq26"])
     def test_presentation_does_not_change_the_table(self, which):
         # a step formula gives the same table on every presentation of a
-        # board as on its maximal step decomposition
+        # board as hit_polys, which reads its maximal step decomposition
         for n in range(1, 6):
             for spec in all_step_specs(n):
-                maximal = step_decomposition(spec.expand())
-                assert step_formula(spec, which) == step_formula(maximal, which), spec
+                assert step_table(spec, which) == hit_polys(spec.expand(), which), spec
 
     def test_unknown_formula(self):
         with pytest.raises(ValueError):
-            step_formula(StepSpec(((0, 1),)), "eq99")
+            hit_polys(StepSpec(((0, 1),)).expand(), "eq99")
 
     @pytest.mark.parametrize(
         "corruption,max_n,message",
@@ -283,11 +290,11 @@ class TestStepFormulas:
                 raise IdentityViolation("[2, 1] refused")
             return q_binomial(m, k)
 
-        monkeypatch.setattr(verify, "q_binomial", binomial)
+        monkeypatch.setattr(placements, "q_binomial", binomial)
         violations = []
         for n in range(max_n + 1):
             for spec in all_step_specs(n):
-                walked = outcome(verify._eq26_divided, spec)
+                walked = outcome(placements._eq26_divided, spec)
                 assert walked == outcome(lambda s: eq26_divided_by_vectors(s, binomial), spec), spec
                 if isinstance(walked, str):
                     violations.append(walked)
@@ -305,16 +312,16 @@ class TestStepFormulas:
     def test_eq24_matches_signed_term_oracle(self):
         assert len(self.ORACLE_SPECS) == 3124 + 30
         for spec in self.ORACLE_SPECS:
-            assert verify.eq24_divided(spec) == eq24_signed_terms(spec), spec
+            assert placements.eq24_divided(spec) == eq24_signed_terms(spec), spec
 
     def test_eq24_and_oracle_raise_alike_under_a_wrong_q_binomial(self, monkeypatch):
         # every bracket times q: each guard fails, on the same first term
         def binomial(m, k):
             return q_binomial(m, k).shifted(1)
 
-        monkeypatch.setattr(verify, "q_binomial", binomial)
+        monkeypatch.setattr(placements, "q_binomial", binomial)
         for spec in self.ORACLE_SPECS:
-            got = outcome(verify.eq24_divided, spec)
+            got = outcome(placements.eq24_divided, spec)
             assert isinstance(got, str) and "is not symmetric with darga" in got, spec
             assert got == outcome(lambda s: eq24_signed_terms(s, binomial), spec), spec
 
@@ -332,7 +339,7 @@ class TestStepFormulas:
         # at most one product per bracket of each P_s: the signed terms
         # (-1)^j q^C(j,2) [n+1, j] P_s are never formed
         assert (spec.t, spec.admissible) == (blocks, admissible)
-        verify.eq24_divided(spec)  # fill the q-binomial cache
+        placements.eq24_divided(spec)  # fill the q-binomial cache
         real = LaurentPoly.__mul__
         calls = 0
 
@@ -343,7 +350,7 @@ class TestStepFormulas:
 
         with monkeypatch.context() as patch:
             patch.setattr(LaurentPoly, "__mul__", counting)
-            table = verify.eq24_divided(spec)
+            table = placements.eq24_divided(spec)
         assert table == eq24_signed_terms(spec)
         assert 0 < calls <= (spec.n + 1) * spec.t
 
@@ -410,7 +417,7 @@ class TestSuites:
         spec = step_decomposition(board)
         t = hit_polys(board, "mat")
         for k in range(4):
-            assert step_formula(spec, "eq26")[k] == t[k]
+            assert step_table(spec, "eq26")[k] == hit_polys(board, "eq26")[k] == t[k]
 
 
 class TestFailuresStayInTheSuite:
@@ -427,7 +434,8 @@ class TestFailuresStayInTheSuite:
     )
     def test_wrong_q_binomial(self, monkeypatch, suite, check):
         with monkeypatch.context() as patch:
-            patch.setattr(verify, "q_binomial", lambda m, k: q_binomial(m, k).shifted(1))
+            for module in (placements, verify):
+                patch.setattr(module, "q_binomial", lambda m, k: q_binomial(m, k).shifted(1))
             code, lines = self.verify_lines(suite, 2)
         assert code == 1
         fails = [line for line in lines if line.startswith(f"FAIL {check} ")]
