@@ -31,7 +31,15 @@ from functools import lru_cache
 from typing import Iterator
 
 from .boards import FerrersBoard, staircase_board
-from .placements import BudgetExceededError, Placement, _one_minus_z_q, enumerate_placements, inv_stat, rook_poly
+from .placements import (
+    BudgetExceededError,
+    Placement,
+    _decimal,
+    _one_minus_z_q,
+    enumerate_placements,
+    inv_stat,
+    rook_poly,
+)
 from .qpoly import BivariatePoly, IdentityViolation, LaurentPoly, _integral, q_stirling
 
 DEFAULT_BUDGET = 10**7
@@ -126,12 +134,15 @@ def enumerate_support_matrices(board: FerrersBoard, p: int) -> Iterator[tuple[Ff
     if p < 2:
         raise ValueError(f"{p} is not prime")
     area = board.area
-    total = p**area
-    # the budget next: it is O(1), the primality test O(log p) products
-    if total > DEFAULT_BUDGET:
-        raise BudgetExceededError(
-            f"p^Area = {p}^{area} = {total} exceeds the enumeration budget {DEFAULT_BUDGET}"
-        )
+    # the budget next, in O(log budget) products and without forming p^Area;
+    # the primality test takes O(log p)
+    fits = 0  # the largest exponent e with p^e within the budget
+    while p ** (fits + 1) <= DEFAULT_BUDGET:
+        fits += 1
+    if area > fits:
+        total = _decimal({p: area})
+        shown = f"{p}^{area}" + (f" = {total}" if total else "")
+        raise BudgetExceededError(f"p^Area = {shown} exceeds the enumeration budget {DEFAULT_BUDGET}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if not board.admissible:

@@ -32,6 +32,7 @@ partitioned across workers freely.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -308,6 +309,30 @@ class BudgetExceededError(ValueError):
     fixed budget."""
 
 
+# str() of an int refuses more digits than this by default
+_MAX_DIGITS = 4300
+
+
+def _decimal(powers: dict[int, int]) -> str | None:
+    """prod base^exponent over ``powers`` in decimal, for a budget message,
+    or None where ``str`` would refuse it.  The product is formed only when
+    its logarithm leaves it at most one digit past ``_MAX_DIGITS``, so a
+    message never builds a number of unbounded size."""
+    if sum(e * math.log10(b) for b, e in powers.items()) > _MAX_DIGITS:
+        return None
+    try:
+        return str(math.prod(b**e for b, e in powers.items()))
+    except ValueError:  # past the digit limit, or one lowered by sys.set_int_max_str_digits
+        return None
+
+
+def _count_text(widths: tuple[int, ...]) -> str:
+    """prod (d_i + 1) over the block widths, in decimal, or as powers where
+    that is too long: 2^15000 for 15,000 blocks of width 1."""
+    powers = collections.Counter(d + 1 for d in widths)
+    return _decimal(powers) or " * ".join(f"{b}^{e}" for b, e in sorted(powers.items()))
+
+
 def validate_hit_method(board: FerrersBoard, method: str) -> None:
     """Raise ValueError unless ``method`` is one of ``HIT_METHODS`` and
     applies to the board: the step formulas eq24 and eq26 apply to every
@@ -397,7 +422,7 @@ def word_stat_polys(spec: StepSpec, family: str = "mat") -> tuple[LaurentPoly, .
         radix.append(radix[-1] * (d + 1))
     if radix[-1] > HIT_DP_MAX_STATES:
         raise BudgetExceededError(
-            f"{family} tables over block widths {widths} need {radix[-1]} position-scan"
+            f"{family} tables over block widths {widths} need {_count_text(widths)} position-scan"
             f" states, past the budget of {HIT_DP_MAX_STATES}"
         )
     n = sum(widths)
@@ -583,7 +608,7 @@ def _eq26_divided(spec: StepSpec) -> tuple[LaurentPoly, ...]:
     vectors = math.prod(d + 1 for d in widths)
     if vectors > HIT_DP_MAX_STATES:
         raise BudgetExceededError(
-            f"eq26 over block widths {widths} sums over {vectors} vectors e,"
+            f"eq26 over block widths {widths} sums over {_count_text(widths)} vectors e,"
             f" past the budget of {HIT_DP_MAX_STATES}"
         )
     conditions = spec.condition_overlap() or spec.condition_dominance()

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import gc
 import hashlib
@@ -7,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -14,7 +16,7 @@ import pytest
 
 from qrook import ffmat, placements, verify
 from qrook.boards import compositions
-from qrook.cli import STAT_NAMES, main
+from qrook.cli import _PARSER, STAT_NAMES, main
 from qrook.permstat import des, exc, joint_distribution, maj, stat6, stat7, words_over
 from qrook.qpoly import LaurentPoly, q_factorial
 
@@ -153,6 +155,26 @@ class TestHit:
             f"error: eq26 over block widths {(1,) * (n + 1)} sums over {2 ** (n + 1)} vectors e,"
             f" past the budget of {placements.HIT_DP_MAX_STATES}\n"
         )
+
+    @pytest.mark.parametrize("method", ["mat", "xi", "eq26"])
+    def test_far_past_the_budget_is_a_usage_error(self, method):
+        # 2^15000 states or vectors e has more digits than str() of an int
+        # prints, so the message shows the power
+        start = time.perf_counter()
+        result = run("hit", "--board", "stair:15000", "--method", method)
+        assert time.perf_counter() - start < 1
+        assert result.exit_code == 2
+        widths, budget = (1,) * 15000, placements.HIT_DP_MAX_STATES
+        if method == "eq26":
+            message = f"eq26 over block widths {widths} sums over 2^15000 vectors e, past the budget of {budget}"
+        else:
+            message = f"{method} tables over block widths {widths} need 2^15000 position-scan states, past the budget of {budget}"
+        assert result.output == f"error: {message}\n"
+
+    def test_method_choices_are_the_hit_methods(self):
+        (commands,) = [a for a in _PARSER._actions if isinstance(a, argparse._SubParsersAction)]
+        (option,) = [a for a in commands.choices["hit"]._actions if a.dest == "method"]
+        assert option.choices == [*placements.HIT_METHODS, "all"]
 
     def test_full_board_past_the_subset_budget(self):
         # 16 columns of one height: one block, 17 position-scan states; the
@@ -298,6 +320,14 @@ class TestStats:
 
 
 class TestMatrices:
+    @pytest.mark.parametrize("board,prime,power", [("stair:200", 2, "2^20100"), ("stair:30000", 3, "3^450015000")])
+    def test_budget_is_decided_without_forming_p_to_the_area(self, board, prime, power):
+        start = time.perf_counter()
+        result = run("matrices", "--board", board, "--prime", str(prime))
+        assert time.perf_counter() - start < 1
+        assert result.exit_code == 2
+        assert result.output == f"error: p^Area = {power} exceeds the enumeration budget 10000000\n"
+
     def test_definition_board(self):
         result = run("matrices", "--board", "heights:0,1,2", "--prime", "2")
         assert result.exit_code == 0

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qrook.boards import (
     FerrersBoard,
+    StepSpec,
     all_ferrers_boards,
     flip,
     staircase_board,
@@ -315,6 +316,13 @@ class TestHitRowScan:
         assert 2 ** len(heights) > HIT_DP_MAX_STATES
         assert_four_hit_routes_agree(FerrersBoard(heights))
 
+    def test_state_count_is_decimal_up_to_the_digit_limit(self):
+        # str() of an int prints 4,300 digits: 2^14284 has that many, 2^14285 one more
+        for n, count in ((14284, str(2**14284)), (14285, "2^14285")):
+            with pytest.raises(BudgetExceededError) as raised:
+                hit_polys(staircase_board(n), "mat")
+            assert f" need {count} position-scan states," in str(raised.value)
+
     def test_state_budget(self):
         # the first board past the budget; the defining route has no such limit
         n = HIT_DP_MAX_STATES.bit_length()
@@ -327,6 +335,20 @@ class TestHitRowScan:
                 f" past the budget of {HIT_DP_MAX_STATES}"
             )
         assert sum(t.evaluate(1) for t in hit_polys(big, "defining")) == math.factorial(n)
+
+
+class TestStepFormulaRoutes:
+    # one column of height 3 in a 1 x 1 grid: an inadmissible board
+    BOARD = StepSpec(((3, 1),)).expand()
+
+    @pytest.mark.parametrize("method", ["eq24", "eq26"])
+    def test_step_formulas_apply_to_an_inadmissible_board(self, method):
+        assert hit_polys(self.BOARD, method) == (LaurentPoly({1: -1, 2: -1}), LaurentPoly({0: 1, 1: 1, 2: 1}))
+
+    @pytest.mark.parametrize("method", ["mat", "xi", "defining"])
+    def test_other_routes_refuse_an_inadmissible_board(self, method):
+        with pytest.raises(ValueError, match="^inadmissible board: only the step formulas eq24/eq26 apply$"):
+            hit_polys(self.BOARD, method)
 
 
 class TestFactorization:
