@@ -14,15 +14,19 @@ Conventions (matrix coordinates, row 1 on top):
   walk (``enumerate_placements`` with ``inv_stat``) is kept as its
   oracle and for the elimination fibers;
 * the hit polynomial with k hits is generated over full placements with
-  exactly k rooks on the board, either by the crossing statistic
-  (``mat``), by the circle statistic (``xi``), or extracted from the
-  rook polynomials through the defining product identity.  ``hit_polys``
-  gets ``mat`` and ``xi`` from the word tables of the board's maximal
-  step decomposition times the block factorials; ``word_stat_polys``
-  computes those tables by a dynamic program over word positions whose
-  state is the vector of letters used, prod (d_i + 1) states in all.
-  The tests keep the walks over every permutation (``mat_stat`` /
-  ``xi_stat``) and over every word as its oracles.
+  exactly k rooks on the board.  ``hit_polys`` is the one builder of the
+  table T_0..T_n, by any of ``HIT_METHODS``: the crossing statistic
+  (``mat``), the circle statistic (``xi``), extraction from the rook
+  polynomials through the defining product identity (``defining``), and
+  the step-board formulas (24) and (26) (``eq24``, ``eq26``), the only
+  routes for inadmissible boards.  All but ``defining`` are a table of
+  the board's maximal step decomposition times the block factorials:
+  ``word_stat_polys`` computes the ``mat`` and ``xi`` tables by a
+  dynamic program over word positions whose state is the vector of
+  letters used, prod (d_i + 1) states in all, and ``eq24_divided`` and
+  ``_eq26_divided`` the formulas' tables.  The tests keep the walks over
+  every permutation (``mat_stat`` / ``xi_stat``) and over every word,
+  and the signed-term and per-vector sums of the formulas, as oracles.
 
 The statistic kernels work on plain tuples for speed; the public
 functions accept :class:`Placement` values and validate their inputs.

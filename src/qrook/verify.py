@@ -1,12 +1,15 @@
 """Identity, recurrence, and unimodality checks, plus the named suites.
 
-Each check returns True on its whole desk-scale domain; a False from a
-suite is a build-breaking failure.  Every FAIL line names its check and
-instance; the hit-method, step-formula and Euler-Mahonian table
-comparisons add the first disagreeing index with each table's entry,
-the multiset-Mahonian checks the first differing exponent, and a check
-that raises IdentityViolation carries its message.  Suites are pure and
-embarrassingly parallel across their instances.
+Checks only: every hit table a check reads comes from the builders of
+:mod:`~qrook.placements` (``hit_polys``, ``word_stat_polys`` and the
+step formulas' divided tables).  Each check returns True on its whole
+desk-scale domain; a False from a suite is a build-breaking failure.
+Every FAIL line names its check and instance; the hit-method,
+step-formula and Euler-Mahonian table comparisons add the first
+disagreeing index with each table's entry, the multiset-Mahonian checks
+the first differing exponent, and a check that raises IdentityViolation
+carries its message.  Suites are pure and embarrassingly parallel
+across their instances.
 
 The checks fall into four groups:
 
@@ -32,17 +35,10 @@ The checks fall into four groups:
   the ``defining`` hit polynomials, so that it and the stat5 check do
   not read one table;
 * the step-board formulas: the alternating q-binomial expansion and the
-  composition expansion (equal to each other and to the enumerated hit
-  polynomials on admissible boards), the truncation recurrence that
-  peels off the last block, and the symmetry/unimodality statements
-  with their darga bookkeeping.  Each formula yields the whole table
-  (T_0, ..., T_n) of a step board, indexed by hits like
-  :func:`~qrook.placements.hit_polys`.  By the q-binomial theorem the
-  alternating expansion's signed q-binomials are the coefficients of the
-  Gauss product (1-x)(1-xq)...(1-xq^n), so it is computed as that product
-  times sum_s P_s x^s, by shift-and-subtract passes and no term products;
-  its per-term symmetry guard is checked once per P_s, which is
-  equivalent since each signed q-binomial is nonzero and symmetric.
+  composition expansion, equal to each other on every presentation of
+  a step board and to the enumerated hit polynomials on admissible
+  ones, the truncation recurrence that peels off the last block, and
+  the symmetry/unimodality statements with their darga bookkeeping.
 """
 
 from __future__ import annotations
