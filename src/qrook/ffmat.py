@@ -31,15 +31,8 @@ from functools import lru_cache
 from typing import Iterator
 
 from .boards import FerrersBoard, staircase_board
-from .placements import (
-    BudgetExceededError,
-    Placement,
-    _decimal,
-    _one_minus_z_q,
-    enumerate_placements,
-    inv_stat,
-    rook_poly,
-)
+from .placements import BudgetExceededError, Placement, _decimal, _one_minus_z_q
+from .placements import enumerate_placements, inv_stat, rook_poly
 from .qpoly import BivariatePoly, IdentityViolation, LaurentPoly, _integral, q_stirling
 
 DEFAULT_BUDGET = 10**7

@@ -326,7 +326,7 @@ def _decimal(powers: dict[int, int]) -> str | None:
         return None
     try:
         return str(math.prod(b**e for b, e in powers.items()))
-    except ValueError:  # past the digit limit, or one lowered by sys.set_int_max_str_digits
+    except ValueError:  # one digit too many, or a lower limit from sys.set_int_max_str_digits
         return None
 
 
