@@ -14,17 +14,20 @@ placement of its rank; its fibers have size (p-1)^k * p^(Area-k-inv).
 
 Prime moduli only: the formula route covers arbitrary q symbolically,
 so extension fields would add no verification power here.  Enumeration
-is a deterministic depth-first walk over the columns that carries each
-matrix's rank, since a new column raises it exactly when it lies outside
-the span of the earlier ones; counting by rank therefore eliminates no
-matrix, and ``rank_ff`` stays the independent elimination that checks
-the fibers.  The walk is partitionable by fixing a prefix of columns,
-and rank counting is an associative reduction with no shared state.
+is a deterministic depth-first walk over the rows, bottom-up, each over
+its support in lexicographic order, with the top row innermost.  Row i
+is supported on the columns of height >= i, a suffix that grows upward,
+so the walk carries each matrix's rank: a new row raises it exactly when
+it lies outside the span of the rows below; counting by rank therefore
+eliminates no matrix, and ``rank_ff`` stays the independent elimination
+that checks the fibers.  The walk is partitionable by fixing the lower
+rows, and rank counting is an associative reduction with no shared state.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -46,7 +49,11 @@ class FfMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(_integral(x) % self.p for x in row) for row in self.entries)
+        p = _integral(self.p)
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        rows = tuple(tuple(_integral(x) % p for x in row) for row in self.entries)
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "entries", rows)
         if any(len(r) != len(rows) for r in rows):
             raise ValueError("entries must form an n x n matrix")
@@ -54,7 +61,8 @@ class FfMatrix:
     @classmethod
     def _reduced(cls, p: int, entries: tuple[tuple[int, ...], ...]) -> "FfMatrix":
         """A matrix from entries that are already an n x n tuple of tuples
-        of residues in range(p), without the renormalisation pass."""
+        of residues in range(p), for a p already known to be prime: no
+        primality test and no renormalisation pass."""
         matrix = object.__new__(cls)
         fields = matrix.__dict__
         fields["p"], fields["entries"] = p, entries
@@ -116,11 +124,14 @@ def enumerate_support_matrices(board: FerrersBoard, p: int) -> Iterator[tuple[Ff
     """All p^Area(B) matrices supported on the board, each exactly once and
     paired with its rank over F_p.  An enumeration oracle for the rank counts.
 
-    A depth-first walk over the columns, left to right; column j runs over
-    F_p^(c_j) (its top c_j entries) in lexicographic order.  Heights weakly
-    increase, so the earlier columns lie in the first c_j coordinates, and
-    column j raises the rank exactly when it lies outside their span, kept
-    per depth as the set of its p^r vectors.
+    A depth-first walk over the rows, bottom-up; row i runs over its
+    support, the columns of height >= i, in lexicographic order, and the
+    top row is the innermost loop, so a matrix is the top row put before
+    the lower rows.  Heights weakly increase, so the support is a suffix of
+    the columns that contains the support of every row below, and row i
+    raises the rank exactly when it lies outside their span, kept per depth
+    as the set of its p^r vectors.  The rows below the tallest column have
+    no support and are zero.
     """
     # p < 2 first, in O(1): a large negative p would otherwise be reported
     # as a budget overrun, not as a non-prime
@@ -141,31 +152,40 @@ def enumerate_support_matrices(board: FerrersBoard, p: int) -> Iterator[tuple[Ff
     if not board.admissible:
         raise ValueError("matrix enumeration needs an admissible board")
     n = board.n
-    heights = board.heights
     if n == 0:
         yield FfMatrix(p, ()), 0
         return
     zero = (0,) * n
+    # row i (0 at the top) is supported on the columns of height > i, a
+    # suffix starting at column starts[i]
+    starts = [sum(h <= i for h in board.heights) for i in range(n)]
 
-    def prefixes(j: int, columns: tuple, span: set, rank: int):
-        # every choice of the columns before the last, with its span and rank
-        if j == n - 1:
-            yield columns, span, rank
-            return
-        pad = zero[heights[j]:]
-        for head in itertools.product(range(p), repeat=heights[j]):
-            column = head + pad
-            if column in span:
-                yield from prefixes(j + 1, columns + (column,), span, rank)
+    def lower_rows(i: int, rows: tuple, span: set, rank: int):
+        # every choice of rows 1..i after rows i+1..n-1, with their span and rank
+        pad = zero[: starts[i]]
+        for tail in itertools.product(range(p), repeat=n - starts[i]):
+            row = pad + tail
+            if row in span:
+                chosen = (row,) + rows, span, rank
             else:
-                yield from prefixes(j + 1, columns + (column,), _span_with(span, column, p), rank + 1)
+                chosen = (row,) + rows, _span_with(span, row, p), rank + 1
+            if i == 1:
+                yield chosen
+            else:
+                yield from lower_rows(i - 1, *chosen)
 
+    # rows tallest..n-1 lie below every column: zero
+    tallest = board.heights[-1]
+    if tallest > 1:
+        prefixes = lower_rows(tallest - 1, (zero,) * (n - tallest), {zero}, 0)
+    else:
+        prefixes = [((zero,) * (n - 1), {zero}, 0)]
     reduced = FfMatrix._reduced
-    pad = zero[heights[-1]:]
-    for columns, span, rank in prefixes(0, (), {zero}, 0):
-        for head in itertools.product(range(p), repeat=heights[-1]):
-            column = head + pad
-            yield reduced(p, tuple(zip(*columns, column))), rank + (column not in span)
+    pad = zero[: starts[0]]
+    for rows, span, rank in prefixes:
+        for tail in itertools.product(range(p), repeat=n - starts[0]):
+            row = pad + tail
+            yield reduced(p, (row,) + rows), rank + (row not in span)
 
 
 def _span_with(span: set, column: tuple[int, ...], p: int) -> set:
@@ -200,7 +220,7 @@ def rank_ff(matrix: FfMatrix) -> int:
 @lru_cache(maxsize=None)
 def rank_distribution(board: FerrersBoard, p: int) -> tuple[int, ...]:
     """Counts of supported matrices by rank, indexed 0..n: the ranks the
-    column walk carries, summed."""
+    row walk carries, summed."""
     counts = [0] * (board.n + 1)
     for _, rank in enumerate_support_matrices(board, p):
         counts[rank] += 1
@@ -211,8 +231,9 @@ def p_k_formula(board: FerrersBoard, k: int) -> LaurentPoly:
     """Closed form for the rank-k count: (q-1)^k q^(Area-k) R_k(B; 1/q)."""
     if not board.admissible:
         raise ValueError("the rank-count formula needs an admissible board")
-    q_minus_one = LaurentPoly({1: 1, 0: -1})
-    poly = (q_minus_one**k) * rook_poly(board, k).subs_q_inverse().shifted(board.area - k)
+    # (q-1)^k by the binomial theorem, one dense row of signed coefficients
+    q_minus_one_to_k = LaurentPoly.dense(0, [(-1) ** (k - i) * math.comb(k, i) for i in range(k + 1)])
+    poly = q_minus_one_to_k * rook_poly(board, k).subs_q_inverse().shifted(board.area - k)
     if not poly.is_zero and poly.min_exp < 0:
         raise IdentityViolation(f"rank-count polynomial {poly} of {board} at k={k} has negative powers")
     return poly

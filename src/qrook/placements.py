@@ -421,15 +421,15 @@ def word_stat_polys(spec: StepSpec, family: str = "mat") -> tuple[LaurentPoly, .
     if family not in _STAT_KERNELS:
         raise ValueError(f"unknown statistic family {family!r}")
     widths, block_heights = spec.widths, spec.block_heights
+    n = sum(widths)
     radix = [1]
     for d in widths:
         radix.append(radix[-1] * (d + 1))
     if radix[-1] > HIT_DP_MAX_STATES:
         raise BudgetExceededError(
-            f"{family} tables over block widths {widths} need {_count_text(widths)} position-scan"
-            f" states, past the budget of {HIT_DP_MAX_STATES}"
+            f"{family} tables over {len(widths)} blocks of total width {n} need"
+            f" {_count_text(widths)} position-scan states, past the budget of {HIT_DP_MAX_STATES}"
         )
-    n = sum(widths)
     xi = family == "xi"
     stride = n * (n - 1) // 2 + 1  # e counts position pairs, each at most once
     # no count exceeds the number of words, n! / prod d_i!
@@ -612,8 +612,8 @@ def _eq26_divided(spec: StepSpec) -> tuple[LaurentPoly, ...]:
     vectors = math.prod(d + 1 for d in widths)
     if vectors > HIT_DP_MAX_STATES:
         raise BudgetExceededError(
-            f"eq26 over block widths {widths} sums over {_count_text(widths)} vectors e,"
-            f" past the budget of {HIT_DP_MAX_STATES}"
+            f"eq26 over {len(widths)} blocks of total width {n} sums over {_count_text(widths)}"
+            f" vectors e, past the budget of {HIT_DP_MAX_STATES}"
         )
     conditions = spec.condition_overlap() or spec.condition_dominance()
     table = [LaurentPoly.zero()] * (n + 1)

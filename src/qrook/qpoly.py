@@ -173,14 +173,17 @@ class LaurentPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers are not defined in the Laurent ring")
-        result = _ONE
+        # square only while higher bits remain, and start from the lowest
+        # set bit's power rather than from one times it
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return _ONE if result is None else result
 
     def shifted(self, s: int) -> "LaurentPoly":
         """Multiply by q^s."""

@@ -139,7 +139,7 @@ class TestHit:
             result = run("hit", "--board", f"stair:{n}", "--method", method)
             assert result.exit_code == 2
             assert result.output == (
-                f"error: mat tables over block widths {(1,) * n} need {2**n} position-scan"
+                f"error: mat tables over {n} blocks of total width {n} need {2**n} position-scan"
                 f" states, past the budget of {placements.HIT_DP_MAX_STATES}\n"
             )
 
@@ -152,24 +152,26 @@ class TestHit:
         result = run("hit", "--board", f"stair:{n + 1}", "--method", "eq26")
         assert result.exit_code == 2
         assert result.output == (
-            f"error: eq26 over block widths {(1,) * (n + 1)} sums over {2 ** (n + 1)} vectors e,"
+            f"error: eq26 over {n + 1} blocks of total width {n + 1} sums over {2 ** (n + 1)} vectors e,"
             f" past the budget of {placements.HIT_DP_MAX_STATES}\n"
         )
 
     @pytest.mark.parametrize("method", ["mat", "xi", "eq26"])
     def test_far_past_the_budget_is_a_usage_error(self, method):
         # 2^15000 states or vectors e has more digits than str() of an int
-        # prints, so the message shows the power
+        # prints, so the message shows the power; it names the blocks by
+        # their count and total width, so it stays one short line
         start = time.perf_counter()
         result = run("hit", "--board", "stair:15000", "--method", method)
         assert time.perf_counter() - start < 1
         assert result.exit_code == 2
-        widths, budget = (1,) * 15000, placements.HIT_DP_MAX_STATES
+        blocks, budget = "15000 blocks of total width 15000", placements.HIT_DP_MAX_STATES
         if method == "eq26":
-            message = f"eq26 over block widths {widths} sums over 2^15000 vectors e, past the budget of {budget}"
+            message = f"eq26 over {blocks} sums over 2^15000 vectors e, past the budget of {budget}"
         else:
-            message = f"{method} tables over block widths {widths} need 2^15000 position-scan states, past the budget of {budget}"
+            message = f"{method} tables over {blocks} need 2^15000 position-scan states, past the budget of {budget}"
         assert result.output == f"error: {message}\n"
+        assert len(result.output) < 200
 
     def test_method_choices_are_the_hit_methods(self):
         (commands,) = [a for a in _PARSER._actions if isinstance(a, argparse._SubParsersAction)]

@@ -21,7 +21,7 @@ from qrook.ffmat import (
     rank_sum_check,
     theorem1_check,
 )
-from qrook.placements import Placement, enumerate_placements, inv_stat
+from qrook.placements import Placement, enumerate_placements, inv_stat, rook_poly
 from qrook.qpoly import LaurentPoly
 
 DEF1 = FerrersBoard((0, 1, 2))
@@ -122,25 +122,37 @@ def board_id(value):
     return str(value) if isinstance(value, FerrersBoard) else None
 
 
-WALK_BOARDS = [(b, p) for p in (2, 3) for n in range(4) for b in all_ferrers_boards(n)] + [
-    (b, p) for n in (4, 5) for p in (2, 3) for b in sampled_boards(n, p, 2**12, 3)
-]
+WALK_BOARDS = (
+    [(b, p) for p in (2, 3) for n in range(4) for b in all_ferrers_boards(n)]
+    + [(b, p) for n in (4, 5) for p in (2, 3) for b in sampled_boards(n, p, 2**12, 3)]
+    # the row walk's odd shapes: few nonzero columns under a tall last one,
+    # so rows of small support; one long top row over empty rows; full rows
+    # over an empty one
+    + [(FerrersBoard(h), p) for h in ((0, 0, 0, 2, 5), (0, 0, 0, 0, 4)) for p in (2, 3)]
+    + [(FerrersBoard((1,) * 12), 2), (FerrersBoard((3, 3, 3, 3)), 2)]
+)
 
 
 @pytest.mark.parametrize("board,p", WALK_BOARDS, ids=board_id)
 def test_walk_against_elimination(board, p):
     seen = set()
+    counts = [0] * (board.n + 1)
     for m, rank in enumerate_support_matrices(board, p):
         seen.add(m)
         assert m.supported_on(board)
         # already in normal form: the full constructor changes nothing
         assert FfMatrix(m.p, m.entries) == m
         assert rank == rank_ff(m)
+        counts[rank] += 1
     assert len(seen) == p**board.area
+    assert counts == rank_counts_by_columns(board.heights, p)
 
 
 @pytest.mark.parametrize(
-    "board,p", [(b, p) for n in (5, 6) for p in (2, 3) for b in sampled_boards(n, p, 2**16, 2)],
+    "board,p",
+    [(b, p) for n in (5, 6) for p in (2, 3) for b in sampled_boards(n, p, 2**16, 2)]
+    # three full rows over an empty one, 3^12 matrices
+    + [(FerrersBoard((3, 3, 3, 3)), 3)],
     ids=board_id,
 )
 def test_rank_counts_three_routes(board, p):
@@ -171,6 +183,13 @@ class TestRank:
         with pytest.raises(ValueError, match="not an integer"):
             FfMatrix(3, ((0.5, 0), (0, 1)))
 
+    @pytest.mark.parametrize("p", [-3, 0, 1, 4])
+    def test_non_prime_modulus_rejected(self, p):
+        with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+            FfMatrix(p, ((1,),))
+        with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+            FfMatrix(p, ((2, 0), (0, 2)))
+
     def test_rank_mod_p_matters(self):
         # (2,1) = 2 * (1,2) over F_3, so the rank drops to 1 there
         m = FfMatrix(3, ((1, 2), (2, 1)))
@@ -196,6 +215,15 @@ class TestRankCounts:
         assert p_k_formula(DEF1, 2) == LaurentPoly({3: 1, 2: -2, 1: 1})
         assert p_k_formula(DEF1, 3).is_zero
         assert p_k_formula(staircase_board(3), 0) == LaurentPoly.one()
+
+    def test_formula_power_is_the_binomial_row(self):
+        # (q-1)^k as signed binomial coefficients equals the k-th power
+        q_minus_one = LaurentPoly({1: 1, 0: -1})
+        for n in range(6):
+            for b in all_ferrers_boards(n):
+                for k in range(n + 2):
+                    by_power = (q_minus_one**k) * rook_poly(b, k).subs_q_inverse().shifted(b.area - k)
+                    assert p_k_formula(b, k) == by_power
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_bridge_small_boards(self, p):

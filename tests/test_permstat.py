@@ -371,7 +371,7 @@ class TestWordStatPolys:
             with pytest.raises(BudgetExceededError) as raised:
                 word_stat_polys(spec, family)
             assert str(raised.value) == (
-                f"{family} tables over block widths {(1,) * 15} need 32768 position-scan states,"
+                f"{family} tables over 15 blocks of total width 15 need 32768 position-scan states,"
                 f" past the budget of {HIT_DP_MAX_STATES}"
             )
 

@@ -331,7 +331,7 @@ class TestHitRowScan:
             with pytest.raises(BudgetExceededError) as raised:
                 hit_polys(big, family)
             assert str(raised.value) == (
-                f"{family} tables over block widths {(1,) * n} need {2**n} position-scan states,"
+                f"{family} tables over {n} blocks of total width {n} need {2**n} position-scan states,"
                 f" past the budget of {HIT_DP_MAX_STATES}"
             )
         assert sum(t.evaluate(1) for t in hit_polys(big, "defining")) == math.factorial(n)

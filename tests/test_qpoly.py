@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -367,6 +368,26 @@ def test_dense_store_matches_sparse_reference(pair, k, s, power):
     assert_matches(f.subs_q_inverse(), {-e: c for e, c in a.items()})
     assert (f == g) == (a == b)
     assert (f == k) == (a == const)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 64, 127])
+def test_power_squares_no_further_than_the_top_bit(monkeypatch, n):
+    # square-and-multiply needs bit_length - 1 squarings and popcount - 1
+    # further products; x**5 never forms x^8
+    calls = []
+    real = LaurentPoly.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+    f = poly({0: 1, 1: 1})
+    result = f**n
+    monkeypatch.undo()
+    assert len(calls) <= n.bit_length() + bin(n).count("1") - 2
+    assert result == poly({k: math.comb(n, k) for k in range(n + 1)})
+    assert f**0 == LaurentPoly.one()
 
 
 UNITS_AND_LARGE = st.one_of(st.sampled_from([1, -1]), st.integers(2**64, 2**80), st.integers(-(2**80), -(2**64)))
