@@ -161,7 +161,8 @@ def enumerate_support_matrices(board: FerrersBoard, p: int) -> Iterator[tuple[Ff
     starts = [sum(h <= i for h in board.heights) for i in range(n)]
 
     def lower_rows(i: int, rows: tuple, span: set, rank: int):
-        # every choice of rows 1..i after rows i+1..n-1, with their span and rank
+        # every choice of rows i, ..., 1 over the given rows i+1..n-1: the rows
+        # below the top one, with their span and rank
         pad = zero[: starts[i]]
         for tail in itertools.product(range(p), repeat=n - starts[i]):
             row = pad + tail

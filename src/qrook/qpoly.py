@@ -173,8 +173,8 @@ class LaurentPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers are not defined in the Laurent ring")
-        # square only while higher bits remain, and start from the lowest
-        # set bit's power rather than from one times it
+        # bit_length - 1 squarings and popcount - 1 further products: no
+        # square past the top bit and no product with one
         result = None
         base = self
         while n:
