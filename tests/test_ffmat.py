@@ -122,7 +122,9 @@ def board_id(value):
     return str(value) if isinstance(value, FerrersBoard) else None
 
 
-WALK_BOARDS = (
+# dict.fromkeys drops a hand-picked case the sampler also drew, so no id
+# repeats and pytest leaves every id as it is
+WALK_BOARDS = dict.fromkeys(
     [(b, p) for p in (2, 3) for n in range(4) for b in all_ferrers_boards(n)]
     + [(b, p) for n in (4, 5) for p in (2, 3) for b in sampled_boards(n, p, 2**12, 3)]
     # the row walk's odd shapes: few nonzero columns under a tall last one,
@@ -133,7 +135,7 @@ WALK_BOARDS = (
 )
 
 
-@pytest.mark.parametrize("board,p", WALK_BOARDS, ids=board_id)
+@pytest.mark.parametrize("board,p", list(WALK_BOARDS), ids=board_id)
 def test_walk_against_elimination(board, p):
     seen = set()
     counts = [0] * (board.n + 1)
