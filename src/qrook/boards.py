@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .qpoly import _integral
@@ -71,8 +70,9 @@ class StepSpec:
     may present the same board (a block may repeat the previous height
     via h_i = 0), and the block structure itself is meaningful: words
     and their canonical rook-placement lifts are defined per block.
-    The block data (widths, heights, offsets, n, area) is computed once
-    per spec, on first use.
+    The block data (widths, heights, offsets, n, area) are computed once,
+    at construction; ``steps`` is the only field, so equality, hashing and
+    ``repr`` read the blocks alone.
     """
 
     steps: tuple[tuple[int, int], ...]
@@ -84,32 +84,18 @@ class StepSpec:
             raise ValueError("block widths d_i must be positive")
         if any(h < 0 for h, _ in norm):
             raise ValueError("block rises h_i must be nonnegative")
+        widths = tuple(d for _, d in norm)
+        # block_heights and col_offsets are the partial sums H_i and D_i
+        block_heights = tuple(itertools.accumulate(h for h, _ in norm))
+        object.__setattr__(self, "widths", widths)
+        object.__setattr__(self, "n", sum(widths))
+        object.__setattr__(self, "block_heights", block_heights)
+        object.__setattr__(self, "col_offsets", tuple(itertools.accumulate(widths)))
+        object.__setattr__(self, "area", sum(d * H for d, H in zip(widths, block_heights)))
 
     @property
     def t(self) -> int:
         return len(self.steps)
-
-    @cached_property
-    def widths(self) -> tuple[int, ...]:
-        return tuple(d for _, d in self.steps)
-
-    @cached_property
-    def n(self) -> int:
-        return sum(self.widths)
-
-    @cached_property
-    def block_heights(self) -> tuple[int, ...]:
-        """Partial sums H_i = h_1 + ... + h_i."""
-        return tuple(itertools.accumulate(h for h, _ in self.steps))
-
-    @cached_property
-    def col_offsets(self) -> tuple[int, ...]:
-        """Partial sums D_i = d_1 + ... + d_i."""
-        return tuple(itertools.accumulate(self.widths))
-
-    @cached_property
-    def area(self) -> int:
-        return sum(d * H for d, H in zip(self.widths, self.block_heights))
 
     @property
     def admissible(self) -> bool:

@@ -59,6 +59,8 @@ def _multiplicities(letters: tuple[int, ...]) -> tuple[int, ...]:
 def words_over(v: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """All words with multiplicity vector v, in lexicographic order."""
     v = [_integral(x) for x in v]
+    if any(x < 0 for x in v):
+        raise ValueError("multiplicities must be nonnegative")
     n = sum(v)
     word: list[int] = []
 
@@ -74,10 +76,12 @@ def words_over(v: Sequence[int]) -> Iterator[tuple[int, ...]]:
                 word.pop()
                 v[a - 1] += 1
 
-    yield from rec()
+    return rec()
 
 
 def permutations_of(n: int) -> Iterator[tuple[int, ...]]:
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     return itertools.permutations(range(1, n + 1))
 
 
@@ -130,6 +134,8 @@ def den(perm) -> int:
 
 
 def _block_rows(letters: tuple[int, ...], t: int) -> list[list[int]]:
+    if letters and not (1 <= min(letters) and max(letters) <= t):
+        raise ValueError("word multiset does not match the block widths")
     rows: list[list[int]] = [[] for _ in range(t)]
     for i, a in enumerate(letters, start=1):
         rows[a - 1].append(i)
@@ -137,14 +143,13 @@ def _block_rows(letters: tuple[int, ...], t: int) -> list[list[int]]:
 
 
 @lru_cache(maxsize=None)
-def _spec_context(spec: StepSpec) -> tuple[StepSpec, FerrersBoard]:
-    """The first-seen spec equal to this one, whose block data the
-    per-word statistic loops thus compute once, and its expanded board.
-    Lifts need the board inside the grid."""
+def _spec_context(spec: StepSpec) -> FerrersBoard:
+    """The spec's expanded board, which the statistics of a lift read;
+    ValueError unless it lies inside the grid, as every lift needs."""
     board = spec.expand()
     if not board.admissible:
         raise ValueError(f"word lifts need an admissible step spec, not {spec}")
-    return spec, board
+    return board
 
 
 def _lift_sigma(letters: tuple[int, ...], spec: StepSpec, family: str) -> tuple[int, ...]:
@@ -152,8 +157,7 @@ def _lift_sigma(letters: tuple[int, ...], spec: StepSpec, family: str) -> tuple[
     # standard lift ("mat") gives them the rightmost columns, descending,
     # and the off-board rows the leftmost, ascending; the regular lift
     # ("xi") gives them the leftmost columns and the off-board rows the
-    # rest, both descending.
-    spec, _ = _spec_context(spec)  # validates the spec; block data come cached
+    # rest, both descending.  Callers check the spec by _spec_context.
     regular = family == "xi"
     sigma = [0] * len(letters)
     lo = 1
@@ -173,20 +177,24 @@ def _lift_sigma(letters: tuple[int, ...], spec: StepSpec, family: str) -> tuple[
 
 def _lift_stat(letters: tuple[int, ...], spec: StepSpec, family: str) -> int:
     """The family's statistic of the family's canonical lift."""
-    spec, board = _spec_context(spec)
+    board = _spec_context(spec)
     return _STAT_KERNELS[family](_lift_sigma(letters, spec, family), board.heights)
 
 
 def b_standard_graph(w, spec: StepSpec) -> Placement:
     """The unique lift of the word whose crossing statistic is minimal on
     every block."""
-    return Placement.from_permutation(_lift_sigma(_letters(w), spec, "mat"))
+    letters = _letters(w)
+    _spec_context(spec)
+    return Placement.from_permutation(_lift_sigma(letters, spec, "mat"))
 
 
 def b_regular_graph(w, spec: StepSpec) -> Placement:
     """The unique lift of the word whose circle statistic is minimal on
     every block."""
-    return Placement.from_permutation(_lift_sigma(_letters(w), spec, "xi"))
+    letters = _letters(w)
+    _spec_context(spec)
+    return Placement.from_permutation(_lift_sigma(letters, spec, "xi"))
 
 
 def mat_word(w, spec: StepSpec) -> int:
@@ -288,10 +296,10 @@ def stat_family(perm, family: str = "mat", variant: int = 1) -> int:
 
 def _block_context(w) -> tuple[tuple[int, ...], StepSpec, int]:
     """The word's letters, the step spec of the block board of its
-    multiplicity vector v, and the shift n*exc - Area that every block
-    statistic adds."""
+    multiplicity vector v, admissible as H_t = n - v_t < n, and the
+    shift n*exc - Area that every block statistic adds."""
     letters = _letters(w)
-    spec, _ = _spec_context(g_spec(_multiplicities(letters)))
+    spec = g_spec(_multiplicities(letters))
     return letters, spec, len(letters) * exc(letters) - spec.area
 
 
@@ -315,7 +323,7 @@ def stat7(w) -> int:
     preserves the excedence count, so pairing with exc keeps the joint
     distribution."""
     letters, spec, shift = _block_context(w)
-    _, board = _spec_context(g_spec(reversed(spec.widths)))
+    board = _spec_context(g_spec(reversed(spec.widths)))
     reflected = _reflect_sigma(_lift_sigma(letters, spec, "mat"))
     return shift + _mat_raw(reflected, board.heights)
 

@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +19,8 @@ from qrook.boards import (
     step_decomposition,
     triangular_board,
 )
+
+from qrook import permstat
 
 from oracles import board_cells
 
@@ -129,6 +134,35 @@ class TestSteps:
         assert spec.n == 7 and spec.area == 16
         assert spec.admissible
 
+    def test_spec_block_data_are_values_of_the_steps(self):
+        specs = [spec for n in range(1, 5) for spec in all_step_specs(n)]
+        specs.append(StepSpec(((1.0, 2.0),)))
+        assert [f.name for f in dataclasses.fields(StepSpec)] == ["steps"]
+        for spec in specs:
+            data = block_data(spec)
+            assert data == partial_sums(spec.steps)
+            assert all(type(x) is int for x in (data[1], data[4], *data[0], *data[2], *data[3]))
+            twin = StepSpec([list(step) for step in spec.steps])
+            assert twin is not spec and twin == spec and hash(twin) == hash(spec)
+            assert block_data(twin) == data
+            assert repr(spec) == f"StepSpec(steps={spec.steps!r})"
+            assert block_data(pickle.loads(pickle.dumps(spec))) == data
+            other = ((1, 1),) + spec.steps
+            assert block_data(dataclasses.replace(spec, steps=other)) == partial_sums(other)
+
+    def test_equal_specs_lift_alike(self):
+        word = (2, 3, 1, 3, 2, 1, 2)
+        spec, twin = g_spec((2, 3, 2)), StepSpec([[0, 2], [2, 3], [3, 2]])
+        assert spec == twin and spec is not twin
+        assert permstat.mat_word(word, spec) == permstat.mat_word(word, twin)
+        assert permstat.xi_word(word, spec) == permstat.xi_word(word, twin)
+        # stat7 reads the board of reversed(v) from a cache keyed by spec
+        permstat._spec_context.cache_clear()
+        first = permstat.stat7(word)
+        permstat._spec_context.cache_clear()
+        permstat._spec_context(StepSpec([[0, 2], [2, 3], [3, 2]]))
+        assert permstat.stat7(word) == first
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             StepSpec(((0, 0),))
@@ -148,6 +182,21 @@ class TestSteps:
         assert StepSpec(((1, 2), (2, 1))).condition_overlap()
         assert StepSpec(((2, 1),)).condition_dominance() is False
         assert g_spec((2, 1, 3)).condition_dominance()
+
+
+def block_data(spec):
+    return spec.widths, spec.n, spec.block_heights, spec.col_offsets, spec.area
+
+
+def partial_sums(steps):
+    """The block data of a spec, summed block by block."""
+    heights, offsets, H, D, area = [], [], 0, 0, 0
+    for h, d in steps:
+        H, D = H + int(h), D + int(d)
+        heights.append(H)
+        offsets.append(D)
+        area += int(d) * H
+    return tuple(int(d) for _, d in steps), D, tuple(heights), tuple(offsets), area
 
 
 @given(st.lists(st.integers(0, 6), min_size=1, max_size=7))

@@ -71,7 +71,7 @@ def ci_job() -> dict:
 
 def test_ci_workflow_runs_both_test_suites():
     job = ci_job()
-    assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
+    assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11", "3.12", "3.13"]
     commands = [step["run"] for step in job["steps"] if "run" in step]
     tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]*)`", (ROOT / "ROADMAP.md").read_text())
     assert tier1.group(1) in commands

@@ -68,6 +68,16 @@ class TestWords:
         with pytest.raises(ValueError, match="not an integer"):
             list(words_over((1.5, 1)))
         assert len(list(words_over((2, 2, 1)))) == math.factorial(5) // 4
+        assert list(words_over((0, 2))) == [(2, 2)]
+        for v in ((-1, 2), (2, -1), (-1,)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                words_over(v)
+
+    def test_permutations_of(self):
+        assert list(permutations_of(0)) == [()]
+        assert list(permutations_of(2)) == [(1, 2), (2, 1)]
+        with pytest.raises(ValueError, match="nonnegative"):
+            permutations_of(-2)
 
     def test_parse_word(self):
         assert parse_word("2313212") == (2, 3, 1, 3, 2, 1, 2)
@@ -138,10 +148,22 @@ class TestGraphs:
             b_standard_graph((1, 1, 1), StepSpec(((0, 2), (1, 1))))
 
     @pytest.mark.parametrize("entry", [b_standard_graph, b_regular_graph, mat_word, xi_word])
+    @pytest.mark.parametrize("word", [(0, 1), (-1, 2), (3, 1)])
+    def test_letters_outside_the_blocks_rejected(self, entry, word):
+        # a letter names a block 1..t; 0 and -1 must not count from the last block
+        with pytest.raises(ValueError, match="block widths"):
+            entry(word, StepSpec(((0, 1), (1, 1))))
+
+    @pytest.mark.parametrize("entry", [b_standard_graph, b_regular_graph, mat_word, xi_word])
     def test_inadmissible_spec_rejected(self, entry):
         # block heights 3, 4 do not fit in the 2 x 2 grid
         with pytest.raises(ValueError, match="admissible"):
             entry((1, 2), StepSpec(((3, 1), (1, 1))))
+        # the letters are read first and checked against the blocks last
+        with pytest.raises(ValueError, match="not an integer"):
+            entry([1.5, 1], StepSpec(((3, 1), (1, 1))))
+        with pytest.raises(ValueError, match="admissible"):
+            entry((3, 1), StepSpec(((3, 1), (1, 1))))
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_bijections_round_trip(self, n):
