@@ -15,13 +15,15 @@ placement of its rank; its fibers have size (p-1)^k * p^(Area-k-inv).
 Prime moduli only: the formula route covers arbitrary q symbolically,
 so extension fields would add no verification power here.  Enumeration
 is a deterministic depth-first walk over the rows, bottom-up, each over
-its support in lexicographic order, with the top row innermost.  Row i
-is supported on the columns of height >= i, a suffix that grows upward,
-so the walk carries each matrix's rank: a new row raises it exactly when
-it lies outside the span of the rows below; counting by rank therefore
-eliminates no matrix, and ``rank_ff`` stays the independent elimination
-that checks the fibers.  The walk is partitionable by fixing the lower
-rows, and rank counting is an associative reduction with no shared state.
+its support in lexicographic order, with the top row innermost, and it
+yields each matrix as its rows: p is the caller's, so it builds no
+``FfMatrix``.  Row i is supported on the columns of height >= i, a
+suffix that grows upward, so the walk carries each matrix's rank: a new
+row raises it exactly when it lies outside the span of the rows below;
+counting by rank eliminates no matrix, and ``rank_ff`` stays the
+independent elimination that checks the fibers.  The walk is
+partitionable by fixing the lower rows, and rank counting is an
+associative reduction with no shared state.
 """
 
 from __future__ import annotations
@@ -57,16 +59,6 @@ class FfMatrix:
         object.__setattr__(self, "entries", rows)
         if any(len(r) != len(rows) for r in rows):
             raise ValueError("entries must form an n x n matrix")
-
-    @classmethod
-    def _reduced(cls, p: int, entries: tuple[tuple[int, ...], ...]) -> "FfMatrix":
-        """A matrix from entries that are already an n x n tuple of tuples
-        of residues in range(p), for a p already known to be prime: no
-        primality test and no renormalisation pass."""
-        matrix = object.__new__(cls)
-        fields = matrix.__dict__
-        fields["p"], fields["entries"] = p, entries
-        return matrix
 
     @property
     def n(self) -> int:
@@ -120,19 +112,24 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def enumerate_support_matrices(board: FerrersBoard, p: int) -> Iterator[tuple[FfMatrix, int]]:
-    """All p^Area(B) matrices supported on the board, each exactly once and
-    paired with its rank over F_p.  An enumeration oracle for the rank counts.
+def enumerate_support_matrices(board: FerrersBoard, p: int) -> Iterator[tuple[tuple, int]]:
+    """All p^Area(B) matrices supported on the board, each exactly once, as
+    (entries, rank) pairs: the n-tuple of row tuples of residues that
+    ``FfMatrix(p, entries).entries`` holds, for the caller's p, and the
+    rank over F_p.  An enumeration oracle for the rank counts.
 
     A depth-first walk over the rows, bottom-up; row i runs over its
     support, the columns of height >= i, in lexicographic order, and the
-    top row is the innermost loop, so a matrix is the top row put before
+    top row is the innermost loop, so entries are the top row put before
     the lower rows.  Heights weakly increase, so the support is a suffix of
     the columns that contains the support of every row below, and row i
     raises the rank exactly when it lies outside their span, kept per depth
     as the set of its p^r vectors.  The rows below the tallest column have
-    no support and are zero.
+    no support and are zero.  The walk is lazy: it holds one prefix of
+    lower rows and their spans at a time, never a list of top rows.
     """
+    # an integral float walks as its int, whatever rank_distribution caches
+    p = _integral(p)
     # p < 2 first, in O(1): a large negative p would otherwise be reported
     # as a budget overrun, not as a non-prime
     if p < 2:
@@ -153,7 +150,7 @@ def enumerate_support_matrices(board: FerrersBoard, p: int) -> Iterator[tuple[Ff
         raise ValueError("matrix enumeration needs an admissible board")
     n = board.n
     if n == 0:
-        yield FfMatrix(p, ()), 0
+        yield (), 0
         return
     zero = (0,) * n
     # row i (0 at the top) is supported on the columns of height > i, a
@@ -181,18 +178,17 @@ def enumerate_support_matrices(board: FerrersBoard, p: int) -> Iterator[tuple[Ff
         prefixes = lower_rows(tallest - 1, (zero,) * (n - tallest), {zero}, 0)
     else:
         prefixes = [((zero,) * (n - 1), {zero}, 0)]
-    reduced = FfMatrix._reduced
     pad = zero[: starts[0]]
     for rows, span, rank in prefixes:
         for tail in itertools.product(range(p), repeat=n - starts[0]):
             row = pad + tail
-            yield reduced(p, (row,) + rows), rank + (row not in span)
+            yield (row,) + rows, rank + (row not in span)
 
 
 def _span_with(span: set, column: tuple[int, ...], p: int) -> set:
     """The span of a subspace's vectors and one more column outside it."""
-    multiples = [tuple(a * x % p for x in column) for a in range(p)]
-    return {tuple((x + y) % p for x, y in zip(s, m)) for s in span for m in multiples}
+    multiples = [[a * x % p for x in column] for a in range(p)]
+    return {tuple([(x + y) % p for x, y in zip(s, m)]) for s in span for m in multiples}
 
 
 def rank_ff(matrix: FfMatrix) -> int:
@@ -298,8 +294,8 @@ def theorem1_check(board: FerrersBoard, p: int) -> bool:
 def fiber_check(board: FerrersBoard, p: int) -> bool:
     """Every elimination fiber has size (p-1)^k p^(Area-k-inv(C,B))."""
     fibers: dict[frozenset, int] = {}
-    for m, _ in enumerate_support_matrices(board, p):
-        c = elimination_placement(m, board)
+    for entries, _ in enumerate_support_matrices(board, p):
+        c = elimination_placement(FfMatrix(p, entries), board)
         fibers[c.cells] = fibers.get(c.cells, 0) + 1
     area = board.area
     for k in range(board.n + 1):

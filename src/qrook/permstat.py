@@ -39,15 +39,18 @@ from .qpoly import LaurentPoly, _integral
 
 
 def _letters(w) -> tuple[int, ...]:
-    if type(w) is tuple:
-        return w
-    return tuple(_integral(x) for x in w)
+    # a tuple passes unchecked, for the statistics that only compare letters
+    return w if type(w) is tuple else _int_letters(w)
+
+
+def _int_letters(w) -> tuple[int, ...]:
+    # the letters as ints, for the functions that index lists by letter
+    return tuple([_integral(x) for x in w])
 
 
 def _multiplicities(letters: tuple[int, ...]) -> tuple[int, ...]:
-    """The multiplicity vector v of a word: how often each letter 1..max
-    occurs.  ValueError on a letter below 1 or one that is no integer."""
-    letters = [_integral(a) for a in letters]
+    """The multiplicity vector v of a word of int letters: how often each
+    letter 1..max occurs.  ValueError on a letter below 1."""
     if letters and min(letters) < 1:
         raise ValueError("letters must be positive")
     counts = [0] * max(letters, default=0)
@@ -184,7 +187,7 @@ def _lift_stat(letters: tuple[int, ...], spec: StepSpec, family: str) -> int:
 def b_standard_graph(w, spec: StepSpec) -> Placement:
     """The unique lift of the word whose crossing statistic is minimal on
     every block."""
-    letters = _letters(w)
+    letters = _int_letters(w)
     _spec_context(spec)
     return Placement.from_permutation(_lift_sigma(letters, spec, "mat"))
 
@@ -192,19 +195,19 @@ def b_standard_graph(w, spec: StepSpec) -> Placement:
 def b_regular_graph(w, spec: StepSpec) -> Placement:
     """The unique lift of the word whose circle statistic is minimal on
     every block."""
-    letters = _letters(w)
+    letters = _int_letters(w)
     _spec_context(spec)
     return Placement.from_permutation(_lift_sigma(letters, spec, "xi"))
 
 
 def mat_word(w, spec: StepSpec) -> int:
     """Crossing statistic of the standard lift of the word."""
-    return _lift_stat(_letters(w), spec, "mat")
+    return _lift_stat(_int_letters(w), spec, "mat")
 
 
 def xi_word(w, spec: StepSpec) -> int:
     """Circle statistic of the regular lift of the word."""
-    return _lift_stat(_letters(w), spec, "xi")
+    return _lift_stat(_int_letters(w), spec, "xi")
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +217,7 @@ def xi_word(w, spec: StepSpec) -> int:
 
 def _descent_sigma(s: tuple[int, ...]) -> tuple[int, ...]:
     # the row -> column map of the descent graph; see descent_graph
+    s = _int_letters(s)
     n = len(s)
     if sorted(s) != list(range(1, n + 1)):
         raise ValueError("descent graph needs a permutation")
@@ -236,7 +240,7 @@ def descent_graph(perm) -> Placement:
     value not yet used, and a rook sits at (i, j) whenever i immediately
     follows j cyclically inside its cycle.  The number of rooks strictly
     above the diagonal equals the number of descents."""
-    return Placement.from_permutation(_descent_sigma(_letters(perm)))
+    return Placement.from_permutation(_descent_sigma(perm))
 
 
 def _reflect_sigma(sigma: tuple[int, ...]) -> tuple[int, ...]:
@@ -298,7 +302,7 @@ def _block_context(w) -> tuple[tuple[int, ...], StepSpec, int]:
     """The word's letters, the step spec of the block board of its
     multiplicity vector v, admissible as H_t = n - v_t < n, and the
     shift n*exc - Area that every block statistic adds."""
-    letters = _letters(w)
+    letters = _int_letters(w)
     spec = g_spec(_multiplicities(letters))
     return letters, spec, len(letters) * exc(letters) - spec.area
 
@@ -357,7 +361,7 @@ def theorem5_stat(perm) -> int:
 
 def theorem5_statx(w) -> int:
     """Closed-form partner of exc on words."""
-    s = _letters(w)
+    s = _int_letters(w)
     n = len(s)
     f = tuple(sorted(s))
     # prefix[a - 1] is the number of letters below a

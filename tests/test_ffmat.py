@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 from cli_runner import invoke
@@ -31,8 +32,8 @@ class TestEnumeration:
     def test_trivial_board_only_zero_matrix(self):
         ms = list(enumerate_support_matrices(FerrersBoard((0, 0)), 5))
         assert len(ms) == 1
-        m, rank = ms[0]
-        assert all(v == 0 for row in m.entries for v in row)
+        entries, rank = ms[0]
+        assert all(v == 0 for row in FfMatrix(5, entries).entries for v in row)
         assert rank == 0
 
     def test_counts(self):
@@ -40,8 +41,8 @@ class TestEnumeration:
         assert len({m for m, _ in enumerate_support_matrices(staircase_board(2), 3)}) == 27
 
     def test_support_respected(self):
-        for m, _ in enumerate_support_matrices(DEF1, 3):
-            assert m.supported_on(DEF1)
+        for entries, _ in enumerate_support_matrices(DEF1, 3):
+            assert FfMatrix(3, entries).supported_on(DEF1)
 
     def test_budget_error_names_bound(self):
         message = r"7\^15 = 4747561509943 exceeds the enumeration budget 10000000$"
@@ -132,6 +133,9 @@ WALK_BOARDS = dict.fromkeys(
     # over an empty one
     + [(FerrersBoard(h), p) for h in ((0, 0, 0, 2, 5), (0, 0, 0, 0, 4)) for p in (2, 3)]
     + [(FerrersBoard((1,) * 12), 2), (FerrersBoard((3, 3, 3, 3)), 2)]
+    # the primes the rank-count benchmark queries
+    + [(b, p) for p in (5, 7) for n in range(3) for b in all_ferrers_boards(n)]
+    + [(FerrersBoard((1, 2, 2)), 5), (FerrersBoard((0, 1, 2)), 7)]
 )
 
 
@@ -139,11 +143,12 @@ WALK_BOARDS = dict.fromkeys(
 def test_walk_against_elimination(board, p):
     seen = set()
     counts = [0] * (board.n + 1)
-    for m, rank in enumerate_support_matrices(board, p):
-        seen.add(m)
+    for entries, rank in enumerate_support_matrices(board, p):
+        m = FfMatrix(p, entries)
+        seen.add(entries)
         assert m.supported_on(board)
         # already in normal form: the full constructor changes nothing
-        assert FfMatrix(m.p, m.entries) == m
+        assert m.entries == entries
         assert rank == rank_ff(m)
         counts[rank] += 1
     assert len(seen) == p**board.area
@@ -154,13 +159,71 @@ def test_walk_against_elimination(board, p):
     "board,p",
     [(b, p) for n in (5, 6) for p in (2, 3) for b in sampled_boards(n, p, 2**16, 2)]
     # three full rows over an empty one, 3^12 matrices
-    + [(FerrersBoard((3, 3, 3, 3)), 3)],
+    + [(FerrersBoard((3, 3, 3, 3)), 3)]
+    # 5^7 matrices at a prime the rank-count benchmark queries
+    + [(FerrersBoard((1, 1, 2, 3)), 5)],
     ids=board_id,
 )
 def test_rank_counts_three_routes(board, p):
     counts = rank_distribution(board, p)
     assert list(counts) == rank_counts_by_columns(board.heights, p)
     assert all(c == p_k_formula(board, k).evaluate(p) for k, c in enumerate(counts))
+
+
+def test_walk_order():
+    # the lower rows outer, each in lexicographic order, the top row innermost:
+    # on heights 0,1,2 the bottom row is zero, the middle row (0, 0, c) and
+    # the top row (0, a, b)
+    expected = [((0, a, b), (0, 0, c), (0, 0, 0)) for c in range(3) for a in range(3) for b in range(3)]
+    walked = list(enumerate_support_matrices(DEF1, 3))
+    assert [entries for entries, _ in walked] == expected
+    assert all(type(entries) is tuple and type(rank) is int for entries, rank in walked)
+
+
+def test_walk_is_lazy():
+    # 2^16 matrices, walked while holding one prefix of lower rows at a time;
+    # a list of the 2^15 top rows alone would take megabytes
+    board = FerrersBoard((1,) * 16)
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in enumerate_support_matrices(board, 2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 2**16
+    assert peak < 2**20
+
+
+class TestNonIntegralPrime:
+    """A prime that is an integral float walks as its int, and any other
+    non-integer is a ValueError, whatever rank_distribution's cache holds."""
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_integral_float_walks_as_int(self, warm):
+        rank_distribution.cache_clear()
+        try:
+            if warm:
+                assert rank_distribution(DEF1, 2) == (1, 5, 2, 0)
+            assert rank_distribution(DEF1, 2.0) == (1, 5, 2, 0)
+            assert theorem1_check(DEF1, 2.0)
+            assert rank_sum_check(DEF1, 2.0)
+            assert [e for e, _ in enumerate_support_matrices(DEF1, 2.0)] == [
+                e for e, _ in enumerate_support_matrices(DEF1, 2)
+            ]
+        finally:
+            rank_distribution.cache_clear()
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_fractional_prime_rejected(self, warm):
+        rank_distribution.cache_clear()
+        try:
+            if warm:
+                rank_distribution(DEF1, 2)
+            for check in (rank_distribution, theorem1_check, rank_sum_check):
+                with pytest.raises(ValueError, match=r"^2\.5 is not an integer$"):
+                    check(DEF1, 2.5)
+        finally:
+            rank_distribution.cache_clear()
 
 
 class TestRank:
@@ -280,8 +343,8 @@ class TestElimination:
     @pytest.mark.parametrize("p", [2, 3])
     def test_fibers_directly(self, p):
         fibers = {}
-        for m, _ in enumerate_support_matrices(DEF1, p):
-            c = elimination_placement(m, DEF1)
+        for entries, _ in enumerate_support_matrices(DEF1, p):
+            c = elimination_placement(FfMatrix(p, entries), DEF1)
             fibers[c.cells] = fibers.get(c.cells, 0) + 1
         for k in range(4):
             for c in enumerate_placements(DEF1, k):

@@ -50,7 +50,34 @@ def specs_rising_at_most(n: int, rise: int) -> list[StepSpec]:
     return [s for s in all_step_specs(n, admissible_only=True) if all(h <= rise for h, _ in s.steps)]
 
 
+TWO_BLOCKS = StepSpec(((0, 1), (1, 1)))
+# the functions that index lists by letter, so they read every word's letters as ints
+INDEXING_BY_LETTER = {
+    "mat_word": lambda w: mat_word(w, TWO_BLOCKS),
+    "xi_word": lambda w: xi_word(w, TWO_BLOCKS),
+    "b_standard_graph": lambda w: b_standard_graph(w, TWO_BLOCKS),
+    "b_regular_graph": lambda w: b_regular_graph(w, TWO_BLOCKS),
+    "stat5": stat5,
+    "stat6": stat6,
+    "stat7": stat7,
+    "theorem5_statx": theorem5_statx,
+    "descent_graph": descent_graph,
+    "stat_family": stat_family,
+}
+
+
 class TestWords:
+    @pytest.mark.parametrize("name", list(INDEXING_BY_LETTER))
+    @pytest.mark.parametrize("letters", [(1.0, 2.0), (1.5, 2)], ids=["integral", "fractional"])
+    def test_tuple_letters_read_like_list_letters(self, name, letters):
+        entry = INDEXING_BY_LETTER[name]
+        if letters == (1.5, 2):
+            for word in (letters, list(letters)):
+                with pytest.raises(ValueError, match=r"^1\.5 is not an integer$"):
+                    entry(word)
+        else:
+            assert entry(letters) == entry(list(letters)) == entry((1, 2))
+
     def test_letters_below_one_or_not_integral_rejected(self):
         for stat in (stat5, stat6, stat7, theorem5_statx):
             assert stat([2.0, 1.0]) == stat((2, 1))
