@@ -39,7 +39,7 @@ from .qpoly import LaurentPoly, _integral
 
 
 def _letters(w) -> tuple[int, ...]:
-    # a tuple passes unchecked, for the statistics that only compare letters
+    # a tuple passes unchecked, for the statistics the word suites run most
     return w if type(w) is tuple else _int_letters(w)
 
 
@@ -217,7 +217,6 @@ def xi_word(w, spec: StepSpec) -> int:
 
 def _descent_sigma(s: tuple[int, ...]) -> tuple[int, ...]:
     # the row -> column map of the descent graph; see descent_graph
-    s = _int_letters(s)
     n = len(s)
     if sorted(s) != list(range(1, n + 1)):
         raise ValueError("descent graph needs a permutation")
@@ -240,7 +239,7 @@ def descent_graph(perm) -> Placement:
     value not yet used, and a rook sits at (i, j) whenever i immediately
     follows j cyclically inside its cycle.  The number of rooks strictly
     above the diagonal equals the number of descents."""
-    return Placement.from_permutation(_descent_sigma(perm))
+    return Placement.from_permutation(_descent_sigma(_int_letters(perm)))
 
 
 def _reflect_sigma(sigma: tuple[int, ...]) -> tuple[int, ...]:

@@ -62,7 +62,6 @@ INDEXING_BY_LETTER = {
     "stat7": stat7,
     "theorem5_statx": theorem5_statx,
     "descent_graph": descent_graph,
-    "stat_family": stat_family,
 }
 
 
