@@ -231,7 +231,7 @@ def p_k_formula(board: FerrersBoard, k: int) -> LaurentPoly:
     # (q-1)^k by the binomial theorem, one dense row of signed coefficients
     q_minus_one_to_k = LaurentPoly.dense(0, [(-1) ** (k - i) * math.comb(k, i) for i in range(k + 1)])
     poly = q_minus_one_to_k * rook_poly(board, k).subs_q_inverse().shifted(board.area - k)
-    if not poly.is_zero and poly.min_exp < 0:
+    if poly and poly.min_exp < 0:
         raise IdentityViolation(f"rank-count polynomial {poly} of {board} at k={k} has negative powers")
     return poly
 

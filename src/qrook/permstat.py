@@ -39,7 +39,8 @@ from .qpoly import LaurentPoly, _integral
 
 
 def _letters(w) -> tuple[int, ...]:
-    # a tuple passes unchecked, for the statistics the word suites run most
+    # a tuple passes unchecked, for the statistics the word suites run most; only
+    # the comparison statistics read its letters so (stat_family converts on failure)
     return w if type(w) is tuple else _int_letters(w)
 
 
@@ -113,7 +114,7 @@ def exc(w) -> int:
 
 def den(perm) -> int:
     """Denert's statistic on a permutation."""
-    s = _letters(perm)
+    s = _int_letters(perm)
     n = len(s)
     if sorted(s) != list(range(1, n + 1)):
         raise ValueError("Denert's statistic needs a permutation")
@@ -279,7 +280,12 @@ def stat_family(perm, family: str = "mat", variant: int = 1) -> int:
     except KeyError:
         raise ValueError("variant must lie in 1..8") from None
     k = des(s)
-    sigma = _descent_sigma(reverse_perm(s) if reverse else s)
+    try:
+        sigma = _descent_sigma(reverse_perm(s) if reverse else s)
+    except (TypeError, ValueError):
+        # a float letter fails the permutation check or indexes a list
+        s = _int_letters(s)
+        sigma = _descent_sigma(reverse_perm(s) if reverse else s)
     if reflect:
         sigma = _reflect_sigma(sigma)
     # the triangular board of order n has heights 0, 1, ..., n-1
@@ -339,7 +345,7 @@ def stat7(w) -> int:
 def theorem5_stat(perm) -> int:
     """Closed-form partner of exc on permutations: equidistributed jointly
     with (des, maj)."""
-    s = _letters(perm)
+    s = _int_letters(perm)
     n = len(s)
     if sorted(s) != list(range(1, n + 1)):
         raise ValueError("needs a permutation")

@@ -562,8 +562,7 @@ def eq24_divided(spec: StepSpec) -> tuple[LaurentPoly, ...]:
             raise IdentityViolation(
                 f"{spec} k=0 s={s}: term {term} is not symmetric with darga {target}"
             )
-    if not nonzero:
-        return (LaurentPoly.zero(),) * (n + 1)
+    # nonzero holds n: at s = n each numerator n + H_i - D_(i-1) is at least d_i
     first = nonzero[0]
     lo = min(products[s].min_exp for s in nonzero)
     width = max(products[s].max_exp for s in nonzero) - lo + 1 + n * (n + 1) // 2

@@ -9,16 +9,18 @@ function is pure, so the whole module is safe for concurrent use.
 The main value type is :class:`LaurentPoly`, a polynomial in q allowing
 negative exponents, stored as its lowest exponent and the coefficients
 from there up to the highest, zeros included: the paper's polynomials
-have no gaps in their exponents.  On top of it live the q-bracket
-[k] = (1-q^k)/(1-q), q-factorials, q-binomials (with the standard
-extension to negative numerators), q-multinomials, q-Stirling numbers of
-the second kind, and the symmetry/unimodality analyzer ``zsu_check``.
+have no gaps in their exponents.  Its ring operations are +, - and *,
+with no power operator, and zero is its one falsy value.  On top of it
+live the q-bracket [k] = (1-q^k)/(1-q), q-factorials, q-binomials (with
+the standard extension to negative numerators), q-multinomials,
+q-Stirling numbers of the second kind, and the symmetry/unimodality
+analyzer ``zsu_check``.
 
 :class:`BivariatePoly` is a two-variable companion (Laurent in q,
-polynomial in a second formal symbol z) stored as the tuple of its
-z-coefficients, each a :class:`LaurentPoly`, so LaurentPoly's product is
-the only coefficient arithmetic; it is used for identities where z
-stands for q^x or for a series variable.
+polynomial in a second formal symbol z) built by ``BivariatePoly.series``
+from its z-coefficients, each a :class:`LaurentPoly`, and stored as their
+tuple, so LaurentPoly's product is the only coefficient arithmetic; it
+is used for identities where z stands for q^x or for a series variable.
 """
 
 from __future__ import annotations
@@ -81,10 +83,6 @@ class LaurentPoly:
         return LaurentPoly.dense(_integral(obj["min_exp"]), [_integral(c) for c in obj["coeffs"]])
 
     # -- basic queries ----------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
 
     @property
     def min_exp(self) -> int:
@@ -169,21 +167,6 @@ class LaurentPoly:
         return _canonical(lo, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined in the Laurent ring")
-        # bit_length - 1 squarings and popcount - 1 further products: no
-        # square past the top bit and no product with one
-        result = None
-        base = self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return _ONE if result is None else result
 
     def shifted(self, s: int) -> "LaurentPoly":
         """Multiply by q^s."""
@@ -280,14 +263,8 @@ class BivariatePoly:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Mapping[tuple[int, int], int] | None = None):
-        by_z: dict[int, dict[int, int]] = {}
-        for (qe, ze), c in (coeffs or {}).items():
-            if c:
-                by_z.setdefault(_integral(ze), {})[_integral(qe)] = _integral(c)
-        if min(by_z, default=0) < 0:
-            raise ValueError("a BivariatePoly has no negative powers of z")
-        self._coeffs = tuple(LaurentPoly(by_z.get(k)) for k in range(max(by_z, default=-1) + 1))
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a BivariatePoly is built by BivariatePoly.series from its z-coefficients")
 
     @staticmethod
     def zero() -> "BivariatePoly":
@@ -450,7 +427,7 @@ def q_stirling(n: int, k: int) -> LaurentPoly:
 
 def darga(f: LaurentPoly) -> int:
     """Minimum plus maximum exponent of a nonzero polynomial."""
-    if f.is_zero:
+    if not f:
         raise ValueError("darga undefined for zero")
     return f.min_exp + f.max_exp
 
@@ -473,7 +450,7 @@ def is_unimodal(f: LaurentPoly) -> bool:
 
 def zsu_check(f: LaurentPoly, d: int) -> bool:
     """True iff f is zero, or nonnegative, symmetric, unimodal with darga d."""
-    if f.is_zero:
+    if not f:
         return True
     if any(c < 0 for c in f._coeffs):
         return False

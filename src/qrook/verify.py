@@ -101,21 +101,20 @@ def inverse_product_series(m: int, order: int) -> BivariatePoly:
     return BivariatePoly.series(q_binomial(m + j, j) for j in range(order + 1))
 
 
-def phi_series(board: FerrersBoard, order: int | None = None) -> BivariatePoly:
-    """The series with x^k coefficient prod_i [k + c_i - i + 1], computed two
-    independent ways; IdentityViolation reports the first coefficient where
-    they differ.
+def phi_series(board: FerrersBoard) -> BivariatePoly:
+    """The series with x^k coefficient prod_i [k + c_i - i + 1] up to x^(n+3),
+    computed two independent ways; IdentityViolation reports the first
+    coefficient where they differ.
 
     Route A divides sum_k x^k T_{n-k}(B) by (1-x)(1-xq)...(1-xq^n), that
     is, multiplies it by the series sum_j [n+j, j] x^j; route B multiplies
-    the brackets directly.  The default order n+3 pushes the brackets past
-    their degenerate values.
+    the brackets directly.
     """
     n = board.n
-    if order is None:
-        order = n + 3
+    # the order n+3 pushes the brackets past their degenerate values
+    order = n + 3
     hits = hit_polys(board, "defining")
-    numerator = BivariatePoly.series(hits[n - k] for k in range(min(n, order) + 1))
+    numerator = BivariatePoly.series(hits[n - k] for k in range(n + 1))
     route_a = (numerator * inverse_product_series(n, order)).truncated(order)
     for k in range(order + 1):
         direct, via_hits = _bracket_product(board.heights, k), route_a.coefficient(k)
@@ -131,7 +130,7 @@ def _bracket_product(heights: tuple[int, ...], k: int) -> LaurentPoly:
     out = LaurentPoly.one()
     for i, c in enumerate(heights, start=1):
         out = out * q_bracket(k + c - i + 1)
-        if out.is_zero:
+        if not out:
             break
     return out
 
@@ -170,7 +169,7 @@ def add_recurrence_check(board: FerrersBoard) -> bool:
     grown = FerrersBoard((0,) + board.heights)
     t_old = hit_polys(board, "mat")
     t_new = hit_polys(grown, "mat")
-    if not t_new[n + 1].is_zero:
+    if t_new[n + 1]:
         return False
     for k in range(n + 1):
         rhs = q_bracket(n + 1 - k) * t_old[k]
@@ -268,10 +267,10 @@ def recurrence25_check(spec: StepSpec) -> bool:
     for k in range(n + 1):
         total = LaurentPoly.zero()
         for r in range(max(0, k - d_t), min(k, n - d_t) + 1):
-            if inner[r].is_zero:
+            if not inner[r]:
                 continue
             coeff = q_binomial(H_t - r, k - r) * q_binomial(n - H_t + r, d_t + r - k)
-            if coeff.is_zero:
+            if not coeff:
                 continue
             total = total + (inner[r] * coeff).shifted((d_t + r - k) * (H_t - k))
         if total != full[k]:
@@ -309,7 +308,7 @@ def step_zsu_check(spec: StepSpec) -> bool:
     n = spec.n
     target = darga_target(spec)  # minus n k at k hits
     for k, divided in enumerate(eq24_divided(spec)):
-        if divided.is_zero:
+        if not divided:
             continue
         if not (is_symmetric(divided) and darga(divided) == target - n * k):
             return False

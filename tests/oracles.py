@@ -12,7 +12,7 @@ from fractions import Fraction
 from qrook.boards import FerrersBoard, StepSpec
 from qrook.permstat import mat_word, words_over, xi_word
 from qrook.placements import Placement, mat_stat, xi_stat
-from qrook.qpoly import IdentityViolation, LaurentPoly, q_binomial
+from qrook.qpoly import BivariatePoly, IdentityViolation, LaurentPoly, q_binomial
 
 
 def partitions_in_box_gf(rows: int, cols: int) -> LaurentPoly:
@@ -115,9 +115,9 @@ def eq24_signed_terms(spec: StepSpec, binomial=q_binomial) -> tuple[LaurentPoly,
         prod = LaurentPoly.one()
         for i in range(spec.t):
             prod = prod * binomial(s + H[i] - D[i], spec.widths[i])
-            if prod.is_zero:
+            if not prod:
                 break
-        if not prod.is_zero and s < min_s:
+        if prod and s < min_s:
             raise IdentityViolation(f"{spec} s={s}: a negative bracket numerator left {prod}")
         products.append(prod)
     target = spec.area + n * n - sum(d * w for d, w in zip(spec.col_offsets, spec.widths))
@@ -125,7 +125,7 @@ def eq24_signed_terms(spec: StepSpec, binomial=q_binomial) -> tuple[LaurentPoly,
     for k in range(n + 1):
         total = LaurentPoly.zero()
         for s, prod in enumerate(products[: n - k + 1]):
-            if prod.is_zero:
+            if not prod:
                 continue
             j = n - k - s
             unsigned = binomial(n + 1, j).shifted(j * (j - 1) // 2) * prod
@@ -165,10 +165,10 @@ def eq26_divided_by_vectors(spec: StepSpec, binomial=q_binomial) -> tuple[Lauren
             if m1 < 0 or m2 < 0:
                 negative_numerator = True
             prod = prod * binomial(m1, widths[i] - e[i]) * binomial(m2, e[i])
-            if prod.is_zero:
+            if not prod:
                 break
             exponent += e[i] * (H[i] - D[i + 1] + E)
-        if prod.is_zero:
+        if not prod:
             continue
         if conditions and negative_numerator:
             raise IdentityViolation(f"{spec} e={e}: a negative numerator left {prod}")
@@ -354,6 +354,15 @@ def sparse_str(a: dict[int, int]) -> str:
 
 # A sparse bivariate polynomial: {(q_exp, z_exp): coefficient}, no zero
 # coefficients.  sparse_add serves it unchanged.
+
+
+def bivariate_from_terms(terms: dict[tuple[int, int], int]) -> BivariatePoly:
+    """The polynomial of the sparse terms {(q exponent, z exponent): c},
+    built from its z-coefficients; every z exponent is nonnegative."""
+    top = max((ze for _, ze in terms), default=-1)
+    return BivariatePoly.series(
+        LaurentPoly({qe: c for (qe, ze), c in terms.items() if ze == k}) for k in range(top + 1)
+    )
 
 
 def sparse_bivariate_mul(a: dict[tuple[int, int], int], b: dict[tuple[int, int], int]) -> dict:

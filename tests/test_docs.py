@@ -75,6 +75,8 @@ def test_ci_workflow_runs_both_test_suites():
     commands = [step["run"] for step in job["steps"] if "run" in step]
     tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]*)`", (ROOT / "ROADMAP.md").read_text())
     assert tier1.group(1) in commands
+    # and again with assert statements stripped, so no check can hide in one
+    assert tier1.group(1).replace("python -m pytest", "python -O -m pytest") in commands
     assert "python -m pytest perfbench -q" in commands
 
 

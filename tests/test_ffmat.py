@@ -1,3 +1,4 @@
+import math
 import random
 import time
 import tracemalloc
@@ -278,16 +279,17 @@ class TestRankCounts:
         assert p_k_formula(DEF1, 0) == LaurentPoly.one()
         assert p_k_formula(DEF1, 1) == LaurentPoly({2: 2, 1: -1, 0: -1})
         assert p_k_formula(DEF1, 2) == LaurentPoly({3: 1, 2: -2, 1: 1})
-        assert p_k_formula(DEF1, 3).is_zero
+        assert not p_k_formula(DEF1, 3)
         assert p_k_formula(staircase_board(3), 0) == LaurentPoly.one()
 
     def test_formula_power_is_the_binomial_row(self):
-        # (q-1)^k as signed binomial coefficients equals the k-th power
+        # (q-1)^k as signed binomial coefficients equals the k-fold product
         q_minus_one = LaurentPoly({1: 1, 0: -1})
         for n in range(6):
             for b in all_ferrers_boards(n):
                 for k in range(n + 2):
-                    by_power = (q_minus_one**k) * rook_poly(b, k).subs_q_inverse().shifted(b.area - k)
+                    power = math.prod([q_minus_one] * k, start=LaurentPoly.one())
+                    by_power = power * rook_poly(b, k).subs_q_inverse().shifted(b.area - k)
                     assert p_k_formula(b, k) == by_power
 
     @pytest.mark.parametrize("p", [2, 3])

@@ -51,7 +51,8 @@ def specs_rising_at_most(n: int, rise: int) -> list[StepSpec]:
 
 
 TWO_BLOCKS = StepSpec(((0, 1), (1, 1)))
-# the functions that index lists by letter, so they read every word's letters as ints
+# the functions that read a word's letters as ints: those that index lists by
+# letter, and the permutation statistics, which check the letters they compare
 INDEXING_BY_LETTER = {
     "mat_word": lambda w: mat_word(w, TWO_BLOCKS),
     "xi_word": lambda w: xi_word(w, TWO_BLOCKS),
@@ -62,6 +63,10 @@ INDEXING_BY_LETTER = {
     "stat7": stat7,
     "theorem5_statx": theorem5_statx,
     "descent_graph": descent_graph,
+    "stat_family": stat_family,
+    "stat_family_reversed": lambda w: stat_family(w, "xi", 8),
+    "theorem5_stat": theorem5_stat,
+    "den": den,
 }
 
 
@@ -75,7 +80,9 @@ class TestWords:
                 with pytest.raises(ValueError, match=r"^1\.5 is not an integer$"):
                     entry(word)
         else:
-            assert entry(letters) == entry(list(letters)) == entry((1, 2))
+            results = [entry(letters), entry(list(letters)), entry((1, 2))]
+            assert results[0] == results[1] == results[2]
+            assert len({type(r) for r in results}) == 1
 
     def test_letters_below_one_or_not_integral_rejected(self):
         for stat in (stat5, stat6, stat7, theorem5_statx):

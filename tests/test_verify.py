@@ -41,11 +41,11 @@ from qrook.verify import (
 )
 
 from cli_runner import invoke
-from oracles import eq24_signed_terms, eq26_divided_by_vectors
+from oracles import bivariate_from_terms, eq24_signed_terms, eq26_divided_by_vectors
 
 
 def x_power(k):
-    return BivariatePoly({(0, k): 1})
+    return bivariate_from_terms({(0, k): 1})
 
 
 def seeded_admissible_specs(n, count=10):
@@ -85,11 +85,11 @@ class TestTruncatedSeries:
 
     def test_product_truncates(self):
         # (1 + x + x^2 + x^3)(1 + x) up to x^3
-        a = BivariatePoly({(0, k): 1 for k in range(4)})
-        b = BivariatePoly({(0, 0): 1, (0, 1): 1})
+        a = bivariate_from_terms({(0, k): 1 for k in range(4)})
+        b = bivariate_from_terms({(0, 0): 1, (0, 1): 1})
         prod = (a * b).truncated(3)
         assert prod.coefficient(3) == LaurentPoly({0: 2})
-        assert prod.coefficient(4).is_zero
+        assert not prod.coefficient(4)
 
     def test_geometric_inverse(self):
         # 1/(1-x) has all-ones coefficients
@@ -103,23 +103,23 @@ class TestTruncatedSeries:
         s = inverse_product_series(0, 4)
         d = s.delta()
         assert all(d.coefficient(k) == q_bracket(k + 1) for k in range(4))
-        assert d.coefficient(4).is_zero
+        assert not d.coefficient(4)
 
     def test_shift(self):
         s = (x_power(1) * BivariatePoly.one()).truncated(2)
-        assert s.coefficient(0).is_zero and s.coefficient(1) == LaurentPoly.one()
+        assert not s.coefficient(0) and s.coefficient(1) == LaurentPoly.one()
         assert (x_power(2) * inverse_product_series(0, 2)).truncated(2) == x_power(2)
 
 
 class TestPhiSeries:
     def test_both_routes_agree_small(self):
         for heights in [(1, 2), (0, 1, 2), (0, 0, 0), (2, 2, 3)]:
-            phi_series(FerrersBoard(heights), order=6)
+            phi_series(FerrersBoard(heights))
 
     def test_trivial_board_coefficients(self):
         n = 3
-        series = phi_series(FerrersBoard((0,) * n), order=5)
-        for k in range(6):
+        series = phi_series(FerrersBoard((0,) * n))
+        for k in range(n + 4):
             expected = LaurentPoly.one()
             for i in range(1, n + 1):
                 expected = expected * q_bracket(k - i + 1)
@@ -133,7 +133,7 @@ class TestPhiSeries:
             verify, "_bracket_product", lambda heights, k: real(heights, k).shifted(int(k >= 2))
         )
         with pytest.raises(IdentityViolation, match=r"series mismatch for heights:1,2 at x\^2: "):
-            phi_series(board, order=4)
+            phi_series(board)
 
     @pytest.mark.parametrize("n", range(0, 5))
     def test_delta_identity(self, n):
@@ -200,7 +200,7 @@ class TestStepFormulas:
             # value at index k is the hit polynomial with k hits
             assert step_table(spec, which)[2] == LaurentPoly.one()
             assert step_table(spec, which)[1] == LaurentPoly({1: 1})
-            assert step_table(spec, which)[0].is_zero
+            assert not step_table(spec, which)[0]
 
     def test_single_block(self):
         # one block of width n: the composition sum has a single term per k
@@ -634,6 +634,107 @@ class TestFailuresStayInTheSuite:
             lines = [result.line() for result in run_suites(["reciprocity"], 2)]
         assert "FAIL delta-identity n=1 [3, 1] refused" in lines
         assert len(lines) == len(list(run_suites(["reciprocity"], 2)))
+
+    def failing(self, monkeypatch, suite, max_n, patches):
+        """The FAIL lines of a suite run with the given (target, name, value)
+        patches, after checking that it still printed every line."""
+        with monkeypatch.context() as patch:
+            for target, name, value in patches:
+                patch.setattr(target, name, value)
+            code, lines = self.verify_lines(suite, max_n)
+        assert code == 1
+        assert len(lines) == len(self.verify_lines(suite, max_n)[1])
+        return [line for line in lines if line.startswith("FAIL ")]
+
+    def test_wrong_fiber_size(self, monkeypatch):
+        # inv one too high shrinks every expected fiber p-fold
+        real = ffmat.inv_stat
+        wrong_inv = lambda c, board: real(c, board) + 1
+        fails = self.failing(monkeypatch, "ffmat", 1, [(ffmat, "inv_stat", wrong_inv)])
+        assert fails == [f"FAIL elimination-fibers heights:0,1,2 p={p}" for p in (2, 3)]
+
+    def test_pivots_off_the_board(self, monkeypatch):
+        # a board that misses the top square of each column loses every
+        # pivot that sits there
+        real = FerrersBoard.contains
+        one_row_short = lambda self, r, c: real(self, r + 1, c)
+        fails = self.failing(monkeypatch, "ffmat", 1, [(FerrersBoard, "contains", one_row_short)])
+        assert len(fails) == 2
+        for line, p in zip(fails, (2, 3)):
+            expected = rf"FAIL elimination-fibers heights:0,1,2 p={p} pivots \[.+\] leave heights:0,1,2"
+            assert re.fullmatch(expected, line)
+
+    def test_entry_outside_the_support(self, monkeypatch):
+        # a matrix with a nonzero entry below every support gets past a
+        # support test that passes everything, and the elimination check
+        # reports it
+        real = ffmat.FfMatrix
+
+        def with_bottom_entry(p, entries):
+            return real(p, entries[:-1] + ((0,) * (len(entries) - 1) + (1,),))
+
+        fails = self.failing(
+            monkeypatch,
+            "ffmat",
+            1,
+            [(real, "supported_on", lambda self, board: True), (ffmat, "FfMatrix", with_bottom_entry)],
+        )
+        assert fails == [
+            f"FAIL elimination-fibers heights:0,1,2 p={p} elimination left the support of heights:0,1,2"
+            for p in (2, 3)
+        ]
+
+    def test_wrong_step_darga(self, monkeypatch):
+        # every nonzero divided entry one power of q too high
+        real = verify.eq24_divided
+        shifted = lambda spec: tuple(t.shifted(1) for t in real(spec))
+        fails = self.failing(monkeypatch, "unimodal", 2, [(verify, "eq24_divided", shifted)])
+        assert "FAIL step-symmetry-zsu steps:0x1" in fails
+        assert {line.split()[1] for line in fails} == {"step-symmetry-zsu"}
+
+    def test_negative_step_table(self, monkeypatch):
+        # negated entries keep their symmetry and darga; only the specs whose
+        # widths or column counts dominate must also be nonnegative
+        real = verify.eq24_divided
+        negated = lambda spec: tuple(-t for t in real(spec))
+        fails = self.failing(monkeypatch, "unimodal", 2, [(verify, "eq24_divided", negated)])
+        failed = {line.split()[2] for line in fails}
+        refined = {
+            str(spec)
+            for n in (1, 2)
+            for spec in all_step_specs(n)
+            if spec.condition_overlap() or spec.condition_dominance()
+        }
+        assert failed == refined and {line.split()[1] for line in fails} == {"step-symmetry-zsu"}
+
+    def empty_column_failures(self, monkeypatch, edit):
+        """The boards whose add-empty-column check fails when every mat
+        table the recurrence reads is edited."""
+        real = verify.hit_polys
+
+        def corrupted(board, method):
+            return edit(real(board, method)) if method == "mat" else real(board, method)
+
+        fails = self.failing(monkeypatch, "reciprocity", 2, [(verify, "hit_polys", corrupted)])
+        return {line.split()[2] for line in fails if line.split()[1] == "add-empty-column"}
+
+    def test_top_entry_after_an_empty_column(self, monkeypatch):
+        # n + 1 hits cannot happen once a column is empty
+        failed = self.empty_column_failures(monkeypatch, lambda t: t[:-1] + (t[-1] + 1,))
+        assert failed == {str(board) for n in (1, 2) for board in all_ferrers_boards(n)}
+
+    def test_wrong_empty_column_recurrence(self, monkeypatch):
+        # T_0 one power of q too high: on an empty board T_0 alone enters the
+        # recurrence, which then holds at any shift
+        failed = self.empty_column_failures(monkeypatch, lambda t: (t[0].shifted(1),) + t[1:])
+        assert "heights:1" in failed and "heights:0" not in failed
+
+    def test_wrong_delta_series(self, monkeypatch):
+        # 1/((1-x)...(1-xq^(m+1))) where 1/((1-x)...(1-xq^m)) is meant
+        real = verify.inverse_product_series
+        one_factor_long = lambda m, order: real(m + 1, order)
+        fails = self.failing(monkeypatch, "reciprocity", 2, [(verify, "inverse_product_series", one_factor_long)])
+        assert "FAIL delta-identity n=1" in fails and "FAIL delta-identity n=2" in fails
 
 
 def run_optimized(*args):
