@@ -76,6 +76,15 @@ class FfMatrix:
         )
 
 
+def _walked(p: int, rows: tuple[tuple[int, ...], ...]) -> FfMatrix:
+    """A matrix of the row walk, built without revalidating: the walk has
+    checked that p is prime and yields square rows of residues mod p."""
+    matrix = object.__new__(FfMatrix)
+    object.__setattr__(matrix, "p", p)
+    object.__setattr__(matrix, "entries", rows)
+    return matrix
+
+
 # Miller-Rabin with the prime bases up to 41 decides primality exactly below
 # this bound (Sorenson and Webster, strong pseudoprimes to twelve prime bases)
 MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -293,9 +302,10 @@ def theorem1_check(board: FerrersBoard, p: int) -> bool:
 
 def fiber_check(board: FerrersBoard, p: int) -> bool:
     """Every elimination fiber has size (p-1)^k p^(Area-k-inv(C,B))."""
+    p = _integral(p)
     fibers: dict[frozenset, int] = {}
     for entries, _ in enumerate_support_matrices(board, p):
-        c = elimination_placement(FfMatrix(p, entries), board)
+        c = elimination_placement(_walked(p, entries), board)
         fibers[c.cells] = fibers.get(c.cells, 0) + 1
     area = board.area
     for k in range(board.n + 1):

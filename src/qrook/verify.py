@@ -8,7 +8,10 @@ Every FAIL line names its check and instance; the hit-method,
 step-formula and Euler-Mahonian table comparisons add the first
 disagreeing index with each table's entry, the multiset-Mahonian checks
 the first differing exponent, and a check that raises IdentityViolation
-carries its message.  Suites are pure and embarrassingly parallel
+carries its message.  Any other exception a check raises is a FAIL line
+too, carrying its type and message, so no check ends a run with a
+traceback; only an AssertionError, a bare assert that python -O would
+strip, escapes.  Suites are pure and embarrassingly parallel
 across their instances.
 
 The checks fall into four groups:
@@ -345,12 +348,19 @@ def _poly_diff_detail(a: LaurentPoly, b: LaurentPoly) -> str:
 
 def _guarded(check: str, instance: str, fn: Callable[..., bool | str], *args) -> CheckResult:
     """Run one check.  It returns whether it holds, or a detail string
-    that is empty when it holds; an IdentityViolation raised inside it
-    becomes a FAIL line carrying its message, and the suite goes on."""
+    that is empty when it holds; an exception raised inside it becomes a
+    FAIL line carrying its message, after its type name unless it is an
+    IdentityViolation, and the suite goes on.  An AssertionError escapes:
+    it comes from a bare assert, which python -O strips, so as a FAIL line
+    it would read PASS under -O."""
     try:
         result = fn(*args)
+    except AssertionError:
+        raise
     except IdentityViolation as exc:
         return CheckResult(check, instance, False, str(exc))
+    except Exception as exc:
+        return CheckResult(check, instance, False, f"{type(exc).__name__}: {exc}")
     if isinstance(result, str):
         return CheckResult(check, instance, not result, result)
     return CheckResult(check, instance, result)

@@ -73,11 +73,19 @@ def test_ci_workflow_runs_both_test_suites():
     job = ci_job()
     assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11", "3.12", "3.13"]
     commands = [step["run"] for step in job["steps"] if "run" in step]
-    tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]*)`", (ROOT / "ROADMAP.md").read_text())
-    assert tier1.group(1) in commands
-    # and again with assert statements stripped, so no check can hide in one
-    assert tier1.group(1).replace("python -m pytest", "python -O -m pytest") in commands
-    assert "python -m pytest perfbench -q" in commands
+    tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]*)`", (ROOT / "ROADMAP.md").read_text()).group(1)
+    # every check is a test: the workflow runs tier-1, again with assert
+    # statements stripped so no check can hide in one, and the benchmark's
+    # self-test and traced pass, and nothing else
+    assert commands == [
+        "python -m pip install pytest hypothesis pyyaml",
+        tier1,
+        tier1.replace("python -m pytest", "python -O -m pytest"),
+        "python -m pytest perfbench -q",
+        "for workload in verify-identities word-stats board-queries rank-counts; do\n"
+        '  python3 perfbench/run.py --workload "$workload" --trace 1\n'
+        "done\n",
+    ]
 
 
 def test_ci_workflow_runs_a_traced_pass_of_every_workload():

@@ -70,3 +70,65 @@ def test_hit_all_methods_output():
         assert result.exit_code == 0 and result.output.endswith("CONSISTENT\n")
         h.update(result.output.encode())
     assert h.hexdigest() == "f0c68a1dc90f6eb6fd23417303a7b6ecef0b58a5aae4bb56e42e4f36c32547b8"
+
+
+def test_suite_outputs():
+    expected = {
+        "steps": ("TOTAL pass=2468 fail=0", "f601d23ec1a11b97790590c08411d20297ee88b0dcf5a4ef96926efa21fcb226"),
+        "unimodal": ("TOTAL pass=3505 fail=0", "736e14bb251a4aa6532b05cc9ab71cf5c817f43acce9c9751678d2fe96ef7b3f"),
+        "euler": ("TOTAL pass=255 fail=0", "2752204ff9f8353dc0898e893451d94405acf07095cf105a11123f44e8b4b464"),
+        "mahonian": ("TOTAL pass=2468 fail=0", "dd7ed491e9e5c19688c80e9420be3abc2a728726f7c80559a0cbb99f35227abf"),
+    }
+    for suite, (total, digest) in expected.items():
+        result = invoke(["verify", "--suite", suite, "--max-n", "5"])
+        assert result.exit_code == 0
+        assert result.output.splitlines()[-1] == total
+        assert hashlib.sha256(result.output.encode()).hexdigest() == digest
+
+
+def test_eq24_equals_defining_past_enumeration():
+    # 20! permutations, past enumeration: formula (24) against the defining
+    # product identity over the rook polynomials
+    bare = {}
+    for method in ("eq24", "defining"):
+        result = invoke(["hit", "--board", "stair:20", "--method", method, "--format", "text"])
+        assert result.exit_code == 0
+        bare[method] = result.output.replace(f" method={method}:", ":")
+    assert bare["eq24"] == bare["defining"]
+    assert len(bare["eq24"].splitlines()) == 21
+    assert hashlib.sha256(bare["eq24"].encode()).hexdigest() == (
+        "3b8be28310140842560fc58fdd1f97a62cf15bfa602fa11d60645d425531da52"
+    )
+
+
+def test_step_formulas_on_an_inadmissible_board():
+    # only the step formulas apply to steps:3x1, a column taller than the grid
+    for method in ("eq24", "eq26"):
+        result = invoke(["hit", "--board", "steps:3x1", "--method", method])
+        assert result.exit_code == 0
+        assert result.output == (
+            f'{{"coeffs": [-1, -1], "k": 0, "method": "{method}", "min_exp": 1}}\n'
+            f'{{"coeffs": [1, 1, 1], "k": 1, "method": "{method}", "min_exp": 0}}\n'
+        )
+
+
+def test_rank_counts_output():
+    # the primes the rank-counts benchmark queries
+    expected = {
+        ("stair:4", 3): "1,284,9300,37800,11664",
+        ("heights:" + ",".join(["1"] * 16), 2): "1,65535" + ",0" * 15,
+        ("heights:1,1,2,3", 5): "1,844,29280,48000,0",
+        ("heights:0,1,2,3", 7): "1,972,42588,74088,0",
+    }
+    for (board, p), ranks in expected.items():
+        result = invoke(["matrices", "--board", board, "--prime", str(p)])
+        assert result.exit_code == 0
+        assert result.output == f"ranks: {ranks}\nTHEOREM1 PASS\n"
+
+
+def test_block_statistics_of_one_word():
+    # the multiplicity vector (2, 3, 2) is read off the word
+    for stat, value in {"stat5": 10, "stat6": 12, "stat7": 12, "t5b": 10}.items():
+        result = invoke(["stats", "--word", "2313212", "--stat", stat])
+        assert result.exit_code == 0
+        assert result.output == f"{value}\n"

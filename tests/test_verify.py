@@ -664,25 +664,59 @@ class TestFailuresStayInTheSuite:
             expected = rf"FAIL elimination-fibers heights:0,1,2 p={p} pivots \[.+\] leave heights:0,1,2"
             assert re.fullmatch(expected, line)
 
+    @staticmethod
+    def bottom_entry_patch():
+        """A patch that puts a 1 in the corner of each walked matrix's bottom
+        row, which lies below every support when the first column is empty."""
+        real = ffmat._walked
+        with_bottom_entry = lambda p, entries: real(p, entries[:-1] + ((0,) * (len(entries) - 1) + (1,),))
+        return ffmat, "_walked", with_bottom_entry
+
     def test_entry_outside_the_support(self, monkeypatch):
         # a matrix with a nonzero entry below every support gets past a
         # support test that passes everything, and the elimination check
         # reports it
-        real = ffmat.FfMatrix
-
-        def with_bottom_entry(p, entries):
-            return real(p, entries[:-1] + ((0,) * (len(entries) - 1) + (1,),))
-
         fails = self.failing(
             monkeypatch,
             "ffmat",
             1,
-            [(real, "supported_on", lambda self, board: True), (ffmat, "FfMatrix", with_bottom_entry)],
+            [
+                (ffmat.FfMatrix, "supported_on", lambda self, board: True),
+                self.bottom_entry_patch(),
+            ],
         )
         assert fails == [
             f"FAIL elimination-fibers heights:0,1,2 p={p} elimination left the support of heights:0,1,2"
             for p in (2, 3)
         ]
+
+    def test_unsupported_matrix_is_a_failed_check(self, monkeypatch):
+        # the support test refuses the same matrix with a ValueError, which
+        # reads FAIL with its type, not a traceback
+        fails = self.failing(monkeypatch, "ffmat", 1, [self.bottom_entry_patch()])
+        assert fails == [
+            f"FAIL elimination-fibers heights:0,1,2 p={p} ValueError: matrix is not supported on the board"
+            for p in (2, 3)
+        ]
+
+    def test_budget_exceeded_in_a_check_is_a_failed_check(self, monkeypatch):
+        # the fiber walk over heights:0,1,2 at p = 3 has 27 matrices, past a
+        # budget of 10; the boards with n = 1 have at most 3
+        fails = self.failing(monkeypatch, "ffmat", 1, [(ffmat, "DEFAULT_BUDGET", 10)])
+        assert fails == [
+            "FAIL elimination-fibers heights:0,1,2 p=3"
+            " BudgetExceededError: p^Area = 3^3 = 27 exceeds the enumeration budget 10"
+        ]
+
+    def test_bare_assert_in_a_check_escapes(self, monkeypatch):
+        # python -O strips a bare assert, so it is a bug in the check, not a
+        # FAIL line that would read PASS under -O
+        def asserting(board, p):
+            raise AssertionError("pivot count must equal the rank")
+
+        monkeypatch.setattr(ffmat, "theorem1_check", asserting)
+        with pytest.raises(AssertionError, match="pivot count"):
+            self.verify_lines("ffmat", 1)
 
     def test_wrong_step_darga(self, monkeypatch):
         # every nonzero divided entry one power of q too high
