@@ -24,9 +24,10 @@ Conventions (matrix coordinates, row 1 on top):
   ``word_stat_polys`` computes the ``mat`` and ``xi`` tables by a
   dynamic program over word positions whose state is the vector of
   letters used, prod (d_i + 1) states in all, and ``eq24_divided`` and
-  ``_eq26_divided`` the formulas' tables.  The tests keep the walks over
-  every permutation (``mat_stat`` / ``xi_stat``) and over every word,
-  and the signed-term and per-vector sums of the formulas, as oracles.
+  ``_eq26_divided`` (eq. (25) folded over the blocks) the formulas'
+  tables.  The tests keep the walks over every permutation (``mat_stat``
+  / ``xi_stat``) and over every word, and the signed-term and per-vector
+  sums of the formulas, as oracles.
 
 The statistic kernels work on plain tuples for speed; the public
 functions accept :class:`Placement` values and validate their inputs.
@@ -302,9 +303,9 @@ def rook_poly(board: FerrersBoard, k: int) -> LaurentPoly:
 
 HIT_METHODS = ("mat", "xi", "defining", "eq24", "eq26")
 
-# the position scan keeps one table per vector of letters used, prod (d_i + 1)
-# over the blocks of a step spec: 2^n on a board of n distinct heights, n + 1
-# on a board of one height; eq26 sums over as many vectors e
+# the position scan of the mat and xi tables keeps one table per vector of
+# letters used, prod (d_i + 1) over the blocks of a step spec: 2^n on a board
+# of n distinct heights, n + 1 on a board of one height
 HIT_DP_MAX_STATES = 2**14
 
 
@@ -359,8 +360,8 @@ def hit_polys(board: FerrersBoard, method: str = "mat") -> tuple[LaurentPoly, ..
     word lifts to prod_i d_i! full placements with its hits, and within a
     block these differ from the canonical lift by inversions), for ``eq24``
     and ``eq26`` the divided table of the step-board formula, which raises
-    ``IdentityViolation`` where a guard fails.  ``mat``, ``xi`` and
-    ``eq26`` raise ``BudgetExceededError`` past ``HIT_DP_MAX_STATES``."""
+    ``IdentityViolation`` where a guard fails.  Only ``mat`` and ``xi``
+    have a budget: past ``HIT_DP_MAX_STATES`` they raise ``BudgetExceededError``."""
     validate_hit_method(board, method)
     if method == "defining":
         # sum_j [j]! R_{n-j} prod_{i=j+1}^{n} (x - q^i), a polynomial in x
@@ -592,55 +593,48 @@ def _eq26_divided(spec: StepSpec) -> tuple[LaurentPoly, ...]:
         prod_i [H_i - D_(i-1) + E_(i-1), d_i - e_i] [D_i + D_(i-1) - H_i - E_(i-1), e_i]
                q^(e_i (H_i - D_i + E_i))
 
-    to the entry with n - E_t hits.
+    to the entry with n - E_t hits.  Grouped by the hits r = D_(i-1) -
+    E_(i-1) of each prefix, that is (1,) folded over the blocks by
+    :func:`_eq25_step`, guarded under the overlap or dominance condition."""
+    name = str(spec) if spec.condition_overlap() or spec.condition_dominance() else None
+    table = (LaurentPoly.one(),)
+    for i, (D0, H, d) in enumerate(zip((0,) + spec.col_offsets, spec.block_heights, spec.widths), start=1):
+        table = _eq25_step(table, D0, H, d, name and f"{name} block={i}")
+    return table
 
-    A depth-first walk over the blocks, taking e_i = 0, ..., d_i at block
-    i, forms each prefix product once, and drops a prefix whose product is
-    zero with every vector that extends it.  So the vectors come in
-    lexicographic order, as the q-binomial calls do.  Under the overlap or
-    dominance condition each vector is checked: a nonzero product with a
-    negative bracket numerator, or a term with a negative coefficient,
-    raises IdentityViolation naming e.  The walk has prod (d_i + 1)
-    leaves, and past ``HIT_DP_MAX_STATES`` of them it raises
-    ``BudgetExceededError`` before it starts.
-    """
-    n, t = spec.n, spec.t
-    H = spec.block_heights
-    D = (0,) + spec.col_offsets
-    widths = spec.widths
-    vectors = math.prod(d + 1 for d in widths)
-    if vectors > HIT_DP_MAX_STATES:
-        raise BudgetExceededError(
-            f"eq26 over {len(widths)} blocks of total width {n} sums over {_count_text(widths)}"
-            f" vectors e, past the budget of {HIT_DP_MAX_STATES}"
-        )
-    conditions = spec.condition_overlap() or spec.condition_dominance()
-    table = [LaurentPoly.zero()] * (n + 1)
-    e = [0] * t
 
-    def walk(i: int, prod: LaurentPoly, E: int, exponent: int, negative: bool) -> None:
-        if i == t:
-            if conditions and negative:
-                raise IdentityViolation(f"{spec} e={tuple(e)}: a negative numerator left {prod}")
-            term = prod.shifted(exponent)
-            if conditions and any(c < 0 for _, c in term.items()):
-                raise IdentityViolation(
-                    f"{spec} e={tuple(e)}: term {term} is negative"
-                    " under the overlap or dominance condition"
-                )
-            table[n - E] = table[n - E] + term
-            return
-        m1 = H[i] - D[i] + E
-        m2 = D[i + 1] + D[i] - H[i] - E
-        negative = negative or m1 < 0 or m2 < 0
-        for ei in range(widths[i] + 1):
-            e[i] = ei
-            block = prod * q_binomial(m1, widths[i] - ei) * q_binomial(m2, ei)
-            if block:
-                walk(i + 1, block, E + ei, exponent + ei * (H[i] - D[i + 1] + E + ei), negative)
+def _eq25_step(
+    table: tuple[LaurentPoly, ...], D0: int, H: int, d: int, guard: str | None = None
+) -> tuple[LaurentPoly, ...]:
+    """Eq. (25): hit polynomials of a board of width D0, indexed by hits r
+    and divided by block factorials or not, extended by a block of height
+    H and width d: with n = D0 + d and E = D0 - r, entry r + d - e gains
+    table[r] [H - r, d - e] [n - H + r, e] q^(e (H - n + E + e)).
 
-    walk(0, LaurentPoly.one(), 0, 0, False)
-    return tuple(table)
+    With a ``guard`` (a message prefix), a nonzero factor applied to a
+    nonzero entry raises IdentityViolation if a bracket numerator or a
+    coefficient is negative; until one does, every entry is a sum of
+    nonnegative products, so a zero entry is one no vector e reaches."""
+    n = D0 + d
+    out = [LaurentPoly.zero()] * (n + 1)
+    for r, entry in enumerate(table):
+        if not entry:
+            continue
+        above, below = H - r, n - H + r  # the bracket numerators
+        for e in range(d + 1):
+            factor = q_binomial(above, d - e) * q_binomial(below, e)
+            if not factor:
+                continue
+            if guard is not None:
+                if above < 0 or below < 0:
+                    raise IdentityViolation(f"{guard} r={r} e={e}: a negative numerator left {factor}")
+                if any(c < 0 for _, c in factor.items()):
+                    raise IdentityViolation(
+                        f"{guard} r={r} e={e}: factor {factor} is negative"
+                        " under the overlap or dominance condition"
+                    )
+            out[r + d - e] += (entry * factor).shifted(e * (above - d + e))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Identity, recurrence, and unimodality checks, plus the named suites.
 
 Checks only: every hit table a check reads comes from the builders of
-:mod:`~qrook.placements` (``hit_polys``, ``word_stat_polys`` and the
-step formulas' divided tables).  Each check returns True on its whole
-desk-scale domain; a False from a suite is a build-breaking failure.
+:mod:`~qrook.placements` (``hit_polys``, ``word_stat_polys``, the step
+formulas' divided tables and their eq. (25) step, ``_eq25_step``).
+Each check returns True on its whole desk-scale domain; a False from a
+suite is a build-breaking failure.
 Every FAIL line names its check and instance; the hit-method,
 step-formula and Euler-Mahonian table comparisons add the first
 disagreeing index with each table's entry, the multiset-Mahonian checks
@@ -40,8 +41,10 @@ The checks fall into four groups:
 * the step-board formulas: the alternating q-binomial expansion and the
   composition expansion, equal to each other on every presentation of
   a step board and to the enumerated hit polynomials on admissible
-  ones, the truncation recurrence that peels off the last block, and
-  the symmetry/unimodality statements with their darga bookkeeping.
+  ones, the truncation recurrence that peels off the last block (one
+  eq. (25) step on the tables of the closed form (24), since the
+  composition expansion is that step folded), and the
+  symmetry/unimodality statements with their darga bookkeeping.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ from .boards import (
     triangular_board,
 )
 from .placements import (
+    _eq25_step,
     _eq26_divided,
     _widths_factorial,
     classical_hit_distribution,
@@ -247,38 +251,23 @@ def corollary3_check(v: Sequence[int]) -> bool:
 
 
 def recurrence25_check(spec: StepSpec) -> bool:
-    """Peeling off the last block (H_t, d_t): the divided hit polynomials
-    T_k / prod_i [d_i]! of the full board, rebuilt from those of the
-    truncated board B' by
+    """Peeling off the last block (H_t, d_t): the hit polynomials of the
+    truncated board B' rebuilt into those of the full board by eq. (25),
 
-        T_k(B) / prod_i [d_i]! = sum_r T_r(B') / prod_(i<t) [d_i]!
-                                 [H_t - r, k - r] [n - H_t + r, d_t + r - k]
-                                 q^((d_t + r - k)(H_t - k)),
+        T_k(B) = [d_t]! sum_r T_r(B') [H_t - r, k - r] [n - H_t + r, d_t + r - k]
+                        q^((d_t + r - k)(H_t - k)),
 
-    match those of the full board; both tables come from the composition
-    formula.  This is eq. (25) divided by the block factorials, which are
-    nonzero, so Z[q, q^-1] having no zero divisors makes it the same
-    check.  The empty board has nothing to peel off; its table must be
-    (1,)."""
+    one :func:`~qrook.placements._eq25_step`.  Both tables are the closed
+    form (24), ``hit_polys(..., "eq24")``: the composition formula is
+    this step folded over the blocks, so checking the step on its tables
+    would check it against itself.  The empty board has nothing to peel
+    off; its table must be (1,)."""
+    full = hit_polys(spec.expand(), "eq24")
     if not spec.t:
-        return _eq26_divided(spec) == (LaurentPoly.one(),)
-    n = spec.n
-    d_t = spec.widths[-1]
-    H_t = spec.block_heights[-1]
-    inner = _eq26_divided(spec.truncated())
-    full = _eq26_divided(spec)
-    for k in range(n + 1):
-        total = LaurentPoly.zero()
-        for r in range(max(0, k - d_t), min(k, n - d_t) + 1):
-            if not inner[r]:
-                continue
-            coeff = q_binomial(H_t - r, k - r) * q_binomial(n - H_t + r, d_t + r - k)
-            if not coeff:
-                continue
-            total = total + (inner[r] * coeff).shifted((d_t + r - k) * (H_t - k))
-        if total != full[k]:
-            return False
-    return True
+        return full == (LaurentPoly.one(),)
+    H, d = spec.block_heights[-1], spec.widths[-1]
+    peeled = _eq25_step(hit_polys(spec.truncated().expand(), "eq24"), spec.n - d, H, d)
+    return tuple(q_factorial(d) * t for t in peeled) == full
 
 
 # ---------------------------------------------------------------------------

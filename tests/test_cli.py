@@ -143,33 +143,31 @@ class TestHit:
                 f" states, past the budget of {placements.HIT_DP_MAX_STATES}\n"
             )
 
-    def test_eq26_at_and_past_its_vector_budget(self):
-        # stair:14 sums over 2^14 vectors e, exactly the budget
-        n = placements.HIT_DP_MAX_STATES.bit_length() - 1
-        result = run("hit", "--board", f"stair:{n}", "--k", str(n), "--method", "eq26")
-        assert result.exit_code == 0
-        assert json.loads(result.output) == {"k": n, "method": "eq26", "min_exp": 0, "coeffs": [1]}
-        result = run("hit", "--board", f"stair:{n + 1}", "--method", "eq26")
-        assert result.exit_code == 2
-        assert result.output == (
-            f"error: eq26 over {n + 1} blocks of total width {n + 1} sums over {2 ** (n + 1)} vectors e,"
-            f" past the budget of {placements.HIT_DP_MAX_STATES}\n"
-        )
+    @pytest.mark.parametrize("board", ["stair:15", "stair:30"])
+    def test_eq26_prints_the_eq24_tables(self, board):
+        # eq26 folds eq. (25) over the blocks, so a board past the word DP's
+        # budget, here 2^15 or 2^30 vectors e, has no budget of its own
+        tables = []
+        for method in ("eq26", "eq24"):
+            result = run("hit", "--board", board, "--method", method)
+            assert result.exit_code == 0
+            rows = [json.loads(line) for line in result.output.splitlines()]
+            assert {row.pop("method") for row in rows} == {method}
+            tables.append(rows)
+        assert tables[0] == tables[1]
+        assert len(tables[0]) == int(board.split(":")[1]) + 1
 
-    @pytest.mark.parametrize("method", ["mat", "xi", "eq26"])
+    @pytest.mark.parametrize("method", ["mat", "xi"])
     def test_far_past_the_budget_is_a_usage_error(self, method):
-        # 2^15000 states or vectors e has more digits than str() of an int
-        # prints, so the message shows the power; it names the blocks by
-        # their count and total width, so it stays one short line
+        # 2^15000 states has more digits than str() of an int prints, so the
+        # message shows the power; it names the blocks by their count and
+        # total width, so it stays one short line
         start = time.perf_counter()
         result = run("hit", "--board", "stair:15000", "--method", method)
         assert time.perf_counter() - start < 1
         assert result.exit_code == 2
         blocks, budget = "15000 blocks of total width 15000", placements.HIT_DP_MAX_STATES
-        if method == "eq26":
-            message = f"eq26 over {blocks} sums over 2^15000 vectors e, past the budget of {budget}"
-        else:
-            message = f"{method} tables over {blocks} need 2^15000 position-scan states, past the budget of {budget}"
+        message = f"{method} tables over {blocks} need 2^15000 position-scan states, past the budget of {budget}"
         assert result.output == f"error: {message}\n"
         assert len(result.output) < 200
 
@@ -231,8 +229,8 @@ class TestHit:
         "spelling,heights,method",
         [
             ("steps:0x1,1x1,0x2", "heights:0,1,1,1", "all"),
-            # fifteen width-1 blocks would be 2^15 vectors e, past the budget;
-            # the board is one block of width 15, 16 vectors
+            # fifteen width-1 blocks spell a board of one block of width 15,
+            # which eq26 reads as one eq. (25) step
             ("steps:1x1" + ",0x1" * 14, "heights:" + ",".join(["1"] * 15), "eq26"),
         ],
     )

@@ -88,6 +88,13 @@ def test_ci_workflow_runs_both_test_suites():
     ]
 
 
+def test_ci_job_has_a_time_limit():
+    # a query that lost its budget never returns, so a test's own time
+    # assert never runs; the job limit stops it in half an hour, where
+    # GitHub's default lets it run for six
+    assert ci_job()["timeout-minutes"] == 30
+
+
 def test_ci_workflow_runs_a_traced_pass_of_every_workload():
     (script,) = [step["run"] for step in ci_job()["steps"] if "perfbench/run.py" in step.get("run", "")]
     assert "--trace 1" in script

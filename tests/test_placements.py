@@ -12,6 +12,7 @@ from qrook.boards import (
     all_ferrers_boards,
     flip,
     staircase_board,
+    step_decomposition,
     triangular_board,
 )
 from qrook.placements import (
@@ -349,6 +350,24 @@ class TestStepFormulaRoutes:
     def test_other_routes_refuse_an_inadmissible_board(self, method):
         with pytest.raises(ValueError, match="^inadmissible board: only the step formulas eq24/eq26 apply$"):
             hit_polys(self.BOARD, method)
+
+    @pytest.mark.parametrize(
+        "board,states",
+        [
+            # fourteen blocks of width 1: the word DP's budget
+            (staircase_board(14), HIT_DP_MAX_STATES),
+            # n = 30 in four blocks of widths 8, 8, 7, 7
+            (FerrersBoard((4,) * 8 + (11,) * 8 + (19,) * 7 + (30,) * 7), 9 * 9 * 8 * 8),
+        ],
+        ids=["stair:14", "heights:4x8,11x8,19x7,30x7"],
+    )
+    def test_word_dp_and_the_step_formulas_agree_at_scale(self, board, states):
+        # the statistic route against both step formulas, far past the
+        # permutation walk's reach
+        assert math.prod(d + 1 for d in step_decomposition(board).widths) == states
+        eq24 = hit_polys(board, "eq24")
+        for method in ("mat", "xi", "eq26"):
+            assert hit_polys(board, method) == eq24, method
 
 
 class TestFactorization:

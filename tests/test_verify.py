@@ -278,9 +278,12 @@ class TestStepFormulas:
         ids=["exact", "zero-brackets-are-one", "negated-k1", "refuses-2-1"],
     )
     def test_eq26_walk_matches_vector_oracle(self, monkeypatch, corruption, max_n, message):
-        # the depth-first walk against the per-vector sum, on every spec with
-        # rises <= 3, inadmissible ones included: the same table, or the same
-        # first IdentityViolation when q_binomial is corrupted
+        # the fold over the blocks against the per-vector sum, on every spec
+        # with rises <= 3, inadmissible ones included: the same table, or,
+        # when q_binomial is corrupted, an IdentityViolation wherever the
+        # oracle raises one.  The fold checks each factor where the oracle
+        # checks each term, so it may raise where the oracle does not; its
+        # guards name the block, the prefix's hits r and e, not the vector e
         def binomial(m, k):
             if corruption == "zero-brackets-are-one" and 0 <= m < k:
                 return LaurentPoly.one()
@@ -292,12 +295,20 @@ class TestStepFormulas:
 
         monkeypatch.setattr(placements, "q_binomial", binomial)
         violations = []
+        guarded = (
+            r" block=\d+ r=\d+ e=\d+: (a negative numerator left .*"
+            r"|factor .* is negative under the overlap or dominance condition)"
+        )
         for n in range(max_n + 1):
             for spec in all_step_specs(n):
-                walked = outcome(placements._eq26_divided, spec)
-                assert walked == outcome(lambda s: eq26_divided_by_vectors(s, binomial), spec), spec
-                if isinstance(walked, str):
-                    violations.append(walked)
+                folded = outcome(placements._eq26_divided, spec)
+                oracle = outcome(lambda s: eq26_divided_by_vectors(s, binomial), spec)
+                if isinstance(folded, str):
+                    violations.append(folded)
+                    if folded != oracle:
+                        assert re.fullmatch(re.escape(str(spec)) + guarded, folded), folded
+                else:
+                    assert folded == oracle, spec
         if message is None:
             assert not violations
         else:
@@ -308,6 +319,11 @@ class TestStepFormulas:
     ORACLE_SPECS = [spec for n in range(1, 6) for spec in all_step_specs(n)] + [
         spec for n in range(7, 10) for spec in seeded_admissible_specs(n)
     ]
+
+    def test_eq26_matches_vector_oracle_on_the_seeded_specs(self):
+        # the n <= 5 specs are in test_eq26_walk_matches_vector_oracle[exact]
+        for spec in self.ORACLE_SPECS[3124:]:
+            assert placements._eq26_divided(spec) == eq26_divided_by_vectors(spec), spec
 
     def test_eq24_matches_signed_term_oracle(self):
         assert len(self.ORACLE_SPECS) == 3124 + 30
@@ -353,6 +369,28 @@ class TestStepFormulas:
             table = placements.eq24_divided(spec)
         assert table == eq24_signed_terms(spec)
         assert 0 < calls <= (spec.n + 1) * spec.t
+
+    def test_eq26_folds_the_blocks(self, monkeypatch):
+        # at most two products per prefix hit count r and e at each block,
+        # sum_i (D_(i-1) + 1)(d_i + 1) pairs: the 2^20 vectors e of stair:20
+        # are never walked
+        spec = step_decomposition(staircase_board(20))
+        bound = 2 * sum((D + 1) * (d + 1) for D, d in zip((0,) + spec.col_offsets, spec.widths))
+        assert bound == 840
+        placements._eq26_divided(spec)  # fill the q-binomial cache
+        real = LaurentPoly.__mul__
+        calls = 0
+
+        def counting(a, b):
+            nonlocal calls
+            calls += 1
+            return real(a, b)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(LaurentPoly, "__mul__", counting)
+            table = placements._eq26_divided(spec)
+        assert table == placements.eq24_divided(spec)
+        assert 0 < calls <= bound
 
 
 class TestUnimodality:
@@ -598,26 +636,31 @@ class TestFailuresStayInTheSuite:
         assert len(lines) == len(list(run_suites(["hit"], 2)))
 
     def test_wrong_truncated_table(self, monkeypatch):
-        # one entry of the divided table of steps:1x2 is off by a factor q:
-        # the recurrence fails where that spec is the full or the truncated
-        # board, and the formula check shows both tables times [2]!
-        real = verify._eq26_divided
-        target = StepSpec(((1, 2),))
+        # one entry of the eq24 table of heights:1,1 is off by a factor q:
+        # the recurrence fails wherever that board is the full or the
+        # truncated board, in both of its presentations, steps:1x2 and
+        # steps:1x1,0x1; the formula check reads the divided tables and the
+        # mat hit polynomials, so it still passes
+        real = verify.hit_polys
+        target = FerrersBoard((1, 1))
 
-        def corrupted(spec):
-            table = real(spec)
-            return table[:1] + (table[1].shifted(1),) + table[2:] if spec == target else table
+        def corrupted(board, method="mat"):
+            table = real(board, method)
+            return table[:1] + (table[1].shifted(1),) + table[2:] if (board, method) == (target, "eq24") else table
 
         with monkeypatch.context() as patch:
-            patch.setattr(verify, "_eq26_divided", corrupted)
+            patch.setattr(verify, "hit_polys", corrupted)
             code, lines = self.verify_lines("steps", 3)
         assert code == 1
         assert [line for line in lines if line.startswith("FAIL ")] == [
-            "FAIL step-formulas-agree steps:1x2 k=1 eq24=1 + q eq26=q + q^2 enumerated=1 + q",
             "FAIL step-truncation-recurrence steps:1x2",
+            "FAIL step-truncation-recurrence steps:1x1,0x1",
             "FAIL step-truncation-recurrence steps:1x2,0x1",
             "FAIL step-truncation-recurrence steps:1x2,1x1",
             "FAIL step-truncation-recurrence steps:1x2,2x1",
+            "FAIL step-truncation-recurrence steps:1x1,0x1,0x1",
+            "FAIL step-truncation-recurrence steps:1x1,0x1,1x1",
+            "FAIL step-truncation-recurrence steps:1x1,0x1,2x1",
         ]
         assert len(lines) == len(self.verify_lines("steps", 3)[1])
 
