@@ -51,7 +51,6 @@ from .placements import (
     BudgetExceededError,
     Placement,
     cross_stat,
-    enumerate_placements,
     factorization_check,
     hit_polys,
     inv_stat,

@@ -9,8 +9,8 @@ eight-variant statistic table over a symmetric group).
 Exit codes: 0 on success and all-pass verification, 1 when any suite
 check fails (a ``hit`` or ``matrices`` computation whose own check
 raises prints ``error: <message>`` on stderr), 2 on usage errors (bad
-board spec, malformed word, enumeration or dynamic-program budget
-exceeded).  Output is
+board spec, malformed word, a ``stats`` option the statistic does not
+take, enumeration or dynamic-program budget exceeded).  Output is
 deterministic: identical invocations produce byte-identical output.
 
 ``main(argv=None, standalone_mode=True)`` parses ``argv`` (``sys.argv[1:]``
@@ -133,20 +133,25 @@ STAT_NAMES = [
     "stat1", "stat2", "stat3", "stat4", "stat5", "stat6", "stat7",
     "t5a", "t5b",
 ]
+FAMILY_STATS = ("stat1", "stat2", "stat3", "stat4")
 
 
-def stats_cmd(word_text: str, stat_name: str, family: str, variant: int | None):
+def stats_cmd(word_text: str, stat_name: str, family: str | None, variant: int | None):
     """Evaluate a statistic on a word or permutation.  The block-board
     statistics (stat5-7, t5b) take the word's multiplicity vector from
-    its letters."""
+    its letters; --family and --variant apply to stat1-4 only."""
+    if stat_name not in FAMILY_STATS:
+        for option, value in (("--family", family), ("--variant", variant)):
+            if value is not None:
+                _fail_usage(f"{option} applies to stat1-stat4 only, not to {stat_name}")
     try:
         word = permstat.parse_word(word_text)
     except ValueError as exc:
         _fail_usage(str(exc))
     try:
-        if stat_name in ("stat1", "stat2", "stat3", "stat4"):
+        if stat_name in FAMILY_STATS:
             chosen = variant if variant is not None else int(stat_name[-1])
-            value = permstat.stat_family(word, family, chosen)
+            value = permstat.stat_family(word, family or "mat", chosen)
         elif stat_name == "t5a":
             value = permstat.theorem5_stat(word)
         elif stat_name == "t5b":
@@ -238,8 +243,8 @@ def _parser() -> argparse.ArgumentParser:
     add = command("stats", stats_cmd)
     add("--word", dest="word_text", required=True, help="word literal, e.g. 2313212 or 2,3,1")
     add("--stat", dest="stat_name", required=True, choices=STAT_NAMES)
-    add("--family", choices=["mat", "xi"], default="mat")
-    add("--variant", type=int, choices=range(1, 9))
+    add("--family", choices=["mat", "xi"], help="stat1-4 only; mat if omitted")
+    add("--variant", type=int, choices=range(1, 9), help="stat1-4 only")
     add = command("matrices", matrices_cmd)
     add("--board", dest="board_spec", required=True)
     add("--prime", type=int, required=True)

@@ -10,7 +10,9 @@ replaced by 1/q inside it:
 
 The bridge between the two is the left-to-right, bottom-up elimination
 procedure, which maps each supported matrix to a non-attacking rook
-placement of its rank; its fibers have size (p-1)^k * p^(Area-k-inv).
+placement of its rank; its fibers have size (p-1)^k * p^(Area-k-inv), so
+the placements it reaches, each weighted by q^inv, sum to R_k(B) and
+``fiber_check`` needs no walk over placements.
 
 Prime moduli only: the formula route covers arbitrary q symbolically,
 so extension fields would add no verification power here.  Enumeration
@@ -37,7 +39,7 @@ from typing import Iterator
 
 from .boards import FerrersBoard, staircase_board
 from .placements import BudgetExceededError, Placement, _decimal, _one_minus_z_q
-from .placements import enumerate_placements, inv_stat, rook_poly
+from .placements import inv_stat, rook_poly
 from .qpoly import BivariatePoly, IdentityViolation, LaurentPoly, _integral, q_stirling
 
 DEFAULT_BUDGET = 10**7
@@ -301,18 +303,26 @@ def theorem1_check(board: FerrersBoard, p: int) -> bool:
 
 
 def fiber_check(board: FerrersBoard, p: int) -> bool:
-    """Every elimination fiber has size (p-1)^k p^(Area-k-inv(C,B))."""
+    """The elimination's fibers, read off the placements it reaches: the
+    fiber over a k-rook placement C has (p-1)^k p^(Area-k-inv(C,B))
+    matrices, the reached k-rook placements weighted by q^inv sum to
+    R_k(B) for every k, so every placement is reached, and the fibers
+    hold all p^Area matrices."""
     p = _integral(p)
     fibers: dict[frozenset, int] = {}
     for entries, _ in enumerate_support_matrices(board, p):
         c = elimination_placement(_walked(p, entries), board)
         fibers[c.cells] = fibers.get(c.cells, 0) + 1
     area = board.area
-    for k in range(board.n + 1):
-        for c in enumerate_placements(board, k):
-            expected = (p - 1) ** k * p ** (area - k - inv_stat(c, board))
-            if fibers.get(c.cells, 0) != expected:
-                return False
+    reached = [{} for _ in range(board.n + 1)]
+    for cells, size in fibers.items():
+        c = Placement(cells)
+        inv = inv_stat(c, board)
+        if size != (p - 1) ** c.k * p ** (area - c.k - inv):
+            return False
+        reached[c.k][inv] = reached[c.k].get(inv, 0) + 1
+    if any(LaurentPoly(counts) != rook_poly(board, k) for k, counts in enumerate(reached)):
+        return False
     return sum(fibers.values()) == p**area
 
 

@@ -10,9 +10,8 @@ Conventions (matrix coordinates, row 1 on top):
   holds a rook, lies above a rook in its column, or lies right of a
   rook in its row -- its generating function over all k-rook placements
   is the q-rook polynomial.  ``rook_poly`` computes it by the
-  Garsia-Remmel column recurrence, in polynomial time; the placement
-  walk (``enumerate_placements`` with ``inv_stat``) is kept as its
-  oracle and for the elimination fibers;
+  Garsia-Remmel column recurrence, in polynomial time; ``inv_stat``
+  reads the statistic off one placement, for the elimination fibers;
 * the hit polynomial with k hits is generated over full placements with
   exactly k rooks on the board.  ``hit_polys`` is the one builder of the
   table T_0..T_n, by any of ``HIT_METHODS``: the crossing statistic
@@ -31,8 +30,8 @@ Conventions (matrix coordinates, row 1 on top):
 
 The statistic kernels work on plain tuples for speed; the public
 functions accept :class:`Placement` values and validate their inputs.
-Everything is pure and immutable, so summations over placements may be
-partitioned across workers freely.
+Everything is pure and immutable, so sums over permutations and words may
+be partitioned across workers freely.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import sub
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .boards import FerrersBoard, StepSpec, step_decomposition
 from .qpoly import BivariatePoly, IdentityViolation, LaurentPoly, _integral, darga, is_symmetric
@@ -88,73 +87,8 @@ class Placement:
 
 
 # ---------------------------------------------------------------------------
-# Enumeration
-# ---------------------------------------------------------------------------
-
-
-def _iter_placements_raw(heights: tuple[int, ...], k: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """k-rook placements as sorted cell tuples, generated row by row with
-    columns in ascending order within a row."""
-    n = len(heights)
-    cells: list[tuple[int, int]] = []
-    used_cols = [False] * (n + 1)
-
-    def rec(row: int, remaining: int):
-        if remaining == 0:
-            yield tuple(cells)
-            return
-        if n - row + 1 < remaining:
-            return
-        # rook in this row
-        for col in range(1, n + 1):
-            if not used_cols[col] and row <= heights[col - 1]:
-                used_cols[col] = True
-                cells.append((row, col))
-                yield from rec(row + 1, remaining - 1)
-                cells.pop()
-                used_cols[col] = False
-        # or no rook in this row
-        yield from rec(row + 1, remaining)
-
-    yield from rec(1, k)
-
-
-def enumerate_placements(board: FerrersBoard, k: int) -> Iterator[Placement]:
-    """Every placement of k non-attacking rooks on the board, exactly once.
-    An enumeration oracle: with ``inv_stat`` it gives the q-rook
-    polynomial the slow way, and the elimination fibers use it."""
-    if not board.admissible:
-        raise ValueError("placement enumeration needs an admissible board")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    for cells in _iter_placements_raw(board.heights, k):
-        yield Placement(frozenset(cells))
-
-
-# ---------------------------------------------------------------------------
 # Statistic kernels on raw tuples
 # ---------------------------------------------------------------------------
-
-
-def _inv_raw(cells: Iterable[tuple[int, int]], heights: tuple[int, ...]) -> int:
-    # Uncovered board square: no rook at or below it in its column, no rook
-    # at or left of it in its row.
-    col_row = {}
-    row_col = {}
-    for r, c in cells:
-        col_row[c] = r
-        row_col[r] = c
-    count = 0
-    for col, h in enumerate(heights, start=1):
-        rook_row = col_row.get(col, 0)
-        for row in range(1, h + 1):
-            if rook_row >= row:
-                continue
-            rc = row_col.get(row)
-            if rc is not None and rc <= col:
-                continue
-            count += 1
-    return count
 
 
 def _hits(sigma: tuple[int, ...], heights: tuple[int, ...]) -> int:
@@ -226,12 +160,21 @@ _STAT_KERNELS = {"mat": _mat_raw, "xi": _xi_raw}
 
 
 def inv_stat(placement: Placement, board: FerrersBoard) -> int:
-    """Board squares left uncovered by the crossing-out rule; the
-    statistic of the placement-walk oracle for ``rook_poly``."""
+    """Board squares left uncovered by the crossing-out rule: those with no
+    rook at or below them in their column and none at or left of them in
+    their row.  The fiber of the elimination over a k-rook placement C has
+    (p-1)^k p^(Area-k-inv(C)) matrices."""
+    row_col = dict(placement.cells)
+    col_row = {c: r for r, c in placement.cells}
     for r, c in placement.cells:
         if not board.contains(r, c):
             raise ValueError(f"cell {(r, c)} is off the board")
-    return _inv_raw(placement.cells, board.heights)
+    count = 0
+    for col, h in enumerate(board.heights, start=1):
+        for row in range(col_row.get(col, 0) + 1, h + 1):
+            if row_col.get(row, col + 1) > col:
+                count += 1
+    return count
 
 
 def cross_stat(placement: Placement, board: FerrersBoard) -> int:
@@ -281,8 +224,9 @@ def rook_poly(board: FerrersBoard, k: int) -> LaurentPoly:
     Each value recurses through this cache on the board minus its last
     column, so boards sharing a column prefix share the work.  Defined for
     every Ferrers board, admissible or not, and zero for k outside 0..n.
-    The oracle is the placement walk: the sum of q^inv_stat over
-    ``enumerate_placements``."""
+    Its oracle in the tests sums q^uncovered over every choice of k rows
+    and an injective map of them to columns; ``ffmat.fiber_check`` sums
+    q^inv_stat over the placements the elimination reaches."""
     n = board.n
     if not 0 <= k <= n:
         return LaurentPoly.zero()

@@ -233,21 +233,25 @@ def zsu_atom(d: int, i: int) -> LaurentPoly:
 
 
 def rook_poly_by_cells(heights: tuple[int, ...], k: int) -> LaurentPoly:
-    """q-rook polynomial of any Ferrers board by trying every k-set of
-    cells: a non-attacking set counts q^(uncovered squares), where a
+    """q-rook polynomial of any Ferrers board by trying every choice of k
+    rows and an injective map of them to columns: when every rook lands on
+    a board cell, the placement counts q^(uncovered squares), where a
     square is covered when it holds a rook, lies above a rook in its
     column or lies right of a rook in its row."""
     cells = [(r, c) for c, h in enumerate(heights, start=1) for r in range(1, h + 1)]
+    rows = range(1, max(heights, default=0) + 1)
     counts: dict[int, int] = {}
-    for rooks in itertools.combinations(cells, k):
-        if len({r for r, _ in rooks}) < k or len({c for _, c in rooks}) < k:
-            continue
-        uncovered = sum(
-            1
-            for r, c in cells
-            if not any((c == rc and r <= rr) or (r == rr and c >= rc) for rr, rc in rooks)
-        )
-        counts[uncovered] = counts.get(uncovered, 0) + 1
+    for chosen in itertools.combinations(rows, k):
+        for cols in itertools.permutations(range(1, len(heights) + 1), k):
+            rooks = list(zip(chosen, cols))
+            if any(r > heights[c - 1] for r, c in rooks):
+                continue
+            uncovered = sum(
+                1
+                for r, c in cells
+                if not any((c == rc and r <= rr) or (r == rr and c >= rc) for rr, rc in rooks)
+            )
+            counts[uncovered] = counts.get(uncovered, 0) + 1
     return LaurentPoly(counts)
 
 

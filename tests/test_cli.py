@@ -16,7 +16,7 @@ import pytest
 
 from qrook import ffmat, placements, verify
 from qrook.boards import compositions
-from qrook.cli import _PARSER, STAT_NAMES, main
+from qrook.cli import _PARSER, FAMILY_STATS, STAT_NAMES, main
 from qrook.permstat import des, exc, joint_distribution, maj, stat6, stat7, words_over
 from qrook.qpoly import LaurentPoly, q_factorial
 
@@ -299,21 +299,31 @@ class TestStats:
         assert "below 1" in result.output
 
     def test_every_small_word_and_statistic(self):
-        # every word of a composition of 1..4, every statistic, both
-        # families, with and without a variant: exit codes and output
+        # every word of a composition of 1..4 and every statistic, stat1-4
+        # under both families, with and without a variant: exit codes and
+        # output
         h = hashlib.sha256()
         runs = 0
         for v in compositions(range(1, 5)):
             for w in words_over(v):
                 for name in STAT_NAMES:
-                    for family in ("mat", "xi"):
-                        for extra in ((), ("--variant", "6")):
-                            args = ["stats", "--word", "".join(map(str, w)), "--stat", name, "--family", family, *extra]
-                            result = run(*args)
-                            h.update(repr((args, result.exit_code, result.output)).encode())
-                            runs += 1
-        assert runs == 4784
-        assert h.hexdigest() == "7eb3ae474f0b63027f3b49cc0c804488f7ccc3eba0de1f7f9937b8031e228418"
+                    options = [()]
+                    if name in FAMILY_STATS:
+                        options = [("--family", f, *extra) for f in ("mat", "xi") for extra in ((), ("--variant", "6"))]
+                    for extra in options:
+                        args = ["stats", "--word", "".join(map(str, w)), "--stat", name, *extra]
+                        result = run(*args)
+                        h.update(repr((args, result.exit_code, result.output)).encode())
+                        runs += 1
+        assert runs == 2300
+        assert h.hexdigest() == "212140c6f4a86a77a98fb5c34740515a690cf3c13e3dc387a13f3aa9e9a659e0"
+
+    @pytest.mark.parametrize("name", sorted(set(STAT_NAMES) - set(FAMILY_STATS)))
+    @pytest.mark.parametrize("option", [("--family", "mat"), ("--family", "xi"), ("--variant", "3")], ids="=".join)
+    def test_option_of_another_statistic_is_usage_error(self, name, option):
+        result = run("stats", "--word", "12", "--stat", name, *option)
+        assert result.exit_code == 2
+        assert result.output == f"error: {option[0]} applies to stat1-stat4 only, not to {name}\n"
 
     def test_den_needs_permutation(self):
         assert run("stats", "--word", "11", "--stat", "den").exit_code == 2

@@ -88,6 +88,16 @@ def test_ci_workflow_runs_both_test_suites():
     ]
 
 
+def test_ci_installs_exactly_the_test_extra():
+    # `pip install -e .[test]` gets what CI gets, so no test that CI runs
+    # skips elsewhere for want of a package
+    (extra,) = re.findall(r"^test = (\[.*\])$", (ROOT / "pyproject.toml").read_text(), re.M)
+    (install,) = [step["run"] for step in ci_job()["steps"] if "pip install" in step.get("run", "")]
+    command, packages = install.split()[:4], install.split()[4:]
+    assert command == ["python", "-m", "pip", "install"]
+    assert sorted(packages) == sorted(ast.literal_eval(extra))
+
+
 def test_ci_job_has_a_time_limit():
     # a query that lost its budget never returns, so a test's own time
     # assert never runs; the job limit stops it in half an hour, where

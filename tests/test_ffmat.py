@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 from cli_runner import invoke
-from oracles import is_prime_by_trial_division, rank_counts_by_columns
+from oracles import is_prime_by_trial_division, rank_counts_by_columns, rook_numbers
 
 from qrook import ffmat
 from qrook.boards import FerrersBoard, all_ferrers_boards, staircase_board
@@ -23,7 +23,7 @@ from qrook.ffmat import (
     rank_sum_check,
     theorem1_check,
 )
-from qrook.placements import Placement, enumerate_placements, inv_stat, rook_poly
+from qrook.placements import Placement, inv_stat, rook_poly
 from qrook.qpoly import LaurentPoly
 
 DEF1 = FerrersBoard((0, 1, 2))
@@ -344,14 +344,17 @@ class TestElimination:
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_fibers_directly(self, p):
+        # every fiber has the size inv_stat gives it, and as many k-rook
+        # placements are reached as the board has at q = 1
         fibers = {}
         for entries, _ in enumerate_support_matrices(DEF1, p):
             c = elimination_placement(FfMatrix(p, entries), DEF1)
-            fibers[c.cells] = fibers.get(c.cells, 0) + 1
-        for k in range(4):
-            for c in enumerate_placements(DEF1, k):
-                expected = (p - 1) ** k * p ** (DEF1.area - k - inv_stat(c, DEF1))
-                assert fibers.get(c.cells, 0) == expected
+            fibers[c] = fibers.get(c, 0) + 1
+        for c, size in fibers.items():
+            assert size == (p - 1) ** c.k * p ** (DEF1.area - c.k - inv_stat(c, DEF1))
+        reached = [sum(c.k == k for c in fibers) for k in range(4)]
+        assert reached == rook_numbers(DEF1.heights)
+        assert sum(fibers.values()) == p**DEF1.area
 
 
 class TestCorollaries:

@@ -22,7 +22,6 @@ from qrook.placements import (
     _hits,
     classical_hit_distribution,
     cross_stat,
-    enumerate_placements,
     factorization_check,
     hit_polys,
     inv_stat,
@@ -68,25 +67,6 @@ class TestPlacementType:
         assert reflect(Placement.from_permutation((2, 1)), 2).sigma(2) == (2, 1)
 
 
-class TestEnumeration:
-    def test_counts(self):
-        assert len(list(enumerate_placements(staircase_board(2), 1))) == 3
-        assert list(enumerate_placements(DEF1, 0)) == [P()]
-        two = list(enumerate_placements(staircase_board(2), 2))
-        assert two == [P((1, 1), (2, 2))]
-
-    def test_impossible_is_empty(self):
-        assert list(enumerate_placements(DEF1, 3)) == []
-
-    def test_each_exactly_once(self):
-        seen = list(enumerate_placements(staircase_board(3), 2))
-        assert len(seen) == len(set(seen))
-
-    def test_inadmissible_rejected(self):
-        with pytest.raises(ValueError):
-            list(enumerate_placements(FerrersBoard((3,)), 1))
-
-
 class TestInv:
     def test_empty_placement_leaves_area(self):
         for b in (DEF1, staircase_board(3)):
@@ -120,21 +100,12 @@ class TestRookPoly:
                 assert rook_sum_identity(b)
 
 
-def placement_walk(board, k):
-    """The enumeration oracle: sum of q^inv over all k-rook placements."""
-    counts = {}
-    for placement in enumerate_placements(board, k):
-        e = inv_stat(placement, board)
-        counts[e] = counts.get(e, 0) + 1
-    return LaurentPoly(counts)
-
-
 class TestRookPolyOracles:
     @pytest.mark.parametrize("n", range(0, 6))
     def test_recurrence_matches_placement_walk(self, n):
         for b in all_ferrers_boards(n):
             for k in range(n + 1):
-                assert rook_poly(b, k) == placement_walk(b, k)
+                assert rook_poly(b, k) == rook_poly_by_cells(b.heights, k)
 
     @pytest.mark.parametrize(
         "board",
@@ -143,7 +114,7 @@ class TestRookPolyOracles:
     )
     def test_recurrence_matches_placement_walk_at_six(self, board):
         for k in range(7):
-            assert rook_poly(board, k) == placement_walk(board, k)
+            assert rook_poly(board, k) == rook_poly_by_cells(board.heights, k)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_identities_on_larger_boards(self, seed):

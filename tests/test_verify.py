@@ -696,6 +696,15 @@ class TestFailuresStayInTheSuite:
         fails = self.failing(monkeypatch, "ffmat", 1, [(ffmat, "inv_stat", wrong_inv)])
         assert fails == [f"FAIL elimination-fibers heights:0,1,2 p={p}" for p in (2, 3)]
 
+    def test_reached_placements_sum_to_the_rook_polynomial(self, monkeypatch):
+        # R_k one factor q too high: the placements the elimination reaches,
+        # weighted by q^inv, no longer sum to it
+        real = ffmat.rook_poly
+        times_q = lambda board, k: real(board, k).shifted(1)
+        fails = self.failing(monkeypatch, "ffmat", 1, [(ffmat, "rook_poly", times_q)])
+        for p in (2, 3):
+            assert f"FAIL elimination-fibers heights:0,1,2 p={p}" in fails
+
     def test_pivots_off_the_board(self, monkeypatch):
         # a board that misses the top square of each column loses every
         # pivot that sits there
