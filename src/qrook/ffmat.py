@@ -38,7 +38,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .boards import FerrersBoard, staircase_board
-from .placements import BudgetExceededError, Placement, _decimal, _one_minus_z_q
+from .placements import BudgetExceededError, Placement, _decimal
 from .placements import inv_stat, rook_poly
 from .qpoly import BivariatePoly, IdentityViolation, LaurentPoly, _integral, q_stirling
 
@@ -353,10 +353,11 @@ def corollary2_check(board: FerrersBoard) -> bool:
     # nested: P_n + (1 - x)(P_(n-1) + (1 - xq)(P_(n-2) + ...))
     lhs = BivariatePoly.zero()
     for k in range(n, -1, -1):
-        lhs = lhs * _one_minus_z_q(k) + BivariatePoly.from_laurent(p_k_formula(board, n - k))
+        lhs = lhs.times_linear(LaurentPoly.one(), LaurentPoly.dense(k, (-1,)))
+        lhs += BivariatePoly.from_laurent(p_k_formula(board, n - k))
     rhs = BivariatePoly.one()
     for i, c in enumerate(board.heights, start=1):
-        rhs = rhs * BivariatePoly.series((LaurentPoly.dense(c, (1,)), LaurentPoly.dense(i - 1, (-1,))))
+        rhs = rhs.times_linear(LaurentPoly.dense(c, (1,)), LaurentPoly.dense(i - 1, (-1,)))
     return lhs == rhs
 
 

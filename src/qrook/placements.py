@@ -22,11 +22,11 @@ Conventions (matrix coordinates, row 1 on top):
   the board's maximal step decomposition times the block factorials:
   ``word_stat_polys`` computes the ``mat`` and ``xi`` tables by a
   dynamic program over word positions whose state is the vector of
-  letters used, prod (d_i + 1) states in all, and ``eq24_divided`` and
-  ``_eq26_divided`` (eq. (25) folded over the blocks) the formulas'
-  tables.  The tests keep the walks over every permutation (``mat_stat``
-  / ``xi_stat``) and over every word, and the signed-term and per-vector
-  sums of the formulas, as oracles.
+  letters used, prod (d_i + 1) states in all, and ``eq24_divided`` (on
+  Kronecker-packed integers) and ``_eq26_divided`` (eq. (25) folded over
+  the blocks) the formulas' tables.  The tests keep the walks over every
+  permutation (``mat_stat`` / ``xi_stat``) and over every word, and the
+  signed-term and per-vector sums of the formulas, as oracles.
 
 The statistic kernels work on plain tuples for speed; the public
 functions accept :class:`Placement` values and validate their inputs.
@@ -41,11 +41,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import sub
 from typing import Iterable
 
 from .boards import FerrersBoard, StepSpec, step_decomposition
 from .qpoly import BivariatePoly, IdentityViolation, LaurentPoly, _integral, darga, is_symmetric
+from .qpoly import _kronecker_width, _l1_norm, _pack, _unpack
 from .qpoly import q_binomial, q_bracket, q_factorial
 
 _ONE_MINUS_Q = LaurentPoly.dense(0, (1, -1))
@@ -313,8 +313,8 @@ def hit_polys(board: FerrersBoard, method: str = "mat") -> tuple[LaurentPoly, ..
         n = board.n
         acc = BivariatePoly.zero()
         for j in range(n + 1):
-            z_minus_qj = BivariatePoly.series((LaurentPoly.dense(j, (-1,)), LaurentPoly.one()))
-            acc = acc * z_minus_qj + BivariatePoly.from_laurent(q_factorial(j) * rook_poly(board, n - j))
+            acc = acc.times_linear(LaurentPoly.dense(j, (-1,)), LaurentPoly.one())
+            acc += BivariatePoly.from_laurent(q_factorial(j) * rook_poly(board, n - j))
         return tuple(acc.coefficient(k) for k in range(n + 1))
     spec = step_decomposition(board)
     if method == "eq24":
@@ -468,9 +468,16 @@ def eq24_divided(spec: StepSpec) -> tuple[LaurentPoly, ...]:
     coefficients of (1 - x)(1 - xq)...(1 - xq^n), so the k-hit entry is the
     x^(n-k) coefficient of that product times sum_s P_s x^s.  The table is
     built as n+1 passes, each multiplying by one factor 1 - xq^i, that
-    subtract every row shifted by i exponents from the row above it; the
-    rows are dense coefficient lists sharing one lowest exponent, from the
-    first nonzero P_s up, and forming no polynomial product.
+    subtract every row shifted by i exponents from the row above it.  The
+    rows are integers at q = 2^w (Kronecker substitution), sharing one
+    lowest exponent: row s starts as the product of the packed brackets of
+    P_s, shifted to it, a pass is one shift and one subtraction per row,
+    and no polynomial product is formed; each row is unpacked once at the
+    end.  With |p|_1 the sum of the absolute values of p's coefficients,
+    a coefficient of P_s is at most prod_i |[s + H_i - D_(i-1), d_i]|_1 in
+    magnitude, and a pass at most doubles the largest magnitude in the
+    table, so w holds 2^(n+1) max_s prod_i |bracket_i|_1 and a sign bit,
+    in whole bytes: every coefficient is one signed w-bit digit.
 
     A P_s with any negative bracket numerator, that is with
     s < max_i (D_(i-1) - H_i), must vanish (the cancellation the closed
@@ -479,55 +486,55 @@ def eq24_divided(spec: StepSpec) -> tuple[LaurentPoly, ...]:
     is nonzero and symmetric with darga j n, and Z[q, q^-1] has no zero
     divisors, so that holds exactly when P_s is symmetric with darga
     ``darga_target(spec) - n(n - s)``, which is what is checked, once
-    per nonzero P_s.  IdentityViolation reports a product that does not
-    vanish, or the first failing term, the one at k = 0.
+    per nonzero P_s, on its unpacked digits.  IdentityViolation reports a
+    product that does not vanish, or the first failing term, the one at
+    k = 0.
     """
     n = spec.n
     H = spec.block_heights
     D = (0,) + spec.col_offsets
+    # block i's bracket at s is [s + c_i, d_i] with c_i = H_i - D_(i-1), and
     # P_s has a negative bracket numerator exactly when s < min_s
-    min_s = max((D[i] - H[i] for i in range(spec.t)), default=0)
-    products = []
+    blocks = [(H[i] - D[i], d) for i, d in enumerate(spec.widths)]
+    min_s = max((-c for c, _ in blocks), default=0)
+    # equal blocks have equal brackets at every s, so P_s is a product of
+    # powers, which stays balanced where a chain of products does not
+    repeats = collections.Counter(blocks).items()
+    factors = {}  # s -> the (bracket, multiplicity) pairs of P_s, for each nonzero P_s
     for s in range(n + 1):
-        prod = LaurentPoly.one()
-        for i, d in enumerate(spec.widths):
-            prod = prod * q_binomial(s + H[i] - D[i], d)
-            if not prod:
+        brackets = []
+        for (c, d), e in repeats:
+            brackets.append((q_binomial(s + c, d), e))
+            if not brackets[-1][0]:
                 break
-        if prod and s < min_s:
-            raise IdentityViolation(f"{spec} s={s}: a negative bracket numerator left {prod}")
-        products.append(prod)
+        else:
+            if s < min_s:
+                prod = math.prod((q_binomial(s + c, d) for c, d in blocks), start=LaurentPoly.one())
+                raise IdentityViolation(f"{spec} s={s}: a negative bracket numerator left {prod}")
+            factors[s] = brackets
+    bound = max(math.prod(_l1_norm(b) ** e for b, e in brackets) for brackets in factors.values())
+    width = _kronecker_width(bound << n + 1)
+    lows = {s: sum(b.min_exp * e for b, e in brackets) for s, brackets in factors.items()}
+    lo = min(lows.values())
     target = darga_target(spec)  # minus n k at k hits
-    nonzero = [s for s, prod in enumerate(products) if prod]
-    for s in nonzero:
-        prod = products[s]
+    rows = [0] * (n + 1)
+    for s, brackets in factors.items():
+        rows[s] = math.prod(_pack(b, width) ** e for b, e in brackets)
+        prod = _unpack(lows[s], rows[s], width)
         if not (is_symmetric(prod) and darga(prod) == target - n * (n - s)):
             j = n - s
             term = q_binomial(n + 1, j).shifted(j * (j - 1) // 2) * prod
             raise IdentityViolation(
                 f"{spec} k=0 s={s}: term {term} is not symmetric with darga {target}"
             )
-    # nonzero holds n: at s = n each numerator n + H_i - D_(i-1) is at least d_i
-    first = nonzero[0]
-    lo = min(products[s].min_exp for s in nonzero)
-    width = max(products[s].max_exp for s in nonzero) - lo + 1 + n * (n + 1) // 2
-    rows = [[0] * width for _ in range(n + 1)]
-    ends = [0] * (n + 1)  # row m is zero from index ends[m] on
-    for s in nonzero:
-        dense = products[s].to_dense_dict()["coeffs"]
-        offset = products[s].min_exp - lo
-        ends[s] = offset + len(dense)
-        rows[s][offset : ends[s]] = dense
+        rows[s] <<= width * (lows[s] - lo)
+    # factors holds n: at s = n each numerator n + H_i - D_(i-1) is at least d_i
+    first = min(factors)
     for i in range(n + 1):
         # times 1 - x q^i; row m - 1 is still the previous pass's when row m reads it
         for m in range(n, first, -1):
-            end = i + ends[m - 1]
-            rows[m][i:end] = map(sub, rows[m][i:end], rows[m - 1])
-            ends[m] = max(ends[m], end)
-    return tuple(
-        LaurentPoly.dense(lo, rows[n - k][: ends[n - k]]) if n - k >= first else LaurentPoly.zero()
-        for k in range(n + 1)
-    )
+            rows[m] -= rows[m - 1] << width * i
+    return tuple(_unpack(lo, rows[n - k], width) for k in range(n + 1))
 
 
 def _eq26_divided(spec: StepSpec) -> tuple[LaurentPoly, ...]:
@@ -600,17 +607,13 @@ def factorization_check(board: FerrersBoard) -> bool:
     lhs = BivariatePoly.zero()
     power = LaurentPoly.one()  # (1-q)^(n-k)
     for k in range(n, -1, -1):
-        lhs = lhs * _one_minus_z_q(-k) + BivariatePoly.from_laurent(rook_poly(board, n - k) * power)
+        lhs = lhs.times_linear(LaurentPoly.one(), LaurentPoly.dense(-k, (-1,)))
+        lhs += BivariatePoly.from_laurent(rook_poly(board, n - k) * power)
         power = power * _ONE_MINUS_Q
     rhs = BivariatePoly.one()
     for i, c in enumerate(board.heights, start=1):
-        rhs = rhs * _one_minus_z_q(c - i + 1)
+        rhs = rhs.times_linear(LaurentPoly.one(), LaurentPoly.dense(c - i + 1, (-1,)))
     return lhs == rhs
-
-
-def _one_minus_z_q(m: int) -> BivariatePoly:
-    """1 - z q^m."""
-    return BivariatePoly.series((LaurentPoly.one(), LaurentPoly.dense(m, (-1,))))
 
 
 def rook_sum_identity(board: FerrersBoard) -> bool:

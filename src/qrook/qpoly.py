@@ -19,16 +19,22 @@ analyzer ``zsu_check``.
 :class:`BivariatePoly` is a two-variable companion (Laurent in q,
 polynomial in a second formal symbol z) built by ``BivariatePoly.series``
 from its z-coefficients, each a :class:`LaurentPoly`, and stored as their
-tuple, so LaurentPoly's product is the only coefficient arithmetic; it
-is used for identities where z stands for q^x or for a series variable.
+tuple; it is used for identities where z stands for q^x or for a series
+variable.  Its generic product multiplies every pair of coefficients;
+multiplying by a linear factor a + b z with monomials a and b, and
+dividing a series by 1 - z q^m, are one pass each, a coefficient built as
+one list from two shifted ones.
+
+The private Kronecker helpers (``_pack``, ``_unpack``) hold a polynomial
+as one integer at q = 2^width, so that integer products and shifts are
+polynomial products and shifts; ``placements.eq24_divided`` runs on them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
-from operator import add
+from operator import add, sub
 from typing import Iterable, Mapping, Sequence
 
 
@@ -238,6 +244,29 @@ def _integral(x) -> int:
     return value
 
 
+def _monomial_sum(x: LaurentPoly, ex: int, cx: int, y: LaurentPoly, ey: int, cy: int) -> LaurentPoly:
+    """cx q^ex x + cy q^ey y, built as one list."""
+    xs, ys = x._coeffs, y._coeffs
+    i, j = x._lo + ex, y._lo + ey
+    if cx != 1 and cy == 1:  # copy the list that needs no scaling
+        xs, i, cx, ys, j, cy = ys, j, cy, xs, i, cx
+    if cx != 1:
+        xs = [cx * c for c in xs]
+    if not ys:
+        return _canonical(i, xs) if xs else _ZERO
+    if cy not in (1, -1):
+        ys, cy = [cy * c for c in ys], 1
+    if not xs:
+        return _canonical(j, ys if cy == 1 else [-c for c in ys])
+    lo = min(i, j)
+    out = [0] * (max(i + len(xs), j + len(ys)) - lo)
+    i -= lo
+    j -= lo
+    out[i : i + len(xs)] = xs
+    out[j : j + len(ys)] = map(add if cy == 1 else sub, out[j : j + len(ys)], ys)
+    return _canonical(lo, out) if out[0] and out[-1] else LaurentPoly.dense(lo, out)
+
+
 def _canonical(lo: int, coeffs: list[int]) -> LaurentPoly:
     """The polynomial of a coefficient list already in canonical form."""
     out = LaurentPoly.__new__(LaurentPoly)
@@ -308,9 +337,10 @@ class BivariatePoly:
     def __add__(self, other):
         if not isinstance(other, BivariatePoly):
             return NotImplemented
-        return BivariatePoly.series(
-            a + b for a, b in zip_longest(self._coeffs, other._coeffs, fillvalue=_ZERO)
-        )
+        a, b = self._coeffs, other._coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return BivariatePoly.series((*map(add, a, b), *a[len(b) :]))
 
     def __mul__(self, other):
         if not isinstance(other, BivariatePoly):
@@ -322,6 +352,24 @@ class BivariatePoly:
                 out[j] = out[j] + x * y
         return BivariatePoly.series(out)
 
+    def times_linear(self, a: LaurentPoly, b: LaurentPoly) -> "BivariatePoly":
+        """self * (a + b z) for monomials a and b, in one pass: the z^k
+        coefficient a a_k + b a_(k-1) is two shifted copies and one sum."""
+        ((ea, ca),), ((eb, cb),) = a.items(), b.items()
+        x = self._coeffs
+        return BivariatePoly.series(
+            _monomial_sum(u, ea, ca, v, eb, cb) for u, v in zip(x + (_ZERO,), (_ZERO,) + x)
+        )
+
+    def divided_by_one_minus(self, m: int, order: int) -> "BivariatePoly":
+        """self / (1 - z q^m) truncated at z^order, in one pass: the z^k
+        coefficient is c_k = a_k + q^m c_(k-1)."""
+        out, c = [], _ZERO
+        for k in range(order + 1):
+            c = _monomial_sum(self.coefficient(k), 0, 1, c, m, 1)
+            out.append(c)
+        return BivariatePoly.series(out)
+
     def __eq__(self, other):
         if not isinstance(other, BivariatePoly):
             return NotImplemented
@@ -331,6 +379,69 @@ class BivariatePoly:
         terms = sorted((qe, ze, c) for ze, p in enumerate(self._coeffs) for qe, c in p.items())
         body = " + ".join(f"{c}*q^{qe}*z^{ze}" for qe, ze, c in terms)
         return f"BivariatePoly({body or 0})"
+
+
+# Kronecker substitution: a polynomial as one integer at q = 2^width, so
+# that integer products and shifts are polynomial products and shifts.
+# Coefficients are signed digits of magnitude below 2^(width - 1).  width
+# is a multiple of 8, so a long packed value converts through its bytes in
+# linear time; a short one goes digit by digit, quadratic in its length but
+# faster below about _SHORT_BITS bits.
+
+_SHORT_BITS = 4096
+
+
+def _l1_norm(p: LaurentPoly) -> int:
+    """The sum of |coefficient|; a product's is at most its factors' product."""
+    return sum(map(abs, p._coeffs))
+
+
+def _kronecker_width(bound: int) -> int:
+    """The least multiple of 8 that holds signed digits of magnitude up to bound."""
+    return (bound.bit_length() + 8) // 8 * 8
+
+
+def _pack(p: LaurentPoly, width: int) -> int:
+    """The coefficients of p, from q^min_exp up, at q = 2^width."""
+    coeffs = p._coeffs
+    if width * len(coeffs) > _SHORT_BITS:
+        size, half = width // 8, 1 << (width - 1)
+        biased = b"".join((c + half).to_bytes(size, "little") for c in coeffs)
+        return int.from_bytes(biased, "little") - _bias(half, size, len(coeffs))
+    packed = 0
+    for c in reversed(coeffs):
+        packed = (packed << width) + c
+    return packed
+
+
+def _unpack(lo: int, packed: int, width: int) -> LaurentPoly:
+    """The polynomial sum_i c_i q^(lo + i) of packed = sum_i c_i 2^(width i)."""
+    if not packed:
+        return _ZERO
+    skip = ((packed & -packed).bit_length() - 1) // width  # the zero digits at the bottom
+    packed >>= width * skip
+    half = 1 << (width - 1)
+    bits = packed.bit_length()  # of |packed|
+    if bits > _SHORT_BITS:
+        # the top digit is nonzero, so it is at most one below bits / width
+        size, count = width // 8, bits // width + 1
+        data = (packed + _bias(half, size, count)).to_bytes(size * count, "little")
+        coeffs = [int.from_bytes(data[i : i + size], "little") - half for i in range(0, size * count, size)]
+        return LaurentPoly.dense(lo + skip, coeffs)
+    mask, coeffs = (half << 1) - 1, []
+    while packed:
+        c = packed & mask
+        if c >= half:
+            c -= mask + 1
+        coeffs.append(c)
+        packed = (packed - c) >> width
+    return _canonical(lo + skip, coeffs)
+
+
+def _bias(half: int, size: int, count: int) -> int:
+    """sum_i half 2^(8 size i) over i < count: added to a packed value, it
+    makes each of its count lowest digits nonnegative, so they are its bytes."""
+    return int.from_bytes(half.to_bytes(size, "little") * count, "little")
 
 
 # ---------------------------------------------------------------------------

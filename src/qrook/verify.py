@@ -19,12 +19,13 @@ The checks fall into four groups:
 
 * series identities: the generating function whose x^k coefficient is
   prod_i [k + c_i - i + 1] both by direct bracket products and by
-  dividing the hit-polynomial numerator by (1-x)(1-xq)...(1-xq^n),
+  dividing the hit-polynomial numerator by (1-x)(1-xq)...(1-xq^n), one
+  truncated pass per factor, so the two routes share no product,
   together with the finite-difference operator identity used to add an
-  empty column; the series are :class:`~qrook.qpoly.BivariatePoly`
+  empty column, whose series have the q-binomials [m+j, j] as x^j
+  coefficients; the series are :class:`~qrook.qpoly.BivariatePoly`
   values truncated at their order, with z standing for x, built by
-  ``BivariatePoly.series`` from their x^k coefficients (q-binomials,
-  hit polynomials) as z-coefficients;
+  ``BivariatePoly.series`` from their x^k coefficients;
 * structural recurrences: the empty-column recurrence for hit
   polynomials, and complement reciprocity;
 * the descent/major-index ladder on triangular boards and its multiset
@@ -113,16 +114,16 @@ def phi_series(board: FerrersBoard) -> BivariatePoly:
     computed two independent ways; IdentityViolation reports the first
     coefficient where they differ.
 
-    Route A divides sum_k x^k T_{n-k}(B) by (1-x)(1-xq)...(1-xq^n), that
-    is, multiplies it by the series sum_j [n+j, j] x^j; route B multiplies
-    the brackets directly.
+    Route A divides sum_k x^k T_{n-k}(B) by (1-x)(1-xq)...(1-xq^n), one
+    truncated pass per factor; route B multiplies the brackets directly.
     """
     n = board.n
     # the order n+3 pushes the brackets past their degenerate values
     order = n + 3
     hits = hit_polys(board, "defining")
-    numerator = BivariatePoly.series(hits[n - k] for k in range(n + 1))
-    route_a = (numerator * inverse_product_series(n, order)).truncated(order)
+    route_a = BivariatePoly.series(hits[n - k] for k in range(n + 1))
+    for i in range(n + 1):
+        route_a = route_a.divided_by_one_minus(i, order)
     for k in range(order + 1):
         direct, via_hits = _bracket_product(board.heights, k), route_a.coefficient(k)
         if via_hits != direct:

@@ -18,6 +18,7 @@ from qrook.qpoly import (
     q_stirling,
     zsu_check,
 )
+from qrook.qpoly import _kronecker_width, _l1_norm, _pack, _unpack
 
 from oracles import (
     bivariate_from_terms,
@@ -455,6 +456,37 @@ def test_bivariate_store_matches_sparse_reference(pair, order):
     assert (f == g) == (a == b)
 
 
+MONOMIAL_COEFFS = st.one_of(st.sampled_from([1, -1]), st.integers(-(2**70), 2**70).filter(bool))
+
+
+@given(SPARSE_BIVARIATE, st.integers(-6, 6), MONOMIAL_COEFFS, st.integers(-6, 6), MONOMIAL_COEFFS, st.integers(0, 7))
+@settings(max_examples=200)
+def test_linear_factor_passes_match_products(terms, e, c, m, cm, order):
+    # one pass per linear factor: times a + b z against the product by that
+    # 2-term series, and over 1 - z q^m against the truncated product by
+    # sum_j q^(mj) z^j; the series include zero
+    f = bivariate_from_terms(terms)
+    a, b = LaurentPoly({e: c}), LaurentPoly({m: cm})
+    assert_bivariate_matches(f.times_linear(a, b), sparse_bivariate_mul(terms, {(e, 0): c, (m, 1): cm}))
+    assert f.times_linear(a, b) == f * BivariatePoly.series((a, b))
+    geometric = BivariatePoly.series(LaurentPoly({m * j: 1}) for j in range(order + 1))
+    quotient = f.divided_by_one_minus(m, order)
+    assert quotient == (f * geometric).truncated(order)
+    assert quotient.times_linear(LaurentPoly.one(), LaurentPoly({m: -1})).truncated(order) == f.truncated(order)
+
+
+def test_linear_factor_passes_cancel_to_canonical_form():
+    # (1 - z q^2)(1 + z q^2 + z^2 q^4) = 1 - z^3 q^6: the middle coefficients
+    # vanish; q z^0 + (-1 - q) z^1 times 1 + z leaves -1 at z^1, its q cancelled
+    f = BivariatePoly.series(LaurentPoly({2 * j: 1}) for j in range(3))
+    assert f.times_linear(LaurentPoly.one(), LaurentPoly({2: -1})) == bivariate_from_terms({(0, 0): 1, (6, 3): -1})
+    g = bivariate_from_terms({(1, 0): 1, (0, 1): -1, (1, 1): -1})
+    assert g.times_linear(LaurentPoly.one(), LaurentPoly.one()) == bivariate_from_terms(
+        {(1, 0): 1, (0, 1): -1, (0, 2): -1, (1, 2): -1}
+    )
+    assert BivariatePoly.one().divided_by_one_minus(2, 2) == f
+
+
 def test_bivariate_is_built_from_its_z_coefficients():
     for args in ((), ({(0, 0): 1},)):
         with pytest.raises(TypeError, match=r"BivariatePoly\.series"):
@@ -500,3 +532,16 @@ def test_evaluate_matches_powers_oracle(terms, value):
         return
     got = f.evaluate(value)
     assert got == expected and type(got) is type(expected)
+
+
+@given(st.lists(COEFFS, max_size=90), st.lists(COEFFS, max_size=90), st.integers(-9, 9), st.integers(-9, 9))
+@settings(max_examples=100)
+def test_kronecker_product_matches_the_laurent_product(a, b, ea, eb):
+    # packed at a width that holds the product's coefficients, an integer
+    # product is the polynomial product; the signed digits of short values
+    # unpack one by one, those of values past 4096 bits through their bytes
+    f, g = LaurentPoly.dense(ea, a), LaurentPoly.dense(eb, b)
+    width = _kronecker_width(max(_l1_norm(f), _l1_norm(g), _l1_norm(f) * _l1_norm(g)))
+    lo_f, lo_g = f.to_dense_dict()["min_exp"], g.to_dense_dict()["min_exp"]
+    assert _unpack(lo_f, _pack(f, width), width) == f
+    assert _unpack(lo_f + lo_g, _pack(f, width) * _pack(g, width), width) == f * g

@@ -352,8 +352,8 @@ class TestStepFormulas:
         ],
     )
     def test_eq24_forms_no_term_products(self, monkeypatch, spec, blocks, admissible):
-        # at most one product per bracket of each P_s: the signed terms
-        # (-1)^j q^C(j,2) [n+1, j] P_s are never formed
+        # the P_s and the passes run on packed integers: neither a product
+        # of brackets nor a signed term (-1)^j q^C(j,2) [n+1, j] P_s is formed
         assert (spec.t, spec.admissible) == (blocks, admissible)
         placements.eq24_divided(spec)  # fill the q-binomial cache
         real = LaurentPoly.__mul__
@@ -368,7 +368,24 @@ class TestStepFormulas:
             patch.setattr(LaurentPoly, "__mul__", counting)
             table = placements.eq24_divided(spec)
         assert table == eq24_signed_terms(spec)
-        assert 0 < calls <= (spec.n + 1) * spec.t
+        assert calls == 0
+
+    @pytest.mark.parametrize(
+        "spec,digits_past_64_bits,negative",
+        [
+            # P_24 = [25]^25 has P_24(1) = 25^25 > 2^64, so the packed width is past a machine word
+            pytest.param(step_decomposition(staircase_board(25)), True, False, id="stair:25"),
+            pytest.param(StepSpec(((3, 1), (0, 2), (2, 2), (3, 1))), False, False, id="steps:3x1,0x2,2x2,3x1"),
+            # inadmissible, with negative entries, and rows long enough to unpack through their bytes
+            pytest.param(StepSpec(((24, 12),)), False, True, id="steps:24x12"),
+        ],
+    )
+    def test_eq24_packed_rows_match_the_oracle(self, spec, digits_past_64_bits, negative):
+        table = placements.eq24_divided(spec)
+        assert table == eq24_signed_terms(spec)
+        coefficients = [c for t in table for _, c in t.items()]
+        assert (max(map(abs, coefficients)) > 2**64) == digits_past_64_bits
+        assert (min(coefficients) < 0) == negative
 
     def test_eq26_folds_the_blocks(self, monkeypatch):
         # at most two products per prefix hit count r and e at each block,
@@ -677,6 +694,19 @@ class TestFailuresStayInTheSuite:
             lines = [result.line() for result in run_suites(["reciprocity"], 2)]
         assert "FAIL delta-identity n=1 [3, 1] refused" in lines
         assert len(lines) == len(list(run_suites(["reciprocity"], 2)))
+
+    def test_route_a_divides_by_the_wrong_factors(self, monkeypatch):
+        # route A divides by (1 - xq^(i+1)) in place of (1 - xq^i): the series
+        # check fails on every board, at an x^k where route B's bracket
+        # products disagree, and every other check still passes
+        real = BivariatePoly.divided_by_one_minus
+        wrong = lambda series, m, order: real(series, m + 1, order)
+        fails = self.failing(monkeypatch, "reciprocity", 2, [(BivariatePoly, "divided_by_one_minus", wrong)])
+        boards = [board for n in (1, 2) for board in all_ferrers_boards(n)]
+        assert len(fails) == len(boards)
+        for line, board in zip(fails, boards):
+            prefix = f"FAIL series-two-ways {board} series mismatch for {board} at x^"
+            assert line.startswith(prefix) and ": bracket product gives " in line, line
 
     def failing(self, monkeypatch, suite, max_n, patches):
         """The FAIL lines of a suite run with the given (target, name, value)
