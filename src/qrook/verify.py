@@ -20,12 +20,12 @@ The checks fall into four groups:
 * series identities: the generating function whose x^k coefficient is
   prod_i [k + c_i - i + 1] both by direct bracket products and by
   dividing the hit-polynomial numerator by (1-x)(1-xq)...(1-xq^n), one
-  truncated pass per factor, so the two routes share no product,
-  together with the finite-difference operator identity used to add an
-  empty column, whose series have the q-binomials [m+j, j] as x^j
-  coefficients; the series are :class:`~qrook.qpoly.BivariatePoly`
-  values truncated at their order, with z standing for x, built by
-  ``BivariatePoly.series`` from their x^k coefficients;
+  truncated pass per factor, which forms no product, together with the
+  finite-difference operator identity used to add an empty column,
+  whose series have the q-binomials [m+j, j] as x^j coefficients; the
+  series are :class:`~qrook.qpoly.BivariatePoly` values truncated at
+  their order, with z standing for x, built by ``BivariatePoly.series``
+  from their x^k coefficients;
 * structural recurrences: the empty-column recurrence for hit
   polynomials, and complement reciprocity;
 * the descent/major-index ladder on triangular boards and its multiset
