@@ -342,16 +342,20 @@ class TestStepFormulas:
             assert got == outcome(lambda s: eq24_signed_terms(s, binomial), spec), spec
 
     @pytest.mark.parametrize(
-        "spec,blocks,admissible",
+        "spec,blocks,admissible,past_64_bits,negative",
         [
-            pytest.param(step_decomposition(staircase_board(12)), 12, True, id="stair:12-12-True"),
+            pytest.param(step_decomposition(staircase_board(12)), 12, True, False, False, id="stair:12-12-True"),
             # not the maximal decomposition of its board, which has 3 blocks
             pytest.param(
-                StepSpec(((3, 1), (0, 2), (2, 2), (3, 1))), 4, False, id="steps:3x1,0x2,2x2,3x1-4-False"
+                StepSpec(((3, 1), (0, 2), (2, 2), (3, 1))), 4, False, False, False, id="steps:3x1,0x2,2x2,3x1-4-False"
             ),
+            # P_24 = [25]^25 has P_24(1) = 25^25 > 2^64: entries and packed digits past a machine word
+            pytest.param(step_decomposition(staircase_board(25)), 25, True, True, False, id="stair:25-25-True"),
+            # inadmissible, with negative entries, and rows long enough to unpack through their bytes
+            pytest.param(StepSpec(((24, 12),)), 1, False, False, True, id="steps:24x12-1-False"),
         ],
     )
-    def test_eq24_forms_no_term_products(self, monkeypatch, spec, blocks, admissible):
+    def test_eq24_forms_no_term_products(self, monkeypatch, spec, blocks, admissible, past_64_bits, negative):
         # the P_s and the passes run on packed integers: neither a product
         # of brackets nor a signed term (-1)^j q^C(j,2) [n+1, j] P_s is formed
         assert (spec.t, spec.admissible) == (blocks, admissible)
@@ -369,22 +373,8 @@ class TestStepFormulas:
             table = placements.eq24_divided(spec)
         assert table == eq24_signed_terms(spec)
         assert calls == 0
-
-    @pytest.mark.parametrize(
-        "spec,digits_past_64_bits,negative",
-        [
-            # P_24 = [25]^25 has P_24(1) = 25^25 > 2^64, so the packed width is past a machine word
-            pytest.param(step_decomposition(staircase_board(25)), True, False, id="stair:25"),
-            pytest.param(StepSpec(((3, 1), (0, 2), (2, 2), (3, 1))), False, False, id="steps:3x1,0x2,2x2,3x1"),
-            # inadmissible, with negative entries, and rows long enough to unpack through their bytes
-            pytest.param(StepSpec(((24, 12),)), False, True, id="steps:24x12"),
-        ],
-    )
-    def test_eq24_packed_rows_match_the_oracle(self, spec, digits_past_64_bits, negative):
-        table = placements.eq24_divided(spec)
-        assert table == eq24_signed_terms(spec)
         coefficients = [c for t in table for _, c in t.items()]
-        assert (max(map(abs, coefficients)) > 2**64) == digits_past_64_bits
+        assert (max(map(abs, coefficients)) > 2**64) == past_64_bits
         assert (min(coefficients) < 0) == negative
 
     def test_eq26_folds_the_blocks(self, monkeypatch):
