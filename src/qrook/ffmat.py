@@ -40,7 +40,7 @@ from typing import Iterator
 from .boards import FerrersBoard, staircase_board
 from .placements import BudgetExceededError, Placement, _decimal
 from .placements import inv_stat, rook_poly
-from .qpoly import BivariatePoly, IdentityViolation, LaurentPoly, _integral, q_stirling
+from .qpoly import IdentityViolation, LaurentPoly, _PackedSeries, _integral, _kronecker_width, _l1_norm, q_stirling
 
 DEFAULT_BUDGET = 10**7
 
@@ -348,16 +348,21 @@ def corollary1_check(n: int, p: int) -> bool:
 
 def corollary2_check(board: FerrersBoard) -> bool:
     """Check sum_k (1-x)(1-xq)...(1-xq^(k-1)) P_{n-k} = prod_i (q^(c_i) - x q^(i-1)),
-    an identity of polynomials in x over the Laurent ring (z plays x)."""
+    an identity of polynomials in x over the Laurent ring, compared
+    exactly as packed rows at one width."""
     n = board.n
-    # nested: P_n + (1 - x)(P_(n-1) + (1 - xq)(P_(n-2) + ...))
-    lhs = BivariatePoly.zero()
+    # nested: P_n + (1 - x)(P_(n-1) + (1 - xq)(P_(n-2) + ...)); each side's
+    # n+1 or n passes at most double the largest row norm, and the right
+    # side starts at 1
+    ranks = [p_k_formula(board, j) for j in range(n + 1)]
+    width = _kronecker_width(max(1, *map(_l1_norm, ranks)) << n + 1)
+    lhs = _PackedSeries(width)
     for k in range(n, -1, -1):
-        lhs = lhs.times_linear(LaurentPoly.one(), LaurentPoly.dense(k, (-1,)))
-        lhs += BivariatePoly.from_laurent(p_k_formula(board, n - k))
-    rhs = BivariatePoly.one()
+        lhs.times_linear(0, k)
+        lhs.add(0, ranks[n - k])
+    rhs = _PackedSeries(width, 0, [1])
     for i, c in enumerate(board.heights, start=1):
-        rhs = rhs.times_linear(LaurentPoly.dense(c, (1,)), LaurentPoly.dense(i - 1, (-1,)))
+        rhs.times_linear(c, i - 1)
     return lhs == rhs
 
 

@@ -44,8 +44,8 @@ from functools import lru_cache
 from typing import Iterable
 
 from .boards import FerrersBoard, StepSpec, step_decomposition
-from .qpoly import BivariatePoly, IdentityViolation, LaurentPoly, _integral, darga, is_symmetric
-from .qpoly import _kronecker_width, _l1_norm, _pack, _unpack
+from .qpoly import IdentityViolation, LaurentPoly, _integral, darga, is_symmetric
+from .qpoly import _PackedSeries, _kronecker_width, _l1_norm, _pack, _unpack
 from .qpoly import q_binomial, q_bracket, q_factorial
 
 _ONE_MINUS_Q = LaurentPoly.dense(0, (1, -1))
@@ -309,13 +309,18 @@ def hit_polys(board: FerrersBoard, method: str = "mat") -> tuple[LaurentPoly, ..
     validate_hit_method(board, method)
     if method == "defining":
         # sum_j [j]! R_{n-j} prod_{i=j+1}^{n} (x - q^i), a polynomial in x
-        # (z here) whose x^k coefficient is T_k, in Horner form
+        # whose x^k coefficient is T_k, in Horner form on packed rows, as
+        # sum_j (-1)^(n-j) [j]! R_{n-j} prod_{i=j+1}^{n} (q^i - x): each of
+        # the n+1 passes at most doubles the largest row norm, and then adds
+        # a term of norm at most |[j]!|_1 |R_(n-j)|_1
         n = board.n
-        acc = BivariatePoly.zero()
-        for j in range(n + 1):
-            acc = acc.times_linear(LaurentPoly.dense(j, (-1,)), LaurentPoly.one())
-            acc += BivariatePoly.from_laurent(q_factorial(j) * rook_poly(board, n - j))
-        return tuple(acc.coefficient(k) for k in range(n + 1))
+        terms = [(q_factorial(j), rook_poly(board, n - j)) for j in range(n + 1)]
+        width = _kronecker_width(max(_l1_norm(f) * _l1_norm(r) for f, r in terms) << n + 1)
+        acc = _PackedSeries(width)
+        for j, (factorial, rook) in enumerate(terms):
+            acc.times_linear(j, 0)
+            acc.add(0, rook, _pack(factorial, width) * (-1) ** (n - j))
+        return tuple(acc.polys())
     spec = step_decomposition(board)
     if method == "eq24":
         divided = eq24_divided(spec)
@@ -467,17 +472,18 @@ def eq24_divided(spec: StepSpec) -> tuple[LaurentPoly, ...]:
     By the q-binomial theorem those signed q-binomials are the x^j
     coefficients of (1 - x)(1 - xq)...(1 - xq^n), so the k-hit entry is the
     x^(n-k) coefficient of that product times sum_s P_s x^s.  The table is
-    built as n+1 passes, each multiplying by one factor 1 - xq^i, that
-    subtract every row shifted by i exponents from the row above it.  The
-    rows are integers at q = 2^w (Kronecker substitution), sharing one
-    lowest exponent: row s starts as the product of the packed brackets of
-    P_s, shifted to it, a pass is one shift and one subtraction per row,
-    and no polynomial product is formed; each row is unpacked once at the
-    end.  With |p|_1 the sum of the absolute values of p's coefficients,
-    a coefficient of P_s is at most prod_i |[s + H_i - D_(i-1), d_i]|_1 in
-    magnitude, and a pass at most doubles the largest magnitude in the
-    table, so w holds 2^(n+1) max_s prod_i |bracket_i|_1 and a sign bit,
-    in whole bytes: every coefficient is one signed w-bit digit.
+    built as n+1 passes of ``qpoly._PackedSeries``, each multiplying by one
+    factor 1 - xq^i, that subtract every row shifted by i exponents from
+    the row above it.  The rows are integers at q = 2^w (Kronecker
+    substitution), sharing one lowest exponent: row s starts as the
+    product of the packed brackets of P_s, shifted to it, a pass is one
+    shift and one subtraction per row, and no polynomial product is
+    formed; each row is unpacked once at the end.  With |p|_1 the sum of
+    the absolute values of p's coefficients, a coefficient of P_s is at
+    most prod_i |[s + H_i - D_(i-1), d_i]|_1 in magnitude, and a pass at
+    most doubles the largest magnitude in the table, so w holds
+    2^(n+1) max_s prod_i |bracket_i|_1 and a sign bit, in whole bytes:
+    every coefficient is one signed w-bit digit.
 
     A P_s with any negative bracket numerator, that is with
     s < max_i (D_(i-1) - H_i), must vanish (the cancellation the closed
@@ -486,9 +492,11 @@ def eq24_divided(spec: StepSpec) -> tuple[LaurentPoly, ...]:
     is nonzero and symmetric with darga j n, and Z[q, q^-1] has no zero
     divisors, so that holds exactly when P_s is symmetric with darga
     ``darga_target(spec) - n(n - s)``, which is what is checked, once
-    per nonzero P_s, on its unpacked digits.  IdentityViolation reports a
-    product that does not vanish, or the first failing term, the one at
-    k = 0.
+    per nonzero P_s.  A product of symmetric factors is symmetric with the
+    sum of their dargas, so P_s passes when each bracket is symmetric and
+    their dargas add up to that; only otherwise is P_s unpacked, to decide
+    on its own digits.  IdentityViolation reports a product that does not
+    vanish, or the first failing term, the one at k = 0.
     """
     n = spec.n
     H = spec.block_heights
@@ -512,6 +520,7 @@ def eq24_divided(spec: StepSpec) -> tuple[LaurentPoly, ...]:
                 prod = math.prod((q_binomial(s + c, d) for c, d in blocks), start=LaurentPoly.one())
                 raise IdentityViolation(f"{spec} s={s}: a negative bracket numerator left {prod}")
             factors[s] = brackets
+    # factors holds n: at s = n each numerator n + H_i - D_(i-1) is at least d_i
     bound = max(math.prod(_l1_norm(b) ** e for b, e in brackets) for brackets in factors.values())
     width = _kronecker_width(bound << n + 1)
     lows = {s: sum(b.min_exp * e for b, e in brackets) for s, brackets in factors.items()}
@@ -520,21 +529,26 @@ def eq24_divided(spec: StepSpec) -> tuple[LaurentPoly, ...]:
     rows = [0] * (n + 1)
     for s, brackets in factors.items():
         rows[s] = math.prod(_pack(b, width) ** e for b, e in brackets)
-        prod = _unpack(lows[s], rows[s], width)
-        if not (is_symmetric(prod) and darga(prod) == target - n * (n - s)):
-            j = n - s
-            term = q_binomial(n + 1, j).shifted(j * (j - 1) // 2) * prod
-            raise IdentityViolation(
-                f"{spec} k=0 s={s}: term {term} is not symmetric with darga {target}"
-            )
+        goal = target - n * (n - s)
+        left = goal  # minus the dargas of the brackets, while they are symmetric
+        for b, e in brackets:
+            if not is_symmetric(b):
+                left = None
+                break
+            left -= darga(b) * e
+        if left != 0:
+            prod = _unpack(lows[s], rows[s], width)
+            if not (is_symmetric(prod) and darga(prod) == goal):
+                j = n - s
+                term = q_binomial(n + 1, j).shifted(j * (j - 1) // 2) * prod
+                raise IdentityViolation(
+                    f"{spec} k=0 s={s}: term {term} is not symmetric with darga {target}"
+                )
         rows[s] <<= width * (lows[s] - lo)
-    # factors holds n: at s = n each numerator n + H_i - D_(i-1) is at least d_i
-    first = min(factors)
+    table = _PackedSeries(width, lo, rows)
     for i in range(n + 1):
-        # times 1 - x q^i; row m - 1 is still the previous pass's when row m reads it
-        for m in range(n, first, -1):
-            rows[m] -= rows[m - 1] << width * i
-    return tuple(_unpack(lo, rows[n - k], width) for k in range(n + 1))
+        table.times_linear(0, i, order=n)  # times 1 - x q^i
+    return tuple(table.polys()[::-1])
 
 
 def _eq26_divided(spec: StepSpec) -> tuple[LaurentPoly, ...]:
@@ -598,21 +612,26 @@ def factorization_check(board: FerrersBoard) -> bool:
 
     Encoding z = q^x, each bracket [x+m] is (1 - z q^m)/(1-q); clearing
     the common denominator (1-q)^n turns both sides into honest
-    two-variable polynomials, which are compared exactly.
+    two-variable polynomials, which are compared exactly, as packed rows
+    at one width.
     """
     if not board.admissible:
         raise ValueError("factorization check needs an admissible board")
     n = board.n
     # nested: A_0 + (1 - z)(A_1 + (1 - z/q)(A_2 + ...)), A_k = R_(n-k) (1-q)^(n-k)
-    lhs = BivariatePoly.zero()
-    power = LaurentPoly.one()  # (1-q)^(n-k)
+    # of norm at most |R_(n-k)|_1 2^(n-k); each side's n+1 or n passes at
+    # most double the largest row norm, and the right side starts at 1
+    rooks = [rook_poly(board, j) for j in range(n + 1)]
+    width = _kronecker_width(max(1, *(_l1_norm(r) << j for j, r in enumerate(rooks))) << n + 1)
+    lhs = _PackedSeries(width)
+    power = 1  # (1-q)^(n-k), packed
     for k in range(n, -1, -1):
-        lhs = lhs.times_linear(LaurentPoly.one(), LaurentPoly.dense(-k, (-1,)))
-        lhs += BivariatePoly.from_laurent(rook_poly(board, n - k) * power)
-        power = power * _ONE_MINUS_Q
-    rhs = BivariatePoly.one()
+        lhs.times_linear(0, -k)
+        lhs.add(0, rooks[n - k], power)
+        power *= 1 - (1 << width)
+    rhs = _PackedSeries(width, 0, [1])
     for i, c in enumerate(board.heights, start=1):
-        rhs = rhs.times_linear(LaurentPoly.one(), LaurentPoly.dense(c - i + 1, (-1,)))
+        rhs.times_linear(0, c - i + 1)
     return lhs == rhs
 
 

@@ -20,14 +20,17 @@ analyzer ``zsu_check``.
 polynomial in a second formal symbol z) built by ``BivariatePoly.series``
 from its z-coefficients, each a :class:`LaurentPoly`, and stored as their
 tuple; it is used for identities where z stands for q^x or for a series
-variable.  Its generic product multiplies every pair of coefficients;
-multiplying by a linear factor a + b z, and dividing a series by
-1 - z q^m, are one pass each, two LaurentPoly products (a shift, for a
-monomial) and one sum per coefficient.
+variable.  Its generic product multiplies every pair of coefficients.
 
 The private Kronecker helpers (``_pack``, ``_unpack``) hold a polynomial
 as one integer at q = 2^width, so that integer products and shifts are
-polynomial products and shifts; ``placements.eq24_divided`` runs on them.
+polynomial products and shifts.  On them runs the one x-series kernel,
+``_PackedSeries``: a polynomial or truncated series in x held as packed
+rows sharing one lowest exponent, multiplied by a linear factor
+q^a - x q^b or divided by 1 - x q^m one pass at a time, forming no
+LaurentPoly product.  ``placements.eq24_divided``, the ``defining`` hit
+route, ``placements.factorization_check``, ``ffmat.corollary2_check`` and
+route A of ``verify.phi_series`` run their passes on it.
 """
 
 from __future__ import annotations
@@ -329,21 +332,6 @@ class BivariatePoly:
                 out[j] = out[j] + x * y
         return BivariatePoly.series(out)
 
-    def times_linear(self, a: LaurentPoly, b: LaurentPoly) -> "BivariatePoly":
-        """self * (a + b z) in one pass: the z^k coefficient is a a_k + b a_(k-1),
-        where a monomial a or b shares or scales the coefficient's list."""
-        x = self._coeffs
-        return BivariatePoly.series(u * a + v * b for u, v in zip(x + (_ZERO,), (_ZERO,) + x))
-
-    def divided_by_one_minus(self, m: int, order: int) -> "BivariatePoly":
-        """self / (1 - z q^m) truncated at z^order, in one pass: the z^k
-        coefficient is c_k = a_k + q^m c_(k-1)."""
-        out, c = [], _ZERO
-        for k in range(order + 1):
-            c = self.coefficient(k) + c.shifted(m)
-            out.append(c)
-        return BivariatePoly.series(out)
-
     def __eq__(self, other):
         if not isinstance(other, BivariatePoly):
             return NotImplemented
@@ -417,6 +405,111 @@ def _bias(half: int, size: int, count: int) -> int:
     """sum_i half 2^(8 size i) over i < count: added to a packed value, it
     makes each of its count lowest digits nonnegative, so they are its bytes."""
     return int.from_bytes(half.to_bytes(size, "little") * count, "little")
+
+
+class _PackedSeries:
+    """A polynomial or truncated power series in x over the Laurent ring,
+    as Kronecker-packed rows: rows[k] is the x^k coefficient at
+    q = 2^width, every row held at the shared lowest exponent lo (so its
+    low digits may be zero).  The library's x-series passes all run on it:
+    :meth:`times_linear` multiplies by q^ea - x q^eb, the one sign pattern
+    they need (the ``defining`` route's x - q^j is its negative, which it
+    folds into the signs of the terms it adds), and :meth:`divide` divides
+    by 1 - x q^m truncated at an order; each is one pass of shifts and sums
+    over the rows, and no LaurentPoly product is formed.  A working value:
+    its passes change it in place, and it never leaves the function that
+    builds it.
+
+    Packing is evaluation at q = 2^width, so sums, shifts and products of
+    packed integers are exact whatever their digits.  The rows unpack, and
+    two series at one width compare equal exactly when their polynomials
+    are, while every coefficient read is a signed width-bit digit.  Callers
+    make sure of that with ``_kronecker_width`` of a bound on the l1 norms
+    of those rows, computed from the norms of their actual operands: a
+    product by a linear factor at most doubles the largest row norm, and a
+    division truncated at x^order sums at most order + 1 rows into each.
+    """
+
+    __slots__ = ("width", "lo", "rows")
+
+    def __init__(self, width: int, lo: int = 0, rows: Iterable[int] = ()):
+        self.width, self.lo, self.rows = width, lo, list(rows)
+
+    @staticmethod
+    def packing(polys: Sequence[LaurentPoly], width: int) -> "_PackedSeries":
+        """sum_k polys[k] x^k, at the lowest exponent of its nonzero rows."""
+        lo = min((p._lo for p in polys if p._coeffs), default=0)
+        return _PackedSeries(width, lo, [_pack(p, width) << width * (p._lo - lo) if p else 0 for p in polys])
+
+    def add(self, k: int, p: LaurentPoly, times: int = 1) -> None:
+        """Add p times ``times``, a packed polynomial whose lowest exponent
+        is 0, to the x^k row; the shared lowest exponent falls to p's."""
+        if p._lo < self.lo:
+            self.rows = [r << self.width * (self.lo - p._lo) for r in self.rows]
+            self.lo = p._lo
+        rows = self.rows
+        rows += [0] * (k + 1 - len(rows))
+        rows[k] += (_pack(p, self.width) * times) << self.width * (p._lo - self.lo)
+
+    def times_linear(self, ea: int, eb: int, order: int | None = None) -> None:
+        """Multiply by q^ea - x q^eb, dropping the terms past x^order when an
+        order is given.  The shared lowest exponent falls by min(ea, eb), so
+        that the one shift it leaves is a left shift.  The x^k row becomes
+        q^ea r_k - q^eb r_(k-1), from the top down, so that row k - 1 is
+        still the old one when row k reads it."""
+        low = min(ea, eb)
+        sa, sb = self.width * (ea - low), self.width * (eb - low)
+        rows = self.rows
+        if order is None or len(rows) <= order:
+            rows.append(0)
+        else:
+            del rows[order + 1 :]
+        if sa:
+            for k in range(len(rows) - 1, 0, -1):
+                rows[k] = (rows[k] << sa) - rows[k - 1]
+            rows[0] <<= sa
+        else:
+            for k in range(len(rows) - 1, 0, -1):
+                rows[k] -= rows[k - 1] << sb
+        self.lo += low
+
+    def divide(self, m: int, order: int) -> None:
+        """Divide by 1 - x q^m, truncated at x^order: the x^k row becomes
+        c_k = r_k + q^m c_(k-1), one running sum.  For m < 0 the shared
+        lowest exponent first falls by -m order, so that each c_(k-1) is a
+        multiple of q^-m and q^m c_(k-1) is an exact right shift."""
+        rows = self.rows[: order + 1]
+        rows += [0] * (order + 1 - len(rows))
+        s, c = self.width * abs(m), 0
+        if m >= 0:
+            for k, r in enumerate(rows):
+                c = rows[k] = r + (c << s)
+        else:
+            self.lo += m * order
+            up = s * order
+            for k, r in enumerate(rows):
+                c = rows[k] = (r << up) + (c >> s)
+        self.rows = rows
+
+    def polys(self) -> list[LaurentPoly]:
+        """The x^k coefficients, one per row."""
+        return [_unpack(self.lo, r, self.width) for r in self.rows]
+
+    def __eq__(self, other):
+        if not isinstance(other, _PackedSeries):
+            return NotImplemented
+        if self.width != other.width:
+            raise ValueError("series packed at different widths do not compare")
+        lo = min(self.lo, other.lo)
+        return self._aligned(lo) == other._aligned(lo)
+
+    def _aligned(self, lo: int) -> list[int]:
+        """The rows at the lower shared exponent lo, trailing zero rows dropped."""
+        shift = self.width * (self.lo - lo)
+        rows = [r << shift for r in self.rows]
+        while rows and not rows[-1]:
+            rows.pop()
+        return rows
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ The checks fall into four groups:
 * series identities: the generating function whose x^k coefficient is
   prod_i [k + c_i - i + 1] both by direct bracket products and by
   dividing the hit-polynomial numerator by (1-x)(1-xq)...(1-xq^n), one
-  truncated pass per factor, which forms no product, together with the
+  truncated pass per factor of the packed x-series kernel
+  ``qpoly._PackedSeries``, which forms no product, together with the
   finite-difference operator identity used to add an empty column,
   whose series have the q-binomials [m+j, j] as x^j coefficients; the
   series are :class:`~qrook.qpoly.BivariatePoly` values truncated at
@@ -51,6 +52,7 @@ The checks fall into four groups:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -84,7 +86,10 @@ from .qpoly import (
     BivariatePoly,
     IdentityViolation,
     LaurentPoly,
+    _PackedSeries,
     _integral,
+    _kronecker_width,
+    _l1_norm,
     darga,
     is_symmetric,
     q_binomial,
@@ -115,23 +120,29 @@ def phi_series(board: FerrersBoard) -> BivariatePoly:
     coefficient where they differ.
 
     Route A divides sum_k x^k T_{n-k}(B) by (1-x)(1-xq)...(1-xq^n), one
-    truncated pass per factor; route B multiplies the brackets directly.
+    truncated pass per factor on packed rows; route B multiplies the
+    brackets directly.
     """
     n = board.n
     # the order n+3 pushes the brackets past their degenerate values
     order = n + 3
     hits = hit_polys(board, "defining")
-    route_a = BivariatePoly.series(hits[n - k] for k in range(n + 1))
+    # the x^k coefficient of the quotient sums, over j <= k, the x^(k-j) row
+    # times the C(n+j, j) monomials of degree j in 1, q, ..., q^n, so its
+    # norm is at most the largest row norm times C(n+1+order, order)
+    bound = max(map(_l1_norm, hits)) * math.comb(n + 1 + order, order)
+    route_a = _PackedSeries.packing([hits[n - k] for k in range(n + 1)], _kronecker_width(bound))
     for i in range(n + 1):
-        route_a = route_a.divided_by_one_minus(i, order)
-    for k in range(order + 1):
-        direct, via_hits = _bracket_product(board.heights, k), route_a.coefficient(k)
+        route_a.divide(i, order)
+    series = route_a.polys()
+    for k, via_hits in enumerate(series):
+        direct = _bracket_product(board.heights, k)
         if via_hits != direct:
             raise IdentityViolation(
                 f"series mismatch for {board} at x^{k}: "
                 f"bracket product gives {direct}, hit-polynomial route gives {via_hits}"
             )
-    return route_a
+    return BivariatePoly.series(series)
 
 
 def _bracket_product(heights: tuple[int, ...], k: int) -> LaurentPoly:

@@ -395,3 +395,24 @@ def sparse_bivariate_repr(a: dict[tuple[int, int], int]) -> str:
     """Terms c*q^e*z^k sorted by (e, k), joined by " + "."""
     body = " + ".join(f"{c}*q^{qe}*z^{ze}" for (qe, ze), c in sorted(a.items()))
     return f"BivariatePoly({body or 0})"
+
+
+# x-series passes on LaurentPoly values: a series is the list of its x^k
+# coefficients.  These are the library's earlier passes, kept to check the
+# packed passes of qpoly._PackedSeries.
+
+
+def series_times_linear(coeffs: list[LaurentPoly], a: LaurentPoly, b: LaurentPoly) -> list[LaurentPoly]:
+    """The series times a + b x: its x^k coefficient is a c_k + b c_(k-1)."""
+    zero = LaurentPoly.zero()
+    return [u * a + v * b for u, v in zip(list(coeffs) + [zero], [zero] + list(coeffs))]
+
+
+def series_divided_by_one_minus(coeffs: list[LaurentPoly], m: int, order: int) -> list[LaurentPoly]:
+    """The series over 1 - x q^m, truncated at x^order: the x^k coefficient
+    is c_k + q^m times the quotient's x^(k-1) coefficient."""
+    out, c = [], LaurentPoly.zero()
+    for k in range(order + 1):
+        c = (coeffs[k] if k < len(coeffs) else LaurentPoly.zero()) + c.shifted(m)
+        out.append(c)
+    return out

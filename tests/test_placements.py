@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qrook import ffmat, placements
 from qrook.boards import (
     FerrersBoard,
     StepSpec,
@@ -350,3 +351,20 @@ class TestFactorization:
     def test_all_boards(self, n):
         for b in all_ferrers_boards(n):
             assert factorization_check(b)
+
+    def test_huge_corruption_fails_rather_than_aliases(self, monkeypatch):
+        # E = prod_t (2^(8t) - q) vanishes at q = 2^8, 2^16, ..., 2^64, every
+        # width the true norms of stair:3 could give.  Added to R_1, or to
+        # P_1 of the rank-product identity, it changes one side at q = 2^w
+        # only if w comes from the corrupted norms; then the check fails
+        board = staircase_board(3)
+        alias = math.prod((LaurentPoly({0: 2 ** (8 * t), 1: -1}) for t in range(1, 9)), start=LaurentPoly.one())
+        assert all(alias.evaluate(2 ** (8 * t)) == 0 for t in range(1, 9))
+        assert factorization_check(board) and ffmat.corollary2_check(board)  # fills the caches
+        rook, rank = rook_poly, ffmat.p_k_formula
+        monkeypatch.setattr(
+            placements, "rook_poly", lambda b, k: rook(b, k) + alias if (b, k) == (board, 1) else rook(b, k)
+        )
+        monkeypatch.setattr(ffmat, "p_k_formula", lambda b, k: rank(b, k) + alias if k == 1 else rank(b, k))
+        assert not factorization_check(board)
+        assert not ffmat.corollary2_check(board)

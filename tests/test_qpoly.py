@@ -18,7 +18,7 @@ from qrook.qpoly import (
     q_stirling,
     zsu_check,
 )
-from qrook.qpoly import _kronecker_width, _l1_norm, _pack, _unpack
+from qrook.qpoly import _PackedSeries, _kronecker_width, _l1_norm, _pack, _unpack
 
 from oracles import (
     bivariate_from_terms,
@@ -30,6 +30,8 @@ from oracles import (
     sparse_bivariate_repr,
     sparse_dense,
     sparse_mul,
+    series_divided_by_one_minus,
+    series_times_linear,
     sparse_str,
     stirling2,
     zsu_atom,
@@ -462,29 +464,84 @@ MONOMIAL_COEFFS = st.one_of(st.sampled_from([1, -1]), st.integers(-(2**70), 2**7
 @given(SPARSE_BIVARIATE, st.integers(-6, 6), MONOMIAL_COEFFS, st.integers(-6, 6), MONOMIAL_COEFFS, st.integers(0, 7))
 @settings(max_examples=200)
 def test_linear_factor_passes_match_products(terms, e, c, m, cm, order):
-    # one pass per linear factor: times a + b z against the product by that
-    # 2-term series, and over 1 - z q^m against the truncated product by
-    # sum_j q^(mj) z^j; the series include zero
+    # the oracle passes, one per linear factor: times a + b z against the
+    # product by that 2-term series, and over 1 - z q^m against the
+    # truncated product by sum_j q^(mj) z^j; the series include zero
     f = bivariate_from_terms(terms)
+    coeffs = [f.coefficient(k) for k in range(max((ze for _, ze in terms), default=-1) + 1)]
     a, b = LaurentPoly({e: c}), LaurentPoly({m: cm})
-    assert_bivariate_matches(f.times_linear(a, b), sparse_bivariate_mul(terms, {(e, 0): c, (m, 1): cm}))
-    assert f.times_linear(a, b) == f * BivariatePoly.series((a, b))
+    product = BivariatePoly.series(series_times_linear(coeffs, a, b))
+    assert_bivariate_matches(product, sparse_bivariate_mul(terms, {(e, 0): c, (m, 1): cm}))
+    assert product == f * BivariatePoly.series((a, b))
     geometric = BivariatePoly.series(LaurentPoly({m * j: 1}) for j in range(order + 1))
-    quotient = f.divided_by_one_minus(m, order)
-    assert quotient == (f * geometric).truncated(order)
-    assert quotient.times_linear(LaurentPoly.one(), LaurentPoly({m: -1})).truncated(order) == f.truncated(order)
+    quotient = series_divided_by_one_minus(coeffs, m, order)
+    assert BivariatePoly.series(quotient) == (f * geometric).truncated(order)
+    undone = series_times_linear(quotient, LaurentPoly.one(), LaurentPoly({m: -1}))
+    assert BivariatePoly.series(undone).truncated(order) == f.truncated(order)
 
 
 def test_linear_factor_passes_cancel_to_canonical_form():
     # (1 - z q^2)(1 + z q^2 + z^2 q^4) = 1 - z^3 q^6: the middle coefficients
-    # vanish; q z^0 + (-1 - q) z^1 times 1 + z leaves -1 at z^1, its q cancelled
-    f = BivariatePoly.series(LaurentPoly({2 * j: 1}) for j in range(3))
-    assert f.times_linear(LaurentPoly.one(), LaurentPoly({2: -1})) == bivariate_from_terms({(0, 0): 1, (6, 3): -1})
-    g = bivariate_from_terms({(1, 0): 1, (0, 1): -1, (1, 1): -1})
-    assert g.times_linear(LaurentPoly.one(), LaurentPoly.one()) == bivariate_from_terms(
-        {(1, 0): 1, (0, 1): -1, (0, 2): -1, (1, 2): -1}
-    )
-    assert BivariatePoly.one().divided_by_one_minus(2, 2) == f
+    # vanish; q z^0 + (-1 + q) z^1 times 1 - z leaves -1 at z^1, its q
+    # cancelled; by the oracle passes and on packed rows alike
+    geometric = [LaurentPoly({2 * j: 1}) for j in range(3)]
+    cases = [
+        (geometric, (0, 2), [LaurentPoly.one(), 0, 0, LaurentPoly({6: -1})]),
+        (
+            [LaurentPoly({1: 1}), LaurentPoly({0: -1, 1: 1})],
+            (0, 0),
+            [LaurentPoly({1: 1}), LaurentPoly({0: -1}), LaurentPoly({0: 1, 1: -1})],
+        ),
+    ]
+    for coeffs, (ea, eb), product in cases:
+        assert series_times_linear(coeffs, LaurentPoly({ea: 1}), LaurentPoly({eb: -1})) == product
+        packed = _PackedSeries.packing(coeffs, 8)
+        packed.times_linear(ea, eb)
+        assert packed.polys() == product
+    assert series_divided_by_one_minus([LaurentPoly.one()], 2, 2) == geometric
+    packed = _PackedSeries.packing([LaurentPoly.one()], 8)
+    packed.divide(2, 2)
+    assert packed.polys() == geometric
+
+
+# coefficients up to 2^70, and the largest signed digit of each byte width
+EDGE_COEFFS = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([sign * (2 ** (8 * t - 1) - 1) for t in range(1, 10) for sign in (1, -1)]),
+    st.integers(-(2**70), 2**70),
+)
+SERIES_ROWS = st.lists(st.builds(LaurentPoly.dense, st.integers(-6, 6), st.lists(EDGE_COEFFS, max_size=6)), max_size=5)
+SERIES_PASSES = st.lists(
+    st.one_of(
+        st.tuples(st.just("times"), st.integers(-6, 6), st.integers(-6, 6), st.none() | st.integers(0, 7)),
+        st.tuples(st.just("divide"), st.integers(-6, 6), st.integers(0, 7)),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@given(SERIES_ROWS, SERIES_PASSES)
+@settings(max_examples=300)
+def test_packed_series_passes_match_the_oracles(rows, passes):
+    # negative exponents, zero rows and negative m; the width is the least
+    # that holds every coefficient packed or read, so digits reach its bound,
+    # while the ones in between may overflow it
+    expected = rows
+    for step in passes:
+        if step[0] == "times":
+            _, ea, eb, order = step
+            expected = series_times_linear(expected, LaurentPoly({ea: 1}), LaurentPoly({eb: -1}))
+            expected = expected if order is None else expected[: order + 1]
+        else:
+            expected = series_divided_by_one_minus(expected, *step[1:])
+    width = _kronecker_width(max((abs(c) for p in rows + expected for _, c in p.items()), default=0))
+    packed = _PackedSeries.packing(rows, width)
+    for step in passes:
+        getattr(packed, step[0] if step[0] == "divide" else "times_linear")(*step[1:])
+    assert packed.polys() == expected
+    assert packed == _PackedSeries.packing(expected + [LaurentPoly.zero()], width)
+    assert packed != _PackedSeries.packing(expected + [LaurentPoly.one()], width)
 
 
 def test_bivariate_is_built_from_its_z_coefficients():

@@ -23,6 +23,7 @@ from qrook.boards import (
 )
 from qrook.placements import darga_target, hit_polys
 from qrook.qpoly import BivariatePoly, IdentityViolation, LaurentPoly, q_binomial, q_bracket, q_factorial
+from qrook.qpoly import _PackedSeries
 from qrook.verify import (
     CheckResult,
     add_recurrence_check,
@@ -46,6 +47,23 @@ from oracles import bivariate_from_terms, eq24_signed_terms, eq26_divided_by_vec
 
 def x_power(k):
     return bivariate_from_terms({(0, k): 1})
+
+
+def count_products(monkeypatch, run):
+    """run() and the number of LaurentPoly products it formed."""
+    real = LaurentPoly.__mul__
+    calls = 0
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return real(a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(LaurentPoly, "__mul__", counting)
+        patch.setattr(LaurentPoly, "__rmul__", counting)
+        result = run()
+    return result, calls
 
 
 def seeded_admissible_specs(n, count=10):
@@ -360,17 +378,7 @@ class TestStepFormulas:
         # of brackets nor a signed term (-1)^j q^C(j,2) [n+1, j] P_s is formed
         assert (spec.t, spec.admissible) == (blocks, admissible)
         placements.eq24_divided(spec)  # fill the q-binomial cache
-        real = LaurentPoly.__mul__
-        calls = 0
-
-        def counting(a, b):
-            nonlocal calls
-            calls += 1
-            return real(a, b)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(LaurentPoly, "__mul__", counting)
-            table = placements.eq24_divided(spec)
+        table, calls = count_products(monkeypatch, lambda: placements.eq24_divided(spec))
         assert table == eq24_signed_terms(spec)
         assert calls == 0
         coefficients = [c for t in table for _, c in t.items()]
@@ -385,19 +393,33 @@ class TestStepFormulas:
         bound = 2 * sum((D + 1) * (d + 1) for D, d in zip((0,) + spec.col_offsets, spec.widths))
         assert bound == 840
         placements._eq26_divided(spec)  # fill the q-binomial cache
-        real = LaurentPoly.__mul__
-        calls = 0
-
-        def counting(a, b):
-            nonlocal calls
-            calls += 1
-            return real(a, b)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(LaurentPoly, "__mul__", counting)
-            table = placements._eq26_divided(spec)
+        table, calls = count_products(monkeypatch, lambda: placements._eq26_divided(spec))
         assert table == placements.eq24_divided(spec)
         assert 0 < calls <= bound
+
+    @pytest.mark.parametrize("board", [staircase_board(12), FerrersBoard((0, 2, 2, 5, 5, 6))], ids=str)
+    @pytest.mark.parametrize("route", ["defining", "factorization", "rank-product-identity", "series-route-a"])
+    def test_x_series_passes_form_no_products(self, monkeypatch, route, board):
+        # the passes run on packed rows, like eq24's; the polynomials they
+        # read (rook polynomials, q-factorials, the rank-count polynomials
+        # and route B's bracket products) are made before the count
+        runs = {
+            "defining": lambda: placements.hit_polys.__wrapped__(board, "defining"),
+            "factorization": lambda: placements.factorization_check(board),
+            "rank-product-identity": lambda: ffmat.corollary2_check(board),
+            "series-route-a": lambda: phi_series(board),
+        }
+        expected = runs[route]()
+        ranks = [ffmat.p_k_formula(board, k) for k in range(board.n + 1)]
+        brackets = [verify._bracket_product(board.heights, k) for k in range(board.n + 4)]
+        monkeypatch.setattr(ffmat, "p_k_formula", lambda b, k: ranks[k])
+        monkeypatch.setattr(verify, "_bracket_product", lambda heights, k: brackets[k])
+        result, calls = count_products(monkeypatch, runs[route])
+        assert result == expected and calls == 0
+        if route == "defining":
+            assert result == hit_polys(board, "eq24")
+        elif route != "series-route-a":
+            assert result is True
 
 
 class TestUnimodality:
@@ -689,9 +711,9 @@ class TestFailuresStayInTheSuite:
         # route A divides by (1 - xq^(i+1)) in place of (1 - xq^i): the series
         # check fails on every board, at an x^k where route B's bracket
         # products disagree, and every other check still passes
-        real = BivariatePoly.divided_by_one_minus
+        real = _PackedSeries.divide
         wrong = lambda series, m, order: real(series, m + 1, order)
-        fails = self.failing(monkeypatch, "reciprocity", 2, [(BivariatePoly, "divided_by_one_minus", wrong)])
+        fails = self.failing(monkeypatch, "reciprocity", 2, [(_PackedSeries, "divide", wrong)])
         boards = [board for n in (1, 2) for board in all_ferrers_boards(n)]
         assert len(fails) == len(boards)
         for line, board in zip(fails, boards):
