@@ -485,9 +485,17 @@ def eq24_divided(spec: StepSpec) -> tuple[LaurentPoly, ...]:
     2^(n+1) max_s prod_i |bracket_i|_1 and a sign bit, in whole bytes:
     every coefficient is one signed w-bit digit.
 
+    One loop over s reads the brackets of each nonzero P_s once, for the
+    product of their l1 norms, the lowest exponent of P_s, and the sum of
+    their dargas while every one is symmetric.  Packing a bracket is a
+    lookup when ``qpoly._pack`` last packed it at the same w (a
+    ``LaurentPoly`` keeps that one pair), as the cached q-binomials of
+    specs of one size mostly are.
+
     A P_s with any negative bracket numerator, that is with
     s < max_i (D_(i-1) - H_i), must vanish (the cancellation the closed
-    form relies on).  Every term (-1)^j q^C(j,2) [n+1, j] P_s must be
+    form relies on); P_n, whose numerators are all at least their
+    denominators, must not.  Every term (-1)^j q^C(j,2) [n+1, j] P_s must be
     symmetric with darga ``darga_target(spec) - n k``; the signed q-binomial
     is nonzero and symmetric with darga j n, and Z[q, q^-1] has no zero
     divisors, so that holds exactly when P_s is symmetric with darga
@@ -496,55 +504,64 @@ def eq24_divided(spec: StepSpec) -> tuple[LaurentPoly, ...]:
     sum of their dargas, so P_s passes when each bracket is symmetric and
     their dargas add up to that; only otherwise is P_s unpacked, to decide
     on its own digits.  IdentityViolation reports a product that does not
-    vanish, or the first failing term, the one at k = 0.
+    vanish, a P_n that does, or the first failing term, the one at k = 0;
+    they are checked in that order.
     """
     n = spec.n
     H = spec.block_heights
     D = (0,) + spec.col_offsets
-    # block i's bracket at s is [s + c_i, d_i] with c_i = H_i - D_(i-1), and
-    # P_s has a negative bracket numerator exactly when s < min_s
-    blocks = [(H[i] - D[i], d) for i, d in enumerate(spec.widths)]
-    min_s = max((-c for c, _ in blocks), default=0)
+    # block i's bracket at s is [s + c_i, d_i] with c_i = H_i - D_(i-1);
     # equal blocks have equal brackets at every s, so P_s is a product of
     # powers, which stays balanced where a chain of products does not
-    repeats = collections.Counter(blocks).items()
-    factors = {}  # s -> the (bracket, multiplicity) pairs of P_s, for each nonzero P_s
+    repeats: dict[tuple[int, int], int] = {}
+    for i, d in enumerate(spec.widths):
+        block = (H[i] - D[i], d)
+        repeats[block] = repeats.get(block, 0) + 1
+    min_s = max((-c for c, _ in repeats), default=0)  # P_s has a negative numerator exactly when s < min_s
+    # per nonzero P_s: s, its (bracket, multiplicity) pairs, its lowest
+    # exponent, and the sum of the bracket dargas while every bracket is
+    # symmetric, else None; bound is the largest product of l1 norms
+    found, bound, lo = [], 0, None
     for s in range(n + 1):
-        brackets = []
-        for (c, d), e in repeats:
-            brackets.append((q_binomial(s + c, d), e))
-            if not brackets[-1][0]:
+        brackets, norm, low, dargas = [], 1, 0, 0
+        for (c, d), e in repeats.items():
+            b = q_binomial(s + c, d)
+            coeffs = b._coeffs
+            if not coeffs:
                 break
+            brackets.append((b, e))
+            norm *= sum(map(abs, coeffs)) ** e
+            low += b._lo * e
+            if dargas is not None:
+                dargas = dargas + (2 * b._lo + len(coeffs) - 1) * e if coeffs == coeffs[::-1] else None
         else:
             if s < min_s:
-                prod = math.prod((q_binomial(s + c, d) for c, d in blocks), start=LaurentPoly.one())
+                prod = math.prod((b for b, e in brackets for _ in range(e)), start=LaurentPoly.one())
                 raise IdentityViolation(f"{spec} s={s}: a negative bracket numerator left {prod}")
-            factors[s] = brackets
-    # factors holds n: at s = n each numerator n + H_i - D_(i-1) is at least d_i
-    bound = max(math.prod(_l1_norm(b) ** e for b, e in brackets) for brackets in factors.values())
+            found.append((s, brackets, low, dargas))
+            bound = max(bound, norm)
+            lo = low if lo is None else min(lo, low)
+    # at s = n each numerator n + H_i - D_(i-1) is at least d_i, so P_n is
+    # a product of nonzero brackets
+    if not found or found[-1][0] != n:
+        raise IdentityViolation(f"{spec} s={n}: P_n vanished")
     width = _kronecker_width(bound << n + 1)
-    lows = {s: sum(b.min_exp * e for b, e in brackets) for s, brackets in factors.items()}
-    lo = min(lows.values())
     target = darga_target(spec)  # minus n k at k hits
     rows = [0] * (n + 1)
-    for s, brackets in factors.items():
-        rows[s] = math.prod(_pack(b, width) ** e for b, e in brackets)
-        goal = target - n * (n - s)
-        left = goal  # minus the dargas of the brackets, while they are symmetric
+    for s, brackets, low, dargas in found:
+        row = 1
         for b, e in brackets:
-            if not is_symmetric(b):
-                left = None
-                break
-            left -= darga(b) * e
-        if left != 0:
-            prod = _unpack(lows[s], rows[s], width)
+            row *= _pack(b, width) ** e
+        goal = target - n * (n - s)
+        if dargas != goal:
+            prod = _unpack(low, row, width)
             if not (is_symmetric(prod) and darga(prod) == goal):
                 j = n - s
                 term = q_binomial(n + 1, j).shifted(j * (j - 1) // 2) * prod
                 raise IdentityViolation(
                     f"{spec} k=0 s={s}: term {term} is not symmetric with darga {target}"
                 )
-        rows[s] <<= width * (lows[s] - lo)
+        rows[s] = row << width * (low - lo)
     table = _PackedSeries(width, lo, rows)
     for i in range(n + 1):
         table.times_linear(0, i, order=n)  # times 1 - x q^i

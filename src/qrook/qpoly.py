@@ -56,9 +56,18 @@ class LaurentPoly:
     mutated, so polynomials share it.  Not a tuple: short-lived products
     fill CPython's free lists of short tuples, which raised the peak
     memory of the verification suites by a seventh.
+
+    Since the list never changes, ``_pack`` remembers on the polynomial
+    the last (width, packed integer) it computed for it, in the slot
+    ``_packed``, unset until then.  The memo is bounded: one integer of
+    width bits per coefficient, per polynomial, and it is dropped with its
+    polynomial, so only the caches that hold a polynomial (the
+    q-binomials, say) keep its memo across calls, and clearing them drops
+    it too.  Equality, hashing and the printed forms read the coefficients
+    alone.
     """
 
-    __slots__ = ("_lo", "_coeffs")
+    __slots__ = ("_lo", "_coeffs", "_packed")
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
         terms = {_integral(e): _integral(c) for e, c in coeffs.items() if c} if coeffs else {}
@@ -345,7 +354,9 @@ class BivariatePoly:
 
 # Kronecker substitution: a polynomial as one integer at q = 2^width, so
 # that integer products and shifts are polynomial products and shifts.
-# Coefficients are signed digits of magnitude below 2^(width - 1).  width
+# Coefficients are signed digits of magnitude below 2^(width - 1).  _pack
+# keeps its last result on the polynomial as (width, integer): eq24 packs
+# the same cached q-binomials spec after spec, at a few widths.  width
 # is a multiple of 8, so a long packed value converts through its bytes in
 # linear time; a short one goes digit by digit, quadratic in its length but
 # up to twice as fast on the short rows of small boards.  Timed at widths
@@ -365,15 +376,21 @@ def _kronecker_width(bound: int) -> int:
 
 
 def _pack(p: LaurentPoly, width: int) -> int:
-    """The coefficients of p, from q^min_exp up, at q = 2^width."""
+    """The coefficients of p, from q^min_exp up, at q = 2^width; the last
+    width packed at is remembered on p (see :class:`LaurentPoly`)."""
+    memo = getattr(p, "_packed", None)
+    if memo is not None and memo[0] == width:
+        return memo[1]
     coeffs = p._coeffs
     if width * len(coeffs) > _SHORT_BITS:
         size, half = width // 8, 1 << (width - 1)
         biased = b"".join((c + half).to_bytes(size, "little") for c in coeffs)
-        return int.from_bytes(biased, "little") - _bias(half, size, len(coeffs))
-    packed = 0
-    for c in reversed(coeffs):
-        packed = (packed << width) + c
+        packed = int.from_bytes(biased, "little") - _bias(half, size, len(coeffs))
+    else:
+        packed = 0
+        for c in reversed(coeffs):
+            packed = (packed << width) + c
+    p._packed = (width, packed)
     return packed
 
 

@@ -164,3 +164,99 @@ def test_library_imports_no_test_module():
     for path in sorted((ROOT / "src" / "qrook").glob("*.py")):
         for name in _imported_names(ast.parse(path.read_text())):
             assert not {"tests", "oracles"} & set(name.split(".")), (path.name, name)
+
+
+# method names that change a list, dict or set in place
+_MUTATORS = set("append extend insert pop popitem remove clear update setdefault add discard sort reverse".split())
+
+
+def _root_name(node: ast.expr) -> str | None:
+    """The name an attribute or subscript chain such as ``x.a[0].b`` starts from."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _own_scope(fn: ast.AST):
+    """The nodes of a function's body, not descending into nested scopes."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def module_state_writes(source: str) -> list[str]:
+    """Each place where a function assigns to, or mutates, a name bound at
+    module level: a ``global`` declaration, an item or attribute store or
+    delete on the name, ``setattr`` on it, or a call of a list, dict or set
+    mutator on it.  A parameter or local of the same name shadows it."""
+    tree = ast.parse(source)
+    module = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            module.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            module.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                module.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    writes = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        body = list(_own_scope(fn))
+        local = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+        local.update(n.id for n in body if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load))
+        shared = module - local
+
+        def note(node: ast.AST, what: str) -> None:
+            writes.append(f"line {node.lineno}: {what}")
+
+        for node in body:
+            if isinstance(node, ast.Global):
+                for name in set(node.names) & module:
+                    note(node, f"global {name}")
+            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+                targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [node.target]
+                for target in targets:
+                    for t in target.elts if isinstance(target, (ast.Tuple, ast.List)) else [target]:
+                        if isinstance(t, (ast.Attribute, ast.Subscript)) and _root_name(t) in shared:
+                            note(node, f"stores into {_root_name(t)}")
+            elif isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Attribute) and func.attr in _MUTATORS and _root_name(func.value) in shared:
+                    note(node, f"{_root_name(func.value)}.{func.attr}()")
+                elif (
+                    isinstance(func, ast.Name) and func.id == "setattr"
+                    or isinstance(func, ast.Attribute) and func.attr == "__setattr__"
+                ) and node.args and _root_name(node.args[0]) in shared:
+                    note(node, f"setattr on {_root_name(node.args[0])}")
+    return writes
+
+
+@pytest.mark.parametrize(
+    "body,flagged",
+    [
+        ("_MEMO = {}\ndef f(x):\n    _MEMO[x] = 1", True),
+        ("_MEMO = {}\ndef f(x):\n    _MEMO.setdefault(x, 1)", True),
+        ("_ONE = object()\ndef f(x):\n    _ONE.memo = x", True),
+        ("_ONE = object()\nclass A:\n    def f(self, x):\n        setattr(_ONE, 'memo', x)", True),
+        ("COUNT = 0\ndef f():\n    global COUNT\n    COUNT += 1", True),
+        ("_MEMO = {}\ndef f(_MEMO, x):\n    _MEMO[x] = 1", False),
+        ("_MEMO = {}\ndef f(x):\n    _MEMO = {}\n    _MEMO[x] = 1", False),
+        ("def f(p, x):\n    p._memo = x\n    return [x].append(1)", False),
+    ],
+)
+def test_module_state_writes_are_found(body, flagged):
+    assert bool(module_state_writes(body)) == flagged
+
+
+def test_library_functions_write_no_module_state():
+    # a value kept across calls lives in an lru_cache, which the benchmark
+    # clears before each pass (test_benchmark_clears_every_library_cache),
+    # or on an object such a cache or the caller holds; a module-level
+    # memo would carry work from one benchmark pass into the next
+    for path in sorted((ROOT / "src" / "qrook").glob("*.py")):
+        assert module_state_writes(path.read_text()) == [], path.name

@@ -602,3 +602,21 @@ def test_kronecker_product_matches_the_laurent_product(a, b, ea, eb):
     lo_f, lo_g = f.to_dense_dict()["min_exp"], g.to_dense_dict()["min_exp"]
     assert _unpack(lo_f, _pack(f, width), width) == f
     assert _unpack(lo_f + lo_g, _pack(f, width) * _pack(g, width), width) == f * g
+
+
+@given(st.lists(COEFFS, max_size=90), st.integers(-9, 9), st.lists(st.integers(0, 2), min_size=1, max_size=8))
+@settings(max_examples=100)
+def test_pack_remembers_only_its_last_width(coeffs, e, picks):
+    # one polynomial packed at interleaved widths, the digit-by-digit and
+    # the bytes path among them, gives what a fresh equal polynomial
+    # packs to each time, and packing changes none of its public views
+    f = LaurentPoly.dense(e, coeffs)
+    size = max(len(f.to_dense_dict()["coeffs"]), 1)
+    short = _kronecker_width(max(map(abs, coeffs), default=0))
+    # past _SHORT_BITS = 4096 bits in all, a value packs through its bytes
+    long = max(short, (4096 // size + 8) // 8 * 8)
+    assert long * size > 4096
+    before = (hash(f), repr(f))
+    for width in [(short, long, short + 8)[p] for p in picks]:
+        assert _pack(f, width) == _pack(LaurentPoly.dense(e, coeffs), width)
+        assert f == LaurentPoly.dense(e, coeffs) and (hash(f), repr(f)) == before

@@ -359,6 +359,27 @@ class TestStepFormulas:
             assert isinstance(got, str) and "is not symmetric with darga" in got, spec
             assert got == outcome(lambda s: eq24_signed_terms(s, binomial), spec), spec
 
+    def test_eq24_and_oracle_raise_alike_under_asymmetric_brackets(self, monkeypatch):
+        # every bracket times 1 + 2q: no bracket is symmetric, so each P_s
+        # is unpacked and decided on its own digits, and fails there
+        def binomial(m, k):
+            return q_binomial(m, k) * LaurentPoly({0: 1, 1: 2})
+
+        monkeypatch.setattr(placements, "q_binomial", binomial)
+        for spec in self.ORACLE_SPECS:
+            got = outcome(placements.eq24_divided, spec)
+            assert isinstance(got, str) and "is not symmetric with darga" in got, spec
+            assert got == outcome(lambda s: eq24_signed_terms(s, binomial), spec), spec
+
+    def test_eq24_raises_when_p_n_vanishes(self, monkeypatch):
+        # every bracket [m, k] with k >= 1 zeroed: each P_s vanishes, P_n too
+        def binomial(m, k):
+            return q_binomial(m, k) if k < 1 else LaurentPoly.zero()
+
+        monkeypatch.setattr(placements, "q_binomial", binomial)
+        for spec in self.ORACLE_SPECS[:100]:
+            assert outcome(placements.eq24_divided, spec) == f"{spec} s={spec.n}: P_n vanished"
+
     @pytest.mark.parametrize(
         "spec,blocks,admissible,past_64_bits,negative",
         [
@@ -819,6 +840,18 @@ class TestFailuresStayInTheSuite:
         fails = self.failing(monkeypatch, "unimodal", 2, [(verify, "eq24_divided", shifted)])
         assert "FAIL step-symmetry-zsu steps:0x1" in fails
         assert {line.split()[1] for line in fails} == {"step-symmetry-zsu"}
+
+    def test_vanishing_step_brackets(self, monkeypatch):
+        # every bracket [m, k] with k >= 1 zeroed: a FAIL line that says
+        # P_n vanished, not a ValueError from the empty product table
+        binomial = lambda m, k: q_binomial(m, k) if k < 1 else LaurentPoly.zero()
+        fails = self.failing(monkeypatch, "unimodal", 2, [(placements, "q_binomial", binomial)])
+        steps = [line for line in fails if line.split()[1] == "step-symmetry-zsu"]
+        assert steps == [
+            f"FAIL step-symmetry-zsu {spec} {spec} s={spec.n}: P_n vanished"
+            for n in (1, 2)
+            for spec in all_step_specs(n)
+        ]
 
     def test_negative_step_table(self, monkeypatch):
         # negated entries keep their symmetry and darga; only the specs whose
