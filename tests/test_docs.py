@@ -210,29 +210,24 @@ def module_state_writes(source: str) -> list[str]:
         local = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
         local.update(n.id for n in body if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load))
         shared = module - local
-
-        def note(node: ast.AST, what: str) -> None:
-            writes.append(f"line {node.lineno}: {what}")
-
         for node in body:
             if isinstance(node, ast.Global):
-                for name in set(node.names) & module:
-                    note(node, f"global {name}")
+                writes += [f"line {node.lineno}: global {name}" for name in set(node.names) & module]
             elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
                 targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [node.target]
                 for target in targets:
                     for t in target.elts if isinstance(target, (ast.Tuple, ast.List)) else [target]:
                         if isinstance(t, (ast.Attribute, ast.Subscript)) and _root_name(t) in shared:
-                            note(node, f"stores into {_root_name(t)}")
+                            writes.append(f"line {node.lineno}: stores into {_root_name(t)}")
             elif isinstance(node, ast.Call):
                 func = node.func
                 if isinstance(func, ast.Attribute) and func.attr in _MUTATORS and _root_name(func.value) in shared:
-                    note(node, f"{_root_name(func.value)}.{func.attr}()")
+                    writes.append(f"line {node.lineno}: {_root_name(func.value)}.{func.attr}()")
                 elif (
                     isinstance(func, ast.Name) and func.id == "setattr"
                     or isinstance(func, ast.Attribute) and func.attr == "__setattr__"
                 ) and node.args and _root_name(node.args[0]) in shared:
-                    note(node, f"setattr on {_root_name(node.args[0])}")
+                    writes.append(f"line {node.lineno}: setattr on {_root_name(node.args[0])}")
     return writes
 
 

@@ -348,37 +348,24 @@ class TestStepFormulas:
         for spec in self.ORACLE_SPECS:
             assert placements.eq24_divided(spec) == eq24_signed_terms(spec), spec
 
-    def test_eq24_and_oracle_raise_alike_under_a_wrong_q_binomial(self, monkeypatch):
-        # every bracket times q: each guard fails, on the same first term
-        def binomial(m, k):
-            return q_binomial(m, k).shifted(1)
-
+    def assert_eq24_and_oracle_fail_alike(self, monkeypatch, binomial):
+        """Under a wrong q_binomial, each spec's guard fails, with the
+        message of the oracle's first failing term."""
         monkeypatch.setattr(placements, "q_binomial", binomial)
         for spec in self.ORACLE_SPECS:
             got = outcome(placements.eq24_divided, spec)
             assert isinstance(got, str) and "is not symmetric with darga" in got, spec
             assert got == outcome(lambda s: eq24_signed_terms(s, binomial), spec), spec
+
+    def test_eq24_and_oracle_raise_alike_under_a_wrong_q_binomial(self, monkeypatch):
+        # every bracket times q: each bracket stays symmetric, but the
+        # dargas add up to the wrong target
+        self.assert_eq24_and_oracle_fail_alike(monkeypatch, lambda m, k: q_binomial(m, k).shifted(1))
 
     def test_eq24_and_oracle_raise_alike_under_asymmetric_brackets(self, monkeypatch):
         # every bracket times 1 + 2q: no bracket is symmetric, so each P_s
-        # is unpacked and decided on its own digits, and fails there
-        def binomial(m, k):
-            return q_binomial(m, k) * LaurentPoly({0: 1, 1: 2})
-
-        monkeypatch.setattr(placements, "q_binomial", binomial)
-        for spec in self.ORACLE_SPECS:
-            got = outcome(placements.eq24_divided, spec)
-            assert isinstance(got, str) and "is not symmetric with darga" in got, spec
-            assert got == outcome(lambda s: eq24_signed_terms(s, binomial), spec), spec
-
-    def test_eq24_raises_when_p_n_vanishes(self, monkeypatch):
-        # every bracket [m, k] with k >= 1 zeroed: each P_s vanishes, P_n too
-        def binomial(m, k):
-            return q_binomial(m, k) if k < 1 else LaurentPoly.zero()
-
-        monkeypatch.setattr(placements, "q_binomial", binomial)
-        for spec in self.ORACLE_SPECS[:100]:
-            assert outcome(placements.eq24_divided, spec) == f"{spec} s={spec.n}: P_n vanished"
+        # is unpacked and decided on its own digits
+        self.assert_eq24_and_oracle_fail_alike(monkeypatch, lambda m, k: q_binomial(m, k) * LaurentPoly({0: 1, 1: 2}))
 
     @pytest.mark.parametrize(
         "spec,blocks,admissible,past_64_bits,negative",
