@@ -60,7 +60,6 @@ from .placements import (
     xi_stat,
 )
 from .qpoly import (
-    BivariatePoly,
     IdentityViolation,
     LaurentPoly,
     darga,

@@ -16,21 +16,17 @@ the standard extension to negative numerators), q-multinomials,
 q-Stirling numbers of the second kind, and the symmetry/unimodality
 analyzer ``zsu_check``.
 
-:class:`BivariatePoly` is a two-variable companion (Laurent in q,
-polynomial in a second formal symbol z) built by ``BivariatePoly.series``
-from its z-coefficients, each a :class:`LaurentPoly`, and stored as their
-tuple; it is used for identities where z stands for q^x or for a series
-variable.  Its generic product multiplies every pair of coefficients.
-
 The private Kronecker helpers (``_pack``, ``_unpack``) hold a polynomial
 as one integer at q = 2^width, so that integer products and shifts are
 polynomial products and shifts.  On them runs the one x-series kernel,
 ``_PackedSeries``: a polynomial or truncated series in x held as packed
 rows sharing one lowest exponent, multiplied by a linear factor
-q^a - x q^b or divided by 1 - x q^m one pass at a time, forming no
-LaurentPoly product.  ``placements.eq24_divided``, the ``defining`` hit
-route, ``placements.factorization_check``, ``ffmat.corollary2_check`` and
-route A of ``verify.phi_series`` run their passes on it.
+q^a - x q^b, divided by 1 - x q^m, or taken through the q-difference
+operator, one pass at a time, forming no LaurentPoly product.  It is the
+library's one route for series in x: ``placements.eq24_divided``, the
+``defining`` hit route, ``placements.factorization_check``,
+``ffmat.corollary2_check``, route A of ``verify.phi_series`` and
+``verify.lemma3_delta_check`` run their passes on it.
 """
 
 from __future__ import annotations
@@ -267,91 +263,6 @@ _ZERO = LaurentPoly()
 _ONE = LaurentPoly({0: 1})
 
 
-class BivariatePoly:
-    """Integer polynomial in two symbols: Laurent in q, ordinary in z.
-
-    Stored as the tuple of its z-coefficients, the LaurentPoly values of
-    z^0, ..., z^degree, whose last entry is nonzero (canonical form);
-    zero is the empty tuple.  The second symbol has no fixed meaning:
-    identities use it for the formal power q^x (so [x+m] appears as
-    (1 - z*q^m)/(1-q)) or as a plain series variable.  A power series in
-    z is held truncated: after :meth:`truncated` it is exact up to and
-    including z^order.
-    """
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, *args, **kwargs):
-        raise TypeError("a BivariatePoly is built by BivariatePoly.series from its z-coefficients")
-
-    @staticmethod
-    def zero() -> "BivariatePoly":
-        return BivariatePoly.series(())
-
-    @staticmethod
-    def one() -> "BivariatePoly":
-        return BivariatePoly.series((_ONE,))
-
-    @staticmethod
-    def series(polys: Iterable[LaurentPoly]) -> "BivariatePoly":
-        """sum_k polys[k] z^k; zeros past the last nonzero entry are dropped."""
-        coeffs = list(polys)
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        out = BivariatePoly.__new__(BivariatePoly)
-        out._coeffs = tuple(coeffs)
-        return out
-
-    @staticmethod
-    def from_laurent(p: LaurentPoly, z_exp: int = 0) -> "BivariatePoly":
-        """p * z^z_exp; zero at any power of z is zero."""
-        if p and z_exp < 0:
-            raise ValueError("a BivariatePoly has no negative powers of z")
-        return BivariatePoly.series((_ZERO,) * z_exp + (p,))
-
-    def coefficient(self, k: int) -> LaurentPoly:
-        """The z^k coefficient; zero past the degree."""
-        return self._coeffs[k] if 0 <= k < len(self._coeffs) else _ZERO
-
-    def truncated(self, order: int) -> "BivariatePoly":
-        """Drop every term above z^order."""
-        return BivariatePoly.series(self._coeffs[: max(order + 1, 0)])
-
-    def delta(self) -> "BivariatePoly":
-        """The q-difference operator (F(zq) - F(z)) / (zq - z): it maps
-        a_k z^k to [k] a_k z^(k-1), so a series exact up to z^order
-        comes out exact up to z^(order-1)."""
-        return BivariatePoly.series(q_bracket(k) * a for k, a in enumerate(self._coeffs) if k)
-
-    def __add__(self, other):
-        if not isinstance(other, BivariatePoly):
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return BivariatePoly.series((*map(add, a, b), *a[len(b) :]))
-
-    def __mul__(self, other):
-        if not isinstance(other, BivariatePoly):
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        out = [_ZERO] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b, i):
-                out[j] = out[j] + x * y
-        return BivariatePoly.series(out)
-
-    def __eq__(self, other):
-        if not isinstance(other, BivariatePoly):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __repr__(self):
-        terms = sorted((qe, ze, c) for ze, p in enumerate(self._coeffs) for qe, c in p.items())
-        body = " + ".join(f"{c}*q^{qe}*z^{ze}" for qe, ze, c in terms)
-        return f"BivariatePoly({body or 0})"
-
-
 # Kronecker substitution: a polynomial as one integer at q = 2^width, so
 # that integer products and shifts are polynomial products and shifts.
 # Coefficients are signed digits of magnitude below 2^(width - 1).  _pack
@@ -431,11 +342,11 @@ class _PackedSeries:
     low digits may be zero).  The library's x-series passes all run on it:
     :meth:`times_linear` multiplies by q^ea - x q^eb, the one sign pattern
     they need (the ``defining`` route's x - q^j is its negative, which it
-    folds into the signs of the terms it adds), and :meth:`divide` divides
-    by 1 - x q^m truncated at an order; each is one pass of shifts and sums
-    over the rows, and no LaurentPoly product is formed.  A working value:
-    its passes change it in place, and it never leaves the function that
-    builds it.
+    folds into the signs of the terms it adds), :meth:`divide` divides by
+    1 - x q^m truncated at an order, and :meth:`delta` is the q-difference
+    operator; each is one pass over the rows, and no LaurentPoly product is
+    formed.  A working value: its passes change it in place, and it never
+    leaves the function that builds it.
 
     Packing is evaluation at q = 2^width, so sums, shifts and products of
     packed integers are exact whatever their digits.  The rows unpack, and
@@ -443,8 +354,9 @@ class _PackedSeries:
     are, while every coefficient read is a signed width-bit digit.  Callers
     make sure of that with ``_kronecker_width`` of a bound on the l1 norms
     of those rows, computed from the norms of their actual operands: a
-    product by a linear factor at most doubles the largest row norm, and a
-    division truncated at x^order sums at most order + 1 rows into each.
+    product by a linear factor at most doubles the largest row norm, a
+    division truncated at x^order sums at most order + 1 rows into each,
+    and delta multiplies the norm of the x^k row by at most k.
     """
 
     __slots__ = ("width", "lo", "rows")
@@ -507,6 +419,12 @@ class _PackedSeries:
             for k, r in enumerate(rows):
                 c = rows[k] = (r << up) + (c >> s)
         self.rows = rows
+
+    def delta(self) -> None:
+        """The q-difference operator (F(xq) - F(x)) / (xq - x): the x^k row
+        times the packed [k] becomes the x^(k-1) row, and row 0 drops, so a
+        series exact up to x^order comes out exact up to x^(order - 1)."""
+        self.rows = [r * _pack(q_bracket(k), self.width) for k, r in enumerate(self.rows) if k]
 
     def polys(self) -> list[LaurentPoly]:
         """The x^k coefficients, one per row."""

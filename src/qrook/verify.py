@@ -22,11 +22,10 @@ The checks fall into four groups:
   dividing the hit-polynomial numerator by (1-x)(1-xq)...(1-xq^n), one
   truncated pass per factor of the packed x-series kernel
   ``qpoly._PackedSeries``, which forms no product, together with the
-  finite-difference operator identity used to add an empty column,
-  whose series have the q-binomials [m+j, j] as x^j coefficients; the
-  series are :class:`~qrook.qpoly.BivariatePoly` values truncated at
-  their order, with z standing for x, built by ``BivariatePoly.series``
-  from their x^k coefficients;
+  q-difference operator identity used to add an empty column (Lemma 3),
+  whose two sides are x-monomials divided by such products on the same
+  kernel, one truncated pass per factor; a series is the tuple of its
+  x^k coefficients, each a :class:`~qrook.qpoly.LaurentPoly`;
 * structural recurrences: the empty-column recurrence for hit
   polynomials, and complement reciprocity;
 * the descent/major-index ladder on triangular boards and its multiset
@@ -83,7 +82,6 @@ from .placements import (
     word_stat_polys,
 )
 from .qpoly import (
-    BivariatePoly,
     IdentityViolation,
     LaurentPoly,
     _PackedSeries,
@@ -92,7 +90,6 @@ from .qpoly import (
     _l1_norm,
     darga,
     is_symmetric,
-    q_binomial,
     q_bracket,
     q_factorial,
     q_multinomial,
@@ -104,20 +101,14 @@ from . import ffmat
 
 
 # ---------------------------------------------------------------------------
-# Series in x over the Laurent ring, held as BivariatePoly with z for x
+# Series in x over the Laurent ring, on the packed kernel
 # ---------------------------------------------------------------------------
 
 
-def inverse_product_series(m: int, order: int) -> BivariatePoly:
-    """1 / ((1-x)(1-xq)...(1-xq^m)) truncated at the given order: by the
-    q-binomial theorem its x^j coefficient is [m+j, j]."""
-    return BivariatePoly.series(q_binomial(m + j, j) for j in range(order + 1))
-
-
-def phi_series(board: FerrersBoard) -> BivariatePoly:
-    """The series with x^k coefficient prod_i [k + c_i - i + 1] up to x^(n+3),
-    computed two independent ways; IdentityViolation reports the first
-    coefficient where they differ.
+def phi_series(board: FerrersBoard) -> tuple[LaurentPoly, ...]:
+    """The x^k coefficients prod_i [k + c_i - i + 1] for k = 0..n+3, computed
+    two independent ways; IdentityViolation reports the first coefficient
+    where they differ.
 
     Route A divides sum_k x^k T_{n-k}(B) by (1-x)(1-xq)...(1-xq^n), one
     truncated pass per factor on packed rows; route B multiplies the
@@ -142,7 +133,7 @@ def phi_series(board: FerrersBoard) -> BivariatePoly:
                 f"series mismatch for {board} at x^{k}: "
                 f"bracket product gives {direct}, hit-polynomial route gives {via_hits}"
             )
-    return BivariatePoly.series(series)
+    return tuple(series)
 
 
 def _bracket_product(heights: tuple[int, ...], k: int) -> LaurentPoly:
@@ -159,19 +150,28 @@ def lemma3_delta_check(n: int) -> bool:
     ([k] x^(k-1) + [n-k+1] q^k x^k) / prod_{i=0}^{n+1}(1-xq^i), for 0<=k<=n.
 
     The q^k factor follows from expanding the difference quotient:
-    (q^k - q^(n+1)) / (q-1) = -q^k [n-k+1].  The series are compared up to
-    x^(n+3).
+    (q^k - q^(n+1)) / (q-1) = -q^k [n-k+1].  Both sides are packed rows of
+    ``_PackedSeries``, one truncated pass per factor; the left side is
+    divided up to x^(n+4), so that after delta both are exact up to x^(n+3).
     """
     order = n + 3
-    base = inverse_product_series(n, order + 1)
-    extended = inverse_product_series(n + 1, order)
+    # the x^j row of 1/prod_{i<=m}(1-xq^i) is a sum of C(m+j, m) monomials:
+    # after delta the left rows have norm at most (order + 1) C(n+order+1, n),
+    # and the right rows, two numerator terms of norm k and n-k+1 over one
+    # more factor, at most (n + 1) C(n+order+1, n+1); this bounds both
+    width = _kronecker_width((order + 1) * math.comb(n + order + 2, n + 1))
     for k in range(n + 1):
-        lhs = (BivariatePoly.from_laurent(LaurentPoly.one(), k) * base).truncated(order + 1).delta()
-        # for k = 0 the first numerator term is [0] = 0
-        rhs_num = BivariatePoly.from_laurent(q_bracket(k), k - 1) + BivariatePoly.from_laurent(
-            q_bracket(n - k + 1).shifted(k), k
-        )
-        if lhs != (rhs_num * extended).truncated(order):
+        lhs = _PackedSeries(width, 0, [0] * k + [1])
+        for i in range(n + 1):
+            lhs.divide(i, order + 1)
+        lhs.delta()
+        rhs = _PackedSeries(width)
+        rhs.add(k, q_bracket(n - k + 1).shifted(k))
+        if k:  # for k = 0 the x^(k-1) term is [0] = 0
+            rhs.add(k - 1, q_bracket(k))
+        for i in range(n + 2):
+            rhs.divide(i, order)
+        if lhs != rhs:
             return False
     return True
 

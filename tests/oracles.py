@@ -12,7 +12,7 @@ from fractions import Fraction
 from qrook.boards import FerrersBoard, StepSpec
 from qrook.permstat import mat_word, words_over, xi_word
 from qrook.placements import Placement, mat_stat, xi_stat
-from qrook.qpoly import BivariatePoly, IdentityViolation, LaurentPoly, q_binomial
+from qrook.qpoly import IdentityViolation, LaurentPoly, q_binomial
 
 
 def partitions_in_box_gf(rows: int, cols: int) -> LaurentPoly:
@@ -356,45 +356,30 @@ def sparse_str(a: dict[int, int]) -> str:
     return " ".join(terms) or "0"
 
 
-# A sparse bivariate polynomial: {(q_exp, z_exp): coefficient}, no zero
+# A sparse bivariate polynomial: {(q_exp, x_exp): coefficient}, no zero
 # coefficients.  sparse_add serves it unchanged.
-
-
-def bivariate_from_terms(terms: dict[tuple[int, int], int]) -> BivariatePoly:
-    """The polynomial of the sparse terms {(q exponent, z exponent): c},
-    built from its z-coefficients; every z exponent is nonnegative."""
-    top = max((ze for _, ze in terms), default=-1)
-    return BivariatePoly.series(
-        LaurentPoly({qe: c for (qe, ze), c in terms.items() if ze == k}) for k in range(top + 1)
-    )
 
 
 def sparse_bivariate_mul(a: dict[tuple[int, int], int], b: dict[tuple[int, int], int]) -> dict:
     """The dict convolution: every pair of terms multiplied, the products
-    summed by (q, z) exponent."""
+    summed by (q, x) exponent."""
     out: dict[tuple[int, int], int] = {}
-    for (qa, za), ca in a.items():
-        for (qb, zb), cb in b.items():
-            key = (qa + qb, za + zb)
+    for (qa, xa), ca in a.items():
+        for (qb, xb), cb in b.items():
+            key = (qa + qb, xa + xb)
             out[key] = out.get(key, 0) + ca * cb
     return {key: c for key, c in out.items() if c}
 
 
 def sparse_bivariate_delta(a: dict[tuple[int, int], int]) -> dict:
-    """a_k z^k -> [k] a_k z^(k-1) term by term: c q^e z^k becomes
-    c (q^e + ... + q^(e+k-1)) z^(k-1)."""
+    """a_k x^k -> [k] a_k x^(k-1) term by term: c q^e x^k becomes
+    c (q^e + ... + q^(e+k-1)) x^(k-1)."""
     out: dict[tuple[int, int], int] = {}
-    for (qe, ze), c in a.items():
-        for i in range(ze):
-            key = (qe + i, ze - 1)
+    for (qe, xe), c in a.items():
+        for i in range(xe):
+            key = (qe + i, xe - 1)
             out[key] = out.get(key, 0) + c
     return {key: c for key, c in out.items() if c}
-
-
-def sparse_bivariate_repr(a: dict[tuple[int, int], int]) -> str:
-    """Terms c*q^e*z^k sorted by (e, k), joined by " + "."""
-    body = " + ".join(f"{c}*q^{qe}*z^{ze}" for (qe, ze), c in sorted(a.items()))
-    return f"BivariatePoly({body or 0})"
 
 
 # x-series passes on LaurentPoly values: a series is the list of its x^k

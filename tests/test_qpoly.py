@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import strategies as st
 
 from qrook.boards import compositions
 from qrook.qpoly import (
-    BivariatePoly,
     LaurentPoly,
     darga,
     is_symmetric,
@@ -21,13 +21,11 @@ from qrook.qpoly import (
 from qrook.qpoly import _PackedSeries, _kronecker_width, _l1_norm, _pack, _unpack
 
 from oracles import (
-    bivariate_from_terms,
     evaluate_by_powers,
     partitions_in_box_gf,
     sparse_add,
     sparse_bivariate_delta,
     sparse_bivariate_mul,
-    sparse_bivariate_repr,
     sparse_dense,
     sparse_mul,
     series_divided_by_one_minus,
@@ -170,17 +168,20 @@ class TestBrackets:
             assert lhs == rhs
 
     def test_binomial_theorem(self):
-        # prod_{j=0}^{m-1} (1 + x q^j) = sum_k [m,k] q^(C(k,2)) x^k
+        # on the packed x-series kernel: 1/((1-x)(1-xq)...(1-xq^m)) has x^j
+        # coefficient [m+j, j], and (1-x)(1-xq)...(1-xq^(m-1)) has x^k
+        # coefficient (-1)^k q^C(k,2) [m, k]; the norms are at most C(16, 8)
+        width = _kronecker_width(math.comb(16, 8))
         for m in range(9):
-            lhs = BivariatePoly.one()
+            for order in range(9):
+                quotient = _PackedSeries(width, 0, [1])
+                for i in range(m + 1):
+                    quotient.divide(i, order)
+                assert quotient.polys() == [q_binomial(m + j, j) for j in range(order + 1)]
+            product = _PackedSeries(width, 0, [1])
             for j in range(m):
-                lhs = lhs * bivariate_from_terms({(0, 0): 1, (j, 1): 1})
-            rhs = BivariatePoly.zero()
-            for k in range(m + 1):
-                rhs = rhs + BivariatePoly.from_laurent(
-                    q_binomial(m, k).shifted(k * (k - 1) // 2), z_exp=k
-                )
-            assert lhs == rhs
+                product.times_linear(0, j)
+            assert product.polys() == [(-1) ** k * q_binomial(m, k).shifted(k * (k - 1) // 2) for k in range(m + 1)]
 
     @staticmethod
     def times_denominator_is_numerator(m, k):
@@ -281,16 +282,13 @@ def test_zsu_closures(fd, ge):
     assert zsu_check(f * g, d + e)
 
 
-def test_bivariate_coefficient_past_degree_is_zero():
-    a = bivariate_from_terms({(0, 0): 1, (-1, 1): -2, (2, 2): 3})
-    assert a.coefficient(1) == LaurentPoly({-1: -2})
-    assert not a.coefficient(3) and not a.coefficient(10)
-
-
 @pytest.mark.parametrize("k", range(6))
 def test_bivariate_delta_of_monomial(k):
-    # delta(z^k) = [k] z^(k-1), and delta(1) = 0
-    assert bivariate_from_terms({(0, k): 1}).delta() == BivariatePoly.from_laurent(q_bracket(k), k - 1)
+    # delta(x^k) = [k] x^(k-1) on packed rows, and delta(1) = 0
+    series = _PackedSeries(8, 0, [0] * k + [1])
+    series.delta()
+    assert len(series.rows) == k
+    assert series == _PackedSeries.packing([LaurentPoly.zero()] * (k - 1) + [q_bracket(k)], 8)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +405,7 @@ def test_dense_constructor_trims_both_ends():
 
 
 # ---------------------------------------------------------------------------
-# The z-coefficient store of BivariatePoly against the sparse reference
+# Packed x-series rows against the sparse bivariate reference
 # ---------------------------------------------------------------------------
 
 SPARSE_BIVARIATE = st.dictionaries(
@@ -418,44 +416,51 @@ SPARSE_BIVARIATE = st.dictionaries(
 @st.composite
 def bivariate_pairs(draw):
     """Two sparse bivariate polynomials; half the time the second cancels
-    every term of one z-power of the first (the top one included) in
+    every term of one x-power of the first (the top one included) in
     their sum."""
     a, b = draw(SPARSE_BIVARIATE), draw(SPARSE_BIVARIATE)
     if a and draw(st.booleans()):
-        z = draw(st.sampled_from(sorted({ze for _, ze in a})))
-        b.update({key: -c for key, c in a.items() if key[1] == z})
+        x = draw(st.sampled_from(sorted({xe for _, xe in a})))
+        b.update({key: -c for key, c in a.items() if key[1] == x})
     return a, b
 
 
-def assert_bivariate_matches(f: BivariatePoly, ref: dict[tuple[int, int], int]) -> None:
-    """f is the polynomial of the sparse terms ref, in every public view."""
-    assert repr(f) == sparse_bivariate_repr(ref)
-    assert f == bivariate_from_terms(ref)
-    top = max((ze for _, ze in ref), default=-1)
-    coeffs = [LaurentPoly({qe: c for (qe, ze), c in ref.items() if ze == k}) for k in range(-1, top + 3)]
-    assert [f.coefficient(k) for k in range(-1, top + 3)] == coeffs
-    assert BivariatePoly.series(coeffs[1:]) == f
-    assert (f == BivariatePoly.zero()) == (not ref)
+def series_of_terms(terms: dict[tuple[int, int], int]) -> list[LaurentPoly]:
+    """The x^k coefficients of the sparse terms {(q exponent, x exponent): c},
+    up to the highest power of x they have."""
+    top = max((xe for _, xe in terms), default=-1)
+    return [LaurentPoly({qe: c for (qe, xe), c in terms.items() if xe == k}) for k in range(top + 1)]
 
 
-@given(bivariate_pairs(), st.integers(-2, 7))
+def assert_series_is(polys: list[LaurentPoly], terms: dict[tuple[int, int], int]) -> None:
+    """polys, less its zero tail, is the canonical list of x^k coefficients
+    of the sparse terms."""
+    polys = list(polys)
+    while polys and not polys[-1]:
+        polys.pop()
+    assert polys == series_of_terms(terms)
+
+
+@given(bivariate_pairs())
 @settings(max_examples=200)
-def test_bivariate_store_matches_sparse_reference(pair, order):
+def test_bivariate_store_matches_sparse_reference(pair):
+    # packed at the least width that holds every coefficient read, the rows
+    # unpack to the sparse terms, compare equal exactly when the terms do,
+    # take the other polynomial added row by row to the sparse sum, and
+    # delta is the term-by-term reference
     a, b = pair
-    f, g = bivariate_from_terms(a), bivariate_from_terms(b)
-    assert_bivariate_matches(f, a)
-    assert_bivariate_matches(f + g, sparse_add(a, b))
-    assert_bivariate_matches(g + f, sparse_add(b, a))
-    assert_bivariate_matches(f * g, sparse_bivariate_mul(a, b))
-    assert_bivariate_matches(f * BivariatePoly.one(), a)
-    assert_bivariate_matches(f * BivariatePoly.zero(), {})
-    assert_bivariate_matches(f.truncated(order), {key: c for key, c in a.items() if key[1] <= order})
-    assert_bivariate_matches(f.delta(), sparse_bivariate_delta(a))
-    assert_bivariate_matches(bivariate_from_terms({(0, 1): 1}) * f, {(qe, ze + 1): c for (qe, ze), c in a.items()})
-    for z in range(3):
-        p = f.coefficient(z)
-        assert_bivariate_matches(BivariatePoly.from_laurent(p, z), {(qe, z): c for qe, c in p.items()})
+    total = sparse_add(a, b)
+    derived = sparse_bivariate_delta(total)
+    width = _kronecker_width(max((abs(c) for t in (a, b, total, derived) for c in t.values()), default=0))
+    f, g = (_PackedSeries.packing(series_of_terms(t), width) for t in (a, b))
+    assert_series_is(f.polys(), a)
     assert (f == g) == (a == b)
+    for k, p in enumerate(series_of_terms(b)):
+        f.add(k, p)
+    assert_series_is(f.polys(), total)
+    assert f == _PackedSeries.packing(series_of_terms(total), width)
+    f.delta()
+    assert_series_is(f.polys(), derived)
 
 
 MONOMIAL_COEFFS = st.one_of(st.sampled_from([1, -1]), st.integers(-(2**70), 2**70).filter(bool))
@@ -464,25 +469,23 @@ MONOMIAL_COEFFS = st.one_of(st.sampled_from([1, -1]), st.integers(-(2**70), 2**7
 @given(SPARSE_BIVARIATE, st.integers(-6, 6), MONOMIAL_COEFFS, st.integers(-6, 6), MONOMIAL_COEFFS, st.integers(0, 7))
 @settings(max_examples=200)
 def test_linear_factor_passes_match_products(terms, e, c, m, cm, order):
-    # the oracle passes, one per linear factor: times a + b z against the
-    # product by that 2-term series, and over 1 - z q^m against the
-    # truncated product by sum_j q^(mj) z^j; the series include zero
-    f = bivariate_from_terms(terms)
-    coeffs = [f.coefficient(k) for k in range(max((ze for _, ze in terms), default=-1) + 1)]
-    a, b = LaurentPoly({e: c}), LaurentPoly({m: cm})
-    product = BivariatePoly.series(series_times_linear(coeffs, a, b))
-    assert_bivariate_matches(product, sparse_bivariate_mul(terms, {(e, 0): c, (m, 1): cm}))
-    assert product == f * BivariatePoly.series((a, b))
-    geometric = BivariatePoly.series(LaurentPoly({m * j: 1}) for j in range(order + 1))
+    # the oracle passes, one per linear factor: times a + b x against the
+    # dict product by those two terms, and over 1 - x q^m against the
+    # truncated dict product by sum_j q^(mj) x^j; the series include zero
+    coeffs = series_of_terms(terms)
+    product = series_times_linear(coeffs, LaurentPoly({e: c}), LaurentPoly({m: cm}))
+    assert_series_is(product, sparse_bivariate_mul(terms, {(e, 0): c, (m, 1): cm}))
+    geometric = {(m * j, j): 1 for j in range(order + 1)}
     quotient = series_divided_by_one_minus(coeffs, m, order)
-    assert BivariatePoly.series(quotient) == (f * geometric).truncated(order)
+    truncated = {key: v for key, v in sparse_bivariate_mul(terms, geometric).items() if key[1] <= order}
+    assert_series_is(quotient, truncated)
     undone = series_times_linear(quotient, LaurentPoly.one(), LaurentPoly({m: -1}))
-    assert BivariatePoly.series(undone).truncated(order) == f.truncated(order)
+    assert_series_is(undone[: order + 1], {key: v for key, v in terms.items() if key[1] <= order})
 
 
 def test_linear_factor_passes_cancel_to_canonical_form():
-    # (1 - z q^2)(1 + z q^2 + z^2 q^4) = 1 - z^3 q^6: the middle coefficients
-    # vanish; q z^0 + (-1 + q) z^1 times 1 - z leaves -1 at z^1, its q
+    # (1 - x q^2)(1 + x q^2 + x^2 q^4) = 1 - x^3 q^6: the middle coefficients
+    # vanish; q x^0 + (-1 + q) x^1 times 1 - x leaves -1 at x^1, its q
     # cancelled; by the oracle passes and on packed rows alike
     geometric = [LaurentPoly({2 * j: 1}) for j in range(3)]
     cases = [
@@ -542,20 +545,6 @@ def test_packed_series_passes_match_the_oracles(rows, passes):
     assert packed.polys() == expected
     assert packed == _PackedSeries.packing(expected + [LaurentPoly.zero()], width)
     assert packed != _PackedSeries.packing(expected + [LaurentPoly.one()], width)
-
-
-def test_bivariate_is_built_from_its_z_coefficients():
-    for args in ((), ({(0, 0): 1},)):
-        with pytest.raises(TypeError, match=r"BivariatePoly\.series"):
-            BivariatePoly(*args)
-
-
-def test_negative_z_power_raises():
-    with pytest.raises(ValueError):
-        BivariatePoly.from_laurent(LaurentPoly({5: -2}), -1)
-    # a zero coefficient at a negative power is no term at all: delta(1)
-    # is [0] z^-1 = 0
-    assert BivariatePoly.from_laurent(q_bracket(0), -1) == BivariatePoly.zero()
 
 
 def test_constants_hash_as_their_ints():

@@ -22,7 +22,7 @@ from qrook.boards import (
     triangular_board,
 )
 from qrook.placements import darga_target, hit_polys
-from qrook.qpoly import BivariatePoly, IdentityViolation, LaurentPoly, q_binomial, q_bracket, q_factorial
+from qrook.qpoly import IdentityViolation, LaurentPoly, q_binomial, q_bracket, q_factorial
 from qrook.qpoly import _PackedSeries
 from qrook.verify import (
     CheckResult,
@@ -31,7 +31,6 @@ from qrook.verify import (
     euler_ladder_check,
     g_identity_check,
     hit_zsu_check,
-    inverse_product_series,
     lemma3_delta_check,
     n_k_target,
     phi_series,
@@ -42,11 +41,7 @@ from qrook.verify import (
 )
 
 from cli_runner import invoke
-from oracles import bivariate_from_terms, eq24_signed_terms, eq26_divided_by_vectors
-
-
-def x_power(k):
-    return bivariate_from_terms({(0, k): 1})
+from oracles import eq24_signed_terms, eq26_divided_by_vectors
 
 
 def count_products(monkeypatch, run):
@@ -99,34 +94,35 @@ def outcome(fn, spec):
 
 
 class TestTruncatedSeries:
-    """Series in x held as BivariatePoly, with z for x."""
+    """Series in x on the packed kernel, read back as their x^k coefficients."""
 
     def test_product_truncates(self):
-        # (1 + x + x^2 + x^3)(1 + x) up to x^3
-        a = bivariate_from_terms({(0, k): 1 for k in range(4)})
-        b = bivariate_from_terms({(0, 0): 1, (0, 1): 1})
-        prod = (a * b).truncated(3)
-        assert prod.coefficient(3) == LaurentPoly({0: 2})
-        assert not prod.coefficient(4)
+        # (1 + 2x + 3x^2 + 4x^3)(1 - x) up to x^3: the -4x^4 term is dropped
+        s = _PackedSeries(8, 0, [1, 2, 3, 4])
+        s.times_linear(0, 0, order=3)
+        assert s.polys() == [LaurentPoly.one()] * 4
 
     def test_geometric_inverse(self):
         # 1/(1-x) has all-ones coefficients
-        s = inverse_product_series(0, 5)
-        assert all(s.coefficient(k) == LaurentPoly.one() for k in range(6))
+        s = _PackedSeries(8, 0, [1])
+        s.divide(0, 5)
+        assert s.polys() == [LaurentPoly.one()] * 6
         # 1/((1-x)(1-xq)) has coefficient [k+1]
-        s = inverse_product_series(1, 5)
-        assert all(s.coefficient(k) == q_bracket(k + 1) for k in range(6))
+        s.divide(1, 5)
+        assert s.polys() == [q_bracket(k + 1) for k in range(6)]
 
     def test_delta_drops_one_order(self):
-        s = inverse_product_series(0, 4)
-        d = s.delta()
-        assert all(d.coefficient(k) == q_bracket(k + 1) for k in range(4))
-        assert not d.coefficient(4)
+        s = _PackedSeries(8, 0, [1])
+        s.divide(0, 4)
+        s.delta()
+        assert s.polys() == [q_bracket(k + 1) for k in range(4)]
 
     def test_shift(self):
-        s = (x_power(1) * BivariatePoly.one()).truncated(2)
-        assert not s.coefficient(0) and s.coefficient(1) == LaurentPoly.one()
-        assert (x_power(2) * inverse_product_series(0, 2)).truncated(2) == x_power(2)
+        # x^k over 1 - x, truncated at x^k, is x^k: the rows below stay zero
+        for k in range(3):
+            s = _PackedSeries(8, 0, [0] * k + [1])
+            s.divide(0, k)
+            assert s.polys() == [LaurentPoly.zero()] * k + [LaurentPoly.one()]
 
 
 class TestPhiSeries:
@@ -141,7 +137,7 @@ class TestPhiSeries:
             expected = LaurentPoly.one()
             for i in range(1, n + 1):
                 expected = expected * q_bracket(k - i + 1)
-            assert series.coefficient(k) == expected
+            assert series[k] == expected
 
     def test_mismatch_reports_first_coefficient(self, monkeypatch):
         board = staircase_board(2)
@@ -406,7 +402,9 @@ class TestStepFormulas:
         assert 0 < calls <= bound
 
     @pytest.mark.parametrize("board", [staircase_board(12), FerrersBoard((0, 2, 2, 5, 5, 6))], ids=str)
-    @pytest.mark.parametrize("route", ["defining", "factorization", "rank-product-identity", "series-route-a"])
+    @pytest.mark.parametrize(
+        "route", ["defining", "factorization", "rank-product-identity", "series-route-a", "delta-identity"]
+    )
     def test_x_series_passes_form_no_products(self, monkeypatch, route, board):
         # the passes run on packed rows, like eq24's; the polynomials they
         # read (rook polynomials, q-factorials, the rank-count polynomials
@@ -416,6 +414,7 @@ class TestStepFormulas:
             "factorization": lambda: placements.factorization_check(board),
             "rank-product-identity": lambda: ffmat.corollary2_check(board),
             "series-route-a": lambda: phi_series(board),
+            "delta-identity": lambda: lemma3_delta_check(board.n),
         }
         expected = runs[route]()
         ranks = [ffmat.p_k_formula(board, k) for k in range(board.n + 1)]
@@ -509,8 +508,7 @@ class TestFailuresStayInTheSuite:
     )
     def test_wrong_q_binomial(self, monkeypatch, suite, check):
         with monkeypatch.context() as patch:
-            for module in (placements, verify):
-                patch.setattr(module, "q_binomial", lambda m, k: q_binomial(m, k).shifted(1))
+            patch.setattr(placements, "q_binomial", lambda m, k: q_binomial(m, k).shifted(1))
             code, lines = self.verify_lines(suite, 2)
         assert code == 1
         fails = [line for line in lines if line.startswith(f"FAIL {check} ")]
@@ -702,17 +700,19 @@ class TestFailuresStayInTheSuite:
         assert len(lines) == len(self.verify_lines("steps", 3)[1])
 
     def test_violation_in_unguarded_check(self, monkeypatch):
-        # the delta identity builds its series from verify.q_binomial; a
-        # violation raised there is a FAIL line, not a traceback
-        def q_binomial_refusing(m, k):
-            if (m, k) == (3, 1):
-                raise IdentityViolation("[3, 1] refused")
-            return q_binomial(m, k)
+        # the delta identity takes its left side through _PackedSeries.delta,
+        # on rows up to x^(n+4); a violation raised there at n = 1 is a FAIL
+        # line, not a traceback
+        def delta_refusing(series):
+            if len(series.rows) == 6:
+                raise IdentityViolation("delta of 6 rows refused")
+            return real(series)
 
+        real = _PackedSeries.delta
         with monkeypatch.context() as patch:
-            patch.setattr(verify, "q_binomial", q_binomial_refusing)
+            patch.setattr(_PackedSeries, "delta", delta_refusing)
             lines = [result.line() for result in run_suites(["reciprocity"], 2)]
-        assert "FAIL delta-identity n=1 [3, 1] refused" in lines
+        assert "FAIL delta-identity n=1 delta of 6 rows refused" in lines
         assert len(lines) == len(list(run_suites(["reciprocity"], 2)))
 
     def test_route_a_divides_by_the_wrong_factors(self, monkeypatch):
@@ -723,8 +723,12 @@ class TestFailuresStayInTheSuite:
         wrong = lambda series, m, order: real(series, m + 1, order)
         fails = self.failing(monkeypatch, "reciprocity", 2, [(_PackedSeries, "divide", wrong)])
         boards = [board for n in (1, 2) for board in all_ferrers_boards(n)]
-        assert len(fails) == len(boards)
-        for line, board in zip(fails, boards):
+        series = [line for line in fails if line.startswith("FAIL series-two-ways ")]
+        assert len(series) == len(boards)
+        # Lemma 3 divides on the same kernel: its two sides then differ by a
+        # factor q on the [n-k+1] term
+        assert [line for line in fails if line not in series] == ["FAIL delta-identity n=1", "FAIL delta-identity n=2"]
+        for line, board in zip(series, boards):
             prefix = f"FAIL series-two-ways {board} series mismatch for {board} at x^"
             assert line.startswith(prefix) and ": bracket product gives " in line, line
 
@@ -878,11 +882,19 @@ class TestFailuresStayInTheSuite:
         assert "heights:1" in failed and "heights:0" not in failed
 
     def test_wrong_delta_series(self, monkeypatch):
-        # 1/((1-x)...(1-xq^(m+1))) where 1/((1-x)...(1-xq^m)) is meant
-        real = verify.inverse_product_series
-        one_factor_long = lambda m, order: real(m + 1, order)
-        fails = self.failing(monkeypatch, "reciprocity", 2, [(verify, "inverse_product_series", one_factor_long)])
-        assert "FAIL delta-identity n=1" in fails and "FAIL delta-identity n=2" in fails
+        # the right side over (1-x)...(1-xq^(n+2)) where (1-x)...(1-xq^(n+1))
+        # is meant: one extra division after its last factor, the only
+        # division of the suite at m = order - 2 (route A stops at m = n with
+        # order n+3, and Lemma 3's left side at m = n with order n+4)
+        real = _PackedSeries.divide
+
+        def one_factor_long(series, m, order):
+            real(series, m, order)
+            if m == order - 2:
+                real(series, m + 1, order)
+
+        fails = self.failing(monkeypatch, "reciprocity", 2, [(_PackedSeries, "divide", one_factor_long)])
+        assert fails == ["FAIL delta-identity n=1", "FAIL delta-identity n=2"]
 
 
 def run_optimized(*args):
