@@ -40,7 +40,7 @@ from typing import Iterator
 from .boards import FerrersBoard, staircase_board
 from .placements import BudgetExceededError, Placement, _decimal
 from .placements import inv_stat, rook_poly
-from .qpoly import IdentityViolation, LaurentPoly, _PackedSeries, _integral, _kronecker_width, _l1_norm, q_stirling
+from .qpoly import IdentityViolation, LaurentPoly, _PackedSeries, _integral, _l1_norm, q_stirling
 
 DEFAULT_BUDGET = 10**7
 
@@ -355,12 +355,13 @@ def corollary2_check(board: FerrersBoard) -> bool:
     # n+1 or n passes at most double the largest row norm, and the right
     # side starts at 1
     ranks = [p_k_formula(board, j) for j in range(n + 1)]
-    width = _kronecker_width(max(1, *map(_l1_norm, ranks)) << n + 1)
-    lhs = _PackedSeries(width)
+    bound = max(1, *map(_l1_norm, ranks)) << n + 1
+    lhs = _PackedSeries(bound)
     for k in range(n, -1, -1):
         lhs.times_linear(0, k)
-        lhs.add(0, ranks[n - k])
-    rhs = _PackedSeries(width, 0, [1])
+        lhs.add(0, ((ranks[n - k], 1),))
+    rhs = _PackedSeries(bound)
+    rhs.add(0, ())
     for i, c in enumerate(board.heights, start=1):
         rhs.times_linear(c, i - 1)
     return lhs == rhs

@@ -45,7 +45,7 @@ from typing import Iterable
 
 from .boards import FerrersBoard, StepSpec, step_decomposition
 from .qpoly import IdentityViolation, LaurentPoly, _integral, darga, is_symmetric
-from .qpoly import _PackedSeries, _kronecker_width, _l1_norm, _pack, _unpack
+from .qpoly import _PackedSeries, _l1_norm
 from .qpoly import q_binomial, q_bracket, q_factorial
 
 _ONE_MINUS_Q = LaurentPoly.dense(0, (1, -1))
@@ -315,11 +315,10 @@ def hit_polys(board: FerrersBoard, method: str = "mat") -> tuple[LaurentPoly, ..
         # a term of norm at most |[j]!|_1 |R_(n-j)|_1
         n = board.n
         terms = [(q_factorial(j), rook_poly(board, n - j)) for j in range(n + 1)]
-        width = _kronecker_width(max(_l1_norm(f) * _l1_norm(r) for f, r in terms) << n + 1)
-        acc = _PackedSeries(width)
+        acc = _PackedSeries(max(_l1_norm(f) * _l1_norm(r) for f, r in terms) << n + 1)
         for j, (factorial, rook) in enumerate(terms):
             acc.times_linear(j, 0)
-            acc.add(0, rook, _pack(factorial, width) * (-1) ** (n - j))
+            acc.add(0, ((rook, 1), (factorial, 1)), (-1) ** (n - j))
         return tuple(acc.polys())
     spec = step_decomposition(board)
     if method == "eq24":
@@ -472,25 +471,18 @@ def eq24_divided(spec: StepSpec) -> tuple[LaurentPoly, ...]:
     By the q-binomial theorem those signed q-binomials are the x^j
     coefficients of (1 - x)(1 - xq)...(1 - xq^n), so the k-hit entry is the
     x^(n-k) coefficient of that product times sum_s P_s x^s.  The table is
-    built as n+1 passes of ``qpoly._PackedSeries``, each multiplying by one
-    factor 1 - xq^i, that subtract every row shifted by i exponents from
-    the row above it.  The rows are integers at q = 2^w (Kronecker
-    substitution), sharing one lowest exponent: row s starts as the
-    product of the packed brackets of P_s, shifted to it, a pass is one
-    shift and one subtraction per row, and no polynomial product is
-    formed; each row is unpacked once at the end.  With |p|_1 the sum of
-    the absolute values of p's coefficients, a coefficient of P_s is at
-    most prod_i |[s + H_i - D_(i-1), d_i]|_1 in magnitude, and a pass at
-    most doubles the largest magnitude in the table, so w holds
-    2^(n+1) max_s prod_i |bracket_i|_1 and a sign bit, in whole bytes:
-    every coefficient is one signed w-bit digit.
+    built on ``qpoly._PackedSeries``: row s starts as P_s, added as the
+    powers of its brackets, and then n+1 passes each multiply by one
+    factor 1 - xq^i; the kernel does this on Kronecker-packed integers,
+    forming no polynomial product, and each row is unpacked once at the
+    end.  With |p|_1 the sum of the absolute values of p's coefficients,
+    |P_s|_1 is at most prod_i |[s + H_i - D_(i-1), d_i]|_1, and a pass at
+    most doubles the largest row norm in the table, so the kernel is given
+    the l1 bound 2^(n+1) max_s prod_i |bracket_i|_1.
 
     One loop over s reads the brackets of each nonzero P_s once, for the
-    product of their l1 norms, the lowest exponent of P_s, and the sum of
-    their dargas while every one is symmetric.  Packing a bracket is a
-    lookup when ``qpoly._pack`` last packed it at the same w (a
-    ``LaurentPoly`` keeps that one pair), as the cached q-binomials of
-    specs of one size mostly are.
+    product of their l1 norms and the sum of their dargas while every one
+    is symmetric.
 
     A P_s with any negative bracket numerator, that is with
     s < max_i (D_(i-1) - H_i), must vanish (the cancellation the closed
@@ -502,8 +494,9 @@ def eq24_divided(spec: StepSpec) -> tuple[LaurentPoly, ...]:
     ``darga_target(spec) - n(n - s)``, which is what is checked, once
     per nonzero P_s.  A product of symmetric factors is symmetric with the
     sum of their dargas, so P_s passes when each bracket is symmetric and
-    their dargas add up to that; only otherwise is P_s unpacked, to decide
-    on its own digits.  IdentityViolation reports a product that does not
+    their dargas add up to that; only otherwise, as on a corrupted run, is
+    P_s formed as a LaurentPoly product, to decide on its own
+    coefficients.  IdentityViolation reports a product that does not
     vanish, a P_n that does, or the first failing term, the one at k = 0;
     they are checked in that order.
     """
@@ -518,12 +511,12 @@ def eq24_divided(spec: StepSpec) -> tuple[LaurentPoly, ...]:
         block = (H[i] - D[i], d)
         repeats[block] = repeats.get(block, 0) + 1
     min_s = max((-c for c, _ in repeats), default=0)  # P_s has a negative numerator exactly when s < min_s
-    # per nonzero P_s: s, its (bracket, multiplicity) pairs, its lowest
-    # exponent, and the sum of the bracket dargas while every bracket is
-    # symmetric, else None; bound is the largest product of l1 norms
-    found, bound, lo = [], 0, None
+    # per nonzero P_s: s, its (bracket, multiplicity) pairs, and the sum of
+    # the bracket dargas while every bracket is symmetric, else None; bound
+    # is the largest product of l1 norms
+    found, bound = [], 0
     for s in range(n + 1):
-        brackets, norm, low, dargas = [], 1, 0, 0
+        brackets, norm, dargas = [], 1, 0
         for (c, d), e in repeats.items():
             b = q_binomial(s + c, d)
             coeffs = b._coeffs
@@ -531,38 +524,31 @@ def eq24_divided(spec: StepSpec) -> tuple[LaurentPoly, ...]:
                 break
             brackets.append((b, e))
             norm *= sum(map(abs, coeffs)) ** e
-            low += b._lo * e
             if dargas is not None:
                 dargas = dargas + (2 * b._lo + len(coeffs) - 1) * e if coeffs == coeffs[::-1] else None
         else:
             if s < min_s:
                 prod = math.prod((b for b, e in brackets for _ in range(e)), start=LaurentPoly.one())
                 raise IdentityViolation(f"{spec} s={s}: a negative bracket numerator left {prod}")
-            found.append((s, brackets, low, dargas))
+            found.append((s, brackets, dargas))
             bound = max(bound, norm)
-            lo = low if lo is None else min(lo, low)
     # at s = n each numerator n + H_i - D_(i-1) is at least d_i, so P_n is
     # a product of nonzero brackets
     if not found or found[-1][0] != n:
         raise IdentityViolation(f"{spec} s={n}: P_n vanished")
-    width = _kronecker_width(bound << n + 1)
     target = darga_target(spec)  # minus n k at k hits
-    rows = [0] * (n + 1)
-    for s, brackets, low, dargas in found:
-        row = 1
-        for b, e in brackets:
-            row *= _pack(b, width) ** e
+    table = _PackedSeries(bound << n + 1)
+    for s, brackets, dargas in found:
         goal = target - n * (n - s)
         if dargas != goal:
-            prod = _unpack(low, row, width)
+            prod = math.prod((b for b, e in brackets for _ in range(e)), start=LaurentPoly.one())
             if not (is_symmetric(prod) and darga(prod) == goal):
                 j = n - s
                 term = q_binomial(n + 1, j).shifted(j * (j - 1) // 2) * prod
                 raise IdentityViolation(
                     f"{spec} k=0 s={s}: term {term} is not symmetric with darga {target}"
                 )
-        rows[s] = row << width * (low - lo)
-    table = _PackedSeries(width, lo, rows)
+        table.add(s, brackets)
     for i in range(n + 1):
         table.times_linear(0, i, order=n)  # times 1 - x q^i
     return tuple(table.polys()[::-1])
@@ -635,18 +621,18 @@ def factorization_check(board: FerrersBoard) -> bool:
     if not board.admissible:
         raise ValueError("factorization check needs an admissible board")
     n = board.n
-    # nested: A_0 + (1 - z)(A_1 + (1 - z/q)(A_2 + ...)), A_k = R_(n-k) (1-q)^(n-k)
-    # of norm at most |R_(n-k)|_1 2^(n-k); each side's n+1 or n passes at
-    # most double the largest row norm, and the right side starts at 1
+    # nested: A_0 + (1 - z)(A_1 + (1 - z/q)(A_2 + ...)), each A_k added as
+    # the powers R_(n-k) (1-q)^(n-k), of norm at most |R_(n-k)|_1 2^(n-k);
+    # each side's n+1 or n passes at most double the largest row norm, and
+    # the right side starts at 1, so one bound serves both sides
     rooks = [rook_poly(board, j) for j in range(n + 1)]
-    width = _kronecker_width(max(1, *(_l1_norm(r) << j for j, r in enumerate(rooks))) << n + 1)
-    lhs = _PackedSeries(width)
-    power = 1  # (1-q)^(n-k), packed
+    bound = max(1, *(_l1_norm(r) << j for j, r in enumerate(rooks))) << n + 1
+    lhs = _PackedSeries(bound)
     for k in range(n, -1, -1):
         lhs.times_linear(0, -k)
-        lhs.add(0, rooks[n - k], power)
-        power *= 1 - (1 << width)
-    rhs = _PackedSeries(width, 0, [1])
+        lhs.add(0, ((rooks[n - k], 1), (_ONE_MINUS_Q, n - k)))
+    rhs = _PackedSeries(bound)
+    rhs.add(0, ())
     for i, c in enumerate(board.heights, start=1):
         rhs.times_linear(0, c - i + 1)
     return lhs == rhs

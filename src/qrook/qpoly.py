@@ -20,13 +20,16 @@ The private Kronecker helpers (``_pack``, ``_unpack``) hold a polynomial
 as one integer at q = 2^width, so that integer products and shifts are
 polynomial products and shifts.  On them runs the one x-series kernel,
 ``_PackedSeries``: a polynomial or truncated series in x held as packed
-rows sharing one lowest exponent, multiplied by a linear factor
-q^a - x q^b, divided by 1 - x q^m, or taken through the q-difference
-operator, one pass at a time, forming no LaurentPoly product.  It is the
-library's one route for series in x: ``placements.eq24_divided``, the
-``defining`` hit route, ``placements.factorization_check``,
-``ffmat.corollary2_check``, route A of ``verify.phi_series`` and
-``verify.lemma3_delta_check`` run their passes on it.
+rows sharing one lowest exponent, added to by products of polynomial
+powers, multiplied by a linear factor q^a - x q^b, divided by
+1 - x q^m, or taken through the q-difference operator, one pass at a
+time, forming no LaurentPoly product.  It is the library's one route
+for series in x: ``placements.eq24_divided``, the ``defining`` hit
+route, ``placements.factorization_check``, ``ffmat.corollary2_check``,
+route A of ``verify.phi_series`` and ``verify.lemma3_delta_check`` run
+their passes on it.  Those callers give it polynomials and the l1 bound
+they prove for its rows, and it picks the width, so the packed form is
+known to this module alone.
 """
 
 from __future__ import annotations
@@ -340,45 +343,54 @@ class _PackedSeries:
     as Kronecker-packed rows: rows[k] is the x^k coefficient at
     q = 2^width, every row held at the shared lowest exponent lo (so its
     low digits may be zero).  The library's x-series passes all run on it:
+    :meth:`add` adds a product of polynomial powers to a row,
     :meth:`times_linear` multiplies by q^ea - x q^eb, the one sign pattern
     they need (the ``defining`` route's x - q^j is its negative, which it
     folds into the signs of the terms it adds), :meth:`divide` divides by
     1 - x q^m truncated at an order, and :meth:`delta` is the q-difference
     operator; each is one pass over the rows, and no LaurentPoly product is
     formed.  A working value: its passes change it in place, and it never
-    leaves the function that builds it.
+    leaves the function that builds it.  Callers hand it polynomials and
+    read polynomials back; the packed form stays in this module.
 
     Packing is evaluation at q = 2^width, so sums, shifts and products of
     packed integers are exact whatever their digits.  The rows unpack, and
     two series at one width compare equal exactly when their polynomials
     are, while every coefficient read is a signed width-bit digit.  Callers
-    make sure of that with ``_kronecker_width`` of a bound on the l1 norms
-    of those rows, computed from the norms of their actual operands: a
-    product by a linear factor at most doubles the largest row norm, a
-    division truncated at x^order sums at most order + 1 rows into each,
-    and delta multiplies the norm of the x^k row by at most k.
+    make sure of that with the bound they construct it with, a bound on
+    the l1 norms of those rows computed from the norms of their actual
+    operands: a product by a linear factor at most doubles the largest row
+    norm, a division truncated at x^order sums at most order + 1 rows into
+    each, and delta multiplies the norm of the x^k row by at most k.  The
+    width is the least multiple of 8 that holds that bound and a sign bit.
     """
 
     __slots__ = ("width", "lo", "rows")
 
-    def __init__(self, width: int, lo: int = 0, rows: Iterable[int] = ()):
-        self.width, self.lo, self.rows = width, lo, list(rows)
+    def __init__(self, bound: int):
+        self.width, self.lo, self.rows = _kronecker_width(bound), 0, []
 
     @staticmethod
-    def packing(polys: Sequence[LaurentPoly], width: int) -> "_PackedSeries":
-        """sum_k polys[k] x^k, at the lowest exponent of its nonzero rows."""
-        lo = min((p._lo for p in polys if p._coeffs), default=0)
-        return _PackedSeries(width, lo, [_pack(p, width) << width * (p._lo - lo) if p else 0 for p in polys])
+    def packing(polys: Sequence[LaurentPoly], bound: int) -> "_PackedSeries":
+        """sum_k polys[k] x^k, with rows of l1 norm at most bound."""
+        series = _PackedSeries(bound)
+        for k, p in enumerate(polys):
+            series.add(k, ((p, 1),))
+        return series
 
-    def add(self, k: int, p: LaurentPoly, times: int = 1) -> None:
-        """Add p times ``times``, a packed polynomial whose lowest exponent
-        is 0, to the x^k row; the shared lowest exponent falls to p's."""
-        if p._lo < self.lo:
-            self.rows = [r << self.width * (self.lo - p._lo) for r in self.rows]
-            self.lo = p._lo
+    def add(self, k: int, factors: Iterable[tuple[LaurentPoly, int]], times: int = 1) -> None:
+        """Add times prod p^e over the (p, e) pairs of factors to the x^k
+        row; the shared lowest exponent falls to the product's."""
+        term, lo = times, 0
+        for p, e in factors:
+            term *= _pack(p, self.width) ** e
+            lo += p._lo * e
+        if lo < self.lo:
+            self.rows = [r << self.width * (self.lo - lo) for r in self.rows]
+            self.lo = lo
         rows = self.rows
         rows += [0] * (k + 1 - len(rows))
-        rows[k] += (_pack(p, self.width) * times) << self.width * (p._lo - self.lo)
+        rows[k] += term << self.width * (lo - self.lo)
 
     def times_linear(self, ea: int, eb: int, order: int | None = None) -> None:
         """Multiply by q^ea - x q^eb, dropping the terms past x^order when an
@@ -403,21 +415,13 @@ class _PackedSeries:
         self.lo += low
 
     def divide(self, m: int, order: int) -> None:
-        """Divide by 1 - x q^m, truncated at x^order: the x^k row becomes
-        c_k = r_k + q^m c_(k-1), one running sum.  For m < 0 the shared
-        lowest exponent first falls by -m order, so that each c_(k-1) is a
-        multiple of q^-m and q^m c_(k-1) is an exact right shift."""
+        """Divide by 1 - x q^m, m >= 0, truncated at x^order: the x^k row
+        becomes c_k = r_k + q^m c_(k-1), one running sum."""
         rows = self.rows[: order + 1]
         rows += [0] * (order + 1 - len(rows))
-        s, c = self.width * abs(m), 0
-        if m >= 0:
-            for k, r in enumerate(rows):
-                c = rows[k] = r + (c << s)
-        else:
-            self.lo += m * order
-            up = s * order
-            for k, r in enumerate(rows):
-                c = rows[k] = (r << up) + (c >> s)
+        s, c = self.width * m, 0
+        for k, r in enumerate(rows):
+            c = rows[k] = r + (c << s)
         self.rows = rows
 
     def delta(self) -> None:
@@ -478,7 +482,8 @@ def q_factorial(k: int) -> LaurentPoly:
 def q_binomial(m: int, k: int) -> LaurentPoly:
     """Gaussian binomial coefficient, extended to negative numerators m.
 
-    For m >= k it is prod_{i<k} (1 - q^(m-i)) / prod_{i=1}^{k} (1 - q^i): the
+    For m >= k it is prod_{i<k} (1 - q^(m-i)) / prod_{i=1}^{k} (1 - q^i),
+    built with min(k, m - k) in place of k, which gives the same value: the
     dense numerator is divided by each 1 - q^i as a power series, by the
     running sum c_j += c_(j-i), and a nonzero coefficient above the
     quotient's degree k(m-k) raises IdentityViolation.  For 0 <= m < k it
@@ -492,11 +497,12 @@ def q_binomial(m: int, k: int) -> LaurentPoly:
         return (q_binomial(k - m - 1, k) * (-1) ** k).shifted(k * m - k * (k - 1) // 2)
     if m < k:
         return LaurentPoly.zero()
-    coeffs = [1] + [0] * (k * m - k * (k - 1) // 2)
-    for a in range(m - k + 1, m + 1):
+    low = min(k, m - k)  # [m, k] = [m, m - k]: build the side with fewer factors
+    coeffs = [1] + [0] * (low * m - low * (low - 1) // 2)
+    for a in range(m - low + 1, m + 1):
         for j in range(len(coeffs) - 1, a - 1, -1):
             coeffs[j] -= coeffs[j - a]
-    for i in range(1, k + 1):
+    for i in range(1, low + 1):
         for j in range(i, len(coeffs)):
             coeffs[j] += coeffs[j - i]
     top = k * (m - k)

@@ -86,7 +86,6 @@ from .qpoly import (
     LaurentPoly,
     _PackedSeries,
     _integral,
-    _kronecker_width,
     _l1_norm,
     darga,
     is_symmetric,
@@ -122,7 +121,7 @@ def phi_series(board: FerrersBoard) -> tuple[LaurentPoly, ...]:
     # times the C(n+j, j) monomials of degree j in 1, q, ..., q^n, so its
     # norm is at most the largest row norm times C(n+1+order, order)
     bound = max(map(_l1_norm, hits)) * math.comb(n + 1 + order, order)
-    route_a = _PackedSeries.packing([hits[n - k] for k in range(n + 1)], _kronecker_width(bound))
+    route_a = _PackedSeries.packing([hits[n - k] for k in range(n + 1)], bound)
     for i in range(n + 1):
         route_a.divide(i, order)
     series = route_a.polys()
@@ -159,16 +158,17 @@ def lemma3_delta_check(n: int) -> bool:
     # after delta the left rows have norm at most (order + 1) C(n+order+1, n),
     # and the right rows, two numerator terms of norm k and n-k+1 over one
     # more factor, at most (n + 1) C(n+order+1, n+1); this bounds both
-    width = _kronecker_width((order + 1) * math.comb(n + order + 2, n + 1))
+    bound = (order + 1) * math.comb(n + order + 2, n + 1)
     for k in range(n + 1):
-        lhs = _PackedSeries(width, 0, [0] * k + [1])
+        lhs = _PackedSeries(bound)
+        lhs.add(k, ())
         for i in range(n + 1):
             lhs.divide(i, order + 1)
         lhs.delta()
-        rhs = _PackedSeries(width)
-        rhs.add(k, q_bracket(n - k + 1).shifted(k))
+        rhs = _PackedSeries(bound)
+        rhs.add(k, ((q_bracket(n - k + 1).shifted(k), 1),))
         if k:  # for k = 0 the x^(k-1) term is [0] = 0
-            rhs.add(k - 1, q_bracket(k))
+            rhs.add(k - 1, ((q_bracket(k), 1),))
         for i in range(n + 2):
             rhs.divide(i, order)
         if lhs != rhs:
@@ -312,11 +312,10 @@ def step_zsu_check(spec: StepSpec) -> bool:
     n = spec.n
     target = darga_target(spec)  # minus n k at k hits
     for k, divided in enumerate(eq24_divided(spec)):
-        if not divided:
-            continue
-        if not (is_symmetric(divided) and darga(divided) == target - n * k):
-            return False
-        if refined and not zsu_check(divided, target - n * k):
+        if refined:  # zsu_check checks the symmetry and the darga too
+            if not zsu_check(divided, target - n * k):
+                return False
+        elif divided and not (is_symmetric(divided) and darga(divided) == target - n * k):
             return False
     return True
 

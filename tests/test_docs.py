@@ -160,6 +160,18 @@ def test_oracles_share_no_private_kernel_with_the_library():
             assert not node.attr.startswith("_") or node.attr.endswith("__"), node.attr
 
 
+def test_packed_form_stays_in_qpoly():
+    # the x-series kernel takes polynomials and an l1 bound and picks the
+    # width itself, so no other module packs, unpacks or chooses a width
+    private = {"_pack", "_unpack", "_kronecker_width"}
+    for path in sorted((ROOT / "src" / "qrook").glob("*.py")):
+        if path.stem != "qpoly":
+            tree = ast.parse(path.read_text())
+            used = {name.rpartition(".")[2] for name in _imported_names(tree)}
+            used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            assert not private & used, (path.name, private & used)
+
+
 def test_library_imports_no_test_module():
     for path in sorted((ROOT / "src" / "qrook").glob("*.py")):
         for name in _imported_names(ast.parse(path.read_text())):

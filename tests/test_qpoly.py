@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -167,18 +168,28 @@ class TestBrackets:
                 rhs = -rhs
             assert lhs == rhs
 
+    def test_wide_binomials_build_the_smaller_side(self):
+        # [m, k] = [m, m - k]: near k = m the value is built from m - k
+        # factors, so the near-trivial [400, 400] and [400, 399] are quick
+        start = time.perf_counter()
+        assert q_binomial.__wrapped__(400, 400) == LaurentPoly.one()
+        assert q_binomial.__wrapped__(400, 399) == q_bracket(400)
+        assert time.perf_counter() - start < 1
+
     def test_binomial_theorem(self):
         # on the packed x-series kernel: 1/((1-x)(1-xq)...(1-xq^m)) has x^j
         # coefficient [m+j, j], and (1-x)(1-xq)...(1-xq^(m-1)) has x^k
         # coefficient (-1)^k q^C(k,2) [m, k]; the norms are at most C(16, 8)
-        width = _kronecker_width(math.comb(16, 8))
+        bound = math.comb(16, 8)
         for m in range(9):
             for order in range(9):
-                quotient = _PackedSeries(width, 0, [1])
+                quotient = _PackedSeries(bound)
+                quotient.add(0, ())
                 for i in range(m + 1):
                     quotient.divide(i, order)
                 assert quotient.polys() == [q_binomial(m + j, j) for j in range(order + 1)]
-            product = _PackedSeries(width, 0, [1])
+            product = _PackedSeries(bound)
+            product.add(0, ())
             for j in range(m):
                 product.times_linear(0, j)
             assert product.polys() == [(-1) ** k * q_binomial(m, k).shifted(k * (k - 1) // 2) for k in range(m + 1)]
@@ -285,10 +296,11 @@ def test_zsu_closures(fd, ge):
 @pytest.mark.parametrize("k", range(6))
 def test_bivariate_delta_of_monomial(k):
     # delta(x^k) = [k] x^(k-1) on packed rows, and delta(1) = 0
-    series = _PackedSeries(8, 0, [0] * k + [1])
+    series = _PackedSeries(k)
+    series.add(k, ())
     series.delta()
     assert len(series.rows) == k
-    assert series == _PackedSeries.packing([LaurentPoly.zero()] * (k - 1) + [q_bracket(k)], 8)
+    assert series == _PackedSeries.packing([LaurentPoly.zero()] * (k - 1) + [q_bracket(k)], k)
 
 
 # ---------------------------------------------------------------------------
@@ -444,21 +456,21 @@ def assert_series_is(polys: list[LaurentPoly], terms: dict[tuple[int, int], int]
 @given(bivariate_pairs())
 @settings(max_examples=200)
 def test_bivariate_store_matches_sparse_reference(pair):
-    # packed at the least width that holds every coefficient read, the rows
-    # unpack to the sparse terms, compare equal exactly when the terms do,
-    # take the other polynomial added row by row to the sparse sum, and
+    # packed with the least bound that holds every coefficient read, the
+    # rows unpack to the sparse terms, compare equal exactly when the terms
+    # do, take the other polynomial added row by row to the sparse sum, and
     # delta is the term-by-term reference
     a, b = pair
     total = sparse_add(a, b)
     derived = sparse_bivariate_delta(total)
-    width = _kronecker_width(max((abs(c) for t in (a, b, total, derived) for c in t.values()), default=0))
-    f, g = (_PackedSeries.packing(series_of_terms(t), width) for t in (a, b))
+    bound = max((abs(c) for t in (a, b, total, derived) for c in t.values()), default=0)
+    f, g = (_PackedSeries.packing(series_of_terms(t), bound) for t in (a, b))
     assert_series_is(f.polys(), a)
     assert (f == g) == (a == b)
     for k, p in enumerate(series_of_terms(b)):
-        f.add(k, p)
+        f.add(k, ((p, 1),))
     assert_series_is(f.polys(), total)
-    assert f == _PackedSeries.packing(series_of_terms(total), width)
+    assert f == _PackedSeries.packing(series_of_terms(total), bound)
     f.delta()
     assert_series_is(f.polys(), derived)
 
@@ -517,7 +529,7 @@ SERIES_ROWS = st.lists(st.builds(LaurentPoly.dense, st.integers(-6, 6), st.lists
 SERIES_PASSES = st.lists(
     st.one_of(
         st.tuples(st.just("times"), st.integers(-6, 6), st.integers(-6, 6), st.none() | st.integers(0, 7)),
-        st.tuples(st.just("divide"), st.integers(-6, 6), st.integers(0, 7)),
+        st.tuples(st.just("divide"), st.integers(0, 6), st.integers(0, 7)),
     ),
     min_size=1,
     max_size=3,
@@ -527,9 +539,9 @@ SERIES_PASSES = st.lists(
 @given(SERIES_ROWS, SERIES_PASSES)
 @settings(max_examples=300)
 def test_packed_series_passes_match_the_oracles(rows, passes):
-    # negative exponents, zero rows and negative m; the width is the least
-    # that holds every coefficient packed or read, so digits reach its bound,
-    # while the ones in between may overflow it
+    # negative exponents and zero rows, and m >= 0 as in every caller; the
+    # bound is the least that holds every coefficient packed or read, so
+    # digits reach the width's limit, while the ones in between may overflow it
     expected = rows
     for step in passes:
         if step[0] == "times":
@@ -538,13 +550,36 @@ def test_packed_series_passes_match_the_oracles(rows, passes):
             expected = expected if order is None else expected[: order + 1]
         else:
             expected = series_divided_by_one_minus(expected, *step[1:])
-    width = _kronecker_width(max((abs(c) for p in rows + expected for _, c in p.items()), default=0))
-    packed = _PackedSeries.packing(rows, width)
+    bound = max((abs(c) for p in rows + expected for _, c in p.items()), default=0)
+    packed = _PackedSeries.packing(rows, bound)
     for step in passes:
         getattr(packed, step[0] if step[0] == "divide" else "times_linear")(*step[1:])
     assert packed.polys() == expected
-    assert packed == _PackedSeries.packing(expected + [LaurentPoly.zero()], width)
-    assert packed != _PackedSeries.packing(expected + [LaurentPoly.one()], width)
+    assert packed == _PackedSeries.packing(expected + [LaurentPoly.zero()], bound)
+    assert packed != _PackedSeries.packing(expected + [LaurentPoly.one()], bound)
+
+
+FACTOR_POWERS = st.lists(
+    st.tuples(st.builds(LaurentPoly.dense, st.integers(-6, 6), st.lists(COEFFS, max_size=4)), st.integers(0, 3)),
+    max_size=3,
+)
+
+
+@given(SERIES_ROWS, st.integers(0, 5), FACTOR_POWERS, st.integers(-(2**20), 2**20))
+@settings(max_examples=200)
+def test_add_takes_a_product_of_powers(rows, k, factors, times):
+    # add(k, ((p, e), ...), times) adds times prod p^e to the x^k row, the
+    # lowest exponent of the product falling below the shared one or not
+    expected = rows + [LaurentPoly.zero()] * (k + 1 - len(rows))
+    term = LaurentPoly.dense(0, [times])
+    for p, e in factors:
+        for _ in range(e):
+            term = term * p
+    expected[k] = expected[k] + term
+    bound = max((abs(c) for p in rows + expected for _, c in p.items()), default=0)
+    packed = _PackedSeries.packing(rows, bound)
+    packed.add(k, factors, times)
+    assert packed.polys() == expected
 
 
 def test_constants_hash_as_their_ints():

@@ -98,13 +98,16 @@ class TestTruncatedSeries:
 
     def test_product_truncates(self):
         # (1 + 2x + 3x^2 + 4x^3)(1 - x) up to x^3: the -4x^4 term is dropped
-        s = _PackedSeries(8, 0, [1, 2, 3, 4])
+        s = _PackedSeries(4)
+        for k, c in enumerate((1, 2, 3, 4)):
+            s.add(k, (), c)
         s.times_linear(0, 0, order=3)
         assert s.polys() == [LaurentPoly.one()] * 4
 
     def test_geometric_inverse(self):
         # 1/(1-x) has all-ones coefficients
-        s = _PackedSeries(8, 0, [1])
+        s = _PackedSeries(6)
+        s.add(0, ())
         s.divide(0, 5)
         assert s.polys() == [LaurentPoly.one()] * 6
         # 1/((1-x)(1-xq)) has coefficient [k+1]
@@ -112,7 +115,8 @@ class TestTruncatedSeries:
         assert s.polys() == [q_bracket(k + 1) for k in range(6)]
 
     def test_delta_drops_one_order(self):
-        s = _PackedSeries(8, 0, [1])
+        s = _PackedSeries(4)
+        s.add(0, ())
         s.divide(0, 4)
         s.delta()
         assert s.polys() == [q_bracket(k + 1) for k in range(4)]
@@ -120,7 +124,8 @@ class TestTruncatedSeries:
     def test_shift(self):
         # x^k over 1 - x, truncated at x^k, is x^k: the rows below stay zero
         for k in range(3):
-            s = _PackedSeries(8, 0, [0] * k + [1])
+            s = _PackedSeries(1)
+            s.add(k, ())
             s.divide(0, k)
             assert s.polys() == [LaurentPoly.zero()] * k + [LaurentPoly.one()]
 
