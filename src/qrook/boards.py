@@ -10,12 +10,20 @@ formula routes that are defined for them.
 Boards and step specs are immutable; all operations are pure functions.
 ``str`` of either is its spelling in the CLI board grammar, which
 :func:`parse_board_spec` reads back as a board.
+
+Validation happens where values enter: ``FerrersBoard(...)``,
+``StepSpec(...)`` (and so ``dataclasses.replace``), :func:`g_spec`,
+:func:`g_board` and :func:`parse_board_spec` check their input.  The
+boards and specs derived from validated ones (the transformations, the
+families, the named boards) are built by the private ``_built``
+constructors, which skip that check.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .qpoly import _integral
@@ -33,12 +41,18 @@ class FerrersBoard:
         if any(a > b for a, b in zip(hs, hs[1:])):
             raise ValueError("not a Ferrers board: heights must weakly increase")
 
-    def _prefix(self, n: int) -> "FerrersBoard":
-        """The board of the first n columns, built without revalidating:
-        every prefix of a Ferrers board is one."""
-        board = object.__new__(FerrersBoard)
-        object.__setattr__(board, "heights", self.heights[:n])
+    @classmethod
+    def _built(cls, heights: tuple[int, ...]) -> "FerrersBoard":
+        """The board of heights, built without revalidating: the caller
+        derived them from validated data, as a weakly increasing tuple of
+        nonnegative ints."""
+        board = object.__new__(cls)
+        object.__setattr__(board, "heights", heights)
         return board
+
+    def _prefix(self, n: int) -> "FerrersBoard":
+        """The board of the first n columns: every prefix of a Ferrers board is one."""
+        return FerrersBoard._built(self.heights[:n])
 
     @property
     def n(self) -> int:
@@ -79,19 +93,35 @@ class StepSpec:
 
     def __post_init__(self):
         norm = tuple((_integral(h), _integral(d)) for h, d in self.steps)
-        object.__setattr__(self, "steps", norm)
         if any(d < 1 for _, d in norm):
             raise ValueError("block widths d_i must be positive")
         if any(h < 0 for h, _ in norm):
             raise ValueError("block rises h_i must be nonnegative")
-        widths = tuple(d for _, d in norm)
+        self._set_blocks(norm)
+
+    @classmethod
+    def _built(cls, steps: tuple[tuple[int, int], ...]) -> "StepSpec":
+        """The spec of steps, built without revalidating: the caller derived
+        them from validated data, as (rise, width) pairs of ints with every
+        rise nonnegative and every width positive."""
+        spec = object.__new__(cls)
+        spec._set_blocks(steps)
+        return spec
+
+    def _set_blocks(self, steps: tuple[tuple[int, int], ...]) -> None:
+        """Store steps and the block data read from them, in one update of
+        the frozen instance's dict."""
+        rises, widths = tuple(zip(*steps)) or ((), ())
         # block_heights and col_offsets are the partial sums H_i and D_i
-        block_heights = tuple(itertools.accumulate(h for h, _ in norm))
-        object.__setattr__(self, "widths", widths)
-        object.__setattr__(self, "n", sum(widths))
-        object.__setattr__(self, "block_heights", block_heights)
-        object.__setattr__(self, "col_offsets", tuple(itertools.accumulate(widths)))
-        object.__setattr__(self, "area", sum(d * H for d, H in zip(widths, block_heights)))
+        heights = tuple(itertools.accumulate(rises))
+        vars(self).update(
+            steps=steps,
+            widths=widths,
+            n=sum(widths),
+            block_heights=heights,
+            col_offsets=tuple(itertools.accumulate(widths)),
+            area=sum(map(mul, widths, heights)),
+        )
 
     @property
     def t(self) -> int:
@@ -118,11 +148,11 @@ class StepSpec:
         heights: list[int] = []
         for H, d in zip(self.block_heights, self.widths):
             heights.extend([H] * d)
-        return FerrersBoard(tuple(heights))
+        return FerrersBoard._built(tuple(heights))
 
     def truncated(self) -> "StepSpec":
         """Drop the last block."""
-        return StepSpec(self.steps[:-1])
+        return StepSpec._built(self.steps[:-1])
 
     def __str__(self):
         return "steps:" + ",".join(f"{h}x{d}" for h, d in self.steps)
@@ -137,14 +167,14 @@ def triangular_board(n: int) -> FerrersBoard:
     """Heights (0, 1, ..., n-1): the cells (i, j) with 1 <= i < j <= n."""
     if n < 1:
         raise ValueError("triangular board needs n >= 1")
-    return FerrersBoard(tuple(range(n)))
+    return FerrersBoard._built(tuple(range(n)))
 
 
 def staircase_board(n: int) -> FerrersBoard:
     """Heights (1, 2, ..., n): the upper-triangular cells including the diagonal."""
     if n < 1:
         raise ValueError("staircase board needs n >= 1")
-    return FerrersBoard(tuple(range(1, n + 1)))
+    return FerrersBoard._built(tuple(range(1, n + 1)))
 
 
 def g_board(v: Sequence[int]) -> FerrersBoard:
@@ -159,11 +189,11 @@ def g_board(v: Sequence[int]) -> FerrersBoard:
 def g_spec(v: Sequence[int]) -> StepSpec:
     """Blocks exactly the v_i (all v_i >= 1): block i has width v_i and
     height v_1 + ... + v_{i-1}, so the first block is empty."""
-    parts = tuple(v)  # StepSpec checks that they are integers
+    parts = tuple(v)
     if any(x < 1 for x in parts):
         raise ValueError("block multiplicities must be positive")
-    rises = (0,) + parts[:-1]
-    return StepSpec(tuple(zip(rises, parts)))
+    parts = tuple(map(_integral, parts))
+    return StepSpec._built(tuple(zip((0,) + parts[:-1], parts)))
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +206,7 @@ def complement(board: FerrersBoard) -> FerrersBoard:
     if not board.admissible:
         raise ValueError("complement is defined for admissible boards only")
     n = board.n
-    return FerrersBoard(tuple(n - c for c in reversed(board.heights)))
+    return FerrersBoard._built(tuple(n - c for c in reversed(board.heights)))
 
 
 def flip(board: FerrersBoard) -> FerrersBoard:
@@ -189,7 +219,7 @@ def flip(board: FerrersBoard) -> FerrersBoard:
     n = board.n
     # Column j' of the flipped board collects the cells of row n-j'+1.
     heights = tuple(sum(1 for c in board.heights if c >= n - j + 1) for j in range(1, n + 1))
-    return FerrersBoard(heights)
+    return FerrersBoard._built(heights)
 
 
 def step_decomposition(board: FerrersBoard) -> StepSpec:
@@ -199,7 +229,7 @@ def step_decomposition(board: FerrersBoard) -> StepSpec:
     for height, run in itertools.groupby(board.heights):
         steps.append((height - prev_height, len(list(run))))
         prev_height = height
-    return StepSpec(tuple(steps))
+    return StepSpec._built(tuple(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +240,7 @@ def step_decomposition(board: FerrersBoard) -> StepSpec:
 def all_ferrers_boards(n: int) -> Iterator[FerrersBoard]:
     """All admissible boards with grid side n, i.e. 0 <= c_1 <= ... <= c_n <= n."""
     for heights in itertools.combinations_with_replacement(range(n + 1), n):
-        yield FerrersBoard(heights)
+        yield FerrersBoard._built(heights)
 
 
 def compositions(totals: Iterable[int]) -> Iterator[tuple[int, ...]]:
@@ -234,7 +264,7 @@ def all_step_specs(n: int, admissible_only: bool = False) -> Iterator[StepSpec]:
         for rises in itertools.product(range(MAX_RISE + 1), repeat=len(widths)):
             if admissible_only and sum(rises) > n:
                 continue
-            yield StepSpec(tuple(zip(rises, widths)))
+            yield StepSpec._built(tuple(zip(rises, widths)))
 
 
 # ---------------------------------------------------------------------------

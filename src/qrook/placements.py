@@ -46,7 +46,7 @@ from typing import Iterable
 from .boards import FerrersBoard, StepSpec, step_decomposition
 from .qpoly import IdentityViolation, LaurentPoly, _integral, darga, is_symmetric
 from .qpoly import _PackedSeries, _l1_norm
-from .qpoly import q_binomial, q_bracket, q_factorial
+from .qpoly import q_binomial, q_factorial
 
 _ONE_MINUS_Q = LaurentPoly.dense(0, (1, -1))
 
@@ -221,6 +221,7 @@ def rook_poly(board: FerrersBoard, k: int) -> LaurentPoly:
     since every earlier column is at most c tall: the k rooks of B cross
     out the squares right of them, k of the new column's c, and a rook
     in one of its c - k + 1 free rows keeps the free rows below it.
+    The bracket term is one window-sum pass, ``LaurentPoly.times_bracket``.
     Each value recurses through this cache on the board minus its last
     column, so boards sharing a column prefix share the work.  Defined for
     every Ferrers board, admissible or not, and zero for k outside 0..n.
@@ -241,7 +242,7 @@ def rook_poly(board: FerrersBoard, k: int) -> LaurentPoly:
     # the prefix has n - 1 columns, so it has no k-rook placement at k = n
     poly = rook_poly(prefix, k).shifted(c - k) if k < n else LaurentPoly.zero()
     if k:
-        poly = poly + q_bracket(c - k + 1) * rook_poly(prefix, k - 1)
+        poly = poly + rook_poly(prefix, k - 1).times_bracket(c - k + 1)
     return poly
 
 

@@ -21,9 +21,10 @@ as one integer at q = 2^width, so that integer products and shifts are
 polynomial products and shifts.  On them runs the one x-series kernel,
 ``_PackedSeries``: a polynomial or truncated series in x held as packed
 rows sharing one lowest exponent, added to by products of polynomial
-powers, multiplied by a linear factor q^a - x q^b, divided by
-1 - x q^m, or taken through the q-difference operator, one pass at a
-time, forming no LaurentPoly product.  It is the library's one route
+powers or by shifted multiples of another series, multiplied by a
+linear factor q^a - x q^b, divided by 1 - x q^m, or taken through the
+q-difference operator, one pass at a time, forming no LaurentPoly
+product.  It is the library's one route
 for series in x: ``placements.eq24_divided``, the ``defining`` hit
 route, ``placements.factorization_check``, ``ffmat.corollary2_check``,
 route A of ``verify.phi_series`` and ``verify.lemma3_delta_check`` run
@@ -36,7 +37,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
+from itertools import accumulate
+from operator import add, sub
 from typing import Iterable, Mapping, Sequence
 
 
@@ -188,6 +190,21 @@ class LaurentPoly:
     def shifted(self, s: int) -> "LaurentPoly":
         """Multiply by q^s."""
         return _canonical(self._lo + s, self._coeffs) if self._coeffs else _ZERO
+
+    def times_bracket(self, m: int) -> "LaurentPoly":
+        """Multiply by [m] in one linear pass: for m > 0, coefficient j of
+        p [m] is the window sum p_(j-m+1) + ... + p_j, a difference of two
+        prefix sums of p; [0] = 0, and [m] = -q^m [-m] for m < 0.  The ends
+        of the result are p's, so it is canonical."""
+        if not self._coeffs or not m:
+            return _ZERO
+        pad = abs(m) - 1
+        sums = list(accumulate(self._coeffs, initial=0))
+        upper = sums[1:] + sums[-1:] * pad
+        lower = [0] * pad + sums[:-1]
+        if m > 0:
+            return _canonical(self._lo, list(map(sub, upper, lower)))
+        return _canonical(self._lo + m, list(map(sub, lower, upper)))
 
     def subs_q_inverse(self) -> "LaurentPoly":
         """Substitute q -> 1/q (negate every exponent)."""
@@ -344,14 +361,16 @@ class _PackedSeries:
     q = 2^width, every row held at the shared lowest exponent lo (so its
     low digits may be zero).  The library's x-series passes all run on it:
     :meth:`add` adds a product of polynomial powers to a row,
-    :meth:`times_linear` multiplies by q^ea - x q^eb, the one sign pattern
-    they need (the ``defining`` route's x - q^j is its negative, which it
-    folds into the signs of the terms it adds), :meth:`divide` divides by
-    1 - x q^m truncated at an order, and :meth:`delta` is the q-difference
-    operator; each is one pass over the rows, and no LaurentPoly product is
-    formed.  A working value: its passes change it in place, and it never
-    leaves the function that builds it.  Callers hand it polynomials and
-    read polynomials back; the packed form stays in this module.
+    :meth:`add_series` adds another series moved up some rows and times a
+    polynomial, :meth:`times_linear` multiplies by q^ea - x q^eb, the one
+    sign pattern they need (the ``defining`` route's x - q^j is its
+    negative, which it folds into the signs of the terms it adds),
+    :meth:`divide` divides by 1 - x q^m truncated at an order, and
+    :meth:`delta` is the q-difference operator; each is one pass over the
+    rows, and no LaurentPoly product is formed.  A working value: its
+    passes change it in place, and it never leaves the function that
+    builds it.  Callers hand it polynomials and read polynomials back; the
+    packed form stays in this module.
 
     Packing is evaluation at q = 2^width, so sums, shifts and products of
     packed integers are exact whatever their digits.  The rows unpack, and
@@ -386,11 +405,30 @@ class _PackedSeries:
             term *= _pack(p, self.width) ** e
             lo += p._lo * e
         if lo < self.lo:
-            self.rows = [r << self.width * (self.lo - lo) for r in self.rows]
-            self.lo = lo
+            self._lower(lo)
         rows = self.rows
         rows += [0] * (k + 1 - len(rows))
         rows[k] += term << self.width * (lo - self.lo)
+
+    def add_series(self, k: int, other: "_PackedSeries", factor: LaurentPoly, order: int) -> None:
+        """Add x^k times factor times other, a series held at the same width,
+        dropping the terms past x^order: other's rows moved up k rows, each
+        times the packed factor, one pass."""
+        if other.width != self.width:
+            raise ValueError("series packed at different widths do not add")
+        term, lo = _pack(factor, self.width), other.lo + factor._lo
+        if lo < self.lo:
+            self._lower(lo)
+        moved = other.rows[: max(order + 1 - k, 0)]
+        rows, shift = self.rows, self.width * (lo - self.lo)
+        rows += [0] * (k + len(moved) - len(rows))
+        for j, r in enumerate(moved, k):
+            rows[j] += (r * term) << shift
+
+    def _lower(self, lo: int) -> None:
+        """Hold the rows at the lower shared exponent lo."""
+        self.rows = [r << self.width * (self.lo - lo) for r in self.rows]
+        self.lo = lo
 
     def times_linear(self, ea: int, eb: int, order: int | None = None) -> None:
         """Multiply by q^ea - x q^eb, dropping the terms past x^order when an

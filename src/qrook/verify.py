@@ -150,8 +150,11 @@ def lemma3_delta_check(n: int) -> bool:
 
     The q^k factor follows from expanding the difference quotient:
     (q^k - q^(n+1)) / (q-1) = -q^k [n-k+1].  Both sides are packed rows of
-    ``_PackedSeries``, one truncated pass per factor; the left side is
-    divided up to x^(n+4), so that after delta both are exact up to x^(n+3).
+    ``_PackedSeries``.  Each side's product is divided out once, one
+    truncated pass per factor: the left side for k is 1/prod_{i<=n}(1-xq^i)
+    moved up k rows, and the right side two moved copies of
+    1/prod_{i<=n+1}(1-xq^i), times [k] and q^k [n-k+1].  The left side is
+    kept up to x^(n+4), so that after delta both are exact up to x^(n+3).
     """
     order = n + 3
     # the x^j row of 1/prod_{i<=m}(1-xq^i) is a sum of C(m+j, m) monomials:
@@ -159,18 +162,21 @@ def lemma3_delta_check(n: int) -> bool:
     # and the right rows, two numerator terms of norm k and n-k+1 over one
     # more factor, at most (n + 1) C(n+order+1, n+1); this bounds both
     bound = (order + 1) * math.comb(n + order + 2, n + 1)
+    left, right = _PackedSeries(bound), _PackedSeries(bound)
+    left.add(0, ())
+    right.add(0, ())
+    for i in range(n + 1):
+        left.divide(i, order + 1)
+    for i in range(n + 2):
+        right.divide(i, order)
     for k in range(n + 1):
         lhs = _PackedSeries(bound)
-        lhs.add(k, ())
-        for i in range(n + 1):
-            lhs.divide(i, order + 1)
+        lhs.add_series(k, left, LaurentPoly.one(), order + 1)
         lhs.delta()
         rhs = _PackedSeries(bound)
-        rhs.add(k, ((q_bracket(n - k + 1).shifted(k), 1),))
+        rhs.add_series(k, right, q_bracket(n - k + 1).shifted(k), order)
         if k:  # for k = 0 the x^(k-1) term is [0] = 0
-            rhs.add(k - 1, ((q_bracket(k), 1),))
-        for i in range(n + 2):
-            rhs.divide(i, order)
+            rhs.add_series(k - 1, right, q_bracket(k), order)
         if lhs != rhs:
             return False
     return True
@@ -185,7 +191,7 @@ def add_recurrence_check(board: FerrersBoard) -> bool:
     """Adding an empty column: T_k(B with a new empty column) equals
     [n+1-k] T_k(B) + [k+1] q^(n-k) T_{k+1}(B), and the top index vanishes."""
     n = board.n
-    grown = FerrersBoard((0,) + board.heights)
+    grown = FerrersBoard._built((0,) + board.heights)
     t_old = hit_polys(board, "mat")
     t_new = hit_polys(grown, "mat")
     if t_new[n + 1]:

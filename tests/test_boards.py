@@ -11,6 +11,7 @@ from qrook.boards import (
     all_ferrers_boards,
     all_step_specs,
     complement,
+    compositions,
     flip,
     g_board,
     g_spec,
@@ -31,12 +32,32 @@ class TestConstruction:
         assert b.n == 3 and b.area == 3 and b.admissible
         assert sorted(board_cells(b)) == [(1, 2), (1, 3), (2, 3)]
 
-    def test_prefix_equals_the_validated_board(self):
-        b = FerrersBoard((0, 1, 1, 3))
-        for n in range(5):
-            prefix = b._prefix(n)
-            assert prefix == FerrersBoard(b.heights[:n])
-            assert hash(prefix) == hash(FerrersBoard(b.heights[:n]))
+    def test_derived_values_equal_their_validated_construction(self):
+        # every board and spec the library builds without revalidating, over
+        # all admissible boards and all step specs (inadmissible ones too)
+        # with n <= 5, is the value the validating constructor gives
+        boards = [b for n in range(6) for b in all_ferrers_boards(n)]
+        specs = [s for n in range(6) for s in all_step_specs(n)]
+        expanded = [s.expand() for s in specs]
+        derived = boards + specs + expanded
+        derived += [complement(b) for b in boards] + [flip(b) for b in boards]
+        derived += [step_decomposition(b) for b in boards + expanded]
+        derived += [s.truncated() for s in specs]
+        derived += [g_spec(cast(x) for x in v) for v in compositions(range(1, 6)) for cast in (int, float)]
+        derived += [family(n) for n in range(1, 6) for family in (triangular_board, staircase_board)]
+        derived += [b._prefix(k) for b in boards for k in range(b.n)]
+        assert len(derived) > 10_000
+        for value in derived:
+            if isinstance(value, FerrersBoard):
+                twin = FerrersBoard(value.heights)
+                fields = value.heights
+            else:
+                twin = StepSpec(value.steps)
+                data = block_data(value)
+                assert data == block_data(twin) == partial_sums(value.steps)
+                fields = (*sum(value.steps, ()), *data[0], data[1], *data[2], *data[3], data[4])
+            assert value == twin and hash(value) == hash(twin) and repr(value) == repr(twin)
+            assert all(type(x) is int for x in fields), repr(value)
 
     def test_trivial_board(self):
         b = FerrersBoard((0, 0, 0))

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from qrook.boards import FerrersBoard, parse_board_spec
+
 from cli_runner import invoke
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -170,6 +172,24 @@ def test_packed_form_stays_in_qpoly():
             used = {name.rpartition(".")[2] for name in _imported_names(tree)}
             used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
             assert not private & used, (path.name, private & used)
+
+
+def test_cli_builds_no_trusted_board():
+    # user input reaches the validating constructors: the trusted ones,
+    # which skip the checks, serve values derived from validated data
+    tree = ast.parse((ROOT / "src" / "qrook" / "cli.py").read_text())
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {name.rpartition(".")[2] for name in _imported_names(tree)}
+    assert "_built" not in names
+
+
+def test_user_boards_reach_the_validating_constructors():
+    for bad in ("heights:2,1", "heights:1.5", "steps:1x0", "gv:0"):
+        with pytest.raises(ValueError, match=f"bad board spec {re.escape(repr(bad))}"):
+            parse_board_spec(bad)
+    with pytest.raises(ValueError, match="not an integer"):
+        FerrersBoard((1.0, 2.5))
 
 
 def test_library_imports_no_test_module():

@@ -403,6 +403,16 @@ def test_single_term_products_match_sparse_reference(a, b, c, e):
     assert_matches(m, term)
 
 
+@given(st.builds(LaurentPoly.dense, st.integers(-8, 8), st.lists(COEFFS, max_size=12)), st.integers(-10, 40))
+@settings(max_examples=300)
+def test_bracket_pass_is_the_product(p, m):
+    # the window-sum pass against the convolution and the sparse reference,
+    # for m <= 0 too, where [0] = 0 and [m] = -q^m [-m]
+    result = p.times_bracket(m)
+    assert result == p * q_bracket(m)
+    assert_matches(result, sparse_mul(dict(p.items()), dict(q_bracket(m).items())))
+
+
 def test_dense_constructor_trims_both_ends():
     assert LaurentPoly.dense(-2, [0, 0, 3, 0, -1, 0]).to_dense_dict() == {
         "min_exp": 0,
@@ -559,10 +569,8 @@ def test_packed_series_passes_match_the_oracles(rows, passes):
     assert packed != _PackedSeries.packing(expected + [LaurentPoly.one()], bound)
 
 
-FACTOR_POWERS = st.lists(
-    st.tuples(st.builds(LaurentPoly.dense, st.integers(-6, 6), st.lists(COEFFS, max_size=4)), st.integers(0, 3)),
-    max_size=3,
-)
+SERIES_FACTOR = st.builds(LaurentPoly.dense, st.integers(-6, 6), st.lists(COEFFS, max_size=4))
+FACTOR_POWERS = st.lists(st.tuples(SERIES_FACTOR, st.integers(0, 3)), max_size=3)
 
 
 @given(SERIES_ROWS, st.integers(0, 5), FACTOR_POWERS, st.integers(-(2**20), 2**20))
@@ -580,6 +588,23 @@ def test_add_takes_a_product_of_powers(rows, k, factors, times):
     packed = _PackedSeries.packing(rows, bound)
     packed.add(k, factors, times)
     assert packed.polys() == expected
+
+
+@given(SERIES_ROWS, SERIES_ROWS, st.integers(0, 6), SERIES_FACTOR, st.integers(0, 7))
+@settings(max_examples=200)
+def test_add_series_adds_a_moved_multiple(rows, other, k, factor, order):
+    # add_series(k, other, factor, order) adds x^k factor other, truncated at
+    # x^order, row by row; the lowest exponent falls below the shared one or not
+    moved = other[: max(order + 1 - k, 0)]
+    expected = rows + [LaurentPoly.zero()] * (k + len(moved) - len(rows))
+    for j, r in enumerate(moved, k):
+        expected[j] = expected[j] + factor * r
+    bound = max((abs(c) for p in rows + other + expected + [factor] for _, c in p.items()), default=0)
+    packed = _PackedSeries.packing(rows, bound)
+    packed.add_series(k, _PackedSeries.packing(other, bound), factor, order)
+    assert packed.polys() == expected
+    with pytest.raises(ValueError, match="different widths"):
+        packed.add_series(k, _PackedSeries.packing(other, 2 ** _kronecker_width(bound)), factor, order)
 
 
 def test_constants_hash_as_their_ints():

@@ -748,6 +748,23 @@ class TestFailuresStayInTheSuite:
         assert len(lines) == len(self.verify_lines(suite, max_n)[1])
         return [line for line in lines if line.startswith("FAIL ")]
 
+    def test_short_bracket_window(self, monkeypatch):
+        # the rook recurrence's window-sum pass with the last term of each
+        # window dropped: q_stirling still multiplies by [k] as a product,
+        # so the staircase check fails at every n
+        real = LaurentPoly.times_bracket
+        short = lambda p, m: real(p, m - 1 if m > 0 else m)
+        caches = (placements.rook_poly, placements.hit_polys, placements.classical_hit_distribution)
+        for cached in caches:
+            cached.cache_clear()
+        try:
+            fails = self.failing(monkeypatch, "rook", 3, [(LaurentPoly, "times_bracket", short)])
+        finally:
+            for cached in caches:
+                cached.cache_clear()
+        stirling = [line for line in fails if line.startswith("FAIL staircase-stirling ")]
+        assert stirling == [f"FAIL staircase-stirling n={n}" for n in (1, 2, 3)]
+
     def test_wrong_fiber_size(self, monkeypatch):
         # inv one too high shrinks every expected fiber p-fold
         real = ffmat.inv_stat
