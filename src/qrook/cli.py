@@ -8,10 +8,19 @@ eight-variant statistic table over a symmetric group).
 
 Exit codes: 0 on success and all-pass verification, 1 when any suite
 check fails (a ``hit`` or ``matrices`` computation whose own check
-raises prints ``error: <message>`` on stderr), 2 on usage errors (bad
-board spec, malformed word, a ``stats`` option the statistic does not
-take, enumeration or dynamic-program budget exceeded).  Output is
-deterministic: identical invocations produce byte-identical output.
+raises ``IdentityViolation`` prints ``error: <message>`` on stderr), 2 on
+usage errors: any ``ValueError`` raised on the given input (bad board
+spec, malformed word, a ``stats`` option the statistic does not take,
+enumeration or dynamic-program budget exceeded) prints ``error:
+<message>`` on stderr.  Commands raise; ``main`` alone turns these two
+exceptions into exit codes, and any other exception is a defect that
+ends in a traceback.  ``hit --method all`` asks
+:func:`~qrook.placements.validate_hit_method` about each route first and
+runs the routes that answer for the board; each route refused prints a
+``SKIPPED <route>: <message>`` line after the table rows, and the
+``CONSISTENT``/``INCONSISTENT`` verdict covers the routes that ran.
+Output is deterministic: identical invocations produce byte-identical
+output.
 
 ``main(argv=None, standalone_mode=True)`` parses ``argv`` (``sys.argv[1:]``
 when None) and runs the command.  With ``standalone_mode`` true it ends in
@@ -35,7 +44,7 @@ import sys
 
 from . import ffmat, permstat, verify
 from .boards import parse_board_spec
-from .placements import HIT_METHODS, BudgetExceededError, hit_polys, validate_hit_method
+from .placements import HIT_METHODS, hit_polys, validate_hit_method
 from .placements import rook_poly as rook_poly_fn
 from .qpoly import IdentityViolation, LaurentPoly
 
@@ -44,27 +53,6 @@ _JSON = json.JSONEncoder(sort_keys=True)
 
 def _echo(line: str):
     sys.stdout.write(line + "\n")
-
-
-def _fail(code: int, message: str):
-    sys.stdout.flush()
-    sys.stderr.write(f"error: {message}\n")
-    sys.exit(code)
-
-
-def _fail_usage(message: str):
-    _fail(2, message)
-
-
-def _fail_check(exc: IdentityViolation):
-    _fail(1, str(exc))
-
-
-def _board(spec_text: str):
-    try:
-        return parse_board_spec(spec_text)
-    except ValueError as exc:
-        _fail_usage(str(exc))
 
 
 def _emit_poly(poly: LaurentPoly, fmt: str, labels: dict | None = None):
@@ -86,34 +74,32 @@ def _emit_poly(poly: LaurentPoly, fmt: str, labels: dict | None = None):
 
 def rook_cmd(board_spec: str, k: int | None, fmt: str):
     """q-rook polynomial(s) of a board."""
-    board = _board(board_spec)
+    board = parse_board_spec(board_spec)
     if not board.admissible:
-        _fail_usage("rook polynomials need an admissible board")
+        raise ValueError("rook polynomials need an admissible board")
     ks = range(board.n + 1) if k is None else [k]
     for kk in ks:
         if not 0 <= kk <= board.n:
-            _fail_usage(f"k must lie in 0..{board.n}")
+            raise ValueError(f"k must lie in 0..{board.n}")
         _emit_poly(rook_poly_fn(board, kk), fmt, None if k is not None else {"k": str(kk)})
 
 
 def hit_cmd(board_spec: str, k: int | None, method: str, fmt: str):
     """Hit polynomial(s) of a board, by one method or all, with a verdict."""
-    board = _board(board_spec)
+    board = parse_board_spec(board_spec)
     n = board.n
     methods = HIT_METHODS if method == "all" else (method,)
-    try:
-        for m in methods:
+    skipped = {}  # with all, the routes that do not answer for the board
+    for m in methods:
+        try:
             validate_hit_method(board, m)
-    except ValueError as exc:
-        _fail_usage(str(exc))
+        except ValueError as exc:
+            if len(methods) == 1:
+                raise
+            skipped[m] = exc
     if k is not None and not 0 <= k <= n:
-        _fail_usage(f"k must lie in 0..{n}")
-    try:
-        tables = {m: hit_polys(board, m) for m in methods}
-    except BudgetExceededError as exc:
-        _fail_usage(str(exc))
-    except IdentityViolation as exc:
-        _fail_check(exc)
+        raise ValueError(f"k must lie in 0..{n}")
+    tables = {m: hit_polys(board, m) for m in methods if m not in skipped}
     consistent = True
     for kk in range(n + 1) if k is None else [k]:
         values = {m: table[kk] for m, table in tables.items()}
@@ -122,6 +108,8 @@ def hit_cmd(board_spec: str, k: int | None, method: str, fmt: str):
             consistent = False
         for m, poly in values.items():
             _emit_poly(poly, fmt, {"k": kk, "method": m})
+    for m, exc in skipped.items():
+        _echo(f"SKIPPED {m}: {exc}")
     if len(methods) > 1:
         _echo("CONSISTENT" if consistent else "INCONSISTENT")
     if not consistent:
@@ -143,38 +131,26 @@ def stats_cmd(word_text: str, stat_name: str, family: str | None, variant: int |
     if stat_name not in FAMILY_STATS:
         for option, value in (("--family", family), ("--variant", variant)):
             if value is not None:
-                _fail_usage(f"{option} applies to stat1-stat4 only, not to {stat_name}")
-    try:
-        word = permstat.parse_word(word_text)
-    except ValueError as exc:
-        _fail_usage(str(exc))
-    try:
-        if stat_name in FAMILY_STATS:
-            chosen = variant if variant is not None else int(stat_name[-1])
-            value = permstat.stat_family(word, family or "mat", chosen)
-        elif stat_name == "t5a":
-            value = permstat.theorem5_stat(word)
-        elif stat_name == "t5b":
-            value = permstat.theorem5_statx(word)
-        else:
-            value = getattr(permstat, stat_name)(word)
-    except ValueError as exc:
-        _fail_usage(str(exc))
+                raise ValueError(f"{option} applies to stat1-stat4 only, not to {stat_name}")
+    word = permstat.parse_word(word_text)
+    if stat_name in FAMILY_STATS:
+        chosen = variant if variant is not None else int(stat_name[-1])
+        value = permstat.stat_family(word, family or "mat", chosen)
+    elif stat_name == "t5a":
+        value = permstat.theorem5_stat(word)
+    elif stat_name == "t5b":
+        value = permstat.theorem5_statx(word)
+    else:
+        value = getattr(permstat, stat_name)(word)
     _echo(str(value))
 
 
 def matrices_cmd(board_spec: str, prime: int):
     """Rank counts of board-supported matrices, checked against the formula."""
-    board = _board(board_spec)
-    try:
-        counts = ffmat.rank_distribution(board, prime)
-    except ValueError as exc:  # BudgetExceededError is a ValueError
-        _fail_usage(str(exc))
+    board = parse_board_spec(board_spec)
+    counts = ffmat.rank_distribution(board, prime)
     _echo("ranks: " + ",".join(str(c) for c in counts))
-    try:
-        agrees = ffmat.theorem1_check(board, prime)
-    except IdentityViolation as exc:
-        _fail_check(exc)
+    agrees = ffmat.theorem1_check(board, prime)
     _echo("THEOREM1 PASS" if agrees else "THEOREM1 FAIL")
     if not agrees:
         sys.exit(1)
@@ -198,7 +174,7 @@ def verify_cmd(suite: str, max_n: int):
 def table_cmd(family: str, n: int):
     """The eight descent-paired statistics over S_n, one row per permutation."""
     if n < 1 or n > 8:
-        _fail_usage("table needs 1 <= n <= 8")
+        raise ValueError("table needs 1 <= n <= 8")
     header = ["perm", "des", "maj"] + [f"stat{i}" for i in range(1, 9)]
     _echo(",".join(header))
     for perm in permstat.permutations_of(n):
@@ -269,6 +245,13 @@ def main(argv: list[str] | None = None, standalone_mode: bool = True):
             code = 0
         except SystemExit as exc:
             code = exc.code
+        except (ValueError, IdentityViolation) as exc:
+            # a ValueError (BudgetExceededError among them) on the given
+            # input is a usage error, an IdentityViolation a failed check;
+            # any other exception is a defect and ends in a traceback
+            code = 2 if isinstance(exc, ValueError) else 1
+            sys.stdout.flush()
+            sys.stderr.write(f"error: {exc}\n")
         if standalone_mode:
             sys.stdout.flush()
     except BrokenPipeError:

@@ -416,12 +416,15 @@ def parse_word(text: str) -> tuple[int, ...]:
     """Word literal: plain digits for alphabets up to 9, else comma-separated.
     Every letter is at least 1."""
     text = text.strip()
-    if "," in text:
-        word = tuple(int(x) for x in text.split(","))
-    elif text.isdigit():
-        word = tuple(int(ch) for ch in text)
-    else:
-        raise ValueError(f"malformed word literal {text!r}")
+    try:
+        if "," in text:
+            word = tuple(int(x) for x in text.split(","))
+        elif text.isdigit():
+            word = tuple(int(ch) for ch in text)
+        else:
+            raise ValueError
+    except ValueError:  # also int()'s own, on an empty or non-decimal letter
+        raise ValueError(f"malformed word literal {text!r}") from None
     if min(word) < 1:
         raise ValueError(f"word literal {text!r} has a letter below 1")
     return word

@@ -276,21 +276,32 @@ def _decimal(powers: dict[int, int]) -> str | None:
         return None
 
 
-def _count_text(widths: tuple[int, ...]) -> str:
-    """prod (d_i + 1) over the block widths, in decimal, or as powers where
-    that is too long: 2^15000 for 15,000 blocks of width 1."""
-    powers = collections.Counter(d + 1 for d in widths)
-    return _decimal(powers) or " * ".join(f"{b}^{e}" for b, e in sorted(powers.items()))
+def _check_scan_budget(widths: tuple[int, ...], family: str) -> None:
+    """Raise BudgetExceededError where the position scan of the ``family``
+    tables over blocks of these widths needs more than ``HIT_DP_MAX_STATES``
+    states, prod (d_i + 1).  The message gives the count in decimal, or as
+    powers where that is too long: 2^15000 for 15,000 blocks of width 1."""
+    if math.prod(d + 1 for d in widths) > HIT_DP_MAX_STATES:
+        powers = collections.Counter(d + 1 for d in widths)
+        count = _decimal(powers) or " * ".join(f"{b}^{e}" for b, e in sorted(powers.items()))
+        raise BudgetExceededError(
+            f"{family} tables over {len(widths)} blocks of total width {sum(widths)} need"
+            f" {count} position-scan states, past the budget of {HIT_DP_MAX_STATES}"
+        )
 
 
 def validate_hit_method(board: FerrersBoard, method: str) -> None:
     """Raise ValueError unless ``method`` is one of ``HIT_METHODS`` and
-    applies to the board: the step formulas eq24 and eq26 apply to every
-    board, the other routes to admissible boards only."""
+    answers for the board: the step formulas eq24 and eq26 apply to every
+    board, the other routes to admissible boards only, and ``mat`` and
+    ``xi`` within their state budget only (``BudgetExceededError``)."""
     if method not in HIT_METHODS:
         raise ValueError(f"unknown hit method {method!r}")
     if not board.admissible and method not in ("eq24", "eq26"):
         raise ValueError("inadmissible board: only the step formulas eq24/eq26 apply")
+    # prod (d_i + 1) <= 2^n, so a board of few columns needs no decomposition
+    if method in ("mat", "xi") and 1 << board.n > HIT_DP_MAX_STATES:
+        _check_scan_budget(step_decomposition(board).widths, method)
 
 
 @lru_cache(maxsize=None)
@@ -371,15 +382,11 @@ def word_stat_polys(spec: StepSpec, family: str = "mat") -> tuple[LaurentPoly, .
     if family not in _STAT_KERNELS:
         raise ValueError(f"unknown statistic family {family!r}")
     widths, block_heights = spec.widths, spec.block_heights
+    _check_scan_budget(widths, family)
     n = sum(widths)
     radix = [1]
     for d in widths:
         radix.append(radix[-1] * (d + 1))
-    if radix[-1] > HIT_DP_MAX_STATES:
-        raise BudgetExceededError(
-            f"{family} tables over {len(widths)} blocks of total width {n} need"
-            f" {_count_text(widths)} position-scan states, past the budget of {HIT_DP_MAX_STATES}"
-        )
     xi = family == "xi"
     stride = n * (n - 1) // 2 + 1  # e counts position pairs, each at most once
     # no count exceeds the number of words, n! / prod d_i!

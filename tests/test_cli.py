@@ -133,15 +133,64 @@ class TestHit:
         assert result.exit_code == 0
         assert json.loads(result.output) == {"k": n, "method": "xi", "min_exp": 0, "coeffs": [1]}
 
+    @staticmethod
+    def budget_message(method: str, n: int) -> str:
+        return (
+            f"{method} tables over {n} blocks of total width {n} need {2**n} position-scan"
+            f" states, past the budget of {placements.HIT_DP_MAX_STATES}"
+        )
+
     def test_row_scan_past_its_state_budget_is_usage_error(self):
         n = placements.HIT_DP_MAX_STATES.bit_length()
-        for method in ("mat", "all"):
-            result = run("hit", "--board", f"stair:{n}", "--method", method)
-            assert result.exit_code == 2
-            assert result.output == (
-                f"error: mat tables over {n} blocks of total width {n} need {2**n} position-scan"
-                f" states, past the budget of {placements.HIT_DP_MAX_STATES}\n"
-            )
+        result = run("hit", "--board", f"stair:{n}", "--method", "mat")
+        assert result.exit_code == 2
+        assert result.output == f"error: {self.budget_message('mat', n)}\n"
+
+    def test_all_skips_the_routes_past_their_state_budget(self):
+        n = placements.HIT_DP_MAX_STATES.bit_length()
+        result = run("hit", "--board", f"stair:{n}", "--method", "all", "--format", "text")
+        assert result.exit_code == 0
+        lines = result.output.splitlines()
+        rows = [line.partition(":")[0] for line in lines[:-3]]
+        assert rows == [f"k={k} method={m}" for k in range(n + 1) for m in ("defining", "eq24", "eq26")]
+        assert lines[-3:] == [
+            f"SKIPPED mat: {self.budget_message('mat', n)}",
+            f"SKIPPED xi: {self.budget_message('xi', n)}",
+            "CONSISTENT",
+        ]
+
+    def test_all_answers_the_staircase_of_side_twenty(self):
+        # the mat/xi scan would need 2^20 states; the other three routes
+        # answer in well under a second
+        start = time.perf_counter()
+        result = run("hit", "--board", "stair:20", "--method", "all", "--format", "text")
+        assert time.perf_counter() - start < 5
+        assert result.exit_code == 0
+        lines = result.output.splitlines()
+        assert [line.partition(":")[0] for line in lines[-3:-1]] == ["SKIPPED mat", "SKIPPED xi"]
+        assert lines[-1] == "CONSISTENT"
+        assert len(lines) == 3 * 21 + 3
+
+    def test_budget_comes_before_a_bad_k(self):
+        # one method that does not answer for the board is refused before
+        # --k is read; with all, the refused routes are skipped first
+        n = placements.HIT_DP_MAX_STATES.bit_length()
+        result = run("hit", "--board", f"stair:{n}", "--method", "mat", "--k", "99")
+        assert result.exit_code == 2
+        assert result.output == f"error: {self.budget_message('mat', n)}\n"
+        result = run("hit", "--board", f"stair:{n}", "--method", "all", "--k", "99")
+        assert result.exit_code == 2
+        assert result.output == f"error: k must lie in 0..{n}\n"
+
+    def test_error_while_a_table_is_built_is_not_a_skipped_route(self, monkeypatch):
+        def broken(spec):
+            raise ValueError("eq26 broke")
+
+        monkeypatch.setattr(placements, "_eq26_divided", broken)
+        with cleared(placements.hit_polys):
+            result = run("hit", "--board", "tri:3", "--method", "all")
+        assert result.exit_code == 2
+        assert result.output == "error: eq26 broke\n"
 
     @pytest.mark.parametrize("board", ["stair:15", "stair:30"])
     def test_eq26_prints_the_eq24_tables(self, board):
@@ -242,12 +291,29 @@ class TestHit:
         assert results[0].output == results[1].output
 
     def test_inadmissible_needs_step_methods(self):
-        assert run("hit", "--board", "steps:3x1", "--method", "mat").exit_code == 2
+        result = run("hit", "--board", "steps:3x1", "--method", "mat")
+        assert result.exit_code == 2
+        assert result.output == "error: inadmissible board: only the step formulas eq24/eq26 apply\n"
         result = run(
             "hit", "--board", "steps:3x1", "--k", "1", "--method", "eq26",
             "--format", "text",
         )
         assert result.exit_code == 0
+
+    def test_all_on_an_inadmissible_board_runs_the_step_formulas(self):
+        result = run("hit", "--board", "steps:3x1", "--method", "all", "--format", "text")
+        assert result.exit_code == 0
+        refusal = "inadmissible board: only the step formulas eq24/eq26 apply"
+        assert result.output.splitlines() == [
+            "k=0 method=eq24: -q - q^2",
+            "k=0 method=eq26: -q - q^2",
+            "k=1 method=eq24: 1 + q + q^2",
+            "k=1 method=eq26: 1 + q + q^2",
+            f"SKIPPED mat: {refusal}",
+            f"SKIPPED xi: {refusal}",
+            f"SKIPPED defining: {refusal}",
+            "CONSISTENT",
+        ]
 
 
 class TestStats:
@@ -291,7 +357,10 @@ class TestStats:
         )
 
     def test_malformed_word(self):
-        assert run("stats", "--word", "2x1", "--stat", "des").exit_code == 2
+        for word in ("2x1", ",", "1,,2", "1,a"):
+            result = run("stats", "--word", word, "--stat", "des")
+            assert result.exit_code == 2
+            assert result.output == f"error: malformed word literal {word!r}\n"
 
     def test_letter_zero_is_usage_error(self):
         result = run("stats", "--word", "0", "--stat", "des")
@@ -463,6 +532,20 @@ class TestCapturedStreams:
 
     def test_stderr_is_released(self):
         assert self.released(["rook", "--board", "bogus:1"]) == (True, True)
+
+
+class TestExitCodes:
+    def test_a_defect_is_not_a_usage_error(self, monkeypatch):
+        # only a ValueError or an IdentityViolation becomes an exit code;
+        # any other exception from a command reaches the caller
+        def broken(board, k):
+            raise RuntimeError("rook recurrence broke")
+
+        monkeypatch.setattr(placements, "rook_poly", broken)
+        with cleared(placements.hit_polys), contextlib.redirect_stdout(io.StringIO()) as out:
+            with pytest.raises(RuntimeError, match="rook recurrence broke"):
+                main(["hit", "--board", "tri:3", "--method", "defining"], standalone_mode=False)
+        assert out.getvalue() == ""
 
 
 def python(*args, **popen):

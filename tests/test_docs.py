@@ -287,3 +287,36 @@ def test_library_functions_write_no_module_state():
     # memo would carry work from one benchmark pass into the next
     for path in sorted((ROOT / "src" / "qrook").glob("*.py")):
         assert module_state_writes(path.read_text()) == [], path.name
+
+
+def _functions_with(tree: ast.AST, predicate) -> set[str]:
+    """The names of the functions, and "<module>" for module-level code,
+    whose own body holds a node the predicate accepts."""
+    scopes = [("<module>", tree)]
+    scopes += [(fn.name, fn) for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return {name for name, scope in scopes if any(predicate(node) for node in _own_scope(scope))}
+
+
+def _catches(name: str):
+    """A predicate for the except clauses that name the exception ``name``."""
+
+    def predicate(node):
+        if not isinstance(node, ast.ExceptHandler) or node.type is None:
+            return False
+        types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        return name in {getattr(t, "id", None) or getattr(t, "attr", None) for t in types}
+
+    return predicate
+
+
+def test_exit_codes_are_decided_in_main():
+    # a command raises; main alone turns a ValueError into exit 2 and an
+    # IdentityViolation into exit 1, with the message on stderr
+    for path in sorted((ROOT / "src" / "qrook").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        writers = _functions_with(tree, lambda node: isinstance(node, ast.Attribute) and node.attr == "stderr")
+        assert writers == ({"main"} if path.stem == "cli" else set()), path.name
+    cli = ast.parse((ROOT / "src" / "qrook" / "cli.py").read_text())
+    assert _functions_with(cli, _catches("IdentityViolation")) == {"main"}
+    # hit --method all turns a route's refusal into a SKIPPED line
+    assert _functions_with(cli, _catches("ValueError")) == {"main", "hit_cmd"}

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -116,8 +117,9 @@ class TestWords:
         assert parse_word("2313212") == (2, 3, 1, 3, 2, 1, 2)
         assert parse_word("2,3,1,3,2,1,2") == (2, 3, 1, 3, 2, 1, 2)
         assert parse_word("10,2") == (10, 2)
-        with pytest.raises(ValueError):
-            parse_word("12a")
+        for literal in ("12a", ",", "1,,2", "1,a", "", "²"):
+            with pytest.raises(ValueError, match=f"malformed word literal {re.escape(repr(literal))}"):
+                parse_word(literal)
 
 
 class TestClassicalStats:

@@ -29,6 +29,8 @@ from qrook.placements import (
     mat_stat,
     rook_poly,
     rook_sum_identity,
+    validate_hit_method,
+    word_stat_polys,
     xi_stat,
 )
 from qrook.qpoly import LaurentPoly, q_factorial, q_stirling
@@ -308,6 +310,20 @@ class TestHitRowScan:
                 f" past the budget of {HIT_DP_MAX_STATES}"
             )
         assert sum(t.evaluate(1) for t in hit_polys(big, "defining")) == math.factorial(n)
+
+    def test_validation_refuses_what_the_scan_refuses(self):
+        # validate_hit_method decides the budget before any table is built,
+        # with the message the word DP itself raises
+        n = HIT_DP_MAX_STATES.bit_length()
+        for family in ("mat", "xi"):
+            validate_hit_method(staircase_board(n - 1), family)
+            with pytest.raises(BudgetExceededError) as raised:
+                validate_hit_method(staircase_board(n), family)
+            with pytest.raises(BudgetExceededError) as scanned:
+                word_stat_polys(step_decomposition(staircase_board(n)), family)
+            assert str(raised.value) == str(scanned.value)
+        for method in ("defining", "eq24", "eq26"):
+            validate_hit_method(staircase_board(n), method)
 
 
 class TestStepFormulaRoutes:
